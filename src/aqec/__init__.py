@@ -52,6 +52,7 @@ from .fidelity import (
     ProcessMatrix,
     WorstCaseResult,
     process_matrix,
+    transpose_fidelity_grid,
     worst_case_fidelity,
     worst_fidelity_qubit_lagrange,
     worst_fidelity_sampled,
@@ -66,6 +67,7 @@ from .linalg import (
 )
 from .models import (
     amplitude_damping,
+    amplitude_damping_power,
     bit_flip_channel,
     bit_flip_code,
     complete_to_mixed_code,
@@ -80,6 +82,11 @@ from .models import (
     qubit_space,
     truncated_damping_channel,
 )
-from .transpose import TransposeRecovery, recovered_channel, transpose_channel
+from .transpose import (
+    TransposeRecovery,
+    code_kraus,
+    recovered_channel,
+    transpose_channel,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,13 +16,12 @@ JSON wire format (fixed field names, used by the CLI)::
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import BudgetExceeded, DimensionMismatch, NotPSD
+from .exceptions import BudgetExceeded, DimensionMismatch, NonFiniteInput, NotPSD
 from .linalg import hermitian_eig, max_abs
 
 # Cap on total complex entries (n_kraus * dims_out * dims_in) a single
@@ -38,8 +37,9 @@ CHOI_EQ_TOL = 1e-9
 class QuantumChannel:
     """Completely positive map stored as a tuple of Kraus operators.
 
-    All Kraus operators must share one shape (dims_out, dims_in).  The
-    stored arrays are read-only; channels are immutable after construction.
+    All Kraus operators must share one shape (dims_out, dims_in) and hold
+    finite entries (NonFiniteInput otherwise).  The stored arrays are
+    read-only; channels are immutable after construction.
     """
 
     __slots__ = ("kraus", "dims_in", "dims_out", "_stack")
@@ -55,6 +55,8 @@ class QuantumChannel:
             if k.shape != shape:
                 raise DimensionMismatch(f"Kraus shapes differ: {k.shape} vs {shape}")
         stack = np.stack(ops)
+        if not np.isfinite(stack).all():
+            raise NonFiniteInput("Kraus operators hold NaN or infinite entries")
         stack.flags.writeable = False
         self._stack = stack
         self.kraus = tuple(stack[i] for i in range(len(ops)))
@@ -140,19 +142,26 @@ def adjoint(e: QuantumChannel) -> QuantumChannel:
     return QuantumChannel([k.conj().T for k in e.kraus])
 
 
+def _kron_power(stack: np.ndarray, n: int) -> np.ndarray:
+    """All n-fold Kronecker products of a Kraus stack (..., K, m, l), in
+    lexicographic index order (first factor most significant), batched
+    over leading axes; shape (..., K^n, m^n, l^n)."""
+    *lead, k, rows, cols = stack.shape
+    ops = stack
+    for p in range(2, n + 1):
+        ops = np.einsum("...aij,...bkl->...abikjl", ops, stack).reshape(
+            *lead, k**p, rows**p, cols**p
+        )
+    return ops
+
+
 def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
     """n independent copies of e; Kraus operators are all n-fold tensor
     products in lexicographic index order (first factor most significant)."""
     if n < 1:
         raise DimensionMismatch(f"tensor power needs n >= 1, got {n}")
     _check_budget(e.n_kraus**n, e.dims_out**n, e.dims_in**n)
-    ops = []
-    for combo in itertools.product(e.kraus, repeat=n):
-        k = combo[0]
-        for factor in combo[1:]:
-            k = np.kron(k, factor)
-        ops.append(k)
-    return QuantumChannel(_prune(ops))
+    return QuantumChannel(_prune(list(_kron_power(e._stack, n))))
 
 
 def tp_defect(e: QuantumChannel) -> float:

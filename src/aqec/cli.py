@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +40,16 @@ from .channels import channel_from_json, tensor_power
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
 from .conditions import aqec_diagnostics
 from .exceptions import AqecError
-from .fidelity import SAMPLED, WorstCaseResult, worst_case_fidelity
+from .fidelity import (
+    SAMPLED,
+    WorstCaseResult,
+    transpose_fidelity_grid,
+    worst_case_fidelity,
+)
 from .models import (
     MODEL_REGISTRY,
     amplitude_damping,
+    amplitude_damping_power,
     five_qubit_code_only,
     five_qubit_recovery,
     leung_code,
@@ -57,6 +65,31 @@ class UserConfigError(Exception):
     """Invalid command-line configuration."""
 
 
+def gamma_grid(start: float, stop: float, step: float) -> list[float]:
+    """The grid start, start + step, ..., stop, each value rounded to 12
+    decimals.  Raises UserConfigError for a non-numeric or non-finite
+    bound, a non-positive step or an empty grid."""
+    try:
+        start, stop, step = float(start), float(stop), float(step)
+    except (TypeError, ValueError) as exc:
+        raise UserConfigError(f"gamma grid values must be numbers: {exc}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise UserConfigError(
+            f"gamma grid needs finite values, got start {start}, stop {stop}, step {step}"
+        )
+    if step <= 0:
+        raise UserConfigError(f"gamma step must be positive, got {step}")
+    count = int(round((stop - start) / step)) + 1
+    if count < 1:
+        raise UserConfigError(f"empty gamma grid: start {start} lies above stop {stop}")
+    return [round(start + k * step, 12) for k in range(count)]
+
+
+def _check_samples(samples) -> None:
+    if not isinstance(samples, int) or samples < 1:
+        raise UserConfigError(f"samples must be a positive integer, got {samples!r}")
+
+
 @dataclass
 class SweepConfig:
     curves: list[str]
@@ -68,12 +101,7 @@ class SweepConfig:
     out: str = "sweep.csv"
 
     def gammas(self) -> list[float]:
-        if self.gamma_step <= 0:
-            raise UserConfigError("gamma step must be positive")
-        count = int(round((self.gamma_stop - self.gamma_start) / self.gamma_step)) + 1
-        if count < 1:
-            raise UserConfigError("empty gamma grid")
-        return [round(self.gamma_start + k * self.gamma_step, 12) for k in range(count)]
+        return gamma_grid(self.gamma_start, self.gamma_stop, self.gamma_step)
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,15 +129,9 @@ class SearchConfig:
     metric: str = "min_f2"  # or "f2_at:<gamma>"
     out: str = "search.csv"
     best_out: str = "best_code.json"
-    gamma_list: list[float] = field(default_factory=list)
 
     def gammas(self) -> list[float]:
-        if self.gamma_list:
-            return list(self.gamma_list)
-        if self.gamma_step <= 0:
-            raise UserConfigError("gamma step must be positive")
-        count = int(round((self.gamma_stop - self.gamma_start) / self.gamma_step)) + 1
-        return [round(self.gamma_start + k * self.gamma_step, 12) for k in range(count)]
+        return gamma_grid(self.gamma_start, self.gamma_stop, self.gamma_step)
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,6 +239,7 @@ def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[
 
 def cmd_sweep(config: SweepConfig) -> None:
     curves = [_parse_curve(c) for c in config.curves]
+    _check_samples(config.samples)
     gammas = config.gammas()
     rows = []
     for spec, (model, recovery) in sorted(zip(config.curves, curves)):
@@ -243,17 +266,22 @@ def cmd_sweep(config: SweepConfig) -> None:
     _write_csv(config.out, config.to_json_dict(), header, rows)
 
 
+@functools.lru_cache(maxsize=1)
+def _damping_grid(gammas: tuple, n_qubits: int) -> np.ndarray:
+    """n-qubit damping Kraus stack for the grid, built once per process."""
+    stack = amplitude_damping_power(gammas, n_qubits)
+    stack.flags.writeable = False
+    return stack
+
+
 def _search_one(args: tuple) -> tuple[int, int, list[tuple[float, float]]]:
+    # One code over the whole gamma grid; codes are never batched together,
+    # so a code's values do not depend on which codes share its worker.
     index, code_seed, n_qubits, code_dim, gammas, samples = args
     code = random_code(2**n_qubits, code_dim, code_seed)
-    ad_cache = {g: tensor_power(amplitude_damping(g), n_qubits) for g in gammas}
-    values = []
-    for g in gammas:
-        noise = ad_cache[g]
-        recovery = transpose_channel(noise, code).recovery
-        res = worst_case_fidelity(noise, recovery, code, samples=samples, seed=code_seed)
-        values.append((g, res.f2_min))
-    return index, code_seed, values
+    noise = _damping_grid(tuple(gammas), n_qubits)
+    results = transpose_fidelity_grid(noise, code, samples=samples, seed=code_seed)
+    return index, code_seed, [(g, res.f2_min) for g, res in zip(gammas, results)]
 
 
 def _metric_value(config: SearchConfig, values: list[tuple[float, float]]) -> float:
@@ -271,6 +299,7 @@ def cmd_search(config: SearchConfig) -> None:
         raise UserConfigError("need at least one code")
     if config.n_qubits not in (2, 3, 4, 5):
         raise UserConfigError("n_qubits must be between 2 and 5")
+    _check_samples(config.samples)
     gammas = config.gammas()
     rng = np.random.default_rng(config.seed)
     code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=config.n_codes)]
@@ -409,8 +438,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UserConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise UserConfigError(f"config {args.config} is not a JSON object")
+        known = set(vars(args)) - {"command", "config"}
         for key, value in overrides.items():
-            setattr(args, key.replace("-", "_"), value)
+            name = key.replace("-", "_")
+            if name not in known:
+                raise UserConfigError(
+                    f"unknown key '{key}' in config {args.config}; "
+                    f"known keys: {', '.join(sorted(known))}"
+                )
+            setattr(args, name, value)
 
 
 def main(argv=None) -> int:

@@ -17,13 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _matrix_to_pairs, _pairs_to_matrix
-from .exceptions import DimensionMismatch, InvalidBloch, NotQubitCode
+from .exceptions import DimensionMismatch, InvalidBloch, NonFiniteInput, NotQubitCode
 
 ORTHONORMALITY_TOL = 1e-12
 
 
 class CodeSpace:
-    """Orthonormal basis of a code subspace, columns of `basis`."""
+    """Orthonormal basis of a code subspace, columns of `basis`.
+
+    Raises NonFiniteInput for a NaN or infinite entry and DimensionMismatch
+    for a basis that is not orthonormal.
+    """
 
     __slots__ = ("basis", "ambient_dim", "code_dim")
 
@@ -36,6 +40,8 @@ class CodeSpace:
             raise DimensionMismatch(
                 f"code dimension {d_code} invalid for ambient dimension {d_amb}"
             )
+        if not np.isfinite(basis).all():
+            raise NonFiniteInput("code basis holds NaN or infinite entries")
         gram = basis.conj().T @ basis
         dev = float(np.max(np.abs(gram - np.eye(d_code))))
         if dev > ORTHONORMALITY_TOL:

@@ -48,11 +48,10 @@ from .fidelity import (
 from .linalg import (
     RANK_TOL,
     hermitian_eig,
-    inv_sqrt_on_support,
     operator_norm,
     polar_unitary_on_support,
 )
-from .transpose import _check_dims, transpose_channel
+from .transpose import _check_dims, code_kraus, transpose_channel
 
 PERFECT_TOL = 1e-9
 TP_CHECK_TOL = 1e-9
@@ -194,12 +193,7 @@ def _deviation_operators(
     e: QuantumChannel, code: CodeSpace, rank_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """beta matrix and code-basis Delta operators, shape (N, N, d, d)."""
-    w = code.basis
-    p = code.projector()
-    b, _ = inv_sqrt_on_support(e.apply(p), rank_tol)
-    m = np.stack([k @ w for k in e.kraus])  # (N, D, d)
-    bm = np.einsum("ab,ibc->iac", b, m, optimize=True)
-    k_ops = np.einsum("iab,jac->ijbc", m.conj(), bm, optimize=True)  # (N, N, d, d)
+    k_ops = code_kraus(e._stack @ code.basis, rank_tol)
     d = code.code_dim
     beta = np.trace(k_ops, axis1=2, axis2=3) / d
     deltas = k_ops - beta[:, :, None, None] * np.eye(d)[None, None, :, :]

@@ -13,6 +13,10 @@ class DimensionMismatch(AqecError):
     """Operands have incompatible shapes or dimensions."""
 
 
+class NonFiniteInput(AqecError):
+    """Input array holds a NaN or infinite entry."""
+
+
 class NotHermitian(AqecError):
     """Matrix fails the Hermiticity tolerance."""
 

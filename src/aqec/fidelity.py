@@ -21,10 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .channels import QuantumChannel, compose
-from .codes import CodeSpace, OperatorBasis, bloch_to_state_vector, operator_basis
-from .exceptions import OutputLeavesCode, PreconditionViolated
+from .channels import QuantumChannel, _prune
+from .codes import (
+    CodeSpace,
+    OperatorBasis,
+    _su_generators,
+    bloch_to_state_vector,
+    operator_basis,
+)
+from .exceptions import DimensionMismatch, OutputLeavesCode, PreconditionViolated
 from .linalg import max_abs
+from .transpose import code_kraus
 
 EXACT_UNITAL_QUBIT = "exact_unital_qubit"
 LAGRANGE_QUBIT = "lagrange_qubit"
@@ -76,39 +83,76 @@ class WorstCaseResult:
         }
 
 
-def _process_matrix_from_apply(
-    apply_fn,
-    code: CodeSpace,
-    *,
-    allow_leakage: bool = False,
-    leak_tol: float = FLAG_TOL,
-) -> ProcessMatrix:
-    basis = operator_basis(code)
-    d = code.code_dim
+def _code_kraus_after(
+    noise: QuantumChannel, recovery: QuantumChannel | None, code: CodeSpace
+) -> np.ndarray:
+    """Code-basis Kraus stack {W^dag R_j E_i W}, j-major, of recovery after
+    noise (noise alone when recovery is None): the map on code inputs,
+    with its output compressed to the code."""
+    last = noise if recovery is None else recovery
+    if (noise.dims_in, last.dims_out) != (code.ambient_dim,) * 2 or (
+        last.dims_in != noise.dims_out
+    ):
+        raise DimensionMismatch(
+            f"maps act on dims {noise.dims_in}->{noise.dims_out}->{last.dims_out}, "
+            f"code lives in dim {code.ambient_dim}"
+        )
+    m = noise._stack @ code.basis
+    if recovery is not None:
+        m = (recovery._stack[:, None] @ m[None]).reshape(-1, *m.shape[1:])
+    return code.basis.conj().T @ m
+
+
+def _code_operator_basis(d: int) -> np.ndarray:
+    """operator_basis in code coordinates: identity, then the generators."""
+    return np.stack([np.eye(d)] + _su_generators(d))
+
+
+def _check_leakage(m: np.ndarray, code: CodeSpace, leak_tol: float) -> None:
+    """Raise OutputLeavesCode when the map with ambient Kraus stack
+    m = {K_x W} sends a basis element O_b outside the code."""
+    gens = _code_operator_basis(code.code_dim)
+    imgs = np.einsum("xab,gbc,xdc->gad", m, gens, m.conj(), optimize=True)
     p = code.projector()
-    n = d * d
-    m = np.zeros((n, n))
-    for b_idx, o_b in enumerate(basis.elements):
-        img = apply_fn(o_b)
-        if not allow_leakage:
-            leak = max_abs(img - p @ img @ p)
-            if leak > leak_tol * max(1.0, max_abs(img)):
-                raise OutputLeavesCode(
-                    f"channel output leaks outside the code (max leak {leak:.3e})"
-                )
-        for a_idx, o_a in enumerate(basis.elements):
-            val = np.trace(o_a @ img) / d
-            m[a_idx, b_idx] = val.real
-            if abs(val.imag) > 1e-8:
-                raise PreconditionViolated(
-                    f"process matrix entry has imaginary part {val.imag:.3e}; "
-                    "map is not completely positive on Hermitian inputs"
-                )
-    e0 = np.zeros(n)
+    leak = np.max(np.abs(imgs - p @ imgs @ p), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(imgs), axis=(1, 2)))
+    bad = np.flatnonzero(leak > leak_tol * scale)
+    if bad.size:
+        raise OutputLeavesCode(
+            f"channel output leaks outside the code (max leak {leak[bad[0]]:.3e})"
+        )
+
+
+def _flagged(m: np.ndarray, basis: OperatorBasis) -> ProcessMatrix:
+    e0 = np.zeros(m.shape[0])
     e0[0] = 1.0
     is_tp = max_abs(m[0, :] - e0) <= FLAG_TOL
     is_unital = max_abs(m[:, 0] - e0) <= FLAG_TOL
-    return ProcessMatrix(m, basis, code, is_tp, is_unital)
+    return ProcessMatrix(m, basis, basis.code, is_tp, is_unital)
+
+
+def _code_process_matrices(k: np.ndarray) -> np.ndarray:
+    """Process matrices of maps given by code-basis Kraus stacks.
+
+    k has shape (..., X, d, d).  With g_a the identity followed by the
+    generators of operator_basis, M_ab = tr(g_a Phi(g_b)) / d comes from
+    the superoperator S = sum_x K_x (x) conj(K_x) (row-major vec) as
+    conj(G) S G^T / d, G holding vec(g_a) in its rows.  Raises
+    PreconditionViolated when an entry has an imaginary part above 1e-8.
+    """
+    *lead, x, d, _ = k.shape
+    flat = k.reshape(*lead, x, d * d)
+    gram = flat.swapaxes(-1, -2) @ flat.conj()
+    s = gram.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(gram.shape)
+    g = _code_operator_basis(d).reshape(d * d, d * d)
+    m = g.conj() @ s @ g.T / d
+    imag = float(np.max(np.abs(m.imag)))
+    if imag > 1e-8:
+        raise PreconditionViolated(
+            f"process matrix entry has imaginary part {imag:.3e}; "
+            "map is not completely positive on Hermitian inputs"
+        )
+    return m.real
 
 
 def process_matrix(
@@ -129,9 +173,11 @@ def process_matrix(
             f"channel dims ({phi.dims_in}->{phi.dims_out}) do not match "
             f"ambient dimension {code.ambient_dim}"
         )
-    return _process_matrix_from_apply(
-        phi.apply, code, allow_leakage=allow_leakage, leak_tol=leak_tol
-    )
+    m = phi._stack @ code.basis
+    if not allow_leakage:
+        _check_leakage(m, code, leak_tol)
+    k = code.basis.conj().T @ m
+    return _flagged(_code_process_matrices(k), operator_basis(code))
 
 
 def _min_quadratic_on_sphere(
@@ -251,6 +297,12 @@ def _lagrange_qubit_core(m: ProcessMatrix) -> WorstCaseResult:
     )
 
 
+def _exact_qubit(m: ProcessMatrix) -> WorstCaseResult:
+    if m.is_tp and m.is_unital:
+        return worst_fidelity_unital_qubit(m)
+    return _lagrange_qubit_core(m)
+
+
 def worst_fidelity_qubit_lagrange(m: ProcessMatrix) -> WorstCaseResult:
     """Exact worst-case fidelity for a TP qubit map, unitality not assumed.
 
@@ -327,10 +379,16 @@ def worst_fidelity_sampled(
     The returned value is an upper bound on the true minimum; deterministic
     for a given seed.
     """
+    k_code = _code_kraus_after(phi, None, code)
+    return _sampled_from_code_kraus(k_code, code, n, seed, refine_iters)
+
+
+def _sampled_from_code_kraus(
+    k_code: np.ndarray, code: CodeSpace, n: int, seed: int, refine_iters: int
+) -> WorstCaseResult:
     if n < 1:
         raise PreconditionViolated("need at least one sample")
-    w = code.basis
-    k_code = np.stack([w.conj().T @ k @ w for k in phi.kraus])
+    k_code = np.stack(_prune(list(k_code)))
     rng = np.random.default_rng(seed)
     best_f2 = np.inf
     best_c = None
@@ -349,7 +407,7 @@ def worst_fidelity_sampled(
     f2_ref, c_ref = _sphere_quartic_min(k_code, None, best_c, iters=refine_iters)
     if f2_ref <= best_f2:
         best_f2, best_c = f2_ref, c_ref
-    psi = w @ best_c
+    psi = code.basis @ best_c
     return WorstCaseResult(
         f2_min=best_f2,
         eta=1.0 - best_f2,
@@ -373,18 +431,41 @@ def worst_case_fidelity(
 
     recovery = None means no recovery (identity map).  Qubit codes are
     solved exactly; larger codes fall back to the sampled estimator.
+    Output that leaves the code is ignored, as fidelities never see it.
     """
-    if recovery is None:
-        phi_apply = noise.apply
-        phi_channel = noise
-    else:
-        phi_apply = lambda rho: recovery.apply(noise.apply(rho))  # noqa: E731
-        phi_channel = None
+    k = _code_kraus_after(noise, recovery, code)
     if code.code_dim == 2:
-        m = _process_matrix_from_apply(phi_apply, code, allow_leakage=True)
-        if m.is_tp and m.is_unital:
-            return worst_fidelity_unital_qubit(m)
-        return _lagrange_qubit_core(m)
-    if phi_channel is None:
-        phi_channel = compose(recovery, noise)
-    return worst_fidelity_sampled(phi_channel, code, samples, seed)
+        return _exact_qubit(_flagged(_code_process_matrices(k), operator_basis(code)))
+    return _sampled_from_code_kraus(k, code, samples, seed, REFINE_ITERS)
+
+
+def transpose_fidelity_grid(
+    kraus: np.ndarray,
+    code: CodeSpace,
+    *,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+) -> list[WorstCaseResult]:
+    """Worst-case fidelity of transpose recovery after each of a stack of
+    noise channels, one result per channel.
+
+    kraus has shape (G, N, D, D): G channels of N Kraus operators each
+    (zero operators are allowed).  Each result equals
+    worst_case_fidelity(noise, transpose_channel(noise, code).recovery,
+    code) up to rounding, with the same method: all G code-space maps come
+    from one code_kraus call; qubit codes go through batched process
+    matrices and the exact solvers, larger codes through the sampler.
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    if kraus.ndim != 4 or kraus.shape[-2:] != (code.ambient_dim,) * 2:
+        raise DimensionMismatch(
+            f"expected a (G, N, {code.ambient_dim}, {code.ambient_dim}) Kraus stack, "
+            f"got shape {kraus.shape}"
+        )
+    k = code_kraus(kraus @ code.basis)
+    g, n, _, d, _ = k.shape
+    k = k.reshape(g, n * n, d, d)
+    if d == 2:
+        basis = operator_basis(code)
+        return [_exact_qubit(_flagged(m, basis)) for m in _code_process_matrices(k)]
+    return [_sampled_from_code_kraus(kx, code, samples, seed, REFINE_ITERS) for kx in k]

@@ -66,6 +66,21 @@ def _canonicalize_eigenvectors(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray
     return vecs
 
 
+def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    """Raise NotHermitian when max|A - A^dag| exceeds tol * max(1, max|A|)
+    for A the matrix or any matrix of a stack over leading axes."""
+    if not a.size:
+        return
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    bad = np.flatnonzero(dev > tol * scale)
+    if bad.size:
+        i = bad[0]
+        raise NotHermitian(
+            f"max|A - A^dag| = {dev.flat[i]:.3e} exceeds tolerance {tol * scale.flat[i]:.3e}"
+        )
+
+
 def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix with deterministic output.
 
@@ -76,10 +91,7 @@ def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     a = _as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol * scale:
-        raise NotHermitian(f"max|A - A^dag| = {dev:.3e} exceeds tolerance {tol * scale:.3e}")
+    check_hermitian(a, tol)
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     vecs = _canonicalize_eigenvectors(vals, vecs)
     return EigenDecomposition(vals, vecs)

@@ -11,6 +11,10 @@ code, and does not depend on which Kraus representation of E was supplied.
 Outside supp E(P) the Kraus operators act as zero; all fidelity
 computations in this package feed the map code inputs only, for which the
 noise output always lies inside that support.
+
+Restricted to the code, recovery after noise is the map with Kraus set
+K_ij = W^dag E_i^dag E(P)^(-1/2) E_j W (W the code isometry); code_kraus
+builds it for a whole stack of noise channels at once.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 
 from .channels import QuantumChannel, _prune
 from .codes import CodeSpace
-from .exceptions import DimensionMismatch
-from .linalg import RANK_TOL, inv_sqrt_on_support
+from .exceptions import DimensionMismatch, NotPSD
+from .linalg import RANK_TOL, check_hermitian, inv_sqrt_on_support
 
 
 def _check_dims(e: QuantumChannel, code: CodeSpace) -> None:
@@ -58,19 +62,54 @@ def transpose_channel(
     return TransposeRecovery(QuantumChannel(_prune(ops)), support, code)
 
 
+def code_kraus(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Code-space Kraus set of transpose recovery after noise, batched.
+
+    m stacks M_i = E_i W with shape (..., N, D, d): the noise Kraus
+    operators times the code isometry, for any number of leading (batch)
+    axes.  Returns K of shape (..., N, N, d, d) with
+
+        K_ij = M_i^dag B M_j,  B = E(P)^(-1/2) on the support of
+        E(P) = sum_i M_i M_i^dag,
+
+    so that the recovered map sends W rho W^dag to
+    W (sum_ij K_ij rho K_ij^dag) W^dag.  One batched eigh
+    E(P) = V diag(lam) V^dag gives K = C^dag C with
+    C = diag(lam^(-1/4)) V^dag [M_1 ... M_N]; eigenvalues at or below
+    rank_tol * max|lam| count as zero.  Raises NotHermitian and NotPSD
+    under the same tests as inv_sqrt_on_support.
+    """
+    *lead, n, dim, d = m.shape
+    wide = np.moveaxis(m, -3, -2).reshape(*lead, dim, n * d)
+    ep = wide @ wide.conj().swapaxes(-1, -2)
+    check_hermitian(ep)
+    vals, vecs = np.linalg.eigh((ep + ep.conj().swapaxes(-1, -2)) / 2.0)
+    cutoff = rank_tol * np.max(np.abs(vals), axis=-1)
+    low = np.flatnonzero(vals[..., 0] < -cutoff)
+    if low.size:
+        i = low[0]
+        raise NotPSD(
+            f"eigenvalue {vals[..., 0].flat[i]:.3e} below -{cutoff.flat[i]:.3e}"
+        )
+    weight = np.where(vals > cutoff[..., None], vals, np.inf) ** -0.25
+    c = (weight[..., :, None] * vecs.conj().swapaxes(-1, -2)) @ wide
+    k = c.conj().swapaxes(-1, -2) @ c
+    return k.reshape(*lead, n, d, n, d).swapaxes(-3, -2)
+
+
 def recovered_channel(
     e: QuantumChannel, code: CodeSpace, rank_tol: float = RANK_TOL
 ) -> QuantumChannel:
     """Composition transpose-recovery after noise, restricted to the code.
 
-    Kraus set {P E_i^dag E(P)^(-1/2) E_j P}.  The set is Hermitian-closed
-    (the adjoint of the (i, j) element is the (j, i) element) and the map
-    is unital on the code whenever e is trace preserving.
+    Kraus set {P E_i^dag E(P)^(-1/2) E_j P} = {W K_ij W^dag}, i-major.
+    The set is Hermitian-closed (the adjoint of the (i, j) element is the
+    (j, i) element) and the map is unital on the code whenever e is trace
+    preserving.
     """
     _check_dims(e, code)
-    p = code.projector()
-    b, _ = inv_sqrt_on_support(e.apply(p), rank_tol)
-    left = [p @ k.conj().T @ b for k in e.kraus]
-    right = [k @ p for k in e.kraus]
-    ops = [li @ rj for li in left for rj in right]
-    return QuantumChannel(_prune(ops))
+    w = code.basis
+    k = code_kraus(e._stack @ w, rank_tol)
+    d = code.code_dim
+    ops = w @ k.reshape(-1, d, d) @ w.conj().T
+    return QuantumChannel(_prune(list(ops)))

@@ -240,3 +240,14 @@ def test_property_trace_preserved():
 
 def test_property_compose_associative():
     check_compose_associative(204)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_channel_rejects_non_finite_entries(bad):
+    from aqec.exceptions import AqecError, NonFiniteInput
+
+    k = np.eye(2, dtype=complex)
+    k[1, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        QuantumChannel([np.eye(2), k])
+    assert issubclass(NonFiniteInput, AqecError)

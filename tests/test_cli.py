@@ -244,3 +244,74 @@ def test_search_outperforms_five_qubit_code_at_high_gamma():
         best = max(best, worst_case_fidelity(e4, r, code).f2_min)
     assert best > f_five
     assert best > 1 - g
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_reversed_gamma_grid_rejected(tmp_path, capsys):
+    grid = ["--gamma-start", "0.5", "--gamma-stop", "0.1"]
+    out = ["--out", str(tmp_path / "o.csv")]
+    assert main(["search", "--codes", "1", "--qubits", "2"] + grid + out
+                + ["--best-out", str(tmp_path / "b.json")]) == 2
+    assert "empty gamma grid" in _one_error_line(capsys)
+    assert main(["sweep", "--curve", "ad:identity"] + grid + out) == 2
+    assert "empty gamma grid" in _one_error_line(capsys)
+
+
+def test_non_finite_or_zero_step_grid_rejected(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "o.csv"), "--best-out", str(tmp_path / "b.json")]
+    for bad in (["--gamma-stop", "nan"], ["--gamma-start=-inf"], ["--gamma-step", "0"]):
+        assert main(["search", "--codes", "1", "--qubits", "2"] + bad + out) == 2
+        _one_error_line(capsys)
+
+
+def test_bad_samples_rejected(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "o.csv")]
+    assert main(["search", "--codes", "1", "--qubits", "2", "--samples", "-5"] + out
+                + ["--best-out", str(tmp_path / "b.json")]) == 2
+    assert "-5" in _one_error_line(capsys)
+    assert main(["sweep", "--curve", "ad:identity", "--samples", "0"] + out) == 2
+    assert "samples" in _one_error_line(capsys)
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gama_stop": 0.1}))
+    out = ["--out", str(tmp_path / "o.csv")]
+    assert main(["sweep", "--config", str(cfg)] + out) == 2
+    assert "gama_stop" in _one_error_line(capsys)
+    assert main(["search", "--codes", "1", "--config", str(cfg)] + out) == 2
+    assert "gama_stop" in _one_error_line(capsys)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_check_non_finite_channel_exit_code(tmp_path, capsys):
+    data = channel_to_json(bit_flip_channel(0.1))
+    data["kraus"][0][0][0] = float("nan")
+    chan_file = tmp_path / "chan.json"
+    code_file = tmp_path / "code.json"
+    chan_file.write_text(json.dumps(data))
+    code_file.write_text(json.dumps(code_to_json(bit_flip_code())))
+    assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1"]) == 3
+    assert "NaN" in _one_error_line(capsys)
+
+
+def test_search_values_independent_of_batch_and_workers(tmp_path, monkeypatch):
+    from aqec.cli import _search_one
+
+    args = ["search", "--codes", "3", "--qubits", "3",
+            "--gamma-stop", "0.3", "--gamma-step", "0.1", "--seed", "9"]
+    bests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AQEC_THREADS", threads)
+        best = tmp_path / f"best{threads}.json"
+        assert main(args + ["--out", str(tmp_path / "s.csv"), "--best-out", str(best)]) == 0
+        bests.append(json.loads(best.read_text()))
+    assert bests[0]["per_gamma"] == bests[1]["per_gamma"]
+    gammas = [row["gamma"] for row in bests[0]["per_gamma"]]
+    _, _, alone = _search_one((0, bests[0]["code_seed"], 3, 2, gammas, 20_000))
+    assert [{"gamma": g, "f2_worst": v} for g, v in alone] == bests[0]["per_gamma"]

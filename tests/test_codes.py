@@ -149,3 +149,15 @@ def test_property_orthonormal():
 
 def test_property_pauli_support():
     check_pauli_support(303)
+
+
+def test_code_rejects_non_finite_basis():
+    from aqec.exceptions import NonFiniteInput
+
+    basis = np.eye(4, dtype=complex)[:, :2]
+    basis[3, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        CodeSpace(basis)
+    basis[3, 1] = np.inf
+    with pytest.raises(NonFiniteInput):
+        CodeSpace(basis)

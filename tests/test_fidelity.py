@@ -242,3 +242,14 @@ def test_property_sampled_bounds():
 
 def test_property_rotation_invariance():
     check_rotation_invariance(603)
+
+
+def test_fidelity_grid_rejects_wrong_stack_shape():
+    from aqec import transpose_fidelity_grid
+    from aqec.exceptions import DimensionMismatch
+
+    code = random_code(4, 2, 1)
+    with pytest.raises(DimensionMismatch):
+        transpose_fidelity_grid(np.zeros((2, 3, 8, 8)), code)
+    with pytest.raises(DimensionMismatch):
+        transpose_fidelity_grid(np.zeros((3, 4, 4)), code)

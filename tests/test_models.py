@@ -195,3 +195,15 @@ def test_property_leung_stabilizers():
 
 def test_property_example5_ratio():
     check_example5_ratio(702)
+
+
+def test_example5_formula_only_for_d_at_least_3():
+    from aqec import example5_eta_formula
+
+    with pytest.raises(ParamOutOfRange):
+        example5_eta_formula(2, 0.1)
+    # the exact qubit loss exceeds the formula's value (1/11 at p = 0.1)
+    e, code = example5_channel(2, 0.1)
+    assert abs(aqec_diagnostics(e, code, 0.1).eta - 0.09296) < 1e-5
+    e, code = example5_channel(3, 0.1)
+    assert abs(aqec_diagnostics(e, code, 0.1).eta - example5_eta_formula(3, 0.1)) < 1e-4

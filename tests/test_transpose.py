@@ -1,16 +1,25 @@
 import numpy as np
+import pytest
 
 from aqec import (
     QuantumChannel,
     amplitude_damping,
+    amplitude_damping_power,
     channels_equal,
+    choi,
+    code_kraus,
+    compose,
     haar_unitary,
     identity_channel,
+    inv_sqrt_on_support,
     random_code,
     recovered_channel,
     tensor_power,
     transpose_channel,
+    transpose_fidelity_grid,
+    worst_case_fidelity,
 )
+from aqec.cli import _search_one
 from aqec.models import bit_flip_code, leung_code
 
 from helpers import random_tp_channel
@@ -122,3 +131,66 @@ def test_property_unital():
 
 def test_property_gauge_invariance():
     check_transpose_gauge_invariance(403)
+
+
+def _reference_code_kraus(e, code):
+    """K_ij = W^dag E_i^dag B E_j W built with the ambient inverse square root."""
+    w = code.basis
+    b, _ = inv_sqrt_on_support(e.apply(code.projector()))
+    return np.stack(
+        [np.stack([w.conj().T @ ki.conj().T @ b @ kj @ w for kj in e.kraus]) for ki in e.kraus]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fidelity_grid_matches_worst_case_fidelity(n):
+    # gamma = 0 prunes the damping Kraus set, gamma = 1 makes E(P) rank one
+    gammas = [0.0, 0.05, 0.3, 0.7, 1.0]
+    stack = amplitude_damping_power(gammas, n)
+    code = random_code(2**n, 2, 100 + n)
+    results = transpose_fidelity_grid(stack, code)
+    for g, kraus, res in zip(gammas, stack, results):
+        noise = tensor_power(amplitude_damping(g), n)
+        if g > 0:
+            assert np.array_equal(kraus, np.stack(noise.kraus))
+        ref = worst_case_fidelity(noise, transpose_channel(noise, code).recovery, code)
+        assert abs(res.f2_min - ref.f2_min) <= 1e-12
+        assert res.method == ref.method
+    _, _, values = _search_one((0, 100 + n, n, 2, gammas, 10))
+    assert values == [(g, res.f2_min) for g, res in zip(gammas, results)]
+
+
+def test_code_kraus_qutrit_choi_matches_composition():
+    rng = np.random.default_rng(31)
+    cases = [
+        (random_tp_channel(5, 3, rng), random_code(5, 3, 4)),
+        (tensor_power(amplitude_damping(0.2), 3), random_code(8, 3, 5)),
+    ]
+    for e, code in cases:
+        w = code.basis
+        k = code_kraus(np.stack(e.kraus) @ w)
+        n = e.n_kraus
+        got = choi(QuantumChannel(list(k.reshape(n * n, 3, 3))))
+        composed = compose(transpose_channel(e, code).recovery, e)
+        want = choi(QuantumChannel([w.conj().T @ a @ w for a in composed.kraus]))
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+        assert np.max(np.abs(k - _reference_code_kraus(e, code))) <= 1e-12
+
+
+def test_code_kraus_batch_matches_single_calls():
+    gammas = [0.0, 0.2, 0.6, 1.0]
+    code = random_code(8, 2, 12)
+    m = amplitude_damping_power(gammas, 3) @ code.basis
+    batched = code_kraus(m)
+    for i in range(len(gammas)):
+        assert np.max(np.abs(batched[i] - code_kraus(m[i]))) <= 1e-14
+
+
+def test_recovered_channel_matches_ambient_construction():
+    rng = np.random.default_rng(8)
+    e = random_tp_channel(6, 4, rng)
+    code = random_code(6, 2, 21)
+    p = code.projector()
+    b, _ = inv_sqrt_on_support(e.apply(p))
+    ops = [p @ ki.conj().T @ b @ kj @ p for ki in e.kraus for kj in e.kraus]
+    assert channels_equal(recovered_channel(e, code), QuantumChannel(ops), 1e-12)
