@@ -85,9 +85,11 @@ def gamma_grid(start: float, stop: float, step: float) -> list[float]:
     return [round(start + k * step, 12) for k in range(count)]
 
 
-def _check_samples(samples) -> None:
+def _check_sampling(samples, seed) -> None:
     if not isinstance(samples, int) or samples < 1:
         raise UserConfigError(f"samples must be a positive integer, got {samples!r}")
+    if not isinstance(seed, int) or seed < 0:
+        raise UserConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass
@@ -239,7 +241,7 @@ def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[
 
 def cmd_sweep(config: SweepConfig) -> None:
     curves = [_parse_curve(c) for c in config.curves]
-    _check_samples(config.samples)
+    _check_sampling(config.samples, config.seed)
     gammas = config.gammas()
     rows = []
     for spec, (model, recovery) in sorted(zip(config.curves, curves)):
@@ -299,7 +301,7 @@ def cmd_search(config: SearchConfig) -> None:
         raise UserConfigError("need at least one code")
     if config.n_qubits not in (2, 3, 4, 5):
         raise UserConfigError("n_qubits must be between 2 and 5")
-    _check_samples(config.samples)
+    _check_sampling(config.samples, config.seed)
     gammas = config.gammas()
     rng = np.random.default_rng(config.seed)
     code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=config.n_codes)]
@@ -448,7 +450,25 @@ def _apply_config_file(args: argparse.Namespace) -> None:
                     f"unknown key '{key}' in config {args.config}; "
                     f"known keys: {', '.join(sorted(known))}"
                 )
+            _check_config_type(key, value, getattr(args, name))
             setattr(args, name, value)
+
+
+def _check_config_type(key: str, value, current) -> None:
+    """Raise UserConfigError unless value has the type of the flag's parsed
+    value current: an integer for int flags, a number for float flags, a
+    string for str flags and a list of strings for --curve (None unset)."""
+    if isinstance(current, float):
+        ok, want = isinstance(value, (int, float)), "a number"
+    elif isinstance(current, int):
+        ok, want = isinstance(value, int), "an integer"
+    elif isinstance(current, str):
+        ok, want = isinstance(value, str), "a string"
+    else:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        want = "a list of strings"
+    if not ok or isinstance(value, bool):
+        raise UserConfigError(f"config key '{key}' must be {want}, got {value!r}")
 
 
 def main(argv=None) -> int:

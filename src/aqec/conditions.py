@@ -40,9 +40,10 @@ from .fidelity import (
     DEFAULT_SAMPLES,
     SAMPLED,
     WorstCaseResult,
+    _code_operator_basis,
+    _code_process_matrices,
+    _min_forms_sampled,
     _min_quadratic_on_sphere,
-    _haar_code_coeffs,
-    _sphere_quartic_min,
     worst_case_fidelity,
 )
 from .linalg import (
@@ -200,67 +201,21 @@ def _deviation_operators(
     return beta, deltas
 
 
-def _eta_sampled_from_deltas(
-    deltas: np.ndarray, n: int, seed: int
-) -> tuple[float, np.ndarray]:
-    """Sampled maximization of the deviation objective over code states.
+def _eta_form(flat: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
+    """Real symmetric form Q whose minimum over pure code states is -eta.
 
-    Objective: <S> - sum_ij |<Delta_ij>|^2 with S = sum Delta^dag Delta.
-    Returns (eta lower bound, maximizing code-coefficient vector).
+    With s the state's coefficients over the code operator basis (s_0 = 1),
+    s^T Q s = sum_k |<Delta_k>|^2 - <S>: the deviation map's process
+    matrix over d, less the linear term <S> = sum_a s_a tr(S g_a) / d
+    written as s_0 s_a.  flat stacks the Delta operators, S = sum
+    Delta^dag Delta.
     """
-    nk, _, d, _ = deltas.shape
-    flat = deltas.reshape(nk * nk, d, d)
-    s_mat = np.einsum("kab,kac->bc", flat.conj(), flat, optimize=True)
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    best_c = None
-    chunk = 65536
-    remaining = n
-    while remaining > 0:
-        batch = min(chunk, remaining)
-        remaining -= batch
-        cs = _haar_code_coeffs(d, batch, rng)
-        quad = np.einsum("na,ab,nb->n", cs.conj(), s_mat, cs, optimize=True).real
-        amps = np.einsum("na,kab,nb->nk", cs.conj(), flat, cs, optimize=True)
-        obj = quad - np.sum(np.abs(amps) ** 2, axis=1)
-        idx = int(np.argmax(obj))
-        if obj[idx] > best:
-            best = float(obj[idx])
-            best_c = cs[idx]
-    # Maximizing <S> - sum|<Delta>|^2 is minimizing sum|<Delta>|^2 - <S>.
-    neg, c_ref = _sphere_quartic_min(flat, -s_mat, best_c)
-    if -neg >= best:
-        best, best_c = -neg, c_ref
-    return best, best_c
-
-
-def _eta_exact_qubit_from_deltas(deltas: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact maximization of the deviation objective on the Bloch sphere.
-
-    With traceless Delta operators the objective is a quadratic in the
-    Bloch vector; the sphere maximum comes from the same secular-equation
-    solver used for fidelity minimization.
-    """
-    nk, _, d, _ = deltas.shape
-    flat = deltas.reshape(nk * nk, d, d)
-    s_mat = np.einsum("kab,kac->bc", flat.conj(), flat, optimize=True)
-    paulis = _qubit_paulis()
-    c0 = float(np.trace(s_mat).real / 2.0)
-    lin = np.array([float(np.trace(s_mat @ sig).real) / 2.0 for sig in paulis])
-    # <Delta>(s) = (1/2) sum_a tr(Delta sigma_a) s_a; traceless kills the
-    # constant term, leaving sum_k |z_k . s|^2 = s^T B s.
-    z = np.einsum("kab,cba->kc", flat, np.stack(paulis)) / 2.0
-    b_quad = np.einsum("ka,kb->ab", z.conj(), z, optimize=True).real
-    # eta(s) = c0 + lin.s - s^T B s; minimize the negative.
-    q_min, s = _min_quadratic_on_sphere(-c0, -lin / 2.0, b_quad)
-    return -q_min, s
-
-
-def _qubit_paulis() -> list[np.ndarray]:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return [sx, sy, sz]
+    d = s_mat.shape[0]
+    lin = np.einsum("ab,gba->g", s_mat, _code_operator_basis(d)).real / d
+    q = _code_process_matrices(flat) / d
+    q[0] -= lin / 2.0
+    q[:, 0] -= lin / 2.0
+    return (q + q.T) / 2.0
 
 
 def aqec_diagnostics(
@@ -303,20 +258,21 @@ def aqec_diagnostics(
     s_vals = np.linalg.eigvalsh((s_mat + s_mat.conj().T) / 2.0)
     delta_sum_norm = float(max(s_vals[-1], 0.0))
 
+    q = _eta_form(flat, s_mat)
     if d == 2:
-        eta, bloch = _eta_exact_qubit_from_deltas(deltas_code)
-        eta = float(eta) if eta > 0.0 else 0.0
+        # Exact: on the Bloch sphere s = (1, bloch) the form is quadratic.
+        q_min, bloch = _min_quadratic_on_sphere(q[0, 0], q[1:, 0], q[1:, 1:])
         worst_state = bloch_to_state_vector(code, bloch)
         method = "exact_qubit"
         samples_used: int | None = None
         seed_used: int | None = None
     else:
-        eta, c_best = _eta_sampled_from_deltas(deltas_code, eta_samples, seed)
-        eta = float(eta) if eta > 0.0 else 0.0
+        [(q_min, c_best)] = _min_forms_sampled(q[None], eta_samples, seed)
         worst_state = code.basis @ c_best
         method = SAMPLED
         samples_used = eta_samples
         seed_used = seed
+    eta = float(-q_min) if -q_min > 0.0 else 0.0
 
     f_eps = near_optimality_factor(epsilon, d)
     if eta <= epsilon:

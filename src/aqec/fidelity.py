@@ -11,7 +11,8 @@ For qubit codes the minimization over the Bloch sphere is solved exactly:
 by the smallest eigenvalue of the symmetrized traceless block when the map
 is trace preserving and unital, and by a Lagrange-multiplier secular
 equation otherwise.  For d > 2 only a sampled estimate (an upper bound on
-the true minimum) is provided.
+the true minimum) is provided: the same form, minimized over Haar-random
+code states and refined locally.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .channels import QuantumChannel, _prune
+from .channels import QuantumChannel
 from .codes import (
     CodeSpace,
     OperatorBasis,
@@ -316,30 +317,19 @@ def worst_fidelity_qubit_lagrange(m: ProcessMatrix) -> WorstCaseResult:
     return _lagrange_qubit_core(m)
 
 
-def _haar_code_coeffs(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 def _sphere_quartic_min(
-    a_ops: np.ndarray,
-    h: np.ndarray | None,
-    c0: np.ndarray,
-    iters: int = REFINE_ITERS,
+    q: np.ndarray, c0: np.ndarray, iters: int = REFINE_ITERS
 ) -> tuple[float, np.ndarray]:
-    """Projected gradient descent for f(c) = sum_k |c^dag A_k c|^2 + c^dag H c
-    over unit vectors c, started at c0.  Step size adapts by halving."""
-    d = a_ops.shape[1]
-    h_mat = np.zeros((d, d), dtype=complex) if h is None else h
+    """Projected gradient descent for f(c) = s^T Q s, s_a = c^dag g_a c,
+    over unit code vectors c, started at c0; Q is real symmetric.  Step
+    size adapts by halving."""
+    gens = _code_operator_basis(len(c0))
 
     def f_grad(c):
-        ac = a_ops @ c
-        amps = c.conj() @ ac.T
-        hc = h_mat @ c
-        f = float(np.sum(np.abs(amps) ** 2) + (c.conj() @ hc).real)
-        adc = np.einsum("kji,j->ki", a_ops.conj(), c)
-        grad = (amps.conj()[:, None] * ac).sum(0) + (amps[:, None] * adc).sum(0) + hc
-        return f, grad
+        gc = gens @ c
+        s = (c.conj() @ gc.T).real
+        qs = q @ s
+        return float(s @ qs), 2.0 * (qs @ gc)
 
     c = c0 / np.linalg.norm(c0)
     f, grad = f_grad(c)
@@ -365,6 +355,78 @@ def _sphere_quartic_min(
     return f, c
 
 
+_CHUNK = 65536  # states per draw; the draws make the sample stream of a seed
+_EVAL_BLOCK = 1 << 18  # entries of s @ Q held at once, for a block of samples
+
+
+def _min_forms_sampled(
+    q: np.ndarray, n: int, seed: int, refine_iters: int = REFINE_ITERS
+) -> list[tuple[float, np.ndarray]]:
+    """Minimum over pure code states of each quadratic form s^T Q_g s in a
+    stack q of shape (G, d^2, d^2), s the state's coefficients over the
+    code operator basis (s_0 = 1).
+
+    All forms share one set of n Haar-random states (drawn from seed);
+    each is then refined from its own best sample.  Returns one
+    (value, code-coefficient vector) per form; each value is the best seen,
+    an upper bound on the true minimum.
+    """
+    if n < 1:
+        raise PreconditionViolated("need at least one sample")
+    q = (q + q.swapaxes(-1, -2)) / 2.0
+    forms, dim, _ = q.shape
+    d = int(round(np.sqrt(dim)))
+    gens_t = _code_operator_basis(d).reshape(dim, dim).T
+    wide = q.swapaxes(0, 1).reshape(dim, forms * dim)
+    rows = max(1, _EVAL_BLOCK // (forms * dim))
+    cols = np.arange(forms)
+    rng = np.random.default_rng(seed)
+    best = np.full(forms, np.inf)
+    best_c = np.zeros((forms, d), dtype=complex)
+    remaining = n
+    while remaining > 0:
+        batch = min(_CHUNK, remaining)
+        remaining -= batch
+        z = rng.standard_normal((batch, d)) + 1j * rng.standard_normal((batch, d))
+        cs = z / np.linalg.norm(z, axis=1, keepdims=True)
+        for lo in range(0, batch, rows):
+            cb = cs[lo : lo + rows]
+            # s_a = c^dag g_a c for every sample c of the block at once
+            outer = (cb.conj()[:, :, None] * cb[:, None, :]).reshape(len(cb), dim)
+            s = (outer @ gens_t).real
+            vals = np.einsum("nga,na->ng", (s @ wide).reshape(len(cb), forms, dim), s)
+            idx = np.argmin(vals, axis=0)
+            low_vals = vals[idx, cols]
+            low = low_vals < best
+            best[low] = low_vals[low]
+            best_c[low] = cs[lo + idx[low]]
+    out = []
+    for qg, f, c in zip(q, best, best_c):
+        f_ref, c_ref = _sphere_quartic_min(qg, c, iters=refine_iters)
+        out.append((f_ref, c_ref) if f_ref <= f else (float(f), c))
+    return out
+
+
+def _sampled_results(
+    m: np.ndarray, code: CodeSpace, n: int, seed: int, refine_iters: int = REFINE_ITERS
+) -> list[WorstCaseResult]:
+    """Sampled worst-case fidelity for each process matrix of a stack m,
+    via the forms F^2 = s^T M s / d."""
+    minima = _min_forms_sampled(m / code.code_dim, n, seed, refine_iters)
+    return [
+        WorstCaseResult(
+            f2_min=f2,
+            eta=1.0 - f2,
+            worst_state=code.basis @ c,
+            bloch=None,
+            method=SAMPLED,
+            samples=n,
+            seed=seed,
+        )
+        for f2, c in minima
+    ]
+
+
 def worst_fidelity_sampled(
     phi: QuantumChannel,
     code: CodeSpace,
@@ -379,44 +441,8 @@ def worst_fidelity_sampled(
     The returned value is an upper bound on the true minimum; deterministic
     for a given seed.
     """
-    k_code = _code_kraus_after(phi, None, code)
-    return _sampled_from_code_kraus(k_code, code, n, seed, refine_iters)
-
-
-def _sampled_from_code_kraus(
-    k_code: np.ndarray, code: CodeSpace, n: int, seed: int, refine_iters: int
-) -> WorstCaseResult:
-    if n < 1:
-        raise PreconditionViolated("need at least one sample")
-    k_code = np.stack(_prune(list(k_code)))
-    rng = np.random.default_rng(seed)
-    best_f2 = np.inf
-    best_c = None
-    chunk = 65536
-    remaining = n
-    while remaining > 0:
-        batch = min(chunk, remaining)
-        remaining -= batch
-        cs = _haar_code_coeffs(code.code_dim, batch, rng)
-        amps = np.einsum("na,kab,nb->nk", cs.conj(), k_code, cs, optimize=True)
-        f2 = np.sum(np.abs(amps) ** 2, axis=1).real
-        idx = int(np.argmin(f2))
-        if f2[idx] < best_f2:
-            best_f2 = float(f2[idx])
-            best_c = cs[idx]
-    f2_ref, c_ref = _sphere_quartic_min(k_code, None, best_c, iters=refine_iters)
-    if f2_ref <= best_f2:
-        best_f2, best_c = f2_ref, c_ref
-    psi = code.basis @ best_c
-    return WorstCaseResult(
-        f2_min=best_f2,
-        eta=1.0 - best_f2,
-        worst_state=psi,
-        bloch=None,
-        method=SAMPLED,
-        samples=n,
-        seed=seed,
-    )
+    m = _code_process_matrices(_code_kraus_after(phi, None, code))
+    return _sampled_results(m[None], code, n, seed, refine_iters)[0]
 
 
 def worst_case_fidelity(
@@ -433,10 +459,10 @@ def worst_case_fidelity(
     solved exactly; larger codes fall back to the sampled estimator.
     Output that leaves the code is ignored, as fidelities never see it.
     """
-    k = _code_kraus_after(noise, recovery, code)
+    m = _code_process_matrices(_code_kraus_after(noise, recovery, code))
     if code.code_dim == 2:
-        return _exact_qubit(_flagged(_code_process_matrices(k), operator_basis(code)))
-    return _sampled_from_code_kraus(k, code, samples, seed, REFINE_ITERS)
+        return _exact_qubit(_flagged(m, operator_basis(code)))
+    return _sampled_results(m[None], code, samples, seed)[0]
 
 
 def transpose_fidelity_grid(
@@ -452,9 +478,10 @@ def transpose_fidelity_grid(
     kraus has shape (G, N, D, D): G channels of N Kraus operators each
     (zero operators are allowed).  Each result equals
     worst_case_fidelity(noise, transpose_channel(noise, code).recovery,
-    code) up to rounding, with the same method: all G code-space maps come
-    from one code_kraus call; qubit codes go through batched process
-    matrices and the exact solvers, larger codes through the sampler.
+    code) up to rounding, with the same method: all G code-space maps and
+    their process matrices come from one batched call each; qubit codes
+    go to the exact solvers, larger codes to one sampler run whose Haar
+    states serve every channel.
     """
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.ndim != 4 or kraus.shape[-2:] != (code.ambient_dim,) * 2:
@@ -464,8 +491,8 @@ def transpose_fidelity_grid(
         )
     k = code_kraus(kraus @ code.basis)
     g, n, _, d, _ = k.shape
-    k = k.reshape(g, n * n, d, d)
+    m = _code_process_matrices(k.reshape(g, n * n, d, d))
     if d == 2:
         basis = operator_basis(code)
-        return [_exact_qubit(_flagged(m, basis)) for m in _code_process_matrices(k)]
-    return [_sampled_from_code_kraus(kx, code, samples, seed, REFINE_ITERS) for kx in k]
+        return [_exact_qubit(_flagged(mg, basis)) for mg in m]
+    return _sampled_results(m, code, samples, seed)

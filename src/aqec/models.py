@@ -10,17 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import QuantumChannel, _kron_power, complete_to_tp
-from .codes import CodeSpace
+from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf, check_perfect_qec
 from .exceptions import ParamOutOfRange
 from .linalg import hermitian_eig
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULI = dict(zip("IXYZ", [np.eye(2, dtype=complex)] + _su_generators(2)))
 
 
 def pauli_string(spec: str) -> np.ndarray:

@@ -315,3 +315,40 @@ def test_search_values_independent_of_batch_and_workers(tmp_path, monkeypatch):
     gammas = [row["gamma"] for row in bests[0]["per_gamma"]]
     _, _, alone = _search_one((0, bests[0]["code_seed"], 3, 2, gammas, 20_000))
     assert [{"gamma": g, "f2_worst": v} for g, v in alone] == bests[0]["per_gamma"]
+
+
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "o.csv"), "--best-out", str(tmp_path / "b.json")]
+    cases = [
+        ({"codes": "2"}, "codes"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"gamma_stop": "0.1"}, "gamma_stop"),
+        ({"metric": 3}, "metric"),
+    ]
+    for overrides, key in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        assert main(["search", "--codes", "1", "--qubits", "2", "--config", str(cfg)] + out) == 2
+        assert key in _one_error_line(capsys)
+    cfg.write_text(json.dumps({"curves": "ad:identity"}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "curves" in _one_error_line(capsys)
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_integer_accepted_for_float_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_stop": 1, "gamma_step": 1, "curves": ["ad:identity"]}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(_read_rows(out)[1]) == 3  # header + gamma in {0, 1}
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "o.csv")]
+    assert main(["search", "--codes", "1", "--qubits", "2", "--seed", "-1"] + out
+                + ["--best-out", str(tmp_path / "b.json")]) == 2
+    assert "seed" in _one_error_line(capsys)
+    assert main(["sweep", "--curve", "ad:identity", "--seed", "-3"] + out) == 2
+    assert "seed" in _one_error_line(capsys)

@@ -272,3 +272,20 @@ def test_property_delta_sum_bound():
 
 def test_property_verdict_soundness():
     check_verdict_soundness(504, cases=10)
+
+
+def test_sampled_eta_memory_is_bounded():
+    # 4-qubit damping on a d = 3 code has 256 deviation operators; the
+    # sampler evaluates a 9 x 9 form, so its temporaries stay small.
+    import tracemalloc
+
+    e = tensor_power(amplitude_damping(0.2), 4)
+    code = random_code(16, 3, 3)
+    tracemalloc.start()
+    try:
+        diag = aqec_diagnostics(e, code, epsilon=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.eta_method == "sampled" and diag.eta_samples == 100_000
+    assert peak < 64 * 2**20

@@ -15,8 +15,10 @@ from aqec import (
     worst_fidelity_sampled,
     worst_fidelity_unital_qubit,
 )
+from aqec.codes import CodeSpace, operator_basis
+from aqec.conditions import _eta_form
 from aqec.exceptions import OutputLeavesCode, PreconditionViolated
-from aqec.fidelity import _min_quadratic_on_sphere
+from aqec.fidelity import _code_process_matrices, _min_quadratic_on_sphere
 from aqec.models import leung_code
 
 from helpers import (
@@ -253,3 +255,45 @@ def test_fidelity_grid_rejects_wrong_stack_shape():
         transpose_fidelity_grid(np.zeros((2, 3, 8, 8)), code)
     with pytest.raises(DimensionMismatch):
         transpose_fidelity_grid(np.zeros((3, 4, 4)), code)
+
+
+def _form_test_cases(d, rng):
+    """Code-basis Kraus stacks: trace preserving, non-TP, and the leaky
+    compression of an ambient channel to a code."""
+    code = random_code(d + 2, d, int(rng.integers(1000)))
+    w = code.basis
+    leaky = np.stack([w.conj().T @ k @ w for k in random_tp_channel(d + 2, 3, rng).kraus])
+    scaled = 0.4 * (rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d)))
+    return [np.stack(random_tp_channel(d, 3, rng).kraus), scaled, leaky]
+
+
+def _coords_and_states(d, rng, count=20):
+    basis = operator_basis(CodeSpace(np.eye(d))).elements
+    for _ in range(count):
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        c /= np.linalg.norm(c)
+        rho = np.outer(c, c.conj())
+        yield np.array([np.trace(rho @ o).real for o in basis]), c
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_process_matrix_form_equals_kraus_amplitudes(d):
+    rng = np.random.default_rng(40 + d)
+    for k in _form_test_cases(d, rng):
+        m = _code_process_matrices(k)
+        for s, c in _coords_and_states(d, rng):
+            amps = np.einsum("a,kab,b->k", c.conj(), k, c)
+            assert abs(s @ m @ s / d - np.sum(np.abs(amps) ** 2)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_eta_form_equals_deviation_objective(d):
+    rng = np.random.default_rng(50 + d)
+    for k in _form_test_cases(d, rng):
+        deltas = k - np.einsum("kaa->k", k)[:, None, None] * np.eye(d) / d
+        s_mat = np.einsum("kab,kac->bc", deltas.conj(), deltas)
+        q = _eta_form(deltas, s_mat)
+        for s, c in _coords_and_states(d, rng):
+            amps = np.einsum("a,kab,b->k", c.conj(), deltas, c)
+            objective = (c.conj() @ s_mat @ c).real - np.sum(np.abs(amps) ** 2)
+            assert abs(s @ q @ s + objective) <= 1e-13

@@ -160,6 +160,21 @@ def test_fidelity_grid_matches_worst_case_fidelity(n):
     assert values == [(g, res.f2_min) for g, res in zip(gammas, results)]
 
 
+def test_fidelity_grid_qutrit_matches_worst_case_fidelity():
+    # d = 3 goes through the sampler: one draw serves the whole grid, so each
+    # gamma must equal its own single-channel run with the same seed.
+    gammas = [0.0, 0.1, 0.4, 1.0]
+    stack = amplitude_damping_power(gammas, 3)
+    code = random_code(8, 3, 77)
+    results = transpose_fidelity_grid(stack, code, samples=3000, seed=5)
+    for g, res in zip(gammas, results):
+        noise = tensor_power(amplitude_damping(g), 3)
+        rec = transpose_channel(noise, code).recovery
+        ref = worst_case_fidelity(noise, rec, code, samples=3000, seed=5)
+        assert abs(res.f2_min - ref.f2_min) <= 1e-12
+        assert (res.method, res.samples, res.seed) == (ref.method, 3000, 5)
+
+
 def test_code_kraus_qutrit_choi_matches_composition():
     rng = np.random.default_rng(31)
     cases = [
