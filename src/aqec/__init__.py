@@ -89,4 +89,26 @@ from .transpose import (
     transpose_channel,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ChoiMatrix", "QuantumChannel", "adjoint", "channel_from_json",
+    "channel_to_json", "channels_equal", "choi", "complete_to_tp", "compose",
+    "identity_channel", "minimal_kraus", "restricted_tp_factor", "tensor_power",
+    "tp_defect",
+    "CodeSpace", "OperatorBasis", "bloch_state", "bloch_to_state_vector",
+    "code_from_json", "code_to_json", "haar_unitary", "operator_basis",
+    "pauli_basis", "random_code",
+    "AqecDiagnostics", "NearOptimalityReport", "PerfectQecCertificate", "Verdict",
+    "alternate_condition_residual", "aqec_diagnostics", "build_r_perf",
+    "check_perfect_qec", "near_optimality_bound_check", "near_optimality_factor",
+    "ProcessMatrix", "WorstCaseResult", "process_matrix", "transpose_fidelity_grid",
+    "worst_case_fidelity", "worst_fidelity_qubit_lagrange",
+    "worst_fidelity_sampled", "worst_fidelity_unital_qubit",
+    "EigenDecomposition", "hermitian_eig", "inv_sqrt_on_support",
+    "polar_unitary_on_support", "psd_sqrt",
+    "amplitude_damping", "amplitude_damping_power", "bit_flip_channel",
+    "bit_flip_code", "complete_to_mixed_code", "example5_channel",
+    "example5_eta_formula", "five_qubit_code", "five_qubit_code_only",
+    "five_qubit_noise", "five_qubit_recovery", "leung_code", "leung_recovery",
+    "qubit_space", "truncated_damping_channel",
+    "TransposeRecovery", "code_kraus", "recovered_channel", "transpose_channel",
+]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import channel_from_json, tensor_power
+from .channels import QuantumChannel, channel_from_json
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
 from .conditions import aqec_diagnostics
 from .exceptions import AqecError
@@ -48,7 +48,6 @@ from .fidelity import (
 )
 from .models import (
     MODEL_REGISTRY,
-    amplitude_damping,
     amplitude_damping_power,
     five_qubit_code_only,
     five_qubit_recovery,
@@ -56,7 +55,6 @@ from .models import (
     leung_recovery,
     qubit_space,
 )
-from .transpose import transpose_channel
 
 RECOVERIES = ("transpose", "rperf", "identity", "leung")
 
@@ -199,27 +197,25 @@ def _n_qubits_for(code: CodeSpace) -> int:
     return n
 
 
-def _evaluate_curve_point(
-    model: str,
-    recovery_name: str,
-    code: CodeSpace,
-    gamma: float,
-    samples: int,
-    seed: int,
-) -> WorstCaseResult:
+def _curve_results(
+    recovery_name: str, code: CodeSpace, gammas: list[float], samples: int, seed: int
+) -> list[WorstCaseResult]:
+    """Worst case of recovery after n-qubit amplitude damping at each gamma.
+
+    Transpose curves are scored over the whole grid at once; the fixed
+    recoveries build their noise one gamma at a time, so no grid is held.
+    """
     n = _n_qubits_for(code)
-    noise = amplitude_damping(gamma) if n == 1 else tensor_power(amplitude_damping(gamma), n)
-    if recovery_name == "identity":
-        recovery = None
-    elif recovery_name == "transpose":
-        recovery = transpose_channel(noise, code).recovery
-    elif recovery_name == "leung":
-        recovery = leung_recovery(gamma)
-    elif recovery_name == "rperf":
-        recovery = five_qubit_recovery(gamma)
-    else:  # pragma: no cover
-        raise UserConfigError(f"unknown recovery '{recovery_name}'")
-    return worst_case_fidelity(noise, recovery, code, samples=samples, seed=seed)
+    if recovery_name == "transpose":
+        noise = _damping_grid(tuple(gammas), n)
+        return transpose_fidelity_grid(noise, code, samples=samples, seed=seed)
+    fixed = {"identity": lambda g: None, "leung": leung_recovery,
+             "rperf": five_qubit_recovery}[recovery_name]
+    return [
+        worst_case_fidelity(QuantumChannel(amplitude_damping_power([g], n)[0]),
+                            fixed(g), code, samples=samples, seed=seed)
+        for g in gammas
+    ]
 
 
 def _csv_float(x: float) -> str:
@@ -246,10 +242,8 @@ def cmd_sweep(config: SweepConfig) -> None:
     rows = []
     for spec, (model, recovery) in sorted(zip(config.curves, curves)):
         code = _curve_code(model)
-        for gamma in gammas:
-            res = _evaluate_curve_point(
-                model, recovery, code, gamma, config.samples, config.seed
-            )
+        results = _curve_results(recovery, code, gammas, config.samples, config.seed)
+        for gamma, res in zip(gammas, results):
             rows.append(
                 [
                     _csv_float(gamma),

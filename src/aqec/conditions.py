@@ -34,25 +34,18 @@ from .channels import (
     restricted_tp_factor,
     tp_defect,
 )
-from .codes import CodeSpace, bloch_to_state_vector
+from .codes import CodeSpace
 from .exceptions import CertificateInvalid, NotTP
 from .fidelity import (
     DEFAULT_SAMPLES,
-    SAMPLED,
-    WorstCaseResult,
     _code_operator_basis,
     _code_process_matrices,
-    _min_forms_sampled,
-    _min_quadratic_on_sphere,
+    _min_forms,
+    transpose_fidelity_grid,
     worst_case_fidelity,
 )
-from .linalg import (
-    RANK_TOL,
-    hermitian_eig,
-    operator_norm,
-    polar_unitary_on_support,
-)
-from .transpose import _check_dims, code_kraus, transpose_channel
+from .linalg import RANK_TOL, hermitian_eig, inv_sqrt_on_support
+from .transpose import _check_dims, code_kraus
 
 PERFECT_TOL = 1e-9
 TP_CHECK_TOL = 1e-9
@@ -110,7 +103,7 @@ class AqecDiagnostics:
                 [[float(z.real), float(z.imag)] for z in row] for row in self.beta
             ],
             "eta": self.eta,
-            "eta_method": "exact_qubit" if self.eta_method != SAMPLED else "sampled",
+            "eta_method": self.eta_method,
             "samples": self.eta_samples,
             "delta_sum_norm": self.delta_sum_norm,
             "verdict": self.verdict.value,
@@ -121,8 +114,7 @@ class AqecDiagnostics:
 
 def _code_rep_products(e: QuantumChannel, code: CodeSpace) -> np.ndarray:
     """Gram products G[i, j] = W^dag E_i^dag E_j W in the code basis."""
-    w = code.basis
-    m = np.stack([k @ w for k in e.kraus])  # (N, D, d)
+    m = e._stack @ code.basis  # (N, D, d)
     return np.einsum("iab,jac->ijbc", m.conj(), m, optimize=True)
 
 
@@ -166,7 +158,10 @@ def build_r_perf(
     The rotated Kraus operators F_k = sum_i u_ik E_i satisfy
     F_k P = sqrt(d_kk) U_k P by polar decomposition; only components with
     d_kk above the rank cutoff contribute.  For any code state rho,
-    (R_perf after e)(rho) = (sum_k d_kk) rho.
+    (R_perf after e)(rho) = (sum_k d_kk) rho.  Such an A = F_k P has full
+    rank on the code, so P U_k^dag = (A^dag A)^(-1/2) A^dag with the
+    inverse square root taken on the code: the unitary's extension off the
+    code never enters.
     """
     if not cert.satisfied:
         raise CertificateInvalid(
@@ -178,13 +173,12 @@ def build_r_perf(
     vals = cert.diag_values
     cutoff = rank_tol * max(float(vals[-1]), 0.0)
     ops = []
-    stack = np.stack(e.kraus)
     for k in range(len(vals)):
         if vals[k] <= cutoff:
             continue
-        f_k = np.einsum("i,iab->ab", u[:, k], stack)
-        u_k = polar_unitary_on_support(f_k @ p, rank_tol)
-        ops.append(p @ u_k.conj().T)
+        a = np.einsum("i,iab->ab", u[:, k], e._stack) @ p
+        b, _ = inv_sqrt_on_support(a.conj().T @ a, rank_tol)
+        ops.append(b @ a.conj().T)
     if not ops:
         ops = [np.zeros((e.dims_in, e.dims_in), dtype=complex)]
     return QuantumChannel(ops)
@@ -202,7 +196,7 @@ def _deviation_operators(
 
 
 def _eta_form(flat: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
-    """Real symmetric form Q whose minimum over pure code states is -eta.
+    """Real form Q whose minimum over pure code states is -eta.
 
     With s the state's coefficients over the code operator basis (s_0 = 1),
     s^T Q s = sum_k |<Delta_k>|^2 - <S>: the deviation map's process
@@ -215,7 +209,7 @@ def _eta_form(flat: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
     q = _code_process_matrices(flat) / d
     q[0] -= lin / 2.0
     q[:, 0] -= lin / 2.0
-    return (q + q.T) / 2.0
+    return q
 
 
 def aqec_diagnostics(
@@ -258,21 +252,10 @@ def aqec_diagnostics(
     s_vals = np.linalg.eigvalsh((s_mat + s_mat.conj().T) / 2.0)
     delta_sum_norm = float(max(s_vals[-1], 0.0))
 
-    q = _eta_form(flat, s_mat)
-    if d == 2:
-        # Exact: on the Bloch sphere s = (1, bloch) the form is quadratic.
-        q_min, bloch = _min_quadratic_on_sphere(q[0, 0], q[1:, 0], q[1:, 1:])
-        worst_state = bloch_to_state_vector(code, bloch)
-        method = "exact_qubit"
-        samples_used: int | None = None
-        seed_used: int | None = None
-    else:
-        [(q_min, c_best)] = _min_forms_sampled(q[None], eta_samples, seed)
-        worst_state = code.basis @ c_best
-        method = SAMPLED
-        samples_used = eta_samples
-        seed_used = seed
-    eta = float(-q_min) if -q_min > 0.0 else 0.0
+    # The form's minimum (f2_min of the result) is -eta.
+    [worst] = _min_forms(_eta_form(flat, s_mat)[None], code, ["exact_qubit"],
+                         eta_samples, seed)
+    eta = float(-worst.f2_min) if -worst.f2_min > 0.0 else 0.0
 
     f_eps = near_optimality_factor(epsilon, d)
     if eta <= epsilon:
@@ -290,15 +273,15 @@ def aqec_diagnostics(
         beta=beta,
         deltas=deltas_ambient,
         eta=eta,
-        eta_method=method,
-        eta_samples=samples_used,
-        eta_seed=seed_used,
+        eta_method=worst.method,
+        eta_samples=worst.samples,
+        eta_seed=worst.seed,
         delta_sum_norm=delta_sum_norm,
         verdict=verdict,
         epsilon=epsilon,
         f_epsilon_d=f_eps,
         restricted_factor=factor,
-        worst_state=worst_state,
+        worst_state=worst.worst_state,
     )
 
 
@@ -313,8 +296,7 @@ def alternate_condition_residual(
     """
     _check_dims(e, code)
     _, deltas = _deviation_operators(e, code, rank_tol)
-    return max(operator_norm(deltas[i, j]) for i in range(deltas.shape[0])
-               for j in range(deltas.shape[1]))
+    return float(np.max(np.linalg.norm(deltas, 2, axis=(-2, -1))))
 
 
 @dataclass(frozen=True)
@@ -350,11 +332,11 @@ def near_optimality_bound_check(
 
     Pass None inside candidate_recoveries for the do-nothing recovery.
     """
-    rp = transpose_channel(e, code).recovery
-    eta_p = worst_case_fidelity(e, rp, code, samples=samples, seed=seed).eta
+    [res_p] = transpose_fidelity_grid(e._stack[None], code, samples=samples, seed=seed)
+    eta_p = res_p.eta
     etas = []
     for idx, cand in enumerate(candidate_recoveries):
-        res: WorstCaseResult = worst_case_fidelity(
+        res = worst_case_fidelity(
             e, cand, code, samples=samples, seed=seed + idx + 1
         )
         etas.append(res.eta)

@@ -7,12 +7,14 @@ the squared fidelity of a pure code state with coefficient vector s
 
     F^2(psi, Phi) = (1/d) s^T M s = (1/d) s^T M_sym s.
 
-For qubit codes the minimization over the Bloch sphere is solved exactly:
-by the smallest eigenvalue of the symmetrized traceless block when the map
-is trace preserving and unital, and by a Lagrange-multiplier secular
-equation otherwise.  For d > 2 only a sampled estimate (an upper bound on
-the true minimum) is provided: the same form, minimized over Haar-random
-code states and refined locally.
+For qubit codes the minimization over the Bloch sphere is solved exactly
+by one Lagrange-multiplier secular equation; when the map is trace
+preserving and unital its linear term vanishes and the solution is the
+smallest eigenvalue of the symmetrized traceless block.  For d > 2 only a
+sampled estimate (an upper bound on the true minimum) is provided: the
+same form, minimized over Haar-random code states and refined locally.
+Every worst case here, and the eta of conditions.aqec_diagnostics, goes
+through _min_forms, which makes that choice.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .codes import (
     operator_basis,
 )
 from .exceptions import DimensionMismatch, OutputLeavesCode, PreconditionViolated
-from .linalg import max_abs
 from .transpose import code_kraus
 
 EXACT_UNITAL_QUBIT = "exact_unital_qubit"
@@ -124,12 +125,19 @@ def _check_leakage(m: np.ndarray, code: CodeSpace, leak_tol: float) -> None:
         )
 
 
-def _flagged(m: np.ndarray, basis: OperatorBasis) -> ProcessMatrix:
-    e0 = np.zeros(m.shape[0])
-    e0[0] = 1.0
-    is_tp = max_abs(m[0, :] - e0) <= FLAG_TOL
-    is_unital = max_abs(m[:, 0] - e0) <= FLAG_TOL
-    return ProcessMatrix(m, basis, basis.code, is_tp, is_unital)
+def _tp_unital(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-preserving and unital flags of a process matrix, or of each
+    matrix of a stack."""
+    e0 = np.eye(m.shape[-1])[0]
+    return (np.max(np.abs(m[..., 0, :] - e0), axis=-1) <= FLAG_TOL,
+            np.max(np.abs(m[..., :, 0] - e0), axis=-1) <= FLAG_TOL)
+
+
+def _qubit_methods(m: np.ndarray) -> list[str]:
+    """Method labels of qubit worst cases, from the flags of each process
+    matrix of a stack m."""
+    tp, unital = _tp_unital(m)
+    return [EXACT_UNITAL_QUBIT if ok else LAGRANGE_QUBIT for ok in tp & unital]
 
 
 def _code_process_matrices(k: np.ndarray) -> np.ndarray:
@@ -177,8 +185,9 @@ def process_matrix(
     m = phi._stack @ code.basis
     if not allow_leakage:
         _check_leakage(m, code, leak_tol)
-    k = code.basis.conj().T @ m
-    return _flagged(_code_process_matrices(k), operator_basis(code))
+    pm = _code_process_matrices(code.basis.conj().T @ m)
+    is_tp, is_unital = _tp_unital(pm)
+    return ProcessMatrix(pm, operator_basis(code), code, bool(is_tp), bool(is_unital))
 
 
 def _min_quadratic_on_sphere(
@@ -193,18 +202,19 @@ def _min_quadratic_on_sphere(
     """
     n_sym = (n_sym + n_sym.T) / 2.0
     mu, q = np.linalg.eigh(n_sym)
-    beta = q.T @ b
-    scale = max(1.0, float(np.max(np.abs(mu))), float(np.linalg.norm(b)))
+    bnorm = float(np.linalg.norm(b))
+    # mu ascends, so its largest magnitude sits at one end
+    scale = max(1.0, float(max(-mu[0], mu[-1])), bnorm)
 
     def value(s: np.ndarray) -> float:
         return float(c0 + 2.0 * b @ s + s @ n_sym @ s)
 
-    candidates: list[np.ndarray] = []
-    bnorm = float(np.linalg.norm(b))
     if bnorm <= 1e-14 * scale:
         s = q[:, 0].copy()
         return value(s), s
 
+    beta = q.T @ b
+    candidates: list[np.ndarray] = []
     cluster = mu <= mu[0] + 1e-10 * scale
     beta_min_norm = float(np.linalg.norm(beta[cluster]))
 
@@ -258,7 +268,8 @@ def worst_fidelity_unital_qubit(m: ProcessMatrix) -> WorstCaseResult:
 
     With T the 3x3 traceless block and N_sym its symmetrization, the
     minimum squared fidelity is (1 + t_min)/2 where t_min is the smallest
-    eigenvalue of N_sym, attained at the matching unit Bloch vector.
+    eigenvalue of N_sym, attained at the matching unit Bloch vector: the
+    zero-linear-term case of the qubit solver.
     """
     if m.code.code_dim != 2:
         raise PreconditionViolated("unital-qubit solver requires a qubit code")
@@ -266,42 +277,7 @@ def worst_fidelity_unital_qubit(m: ProcessMatrix) -> WorstCaseResult:
         raise PreconditionViolated(
             "unital-qubit solver requires trace-preserving and unital flags"
         )
-    n_sym = (m.m[1:, 1:] + m.m[1:, 1:].T) / 2.0
-    vals, vecs = np.linalg.eigh(n_sym)
-    t_min = float(vals[0])
-    s = vecs[:, 0]
-    f2 = (1.0 + t_min) / 2.0
-    psi = bloch_to_state_vector(m.code, s)
-    return WorstCaseResult(
-        f2_min=f2,
-        eta=(1.0 - t_min) / 2.0,
-        worst_state=psi,
-        bloch=s.copy(),
-        method=EXACT_UNITAL_QUBIT,
-    )
-
-
-def _lagrange_qubit_core(m: ProcessMatrix) -> WorstCaseResult:
-    m_sym = (m.m + m.m.T) / 2.0
-    c0 = float(m_sym[0, 0])
-    b = m_sym[1:, 0].copy()
-    n_sym = m_sym[1:, 1:]
-    q_min, s = _min_quadratic_on_sphere(c0, b, n_sym)
-    f2 = q_min / 2.0
-    psi = bloch_to_state_vector(m.code, s)
-    return WorstCaseResult(
-        f2_min=f2,
-        eta=1.0 - f2,
-        worst_state=psi,
-        bloch=s.copy(),
-        method=LAGRANGE_QUBIT,
-    )
-
-
-def _exact_qubit(m: ProcessMatrix) -> WorstCaseResult:
-    if m.is_tp and m.is_unital:
-        return worst_fidelity_unital_qubit(m)
-    return _lagrange_qubit_core(m)
+    return _min_forms(m.m[None] / 2.0, m.code, [EXACT_UNITAL_QUBIT])[0]
 
 
 def worst_fidelity_qubit_lagrange(m: ProcessMatrix) -> WorstCaseResult:
@@ -314,7 +290,7 @@ def worst_fidelity_qubit_lagrange(m: ProcessMatrix) -> WorstCaseResult:
         raise PreconditionViolated("Lagrange solver requires a qubit code")
     if not m.is_tp:
         raise PreconditionViolated("Lagrange solver requires the TP flag")
-    return _lagrange_qubit_core(m)
+    return _min_forms(m.m[None] / 2.0, m.code, [LAGRANGE_QUBIT])[0]
 
 
 def _sphere_quartic_min(
@@ -407,23 +383,39 @@ def _min_forms_sampled(
     return out
 
 
-def _sampled_results(
-    m: np.ndarray, code: CodeSpace, n: int, seed: int, refine_iters: int = REFINE_ITERS
+def _min_forms(
+    q: np.ndarray,
+    code: CodeSpace,
+    qubit_methods: list[str],
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
 ) -> list[WorstCaseResult]:
-    """Sampled worst-case fidelity for each process matrix of a stack m,
-    via the forms F^2 = s^T M s / d."""
-    minima = _min_forms_sampled(m / code.code_dim, n, seed, refine_iters)
+    """Minimum over pure code states of each real form s^T Q_g s of a stack
+    q (G, d^2, d^2), s the state's coefficients over the code operator
+    basis (s_0 = 1): one result per form, the minimum as f2_min (1 - f2_min
+    as eta) with the state attaining it.
+
+    Qubit codes are solved exactly on the Bloch sphere s = (1, bloch), form
+    g labelled qubit_methods[g].  Larger codes share one _min_forms_sampled
+    run: upper bounds on the minima, labelled SAMPLED.
+    """
+    if code.code_dim == 2:
+        out = []
+        for qg, method in zip((q + q.swapaxes(-1, -2)) / 2.0, qubit_methods):
+            # A TP unital map's flags hold the first row and column of M
+            # to e0 within FLAG_TOL; taken as exact, c0 = 1/2 and b = 0 give
+            # the eigenvalue formula (1 + t_min)/2.
+            if method == EXACT_UNITAL_QUBIT:
+                c0, b = 0.5, np.zeros(3)
+            else:
+                c0, b = qg[0, 0], qg[1:, 0]
+            val, bloch = _min_quadratic_on_sphere(c0, b, qg[1:, 1:])
+            psi = bloch_to_state_vector(code, bloch)
+            out.append(WorstCaseResult(val, 1.0 - val, psi, bloch, method))
+        return out
     return [
-        WorstCaseResult(
-            f2_min=f2,
-            eta=1.0 - f2,
-            worst_state=code.basis @ c,
-            bloch=None,
-            method=SAMPLED,
-            samples=n,
-            seed=seed,
-        )
-        for f2, c in minima
+        WorstCaseResult(f, 1.0 - f, code.basis @ c, None, SAMPLED, samples, seed)
+        for f, c in _min_forms_sampled(q, samples, seed)
     ]
 
 
@@ -442,7 +434,8 @@ def worst_fidelity_sampled(
     for a given seed.
     """
     m = _code_process_matrices(_code_kraus_after(phi, None, code))
-    return _sampled_results(m[None], code, n, seed, refine_iters)[0]
+    [(f2, c)] = _min_forms_sampled(m[None] / code.code_dim, n, seed, refine_iters)
+    return WorstCaseResult(f2, 1.0 - f2, code.basis @ c, None, SAMPLED, n, seed)
 
 
 def worst_case_fidelity(
@@ -459,10 +452,8 @@ def worst_case_fidelity(
     solved exactly; larger codes fall back to the sampled estimator.
     Output that leaves the code is ignored, as fidelities never see it.
     """
-    m = _code_process_matrices(_code_kraus_after(noise, recovery, code))
-    if code.code_dim == 2:
-        return _exact_qubit(_flagged(m, operator_basis(code)))
-    return _sampled_results(m[None], code, samples, seed)[0]
+    m = _code_process_matrices(_code_kraus_after(noise, recovery, code))[None]
+    return _min_forms(m / code.code_dim, code, _qubit_methods(m), samples, seed)[0]
 
 
 def transpose_fidelity_grid(
@@ -479,9 +470,8 @@ def transpose_fidelity_grid(
     (zero operators are allowed).  Each result equals
     worst_case_fidelity(noise, transpose_channel(noise, code).recovery,
     code) up to rounding, with the same method: all G code-space maps and
-    their process matrices come from one batched call each; qubit codes
-    go to the exact solvers, larger codes to one sampler run whose Haar
-    states serve every channel.
+    their process matrices come from one batched call each, and all G
+    worst cases from one _min_forms call.
     """
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.ndim != 4 or kraus.shape[-2:] != (code.ambient_dim,) * 2:
@@ -492,7 +482,4 @@ def transpose_fidelity_grid(
     k = code_kraus(kraus @ code.basis)
     g, n, _, d, _ = k.shape
     m = _code_process_matrices(k.reshape(g, n * n, d, d))
-    if d == 2:
-        basis = operator_basis(code)
-        return [_exact_qubit(_flagged(mg, basis)) for mg in m]
-    return _sampled_results(m, code, samples, seed)
+    return _min_forms(m / d, code, _qubit_methods(m), samples, seed)

@@ -184,14 +184,6 @@ def polar_unitary_on_support(a, rank_tol: float = RANK_TOL) -> np.ndarray:
     return w_full @ v_full.conj().T
 
 
-def operator_norm(a) -> float:
-    """Spectral norm (largest singular value)."""
-    a = _as_complex_matrix(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
 def max_abs(a) -> float:
     """Largest entrywise absolute value."""
     a = np.asarray(a)

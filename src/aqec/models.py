@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import QuantumChannel, _kron_power, complete_to_tp
+from .channels import QuantumChannel, _check_budget, _kron_power, complete_to_tp
 from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf, check_perfect_qec
 from .exceptions import ParamOutOfRange
@@ -52,8 +52,10 @@ def amplitude_damping_power(gammas, n: int) -> np.ndarray:
 
     The operators and their order are those of
     tensor_power(amplitude_damping(gamma), n) before pruning: all n-fold
-    Kronecker products, first factor most significant.
+    Kronecker products, first factor most significant.  Raises
+    BudgetExceeded when the whole stack is over the Kraus entry budget.
     """
+    _check_budget(len(gammas) * 2**n, 2**n, 2**n)
     return _kron_power(np.stack([amplitude_damping(g)._stack for g in gammas]), n)
 
 

@@ -352,3 +352,51 @@ def test_negative_seed_rejected(tmp_path, capsys):
     assert "seed" in _one_error_line(capsys)
     assert main(["sweep", "--curve", "ad:identity", "--seed", "-3"] + out) == 2
     assert "seed" in _one_error_line(capsys)
+
+
+def _sweep_table(path):
+    _, rows = _read_rows(path)
+    return [line.split(",") for line in rows[1:]]
+
+
+def _reference_transpose(gamma, n, code, samples, seed):
+    from aqec import transpose_channel, worst_case_fidelity
+
+    noise = tensor_power(amplitude_damping(gamma), n)
+    rec = transpose_channel(noise, code).recovery
+    return worst_case_fidelity(noise, rec, code, samples=samples, seed=seed)
+
+
+def test_sweep_transpose_curves_match_ambient_reference(tmp_path):
+    from aqec import leung_code
+
+    code3 = random_code(8, 3, 21)
+    code_file = tmp_path / "code3.json"
+    code_file.write_text(json.dumps(code_to_json(code3)))
+    cases = [("leung41:transpose", leung_code(), 4, "exact_unital_qubit"),
+             (f"file={code_file}:transpose", code3, 3, "sampled")]
+    for spec, code, n, method in cases:
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--curve", spec, "--gamma-stop", "0.3",
+                     "--gamma-step", "0.1", "--samples", "3000", "--seed", "4",
+                     "--out", str(out)]) == 0
+        table = _sweep_table(out)
+        assert [float(r[0]) for r in table] == [0.0, 0.1, 0.2, 0.3]
+        for gamma, _, f2, _, eta, row_method, count, _ in table:
+            ref = _reference_transpose(float(gamma), n, code, 3000, 4)
+            assert abs(float(f2) - ref.f2_min) <= 1e-12
+            assert abs(float(eta) - ref.eta) <= 1e-12
+            assert row_method == ref.method == method
+            assert count == ("3000" if method == "sampled" else "exact")
+
+
+def test_sweep_over_kraus_budget_exits_3(tmp_path, capsys):
+    from aqec import CodeSpace
+
+    code_file = tmp_path / "code9.json"
+    code_file.write_text(json.dumps(code_to_json(CodeSpace(np.eye(512)[:, :2]))))
+    for recovery in ("transpose", "identity"):
+        rc = main(["sweep", "--curve", f"file={code_file}:{recovery}",
+                   "--gamma-stop", "0.1", "--out", str(tmp_path / "s.csv")])
+        assert rc == 3
+        assert "budget" in _one_error_line(capsys)

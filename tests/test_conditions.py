@@ -9,13 +9,16 @@ from aqec import (
     build_r_perf,
     channels_equal,
     check_perfect_qec,
+    choi,
     identity_channel,
     near_optimality_bound_check,
     near_optimality_factor,
+    polar_unitary_on_support,
     psd_sqrt,
     random_code,
     tensor_power,
     transpose_channel,
+    worst_case_fidelity,
 )
 from aqec.conditions import Verdict, _deviation_operators
 from aqec.exceptions import CertificateInvalid, NotTP
@@ -24,6 +27,8 @@ from aqec.models import (
     bit_flip_code,
     example5_channel,
     example5_eta_formula,
+    five_qubit_code_only,
+    five_qubit_noise,
     leung_code,
     truncated_damping_channel,
 )
@@ -106,6 +111,34 @@ def test_build_r_perf_equals_transpose_channel():
     assert channels_equal(
         build_r_perf(cert, e, code), transpose_channel(e, code).recovery, 1e-10
     )
+
+
+def _polar_r_perf(cert, e, code):
+    # Kraus {P U_k^dag} with U_k the full polar unitary of F_k P.
+    p = code.projector()
+    vals = cert.diag_values
+    ops = []
+    for k in np.flatnonzero(vals > 1e-10 * max(float(vals[-1]), 0.0)):
+        f_k = np.einsum("i,iab->ab", cert.rotation[:, k], np.stack(e.kraus))
+        ops.append(p @ polar_unitary_on_support(f_k @ p).conj().T)
+    return QuantumChannel(ops)
+
+
+_CERTIFIED_PAIRS = [
+    (five_qubit_noise(g), five_qubit_code_only())
+    for g in (0.0, 0.01, 0.1, 0.35, 0.7, 1.0)
+] + [
+    (bit_flip_channel(0.2), bit_flip_code()),
+    (identity_channel(4), random_code(4, 2, 8)),
+]
+
+
+@pytest.mark.parametrize("e, code", _CERTIFIED_PAIRS)
+def test_build_r_perf_matches_polar_construction(e, code):
+    cert = check_perfect_qec(e, code)
+    assert cert.satisfied
+    fast = choi(build_r_perf(cert, e, code)).matrix
+    assert np.max(np.abs(fast - choi(_polar_r_perf(cert, e, code)).matrix)) < 1e-12
 
 
 def test_build_r_perf_rejects_bad_certificate():
@@ -289,3 +322,13 @@ def test_sampled_eta_memory_is_bounded():
         tracemalloc.stop()
     assert diag.eta_method == "sampled" and diag.eta_samples == 100_000
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("d, gamma", [(2, 0.0), (2, 0.15), (3, 0.0), (3, 0.2)])
+def test_near_optimality_eta_p_matches_ambient_transpose(d, gamma):
+    code = random_code(8, d, 40 + d)
+    e = tensor_power(amplitude_damping(gamma), 3)
+    report = near_optimality_bound_check(e, code, [None], samples=3000, seed=6)
+    rp = transpose_channel(e, code).recovery
+    ref = worst_case_fidelity(e, rp, code, samples=3000, seed=6)
+    assert abs(report.eta_p - ref.eta) <= 1e-12
