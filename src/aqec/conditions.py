@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,10 +83,16 @@ class PerfectQecCertificate:
 
 @dataclass(frozen=True)
 class AqecDiagnostics:
-    """Deviation operators and fidelity-loss estimate for one pair."""
+    """Deviation operators and fidelity-loss estimate for one pair.
+
+    The deviation operators are kept in code coordinates, deltas_code of
+    shape (N, N, d, d) over the code basis code_basis (D, d); deltas lifts
+    them to the ambient space on first read.
+    """
 
     beta: np.ndarray
-    deltas: np.ndarray
+    deltas_code: np.ndarray
+    code_basis: np.ndarray
     eta: float
     eta_method: str
     eta_samples: int | None
@@ -96,6 +103,12 @@ class AqecDiagnostics:
     f_epsilon_d: float
     restricted_factor: float
     worst_state: np.ndarray | None
+
+    @cached_property
+    def deltas(self) -> np.ndarray:
+        """Ambient deviation operators W Delta_ij W^dag, shape (N, N, D, D)."""
+        w = self.code_basis
+        return np.einsum("ab,ijbc,dc->ijad", w, self.deltas_code, w.conj(), optimize=True)
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,13 +278,10 @@ def aqec_diagnostics(
     else:
         verdict = Verdict.INDETERMINATE
 
-    w = code.basis
-    deltas_ambient = np.einsum(
-        "ab,ijbc,dc->ijad", w, deltas_code, w.conj(), optimize=True
-    )
     return AqecDiagnostics(
         beta=beta,
-        deltas=deltas_ambient,
+        deltas_code=deltas_code,
+        code_basis=code.basis,
         eta=eta,
         eta_method=worst.method,
         eta_samples=worst.samples,

@@ -7,14 +7,21 @@ the squared fidelity of a pure code state with coefficient vector s
 
     F^2(psi, Phi) = (1/d) s^T M s = (1/d) s^T M_sym s.
 
-For qubit codes the minimization over the Bloch sphere is solved exactly
-by one Lagrange-multiplier secular equation; when the map is trace
-preserving and unital its linear term vanishes and the solution is the
-smallest eigenvalue of the symmetrized traceless block.  For d > 2 only a
-sampled estimate (an upper bound on the true minimum) is provided: the
-same form, minimized over Haar-random code states and refined locally.
 Every worst case here, and the eta of conditions.aqec_diagnostics, goes
-through _min_forms, which makes that choice.
+through _min_forms, which minimises a whole stack of such forms at once
+and chooses the method:
+
+- Qubit codes are solved exactly on the Bloch sphere.  One stacked eigh
+  of the symmetrized traceless blocks; forms whose map is trace
+  preserving and unital have no linear term and take the smallest
+  eigenvalue; the rest solve the Lagrange-multiplier secular equation by
+  a vectorised, safeguarded Newton method (_min_quadratic_on_sphere).
+- For d > 2 only a sampled estimate (an upper bound on the true minimum)
+  is provided: the forms are minimised over one shared set of
+  Haar-random code states, then all are refined together from their
+  best samples by batched Riemannian Newton (_refine_forms).
+
+The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channels import QuantumChannel
 from .codes import (
@@ -100,9 +106,13 @@ def _code_kraus_after(
             f"code lives in dim {code.ambient_dim}"
         )
     m = noise._stack @ code.basis
-    if recovery is not None:
-        m = (recovery._stack[:, None] @ m[None]).reshape(-1, *m.shape[1:])
-    return code.basis.conj().T @ m
+    if recovery is None:
+        return code.basis.conj().T @ m
+    # All pairs (W^dag R_j)(E_i W) as one (R d, D) x (D, N d) product
+    (n, dim, d), r = m.shape, recovery.n_kraus
+    wr = (code.basis.conj().T @ recovery._stack).reshape(r * d, dim)
+    k = wr @ m.transpose(1, 0, 2).reshape(dim, n * d)
+    return k.reshape(r, d, n, d).transpose(0, 2, 1, 3).reshape(r * n, d, d)
 
 
 def _code_operator_basis(d: int) -> np.ndarray:
@@ -190,77 +200,107 @@ def process_matrix(
     return ProcessMatrix(pm, operator_basis(code), code, bool(is_tp), bool(is_unital))
 
 
-def _min_quadratic_on_sphere(
-    c0: float, b: np.ndarray, n_sym: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Global minimum of c0 + 2 b.s + s^T N s over real unit vectors s.
+_SECULAR_ITERS = 100
 
-    Trust-region-style solver: stationary points satisfy (N - lam I) s = -b
-    with lam at or below the smallest eigenvalue of N; the secular equation
-    |s(lam)| = 1 is solved by bracketed root finding, with the degenerate
-    branch (b orthogonal to the bottom eigenspace) handled explicitly.
+
+def _secular_solution(
+    beta: np.ndarray, mu: np.ndarray, lo: np.ndarray, hi: np.ndarray, xtol: np.ndarray
+) -> np.ndarray:
+    """Per row, the unit vector y = -beta / (mu - lam), normalised, at the
+    root lam in (lo, hi) of phi(lam) = sum_i beta_i^2 / (mu_i - lam)^2 = 1,
+    where phi(lo) < 1 < phi(hi) and hi lies below every pole mu_i with
+    beta_i != 0.
+
+    Newton's method on 1/sqrt(phi) - 1, which is nearly linear in lam
+    (More & Sorensen, "Computing a trust region step", 1983), started at
+    hi; a step that leaves the current bracket is replaced by bisection.
+    A row stops once its step is within xtol + 4 eps |lam|.
     """
-    n_sym = (n_sym + n_sym.T) / 2.0
+    beta2 = beta**2
+    lam, lo, hi = hi.copy(), lo.copy(), hi.copy()
+    tol = xtol + 4.0 * np.finfo(float).eps * np.abs(lam)
+    active = np.arange(len(lam))
+    for _ in range(_SECULAR_ITERS):
+        x = lam[active]
+        inv = 1.0 / (mu[active] - x[:, None])
+        terms = beta2[active] * inv * inv
+        phi = terms.sum(axis=1)
+        h = 1.0 / np.sqrt(phi) - 1.0
+        lo[active] = np.where(h > 0, x, lo[active])
+        hi[active] = np.where(h > 0, hi[active], x)
+        step = h * phi * np.sqrt(phi) / (terms * inv).sum(axis=1)
+        new = x + step
+        done = np.abs(step) <= tol[active]
+        outside = ~(done | ((new > lo[active]) & (new < hi[active])))
+        new[outside] = 0.5 * (lo[active] + hi[active])[outside]
+        lam[active] = new
+        active = active[~done]
+        if not active.size:
+            break
+    y = -beta / (mu - lam[:, None])
+    return y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+
+def _min_quadratic_on_sphere(
+    c0: np.ndarray, b: np.ndarray, n_sym: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global minima of c0 + 2 b.s + s^T N s over real unit vectors s, for
+    a stack of problems: c0 (G,), b (G, k), n_sym (G, k, k).  Returns the
+    minima (G,) and the minimisers (G, k).
+
+    Trust-region-style solver on one stacked eigh of N: stationary points
+    satisfy (N - lam I) s = -b with lam at or below the smallest
+    eigenvalue mu_0 of N.  A form with b = 0 takes the bottom eigenvector.
+    Otherwise the candidates are the secular root strictly below mu_0
+    (easy branch), and the solution on the complement of the bottom
+    eigenspace with its remaining length filled along a bottom
+    eigenvector, or, when that solution is longer than one, the complement
+    terms' own secular root (degenerate branch); the lower one is kept.
+    """
+    n_sym = (n_sym + n_sym.swapaxes(-1, -2)) / 2.0
     mu, q = np.linalg.eigh(n_sym)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = np.linalg.norm(b, axis=-1)
     # mu ascends, so its largest magnitude sits at one end
-    scale = max(1.0, float(max(-mu[0], mu[-1])), bnorm)
+    scale = np.maximum(np.maximum(1.0, bnorm), np.maximum(-mu[:, 0], mu[:, -1]))
+    beta = (q.swapaxes(-1, -2) @ b[..., None])[..., 0]
+    mu0 = mu[:, 0]
+    cluster = mu <= (mu0 + 1e-10 * scale)[:, None]
+    beta_min_norm = np.linalg.norm(np.where(cluster, beta, 0.0), axis=-1)
+    lo = mu0 - bnorm - 1e-3 * scale
+    xtol = 1e-15 * scale
+    unital = bnorm <= 1e-14 * scale
 
-    def value(s: np.ndarray) -> float:
-        return float(c0 + 2.0 * b @ s + s @ n_sym @ s)
+    # Degenerate branch, in eigenvector coordinates; it is the bottom
+    # eigenvector itself when b = 0.
+    beta_rest = np.where(cluster, 0.0, beta)
+    gap = np.where(cluster, 1.0, mu - mu0[:, None])
+    y_deg = -beta_rest / gap
+    y_deg[unital] = 0.0
+    perp_norm = np.linalg.norm(y_deg, axis=-1)
+    y_deg[:, 0] += np.sqrt(np.maximum(0.0, 1.0 - perp_norm**2))
+    over = np.flatnonzero(perp_norm > 1.0)
+    if over.size:
+        y_deg[over] = _secular_solution(beta_rest[over], mu[over], lo[over],
+                                        mu0[over] - 1e-14 * scale[over], xtol[over])
+    s_deg = (q @ y_deg[..., None])[..., 0]
 
-    if bnorm <= 1e-14 * scale:
-        s = q[:, 0].copy()
-        return value(s), s
+    # Easy branch: secular root strictly below mu_0.
+    hi = mu0 - np.maximum(0.5 * beta_min_norm, 1e-14 * scale)
+    easy = (beta_min_norm > 1e-13 * scale) & ~unital
+    easy[easy] = np.sum((beta[easy] / (mu[easy] - hi[easy, None])) ** 2, axis=-1) > 1.0
+    easy = np.flatnonzero(easy)
+    s_easy = s_deg.copy()
+    if easy.size:
+        y = _secular_solution(beta[easy], mu[easy], lo[easy], hi[easy], xtol[easy])
+        s_easy[easy] = (q[easy] @ y[..., None])[..., 0]
 
-    beta = q.T @ b
-    candidates: list[np.ndarray] = []
-    cluster = mu <= mu[0] + 1e-10 * scale
-    beta_min_norm = float(np.linalg.norm(beta[cluster]))
+    def value(s: np.ndarray) -> np.ndarray:
+        quad = (s[:, None, :] @ n_sym @ s[..., None])[:, 0, 0]
+        return c0 + 2.0 * (b[:, None, :] @ s[..., None])[:, 0, 0] + quad
 
-    def phi(lam: float) -> float:
-        return float(np.sum((beta / (mu - lam)) ** 2))
-
-    def s_of(lam: float) -> np.ndarray:
-        return -q @ (beta / (mu - lam))
-
-    # Easy branch: secular root strictly below mu_min.
-    if beta_min_norm > 1e-13 * scale:
-        lo = mu[0] - bnorm - 1e-3 * scale
-        delta = 0.5 * beta_min_norm
-        hi = mu[0] - max(delta, 1e-14 * scale)
-        if phi(hi) > 1.0:
-            lam = brentq(lambda x: phi(x) - 1.0, lo, hi, xtol=1e-15 * scale)
-            s = s_of(lam)
-            s /= np.linalg.norm(s)
-            candidates.append(s)
-    # Degenerate branch: solve on the complement of the bottom eigenspace
-    # and fill the remaining length along a bottom eigenvector.
-    rest = ~cluster
-    s_perp = np.zeros_like(b)
-    if np.any(rest):
-        s_perp = -q[:, rest] @ (beta[rest] / (mu[rest] - mu[0]))
-    perp_norm = float(np.linalg.norm(s_perp))
-    if perp_norm <= 1.0:
-        tau = np.sqrt(max(0.0, 1.0 - perp_norm**2))
-        candidates.append(s_perp + tau * q[:, np.argmax(cluster)])
-    else:
-        # Root exists below mu_min even though b is (nearly) orthogonal to
-        # the bottom eigenspace; bracket using the complement terms only.
-        lo = mu[0] - bnorm - 1e-3 * scale
-        hi = mu[0] - 1e-14 * scale
-
-        def phi_rest(lam: float) -> float:
-            return float(np.sum((beta[rest] / (mu[rest] - lam)) ** 2))
-
-        lam = brentq(lambda x: phi_rest(x) - 1.0, lo, hi, xtol=1e-15 * scale)
-        s = -q[:, rest] @ (beta[rest] / (mu[rest] - lam))
-        s /= np.linalg.norm(s)
-        candidates.append(s)
-
-    vals = [value(s) for s in candidates]
-    best = int(np.argmin(vals))
-    return vals[best], candidates[best]
+    val_easy, val_deg = value(s_easy), value(s_deg)
+    pick = val_easy <= val_deg
+    return np.where(pick, val_easy, val_deg), np.where(pick[:, None], s_easy, s_deg)
 
 
 def worst_fidelity_unital_qubit(m: ProcessMatrix) -> WorstCaseResult:
@@ -293,42 +333,93 @@ def worst_fidelity_qubit_lagrange(m: ProcessMatrix) -> WorstCaseResult:
     return _min_forms(m.m[None] / 2.0, m.code, [LAGRANGE_QUBIT])[0]
 
 
-def _sphere_quartic_min(
-    q: np.ndarray, c0: np.ndarray, iters: int = REFINE_ITERS
-) -> tuple[float, np.ndarray]:
-    """Projected gradient descent for f(c) = s^T Q s, s_a = c^dag g_a c,
-    over unit code vectors c, started at c0; Q is real symmetric.  Step
-    size adapts by halving."""
-    gens = _code_operator_basis(len(c0))
+_HALVINGS = 30  # backtracking halvings before a form's refinement stops
+_MAX_STEP = 0.5  # longest Newton step, in radians on the unit sphere
 
-    def f_grad(c):
-        gc = gens @ c
-        s = (c.conj() @ gc.T).real
-        qs = q @ s
-        return float(s @ qs), 2.0 * (qs @ gc)
 
-    c = c0 / np.linalg.norm(c0)
-    f, grad = f_grad(c)
-    step = 0.5
+def _real_generators(d: int) -> np.ndarray:
+    """Real symmetric forms Gamma_a, shape (d^2, 2d, 2d), with r^T Gamma_a r
+    = c^dag g_a c for r = (Re c, Im c) and g_a the code operator basis."""
+    g = _code_operator_basis(d)
+    return np.block([[g.real, -g.imag], [g.imag, g.real]])
+
+
+def _form_values(
+    q: np.ndarray, gam: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f = s^T Q s for each form of a stack q (G, A, A) at its point r
+    (G, 2d), with s_a = r^T Gamma_a r; also J_a = Gamma_a r (G, A, 2d) and
+    Q s (G, A)."""
+    jac = (gam @ r[:, None, :, None])[..., 0]
+    s = (jac @ r[..., None])[..., 0]
+    qs = (q @ s[..., None])[..., 0]
+    return (s[:, None, :] @ qs[..., None])[:, 0, 0], jac, qs
+
+
+def _refine_forms(
+    q: np.ndarray, c: np.ndarray, iters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local minima of s^T Q_g s over unit code vectors, each form of a
+    symmetric stack q (G, d^2, d^2) started from its row of c (G, d).
+
+    Riemannian Newton (Absil, Mahony & Sepulchre, Optimization Algorithms
+    on Matrix Manifolds, 2008) on the unit sphere of r = (Re c, Im c):
+    gradient 4 H r with H = sum_a (Q s)_a Gamma_a, Hessian 4 H + 8 J^T Q J,
+    both projected off r and off the phase direction (-Im c, Re c), along
+    which the objective is constant.  Each Hessian's eigenvalues are
+    replaced by their absolute values, floored, so every step descends;
+    steps are capped at _MAX_STEP and backtracked on the normalised
+    retraction.  A form stops at a small gradient, when a full step could
+    lower its value by no more than rounding, or when backtracking fails;
+    iters caps the iterations (0: no refinement).
+    Returns the values (G,) and the code vectors (G, d).
+    """
+    forms, d = c.shape
+    gam = _real_generators(d)
+    eye = np.eye(2 * d)
+    r = np.concatenate([c.real, c.imag], axis=1)
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    f = _form_values(q, gam, r)[0]
+    active = np.arange(forms)
     for _ in range(iters):
-        g = grad - c * (np.vdot(c, grad))
-        gnorm = np.linalg.norm(g)
-        if gnorm < 1e-13 * max(1.0, abs(f)):
+        if not active.size:
             break
-        improved = False
-        while step > 1e-18:
-            trial = c - step * g
-            trial /= np.linalg.norm(trial)
-            f_trial, grad_trial = f_grad(trial)
-            if f_trial < f - 1e-18:
-                c, f, grad = trial, f_trial, grad_trial
-                step *= 1.5
-                improved = True
+        qa, ra = q[active], r[active]
+        fa, jac, qs = _form_values(qa, gam, ra)
+        grad = 4.0 * (jac.swapaxes(-1, -2) @ qs[..., None])[..., 0]
+        hess = 4.0 * np.tensordot(qs, gam, axes=1) + 8.0 * (
+            jac.swapaxes(-1, -2) @ qa @ jac
+        )
+        phase = np.concatenate([-ra[:, d:], ra[:, :d]], axis=1)
+        proj = eye - ra[:, :, None] * ra[:, None, :] - phase[:, :, None] * phase[:, None, :]
+        rgrad = (proj @ grad[..., None])[..., 0]
+        radial = np.sum(ra * grad, axis=1)
+        lam, u = np.linalg.eigh(proj @ (hess - radial[:, None, None] * eye) @ proj)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, 1e-8 * lam[:, -1:] + 1e-300)
+        coef = (u.swapaxes(-1, -2) @ rgrad[..., None])[..., 0] / lam
+        step = -(proj @ (u @ coef[..., None]))[..., 0]
+        size = np.linalg.norm(step, axis=1)
+        step *= np.minimum(1.0, _MAX_STEP / np.maximum(size, 1e-300))[:, None]
+        slope = np.sum(rgrad * step, axis=1)
+        tol = 1e-13 * np.maximum(1.0, np.abs(fa))
+        done = (np.linalg.norm(rgrad, axis=1) <= tol) | (-slope <= 1e-2 * tol)
+        t = np.ones(len(active))
+        pending = np.flatnonzero(~done)
+        for _ in range(_HALVINGS):
+            if not pending.size:
                 break
-            step *= 0.5
-        if not improved:
-            break
-    return f, c
+            trial = ra[pending] + t[pending, None] * step[pending]
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            ft = _form_values(qa[pending], gam, trial)[0]
+            ok = (ft < fa[pending]) & (ft <= fa[pending] + 1e-4 * t[pending] * slope[pending])
+            r[active[pending[ok]]] = trial[ok]
+            f[active[pending[ok]]] = ft[ok]
+            pending = pending[~ok]
+            t[pending] *= 0.5
+        done[pending] = True
+        active = active[~done]
+    return f, r[:, :d] + 1j * r[:, d:]
 
 
 _CHUNK = 65536  # states per draw; the draws make the sample stream of a seed
@@ -337,15 +428,16 @@ _EVAL_BLOCK = 1 << 18  # entries of s @ Q held at once, for a block of samples
 
 def _min_forms_sampled(
     q: np.ndarray, n: int, seed: int, refine_iters: int = REFINE_ITERS
-) -> list[tuple[float, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimum over pure code states of each quadratic form s^T Q_g s in a
     stack q of shape (G, d^2, d^2), s the state's coefficients over the
     code operator basis (s_0 = 1).
 
     All forms share one set of n Haar-random states (drawn from seed);
-    each is then refined from its own best sample.  Returns one
-    (value, code-coefficient vector) per form; each value is the best seen,
-    an upper bound on the true minimum.
+    all are then refined at once by _refine_forms, each from its own best
+    sample.  Returns the values (G,) and the code-coefficient vectors
+    (G, d); each value is the best seen, an upper bound on the true
+    minimum.
     """
     if n < 1:
         raise PreconditionViolated("need at least one sample")
@@ -376,11 +468,9 @@ def _min_forms_sampled(
             low = low_vals < best
             best[low] = low_vals[low]
             best_c[low] = cs[lo + idx[low]]
-    out = []
-    for qg, f, c in zip(q, best, best_c):
-        f_ref, c_ref = _sphere_quartic_min(qg, c, iters=refine_iters)
-        out.append((f_ref, c_ref) if f_ref <= f else (float(f), c))
-    return out
+    f_ref, c_ref = _refine_forms(q, best_c, refine_iters)
+    keep = f_ref <= best
+    return np.where(keep, f_ref, best), np.where(keep[:, None], c_ref, best_c)
 
 
 def _min_forms(
@@ -400,22 +490,23 @@ def _min_forms(
     run: upper bounds on the minima, labelled SAMPLED.
     """
     if code.code_dim == 2:
-        out = []
-        for qg, method in zip((q + q.swapaxes(-1, -2)) / 2.0, qubit_methods):
-            # A TP unital map's flags hold the first row and column of M
-            # to e0 within FLAG_TOL; taken as exact, c0 = 1/2 and b = 0 give
-            # the eigenvalue formula (1 + t_min)/2.
-            if method == EXACT_UNITAL_QUBIT:
-                c0, b = 0.5, np.zeros(3)
-            else:
-                c0, b = qg[0, 0], qg[1:, 0]
-            val, bloch = _min_quadratic_on_sphere(c0, b, qg[1:, 1:])
-            psi = bloch_to_state_vector(code, bloch)
-            out.append(WorstCaseResult(val, 1.0 - val, psi, bloch, method))
-        return out
+        q = (q + q.swapaxes(-1, -2)) / 2.0
+        # A TP unital map's flags hold the first row and column of M to e0
+        # within FLAG_TOL; taken as exact, c0 = 1/2 and b = 0 give the
+        # eigenvalue formula (1 + t_min)/2.
+        unital = np.array([m == EXACT_UNITAL_QUBIT for m in qubit_methods])
+        c0 = np.where(unital, 0.5, q[:, 0, 0])
+        b = np.where(unital[:, None], 0.0, q[:, 1:, 0])
+        vals, blochs = _min_quadratic_on_sphere(c0, b, q[:, 1:, 1:])
+        psis = bloch_to_state_vector(code, blochs)
+        return [
+            WorstCaseResult(float(v), 1.0 - float(v), psi, bloch, method)
+            for v, psi, bloch, method in zip(vals, psis, blochs, qubit_methods)
+        ]
+    vals, cs = _min_forms_sampled(q, samples, seed)
     return [
-        WorstCaseResult(f, 1.0 - f, code.basis @ c, None, SAMPLED, samples, seed)
-        for f, c in _min_forms_sampled(q, samples, seed)
+        WorstCaseResult(float(f), 1.0 - float(f), psi, None, SAMPLED, samples, seed)
+        for f, psi in zip(vals, cs @ code.basis.T)
     ]
 
 
@@ -434,8 +525,8 @@ def worst_fidelity_sampled(
     for a given seed.
     """
     m = _code_process_matrices(_code_kraus_after(phi, None, code))
-    [(f2, c)] = _min_forms_sampled(m[None] / code.code_dim, n, seed, refine_iters)
-    return WorstCaseResult(f2, 1.0 - f2, code.basis @ c, None, SAMPLED, n, seed)
+    [f2], [c] = _min_forms_sampled(m[None] / code.code_dim, n, seed, refine_iters)
+    return WorstCaseResult(float(f2), 1.0 - float(f2), code.basis @ c, None, SAMPLED, n, seed)
 
 
 def worst_case_fidelity(

@@ -2,15 +2,19 @@
 
 The oracles here deliberately avoid the library code paths they are used
 to check: the polar oracle goes through scipy's SVD, the fidelity oracle
-evaluates Kraus amplitudes on explicitly sampled states.
+evaluates Kraus amplitudes on explicitly sampled states, and the two
+scalar sphere minimisers (a brentq secular solve and projected gradient
+descent) solve one form at a time what aqec.fidelity solves in batches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import brentq
 
 from aqec import QuantumChannel, CodeSpace, haar_unitary
+from aqec.fidelity import _code_operator_basis
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,3 +166,115 @@ def sphere_oracle_min_f2(
         if not moved:
             break
     return min(best, f)
+
+
+def scalar_min_quadratic_on_sphere(
+    c0: float, b: np.ndarray, n_sym: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Global minimum of c0 + 2 b.s + s^T N s over real unit vectors s, one
+    problem at a time.
+
+    Trust-region-style solver: stationary points satisfy (N - lam I) s = -b
+    with lam at or below the smallest eigenvalue of N; the secular equation
+    |s(lam)| = 1 is solved by bracketed root finding, with the degenerate
+    branch (b orthogonal to the bottom eigenspace) handled explicitly.
+    """
+    n_sym = (n_sym + n_sym.T) / 2.0
+    mu, q = np.linalg.eigh(n_sym)
+    bnorm = float(np.linalg.norm(b))
+    # mu ascends, so its largest magnitude sits at one end
+    scale = max(1.0, float(max(-mu[0], mu[-1])), bnorm)
+
+    def value(s: np.ndarray) -> float:
+        return float(c0 + 2.0 * b @ s + s @ n_sym @ s)
+
+    if bnorm <= 1e-14 * scale:
+        s = q[:, 0].copy()
+        return value(s), s
+
+    beta = q.T @ b
+    candidates: list[np.ndarray] = []
+    cluster = mu <= mu[0] + 1e-10 * scale
+    beta_min_norm = float(np.linalg.norm(beta[cluster]))
+
+    def phi(lam: float) -> float:
+        return float(np.sum((beta / (mu - lam)) ** 2))
+
+    def s_of(lam: float) -> np.ndarray:
+        return -q @ (beta / (mu - lam))
+
+    # Easy branch: secular root strictly below mu_min.
+    if beta_min_norm > 1e-13 * scale:
+        lo = mu[0] - bnorm - 1e-3 * scale
+        delta = 0.5 * beta_min_norm
+        hi = mu[0] - max(delta, 1e-14 * scale)
+        if phi(hi) > 1.0:
+            lam = brentq(lambda x: phi(x) - 1.0, lo, hi, xtol=1e-15 * scale)
+            s = s_of(lam)
+            s /= np.linalg.norm(s)
+            candidates.append(s)
+    # Degenerate branch: solve on the complement of the bottom eigenspace
+    # and fill the remaining length along a bottom eigenvector.
+    rest = ~cluster
+    s_perp = np.zeros_like(b)
+    if np.any(rest):
+        s_perp = -q[:, rest] @ (beta[rest] / (mu[rest] - mu[0]))
+    perp_norm = float(np.linalg.norm(s_perp))
+    if perp_norm <= 1.0:
+        tau = np.sqrt(max(0.0, 1.0 - perp_norm**2))
+        candidates.append(s_perp + tau * q[:, np.argmax(cluster)])
+    else:
+        # Root exists below mu_min even though b is (nearly) orthogonal to
+        # the bottom eigenspace; bracket using the complement terms only.
+        lo = mu[0] - bnorm - 1e-3 * scale
+        hi = mu[0] - 1e-14 * scale
+
+        def phi_rest(lam: float) -> float:
+            return float(np.sum((beta[rest] / (mu[rest] - lam)) ** 2))
+
+        lam = brentq(lambda x: phi_rest(x) - 1.0, lo, hi, xtol=1e-15 * scale)
+        s = -q[:, rest] @ (beta[rest] / (mu[rest] - lam))
+        s /= np.linalg.norm(s)
+        candidates.append(s)
+
+    vals = [value(s) for s in candidates]
+    best = int(np.argmin(vals))
+    return vals[best], candidates[best]
+
+
+def sphere_quartic_min(
+    q: np.ndarray, c0: np.ndarray, iters: int = 300
+) -> tuple[float, np.ndarray]:
+    """Projected gradient descent for f(c) = s^T Q s, s_a = c^dag g_a c,
+    over unit code vectors c, started at c0; Q is real symmetric.  Step
+    size adapts by halving."""
+    gens = _code_operator_basis(len(c0))
+
+    def f_grad(c):
+        gc = gens @ c
+        s = (c.conj() @ gc.T).real
+        qs = q @ s
+        return float(s @ qs), 2.0 * (qs @ gc)
+
+    c = c0 / np.linalg.norm(c0)
+    f, grad = f_grad(c)
+    step = 0.5
+    for _ in range(iters):
+        g = grad - c * (np.vdot(c, grad))
+        gnorm = np.linalg.norm(g)
+        if gnorm < 1e-13 * max(1.0, abs(f)):
+            break
+        improved = False
+        while step > 1e-18:
+            trial = c - step * g
+            trial /= np.linalg.norm(trial)
+            f_trial, grad_trial = f_grad(trial)
+            if f_trial < f - 1e-18:
+                c, f, grad = trial, f_trial, grad_trial
+                step *= 1.5
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return f, c

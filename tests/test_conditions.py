@@ -324,6 +324,26 @@ def test_sampled_eta_memory_is_bounded():
     assert peak < 64 * 2**20
 
 
+def test_diagnostics_keep_deviation_operators_in_code_coordinates():
+    # 5-qubit damping has 32 Kraus operators; the ambient (32, 32, 32, 32)
+    # deviation array (16.8 MB) is built only when deltas is read.
+    import tracemalloc
+
+    e = tensor_power(amplitude_damping(0.2), 5)
+    code = random_code(32, 2, 5)
+    tracemalloc.start()
+    try:
+        diag = aqec_diagnostics(e, code, epsilon=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.deltas_code.shape == (32, 32, 2, 2)
+    assert peak < 6 * 2**20
+    w = code.basis
+    assert diag.deltas.shape == (32, 32, 32, 32)
+    assert np.max(np.abs(diag.deltas[3, 5] - w @ diag.deltas_code[3, 5] @ w.conj().T)) < 1e-15
+
+
 @pytest.mark.parametrize("d, gamma", [(2, 0.0), (2, 0.15), (3, 0.0), (3, 0.2)])
 def test_near_optimality_eta_p_matches_ambient_transpose(d, gamma):
     code = random_code(8, d, 40 + d)

@@ -16,16 +16,28 @@ from aqec import (
     worst_fidelity_unital_qubit,
 )
 from aqec.codes import CodeSpace, operator_basis
-from aqec.conditions import _eta_form
+from aqec.conditions import _deviation_operators, _eta_form
 from aqec.exceptions import OutputLeavesCode, PreconditionViolated
-from aqec.fidelity import _code_process_matrices, _min_quadratic_on_sphere
-from aqec.models import leung_code
+from aqec.fidelity import (
+    REFINE_ITERS,
+    _code_process_matrices,
+    _min_forms,
+    _min_forms_sampled,
+    _min_quadratic_on_sphere,
+    _qubit_methods,
+    _refine_forms,
+)
+from aqec.linalg import RANK_TOL
+from aqec.models import amplitude_damping_power, leung_code
+from aqec.transpose import code_kraus
 
 from helpers import (
     bloch_samples,
     random_tp_channel,
     random_unital_qubit_channel,
+    scalar_min_quadratic_on_sphere,
     sphere_oracle_min_f2,
+    sphere_quartic_min,
 )
 from properties import (
     check_f2_matches_process_matrix,
@@ -161,7 +173,7 @@ def test_quadratic_sphere_solver_degenerate_branch():
     # bottom eigenspace orthogonal to the linear term: boundary minimum
     n_sym = np.diag([1.0, 2.0, 3.0])
     b = np.array([0.0, 0.5, 0.0])
-    val, s = _min_quadratic_on_sphere(0.0, b, n_sym)
+    [val], [s] = _min_quadratic_on_sphere(np.zeros(1), b[None], n_sym[None])
     assert abs(np.linalg.norm(s) - 1.0) < 1e-12
     # brute check on a fine sphere grid
     rng = np.random.default_rng(7)
@@ -174,7 +186,7 @@ def test_quadratic_sphere_solver_hard_case_interior():
     # strong off-bottom linear term forces the secular root branch
     n_sym = np.diag([1.0, 5.0, 9.0])
     b = np.array([0.0, 3.0, 1.0])
-    val, s = _min_quadratic_on_sphere(0.0, b, n_sym)
+    [val], [s] = _min_quadratic_on_sphere(np.zeros(1), b[None], n_sym[None])
     rng = np.random.default_rng(8)
     u = bloch_samples(200_000, rng)
     vals = 2 * u @ b + np.einsum("ni,ij,nj->n", u, n_sym, u)
@@ -297,3 +309,123 @@ def test_eta_form_equals_deviation_objective(d):
             amps = np.einsum("a,kab,b->k", c.conj(), deltas, c)
             objective = (c.conj() @ s_mat @ c).real - np.sum(np.abs(amps) ** 2)
             assert abs(s @ q @ s + objective) <= 1e-13
+
+
+def _transpose_forms(n_qubits, d, seed, gammas):
+    """Fidelity forms M/d of transpose recovery after n-qubit damping on a
+    Haar code, one per gamma, as transpose_fidelity_grid builds them."""
+    code = random_code(2**n_qubits, d, seed)
+    k = code_kraus(amplitude_damping_power(gammas, n_qubits) @ code.basis)
+    g, n = k.shape[:2]
+    m = _code_process_matrices(k.reshape(g, n * n, d, d))
+    return m / d, _qubit_methods(m), code
+
+
+def _qubit_oracle(q, methods):
+    """The per-form qubit loop, one scalar brentq solve per form."""
+    out = []
+    for qg, method in zip((q + q.swapaxes(-1, -2)) / 2.0, methods):
+        if method == "exact_unital_qubit":
+            c0, b = 0.5, np.zeros(3)
+        else:
+            c0, b = qg[0, 0], qg[1:, 0]
+        out.append(scalar_min_quadratic_on_sphere(c0, b, qg[1:, 1:]))
+    return out
+
+
+def _assert_qubit_parity(q, methods):
+    results = _min_forms(q, qubit_space(), methods)
+    for res, method, (val, bloch) in zip(results, methods, _qubit_oracle(q, methods)):
+        assert res.method == method
+        assert abs(res.f2_min - val) <= 1e-12
+        assert np.max(np.abs(res.bloch - bloch)) <= 1e-12
+
+
+def test_batched_qubit_solver_matches_scalar_unital_and_lagrange():
+    rng = np.random.default_rng(70)
+    unital = [random_unital_qubit_channel(rng) for _ in range(10)]
+    general = [random_tp_channel(2, int(rng.integers(2, 5)), rng) for _ in range(10)]
+    m = np.stack([process_matrix(c, qubit_space()).m for c in unital + general])
+    methods = _qubit_methods(m)
+    assert methods == ["exact_unital_qubit"] * 10 + ["lagrange_qubit"] * 10
+    _assert_qubit_parity(m / 2.0, methods)
+
+
+@pytest.mark.parametrize(
+    "n_diag, b",
+    [
+        ([1.0, 2.0, 3.0], [0.0, 0.5, 0.0]),  # degenerate branch, filled
+        ([1.0, 2.0, 3.0], [0.0, 3.0, 0.0]),  # degenerate branch, own root
+        ([1.0, 1.0, 3.0], [0.0, 0.0, 0.7]),  # two-fold bottom eigenspace
+        ([1.0, 5.0, 9.0], [0.0, 3.0, 1.0]),  # hard case
+        ([1.0, 5.0, 9.0], [0.2, 3.0, 1.0]),  # easy branch
+    ],
+)
+def test_batched_qubit_solver_matches_scalar_branches(n_diag, b):
+    rng = np.random.default_rng(71)
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    for n_sym, bb in ((np.diag(n_diag), np.array(b)), (rot @ np.diag(n_diag) @ rot.T, rot @ b)):
+        [val], [s] = _min_quadratic_on_sphere(np.array([0.3]), bb[None], n_sym[None])
+        val_o, s_o = scalar_min_quadratic_on_sphere(0.3, bb, n_sym)
+        assert abs(val - val_o) <= 1e-12
+        assert np.max(np.abs(s - s_o)) <= 1e-12
+
+
+def test_batched_qubit_solver_matches_scalar_on_haar_grid():
+    gammas = [round(0.01 * k, 12) for k in range(51)]
+    for seed in (1001, 1002):
+        q, methods, _ = _transpose_forms(4, 2, seed, gammas)
+        _assert_qubit_parity(q, methods)
+
+
+def _refinement_cases(d, seed):
+    """Fidelity forms over a gamma grid and eta forms (_eta_form) of
+    damping on a Haar code, symmetrised."""
+    q, _, code = _transpose_forms(3, d, seed, [0.0, 0.05, 0.2, 0.5, 0.9])
+    forms = list(q)
+    for gamma in (0.05, 0.3):
+        _, deltas = _deviation_operators(
+            tensor_power(amplitude_damping(gamma), 3), code, RANK_TOL
+        )
+        flat = deltas.reshape(-1, d, d)
+        forms.append(_eta_form(flat, np.einsum("kab,kac->bc", flat.conj(), flat)))
+    q = np.stack(forms)
+    return (q + q.swapaxes(-1, -2)) / 2.0
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_newton_refinement_matches_projected_gradient(d):
+    q = _refinement_cases(d, 80 + d)
+    # start both from the sampler's best states, as _min_forms_sampled does
+    _, starts = _min_forms_sampled(q, 5000, 0, refine_iters=0)
+    vals, cs = _refine_forms(q, starts, REFINE_ITERS)
+    for qg, c0, val, c in zip(q, starts, vals, cs):
+        # The scalar loop gets up to 3000 steps: at its old cap of 300 it
+        # can stop ~1e-9 above a d = 4 minimum that it reaches by 1000.
+        val_o, c_o = sphere_quartic_min(qg, c0, iters=3000)
+        assert abs(val - val_o) <= 1e-12
+        assert abs(np.vdot(c_o, c)) >= 1 - 1e-9
+
+
+def test_refine_iters_zero_keeps_the_samples():
+    q = _refinement_cases(3, 90)
+    vals, cs = _min_forms_sampled(q, 2000, 4, refine_iters=0)
+    refined, _ = _min_forms_sampled(q, 2000, 4)
+    # the sample stream of seed 4: one draw of 2000 states
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((2000, 3)) + 1j * rng.standard_normal((2000, 3))
+    states = z / np.linalg.norm(z, axis=1, keepdims=True)
+    for c in cs:
+        assert np.min(np.max(np.abs(states - c), axis=1)) <= 1e-15
+    assert np.all(refined <= vals) and np.any(refined < vals - 1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_min_forms_result_independent_of_stack(d):
+    q, methods, code = _transpose_forms(4, d, 60 + d, [round(0.05 * k, 12) for k in range(11)])
+    stacked = _min_forms(q, code, methods, samples=3000, seed=9)
+    for g, res in enumerate(stacked):
+        [alone] = _min_forms(q[g : g + 1], code, methods[g : g + 1], samples=3000, seed=9)
+        assert (alone.method, alone.samples) == (res.method, res.samples)
+        assert abs(alone.f2_min - res.f2_min) <= 1e-14
+        assert abs(abs(np.vdot(alone.worst_state, res.worst_state)) - 1.0) <= 1e-14

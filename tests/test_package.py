@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -15,3 +18,18 @@ def test_public_names_are_an_explicit_list():
             if isinstance(node, ast.ImportFrom) and node.module == "aqec":
                 imported.update(alias.name for alias in node.names)
     assert imported - {"__version__"} <= set(aqec.__all__)
+
+
+def test_import_pulls_in_no_scipy():
+    # scipy is a test-only dependency: the package and its CLI run on numpy.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, aqec, aqec.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
