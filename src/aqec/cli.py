@@ -36,25 +36,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import QuantumChannel, channel_from_json
+from .channels import channel_from_json
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
 from .conditions import aqec_diagnostics
 from .exceptions import AqecError
 from .fidelity import (
     SAMPLED,
     WorstCaseResult,
+    _compose_on_code,
+    _worst_cases,
     transpose_fidelity_grid,
-    worst_case_fidelity,
 )
 from .models import (
     MODEL_REGISTRY,
+    _check_gamma,
     amplitude_damping_power,
     five_qubit_code_only,
-    five_qubit_recovery,
+    five_qubit_recovery_grid,
     leung_code,
     leung_recovery,
     qubit_space,
 )
+from .transpose import code_kraus
 
 RECOVERIES = ("transpose", "rperf", "identity", "leung")
 
@@ -202,20 +205,23 @@ def _curve_results(
 ) -> list[WorstCaseResult]:
     """Worst case of recovery after n-qubit amplitude damping at each gamma.
 
-    Transpose curves are scored over the whole grid at once; the fixed
-    recoveries build their noise one gamma at a time, so no grid is held.
+    The noise enters only as M_i = E_i W, built one gamma at a time, so no
+    ambient grid is held; every curve is one code-basis Kraus stack over
+    the grid, scored in one call.
     """
-    n = _n_qubits_for(code)
+    n, w = _n_qubits_for(code), code.basis
+    m = np.stack([amplitude_damping_power([g], n)[0] @ w for g in gammas])
     if recovery_name == "transpose":
-        noise = _damping_grid(tuple(gammas), n)
-        return transpose_fidelity_grid(noise, code, samples=samples, seed=seed)
-    fixed = {"identity": lambda g: None, "leung": leung_recovery,
-             "rperf": five_qubit_recovery}[recovery_name]
-    return [
-        worst_case_fidelity(QuantumChannel(amplitude_damping_power([g], n)[0]),
-                            fixed(g), code, samples=samples, seed=seed)
-        for g in gammas
-    ]
+        k = code_kraus(m)
+    elif recovery_name == "identity":
+        k = w.conj().T @ m
+    elif recovery_name == "leung":
+        for g in gammas:  # the map is gamma independent: built once
+            _check_gamma(g, closed=False)
+        k = _compose_on_code(w.conj().T @ leung_recovery(gammas[0])._stack, m)
+    else:
+        k = _compose_on_code(five_qubit_recovery_grid(gammas, code), m)
+    return _worst_cases(k, code, samples, seed)
 
 
 def _csv_float(x: float) -> str:
@@ -280,14 +286,27 @@ def _search_one(args: tuple) -> tuple[int, int, list[tuple[float, float]]]:
     return index, code_seed, [(g, res.f2_min) for g, res in zip(gammas, results)]
 
 
-def _metric_value(config: SearchConfig, values: list[tuple[float, float]]) -> float:
-    if config.metric == "min_f2":
+def _metric_target(metric: str) -> float | None:
+    """The gamma of an f2_at:<gamma> metric, None for min_f2.  Raises
+    UserConfigError for any other metric or a non-finite gamma."""
+    if metric == "min_f2":
+        return None
+    head, _, value = metric.partition(":")
+    try:
+        target = float(value) if head == "f2_at" else math.nan
+    except ValueError:
+        target = math.nan
+    if not math.isfinite(target):
+        raise UserConfigError(
+            f"unknown metric '{metric}'; use min_f2 or f2_at:<finite gamma>"
+        )
+    return target
+
+
+def _metric_value(target: float | None, values: list[tuple[float, float]]) -> float:
+    if target is None:
         return min(v for _, v in values)
-    if config.metric.startswith("f2_at:"):
-        target = float(config.metric.split(":", 1)[1])
-        best = min(values, key=lambda gv: abs(gv[0] - target))
-        return best[1]
-    raise UserConfigError(f"unknown metric '{config.metric}'")
+    return min(values, key=lambda gv: abs(gv[0] - target))[1]
 
 
 def cmd_search(config: SearchConfig) -> None:
@@ -296,6 +315,7 @@ def cmd_search(config: SearchConfig) -> None:
     if config.n_qubits not in (2, 3, 4, 5):
         raise UserConfigError("n_qubits must be between 2 and 5")
     _check_sampling(config.samples, config.seed)
+    target = _metric_target(config.metric)
     gammas = config.gammas()
     rng = np.random.default_rng(config.seed)
     code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=config.n_codes)]
@@ -317,7 +337,7 @@ def cmd_search(config: SearchConfig) -> None:
     rows = []
     metrics = []
     for index, (seed, values) in enumerate(results):
-        metric = _metric_value(config, values)
+        metric = _metric_value(target, values)
         metrics.append(metric)
         worst_gamma = min(values, key=lambda gv: gv[1])[0]
         rows.append(
@@ -347,6 +367,8 @@ def cmd_search(config: SearchConfig) -> None:
 
 
 def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise UserConfigError(f"epsilon must be a finite number >= 0, got {epsilon}")
     try:
         with open(channel_path, "r", encoding="utf-8") as fh:
             channel_data = json.load(fh)

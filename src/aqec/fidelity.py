@@ -91,6 +91,20 @@ class WorstCaseResult:
         }
 
 
+def _compose_on_code(wr: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Code-basis Kraus stack {(W^dag R_j)(E_i W)}, j-major, of a recovery
+    after noise, batched over broadcast leading axes: wr (..., R, d, D),
+    m (..., N, D, d) -> (..., R N, d, d)."""
+    r, d, dim = wr.shape[-3:]
+    n = m.shape[-3]
+    # All pairs as one (R d, D) x (D, N d) product per leading index
+    k = wr.reshape(*wr.shape[:-3], r * d, dim) @ np.moveaxis(m, -3, -2).reshape(
+        *m.shape[:-3], dim, n * d
+    )
+    lead = k.shape[:-2]
+    return k.reshape(*lead, r, d, n, d).swapaxes(-3, -2).reshape(*lead, r * n, d, d)
+
+
 def _code_kraus_after(
     noise: QuantumChannel, recovery: QuantumChannel | None, code: CodeSpace
 ) -> np.ndarray:
@@ -108,11 +122,7 @@ def _code_kraus_after(
     m = noise._stack @ code.basis
     if recovery is None:
         return code.basis.conj().T @ m
-    # All pairs (W^dag R_j)(E_i W) as one (R d, D) x (D, N d) product
-    (n, dim, d), r = m.shape, recovery.n_kraus
-    wr = (code.basis.conj().T @ recovery._stack).reshape(r * d, dim)
-    k = wr @ m.transpose(1, 0, 2).reshape(dim, n * d)
-    return k.reshape(r, d, n, d).transpose(0, 2, 1, 3).reshape(r * n, d, d)
+    return _compose_on_code(code.basis.conj().T @ recovery._stack, m)
 
 
 def _code_operator_basis(d: int) -> np.ndarray:
@@ -529,6 +539,18 @@ def worst_fidelity_sampled(
     return WorstCaseResult(float(f2), 1.0 - float(f2), code.basis @ c, None, SAMPLED, n, seed)
 
 
+def _worst_cases(
+    k: np.ndarray, code: CodeSpace, samples: int, seed: int
+) -> list[WorstCaseResult]:
+    """Worst case of each map of a stack of code-basis Kraus sets k
+    (G, ..., d, d), map g having the Kraus operators k[g], one result per
+    map: one batched process-matrix call and one _min_forms call for the
+    whole stack."""
+    d = code.code_dim
+    m = _code_process_matrices(k.reshape(len(k), -1, d, d))
+    return _min_forms(m / code.code_dim, code, _qubit_methods(m), samples, seed)
+
+
 def worst_case_fidelity(
     noise: QuantumChannel,
     recovery: QuantumChannel | None,
@@ -543,8 +565,8 @@ def worst_case_fidelity(
     solved exactly; larger codes fall back to the sampled estimator.
     Output that leaves the code is ignored, as fidelities never see it.
     """
-    m = _code_process_matrices(_code_kraus_after(noise, recovery, code))[None]
-    return _min_forms(m / code.code_dim, code, _qubit_methods(m), samples, seed)[0]
+    k = _code_kraus_after(noise, recovery, code)
+    return _worst_cases(k[None], code, samples, seed)[0]
 
 
 def transpose_fidelity_grid(
@@ -570,7 +592,4 @@ def transpose_fidelity_grid(
             f"expected a (G, N, {code.ambient_dim}, {code.ambient_dim}) Kraus stack, "
             f"got shape {kraus.shape}"
         )
-    k = code_kraus(kraus @ code.basis)
-    g, n, _, d, _ = k.shape
-    m = _code_process_matrices(k.reshape(g, n * n, d, d))
-    return _min_forms(m / d, code, _qubit_methods(m), samples, seed)
+    return _worst_cases(code_kraus(kraus @ code.basis), code, samples, seed)

@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import QuantumChannel, _check_budget, _kron_power, complete_to_tp
+from .channels import (
+    QuantumChannel,
+    _check_budget,
+    _kron_power,
+    _prune,
+    complete_to_tp,
+)
 from .codes import CodeSpace, _su_generators
-from .conditions import build_r_perf, check_perfect_qec
-from .exceptions import ParamOutOfRange
-from .linalg import hermitian_eig
+from .conditions import PERFECT_TOL
+from .exceptions import CertificateInvalid, DimensionMismatch, ParamOutOfRange
+from .linalg import RANK_TOL, hermitian_eig
 
 _PAULI = dict(zip("IXYZ", [np.eye(2, dtype=complex)] + _su_generators(2)))
 
@@ -34,13 +40,19 @@ def basis_state(bits: str) -> np.ndarray:
     return v
 
 
+def _check_gamma(gamma: float, closed: bool = True) -> None:
+    """Raise ParamOutOfRange unless gamma lies in [0, 1], or in [0, 1)
+    when not closed."""
+    if not (0.0 <= gamma <= 1.0 and (closed or gamma < 1.0)):
+        raise ParamOutOfRange(f"gamma = {gamma} outside [0, 1{']' if closed else ')'}")
+
+
 def amplitude_damping(gamma: float) -> QuantumChannel:
     """Single-qubit energy relaxation with decay probability gamma:
 
         E0 = diag(1, sqrt(1 - gamma)),  E1 = sqrt(gamma) |0><1|.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ParamOutOfRange(f"gamma = {gamma} outside [0, 1]")
+    _check_gamma(gamma)
     e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     e1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return QuantumChannel([e0, e1])
@@ -97,8 +109,7 @@ def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     """n-qubit amplitude damping truncated to at most one damping event:
     the no-damping operator E0^(x n) plus the n single-damping terms.
     Trace decreasing for gamma > 0."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ParamOutOfRange(f"gamma = {gamma} outside [0, 1]")
+    _check_gamma(gamma)
     ad = amplitude_damping(gamma)
     e0, e1 = ad.kraus
     ops = []
@@ -133,8 +144,7 @@ def leung_recovery(gamma: float) -> QuantumChannel:
     The gamma argument is accepted for interface symmetry with the other
     recoveries; the map itself is gamma independent apart from validation.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ParamOutOfRange(f"gamma = {gamma} outside [0, 1)")
+    _check_gamma(gamma, closed=False)
     code = leung_code()
     v0, v1 = code.basis[:, 0], code.basis[:, 1]
     sector = [basis_state(b) for b in ("0000", "1111", "0011", "1100")]
@@ -172,6 +182,31 @@ def five_qubit_code_only() -> CodeSpace:
     return CodeSpace.from_vectors([v0, v1])
 
 
+def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
+    """Kraus operators of five_qubit_noise for each gamma times basis
+    (32, c), stacked (G, 6, 32, c).  The Paulis of weight at most one act
+    on basis one qubit axis at a time, once per call."""
+    for gamma in gammas:
+        _check_gamma(gamma)
+    cube = basis.reshape((2,) * 5 + (-1,))
+    paulis = np.stack([basis] + [
+        np.moveaxis(np.tensordot(_PAULI[p], cube, axes=(1, k)), 0, k).reshape(basis.shape)
+        for p in "ZXY" for k in range(5)
+    ])
+    gammas = np.asarray(gammas, dtype=float)
+    a = (1.0 + np.sqrt(1.0 - gammas)) / 2.0
+    b = (1.0 - np.sqrt(1.0 - gammas)) / 2.0
+    damp = a**4 * np.sqrt(gammas) / 2.0
+    k = np.arange(5)
+    # coefficients over I, Z_1..Z_5, X_1..X_5, Y_1..Y_5
+    c = np.zeros((len(gammas), 6, 16), dtype=complex)
+    c[:, 0, 0] = a**5
+    c[:, 0, 1:6] = (a**4 * b)[:, None]
+    c[:, 1 + k, 6 + k] = damp[:, None]
+    c[:, 1 + k, 11 + k] = 1j * damp[:, None]
+    return np.tensordot(c, paulis, axes=1)
+
+
 def five_qubit_noise(gamma: float) -> QuantumChannel:
     """Single-qubit-error content of five-fold amplitude damping.
 
@@ -187,26 +222,7 @@ def five_qubit_noise(gamma: float) -> QuantumChannel:
     from five_qubit_code satisfies the perfect correction conditions for
     this CP (trace-decreasing) channel at every gamma.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ParamOutOfRange(f"gamma = {gamma} outside [0, 1]")
-    a = (1.0 + np.sqrt(1.0 - gamma)) / 2.0
-    b = (1.0 - np.sqrt(1.0 - gamma)) / 2.0
-    n = 5
-    k0 = a**n * pauli_string("I" * n)
-    for k in range(n):
-        z = "".join("Z" if j == k else "I" for j in range(n))
-        k0 = k0 + a ** (n - 1) * b * pauli_string(z)
-    ops = [k0]
-    for k in range(n):
-        x = "".join("X" if j == k else "I" for j in range(n))
-        y = "".join("Y" if j == k else "I" for j in range(n))
-        ops.append(
-            a ** (n - 1)
-            * np.sqrt(gamma)
-            * (pauli_string(x) + 1j * pauli_string(y))
-            / 2.0
-        )
-    return QuantumChannel(ops)
+    return QuantumChannel(_five_qubit_noise_on([gamma], np.eye(32))[0])
 
 
 def complete_to_mixed_code(
@@ -225,16 +241,66 @@ def complete_to_mixed_code(
     return QuantumChannel(ops)
 
 
+def five_qubit_recovery_grid(gammas, code: CodeSpace) -> np.ndarray:
+    """five_qubit_recovery for each gamma, in the coordinates of a code
+    (normally five_qubit_code_only): a (G, R, d, 32) stack of W^dag R_j,
+    W the code isometry, padded with zero operators to a common R.
+
+    Per gamma this is build_r_perf after check_perfect_qec on
+    five_qubit_noise, completed by complete_to_mixed_code.  With
+    M_i = E_i W, alpha = tr(M_i^dag M_j) / d = u diag(vals) u^dag; each
+    vals_k above RANK_TOL * max(vals) gives W^dag R_k = G_k^(-1/2)
+    (F_k W)^dag, F_k = sum_i u_ik E_i and G_k = (F_k W)^dag (F_k W), which
+    is build_r_perf's (A^dag A)^(-1/2) A^dag for A = F_k P seen from the
+    code.  Each eigenpair (lam, phi) of the defect I - sum_k R_k^dag R_k
+    with lam > 1e-8 adds sqrt(lam / d) e_a phi^dag, a = 1..d.  Neither
+    map depends on the eigenvectors chosen inside a degenerate
+    eigenspace.  Raises ParamOutOfRange for gamma outside [0, 1] and
+    CertificateInvalid when a gamma's pair misses the perfect correction
+    conditions by more than PERFECT_TOL.
+    """
+    if code.ambient_dim != 32:
+        raise DimensionMismatch(
+            f"the five-qubit recovery needs a code in dim 32, got {code.ambient_dim}"
+        )
+    g, d = len(gammas), code.code_dim
+    m = _five_qubit_noise_on(gammas, code.basis)
+    wide = np.moveaxis(m, 1, 2).reshape(g, 32, 6 * d)
+    prods = (wide.conj().swapaxes(-1, -2) @ wide).reshape(g, 6, d, 6, d).swapaxes(2, 3)
+    alpha = np.trace(prods, axis1=-2, axis2=-1) / d
+    dev = np.abs(prods - alpha[..., None, None] * np.eye(d))
+    residual = dev.reshape(g, -1).max(axis=1)
+    bad = np.flatnonzero(residual > PERFECT_TOL)
+    if bad.size:
+        raise CertificateInvalid(
+            f"residual {residual[bad[0]]:.3e} exceeds tolerance {PERFECT_TOL:.3e}"
+        )
+    vals, u = np.linalg.eigh((alpha + alpha.conj().swapaxes(-1, -2)) / 2.0)
+    keep = vals > RANK_TOL * np.maximum(vals[:, -1:], 0.0)
+    fw = (u.swapaxes(-1, -2) @ m.reshape(g, 6, -1)).reshape(m.shape)
+    fw_dag = fw.conj().swapaxes(-1, -2)
+    lam, v = np.linalg.eigh(fw_dag @ fw_dag.conj().swapaxes(-1, -2))
+    weight = np.where(lam > RANK_TOL * lam[..., -1:], lam, np.inf) ** -0.5
+    ops = (v * weight[..., None, :]) @ v.conj().swapaxes(-1, -2) @ fw_dag
+    ops[~keep] = 0.0
+
+    flat = ops.reshape(g, -1, 32)
+    lam, phi = np.linalg.eigh(np.eye(32) - flat.conj().swapaxes(-1, -2) @ flat)
+    used = np.flatnonzero((lam > 1e-8).any(axis=0))
+    amp = np.sqrt(np.where(lam[:, used] > 1e-8, lam[:, used], 0.0) / d)
+    rows = amp[..., None] * phi[:, :, used].conj().swapaxes(-1, -2)
+    fill = np.eye(d)[:, :, None] * rows[:, :, None, None, :]
+    return np.concatenate([ops, fill.reshape(g, -1, d, 32)], axis=1)
+
+
 def five_qubit_recovery(gamma: float) -> QuantumChannel:
     """TP-completed standard recovery for the five-qubit code against the
     single-error channel at this gamma.  Syndromes outside the corrected
     set (two or more damping events) are discarded and replaced by the
     maximally mixed code state."""
     code = five_qubit_code_only()
-    noise = five_qubit_noise(gamma)
-    cert = check_perfect_qec(noise, code)
-    recovery = build_r_perf(cert, noise, code)
-    return complete_to_mixed_code(recovery, code)
+    stack = code.basis @ five_qubit_recovery_grid([gamma], code)[0]
+    return QuantumChannel(_prune(list(stack)))
 
 
 def example5_channel(

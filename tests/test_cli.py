@@ -400,3 +400,120 @@ def test_sweep_over_kraus_budget_exits_3(tmp_path, capsys):
                    "--gamma-stop", "0.1", "--out", str(tmp_path / "s.csv")])
         assert rc == 3
         assert "budget" in _one_error_line(capsys)
+
+
+def _original_five_qubit_recovery(gamma):
+    from aqec import (
+        build_r_perf,
+        check_perfect_qec,
+        complete_to_mixed_code,
+        five_qubit_code_only,
+        five_qubit_noise,
+    )
+
+    code, single = five_qubit_code_only(), five_qubit_noise(gamma)
+    cert = check_perfect_qec(single, code)
+    return complete_to_mixed_code(build_r_perf(cert, single, code), code)
+
+
+def test_sweep_fixed_recovery_curves_match_per_gamma_reference(tmp_path):
+    from aqec import (
+        five_qubit_code_only,
+        leung_code,
+        leung_recovery,
+        qubit_space,
+        worst_case_fidelity,
+    )
+
+    code3 = random_code(8, 3, 21)
+    code_file = tmp_path / "code3.json"
+    code_file.write_text(json.dumps(code_to_json(code3)))
+    # curve -> (code, qubits, recovery at gamma; None for no recovery)
+    cases = {
+        "ad:identity": (qubit_space(), 1, lambda g: None),
+        "leung41:leung": (leung_code(), 4, leung_recovery),
+        "five513:rperf": (five_qubit_code_only(), 5, _original_five_qubit_recovery),
+        f"file={code_file}:identity": (code3, 3, lambda g: None),
+    }
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--gamma-stop", "0.9", "--gamma-step", "0.15",
+            "--samples", "2000", "--seed", "5", "--out", str(out)]
+    for spec in cases:
+        argv += ["--curve", spec]
+    assert main(argv) == 0
+    table = _sweep_table(out)
+    assert len(table) == 7 * len(cases)
+    for gamma, spec, f2, _, eta, method, count, _ in table:
+        code, n, recovery = cases[spec]
+        noise = tensor_power(amplitude_damping(float(gamma)), n)
+        ref = worst_case_fidelity(noise, recovery(float(gamma)), code,
+                                  samples=2000, seed=5)
+        assert abs(float(f2) - ref.f2_min) <= 1e-12
+        assert abs(float(eta) - ref.eta) <= 1e-12
+        assert method == ref.method
+        assert count == ("2000" if method == "sampled" else "exact")
+
+
+def test_default_sweep_equals_split_calls(tmp_path):
+    gammas = [round(0.01 * k, 12) for k in range(51)]
+    whole = tmp_path / "whole.csv"
+    assert main(["sweep", "--out", str(whole)]) == 0
+    parts = []
+    for i in range(5):
+        chunk = gammas[i * 11:(i + 1) * 11]
+        out = tmp_path / f"part{i}.csv"
+        assert main(["sweep", "--gamma-start", repr(chunk[0]),
+                     "--gamma-stop", repr(chunk[-1]), "--out", str(out)]) == 0
+        parts += _sweep_table(out)
+    parts.sort(key=lambda r: (r[1], float(r[0])))
+    rows = _sweep_table(whole)
+    assert len(rows) == len(parts) == 4 * 51
+    for a, b in zip(rows, parts):
+        assert a[:2] == b[:2] and a[5:] == b[5:]
+        for col in (2, 3, 4):
+            assert abs(float(a[col]) - float(b[col])) <= 1e-14
+
+
+def test_seven_qubit_transpose_sweep_beyond_32_gammas(tmp_path):
+    from aqec import amplitude_damping_power, transpose_fidelity_grid
+
+    code = random_code(128, 2, 7)
+    code_file = tmp_path / "code7.json"
+    code_file.write_text(json.dumps(code_to_json(code)))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--curve", f"file={code_file}:transpose",
+                 "--gamma-stop", "0.32", "--out", str(out)]) == 0
+    table = _sweep_table(out)
+    assert len(table) == 33
+    for row in (table[0], table[17], table[-1]):
+        [ref] = transpose_fidelity_grid(amplitude_damping_power([float(row[0])], 7), code)
+        assert abs(float(row[2]) - ref.f2_min) <= 1e-12
+        assert row[5] == ref.method
+
+
+def test_leung_sweep_rejects_gamma_one(tmp_path, capsys):
+    rc = main(["sweep", "--curve", "leung41:leung", "--gamma-start", "0.9",
+               "--gamma-stop", "1.0", "--gamma-step", "0.1",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 3
+    assert "outside [0, 1)" in _one_error_line(capsys)
+
+
+def test_bad_metric_rejected_before_scoring(tmp_path, capsys):
+    out, best = tmp_path / "s.csv", tmp_path / "b.json"
+    for metric in ("f2_at:abc", "f2_at:nan", "bogus"):
+        rc = main(["search", "--qubits", "2", "--codes", "1", "--metric", metric,
+                   "--out", str(out), "--best-out", str(best)])
+        assert rc == 2
+        assert "metric" in _one_error_line(capsys)
+        assert not out.exists() and not best.exists()
+
+
+def test_check_rejects_bad_epsilon(tmp_path, capsys):
+    ch, code = tmp_path / "ch.json", tmp_path / "code.json"
+    ch.write_text(json.dumps(channel_to_json(bit_flip_channel(0.1))))
+    code.write_text(json.dumps(code_to_json(bit_flip_code())))
+    for eps in ("nan", "inf", "-0.1"):
+        assert main(["check", str(ch), str(code), f"--epsilon={eps}"]) == 2
+        assert "epsilon" in _one_error_line(capsys)
+    assert main(["check", str(ch), str(code), "--epsilon", "0"]) == 0
