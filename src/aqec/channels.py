@@ -142,26 +142,18 @@ def adjoint(e: QuantumChannel) -> QuantumChannel:
     return QuantumChannel([k.conj().T for k in e.kraus])
 
 
-def _kron_power(stack: np.ndarray, n: int) -> np.ndarray:
-    """All n-fold Kronecker products of a Kraus stack (..., K, m, l), in
-    lexicographic index order (first factor most significant), batched
-    over leading axes; shape (..., K^n, m^n, l^n)."""
-    *lead, k, rows, cols = stack.shape
-    ops = stack
-    for p in range(2, n + 1):
-        ops = np.einsum("...aij,...bkl->...abikjl", ops, stack).reshape(
-            *lead, k**p, rows**p, cols**p
-        )
-    return ops
-
-
 def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
     """n independent copies of e; Kraus operators are all n-fold tensor
     products in lexicographic index order (first factor most significant)."""
     if n < 1:
         raise DimensionMismatch(f"tensor power needs n >= 1, got {n}")
     _check_budget(e.n_kraus**n, e.dims_out**n, e.dims_in**n)
-    return QuantumChannel(_prune(list(_kron_power(e._stack, n))))
+    ops = e._stack
+    for p in range(2, n + 1):
+        ops = np.einsum("aij,bkl->abikjl", ops, e._stack).reshape(
+            e.n_kraus**p, e.dims_out**p, e.dims_in**p
+        )
+    return QuantumChannel(_prune(list(ops)))
 
 
 def tp_defect(e: QuantumChannel) -> float:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import json
 import math
 import os
@@ -40,17 +39,11 @@ from .channels import channel_from_json
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
 from .conditions import aqec_diagnostics
 from .exceptions import AqecError
-from .fidelity import (
-    SAMPLED,
-    WorstCaseResult,
-    _compose_on_code,
-    _worst_cases,
-    transpose_fidelity_grid,
-)
+from .fidelity import SAMPLED, WorstCaseResult, _compose_on_code, _worst_cases
 from .models import (
     MODEL_REGISTRY,
     _check_gamma,
-    amplitude_damping_power,
+    _damping_on,
     five_qubit_code_only,
     five_qubit_recovery_grid,
     leung_code,
@@ -205,12 +198,13 @@ def _curve_results(
 ) -> list[WorstCaseResult]:
     """Worst case of recovery after n-qubit amplitude damping at each gamma.
 
-    The noise enters only as M_i = E_i W, built one gamma at a time, so no
-    ambient grid is held; every curve is one code-basis Kraus stack over
-    the grid, scored in one call.
+    The noise enters only as M_i = E_i W, built for the whole grid in one
+    call with no ambient operator formed; every curve is one code-basis
+    Kraus stack over the grid, scored in one call.
     """
-    n, w = _n_qubits_for(code), code.basis
-    m = np.stack([amplitude_damping_power([g], n)[0] @ w for g in gammas])
+    _n_qubits_for(code)  # exit 2 unless the code lives on qubits
+    w = code.basis
+    m = _damping_on(gammas, w)
     if recovery_name == "transpose":
         k = code_kraus(m)
     elif recovery_name == "identity":
@@ -268,27 +262,19 @@ def cmd_sweep(config: SweepConfig) -> None:
     _write_csv(config.out, config.to_json_dict(), header, rows)
 
 
-@functools.lru_cache(maxsize=1)
-def _damping_grid(gammas: tuple, n_qubits: int) -> np.ndarray:
-    """n-qubit damping Kraus stack for the grid, built once per process."""
-    stack = amplitude_damping_power(gammas, n_qubits)
-    stack.flags.writeable = False
-    return stack
-
-
 def _search_one(args: tuple) -> tuple[int, int, list[tuple[float, float]]]:
-    # One code over the whole gamma grid; codes are never batched together,
-    # so a code's values do not depend on which codes share its worker.
+    # One code scored as a file=...:transpose sweep curve; codes are never
+    # batched together, so a code's values do not depend on its worker.
     index, code_seed, n_qubits, code_dim, gammas, samples = args
     code = random_code(2**n_qubits, code_dim, code_seed)
-    noise = _damping_grid(tuple(gammas), n_qubits)
-    results = transpose_fidelity_grid(noise, code, samples=samples, seed=code_seed)
+    results = _curve_results("transpose", code, gammas, samples, code_seed)
     return index, code_seed, [(g, res.f2_min) for g, res in zip(gammas, results)]
 
 
-def _metric_target(metric: str) -> float | None:
-    """The gamma of an f2_at:<gamma> metric, None for min_f2.  Raises
-    UserConfigError for any other metric or a non-finite gamma."""
+def _metric_target(metric: str, gammas: list[float]) -> int | None:
+    """The grid index of an f2_at:<gamma> metric, None for min_f2.  Raises
+    UserConfigError for any other metric, a non-finite gamma or a gamma
+    that, rounded to 12 decimals as the grid is, is not a grid point."""
     if metric == "min_f2":
         return None
     head, _, value = metric.partition(":")
@@ -300,13 +286,15 @@ def _metric_target(metric: str) -> float | None:
         raise UserConfigError(
             f"unknown metric '{metric}'; use min_f2 or f2_at:<finite gamma>"
         )
-    return target
+    if round(target, 12) not in gammas:
+        raise UserConfigError(f"metric '{metric}' names no point of the gamma grid")
+    return gammas.index(round(target, 12))
 
 
-def _metric_value(target: float | None, values: list[tuple[float, float]]) -> float:
+def _metric_value(target: int | None, values: list[tuple[float, float]]) -> float:
     if target is None:
         return min(v for _, v in values)
-    return min(values, key=lambda gv: abs(gv[0] - target))[1]
+    return values[target][1]
 
 
 def cmd_search(config: SearchConfig) -> None:
@@ -314,9 +302,11 @@ def cmd_search(config: SearchConfig) -> None:
         raise UserConfigError("need at least one code")
     if config.n_qubits not in (2, 3, 4, 5):
         raise UserConfigError("n_qubits must be between 2 and 5")
+    if not 1 <= config.code_dim <= 2**config.n_qubits:
+        raise UserConfigError(f"code_dim must be between 1 and 2^n_qubits, got {config.code_dim}")
     _check_sampling(config.samples, config.seed)
-    target = _metric_target(config.metric)
     gammas = config.gammas()
+    target = _metric_target(config.metric, gammas)
     rng = np.random.default_rng(config.seed)
     code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=config.n_codes)]
     jobs = [
@@ -426,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--samples", type=int, default=20_000)
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--metric", default="min_f2",
-                        help="min_f2 (default) or f2_at:<gamma>")
+                        help="min_f2 (default) or f2_at:<gamma>, gamma a grid point")
     search.add_argument("--out", default="search.csv")
     search.add_argument("--best-out", default="best_code.json")
     search.add_argument("--config", help="JSON file overriding the flags above")

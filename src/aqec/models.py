@@ -12,7 +12,6 @@ import numpy as np
 from .channels import (
     QuantumChannel,
     _check_budget,
-    _kron_power,
     _prune,
     complete_to_tp,
 )
@@ -58,6 +57,33 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
     return QuantumChannel([e0, e1])
 
 
+def _damping_on(gammas, basis: np.ndarray) -> np.ndarray:
+    """Kraus operators of n-qubit amplitude damping for each gamma times
+    basis (2^n, c), stacked (G, 2^n, 2^n, c), with no ambient operator
+    formed.
+
+    Reading the Kraus index a and the row x as bitstrings, row x of
+    E_a basis is coef(a, x) basis[a | x], coef the product in qubit order
+    of the single-qubit entries 1 or sqrt(1 - gamma) (a bit 0) and
+    sqrt(gamma) or 0 (a bit 1) at x's bit: each entry of E_a equals its
+    Kronecker product entry to the bit.  Raises ParamOutOfRange for gamma
+    outside [0, 1] and BudgetExceeded when one gamma's ambient Kraus set
+    is over the Kraus entry budget.
+    """
+    for gamma in gammas:
+        _check_gamma(gamma)
+    dim = basis.shape[0]
+    _check_budget(dim, dim, dim)
+    g = np.asarray(gammas, dtype=float)[:, None]
+    table = np.hstack([np.ones_like(g), np.sqrt(1.0 - g), np.sqrt(g), 0.0 * g])
+    table = table.reshape(-1, 2, 2)  # (gamma, a bit, x bit)
+    a, x = np.arange(dim)[:, None], np.arange(dim)[None, :]
+    coef = np.ones((len(g), dim, dim))
+    for bit in reversed(range(dim.bit_length() - 1)):  # first qubit first
+        coef = coef * table[:, (a >> bit) & 1, (x >> bit) & 1]
+    return coef[..., None] * basis[a | x]
+
+
 def amplitude_damping_power(gammas, n: int) -> np.ndarray:
     """Kraus operators of n-qubit amplitude damping for each gamma, stacked
     with shape (G, 2^n, 2^n, 2^n).
@@ -68,7 +94,7 @@ def amplitude_damping_power(gammas, n: int) -> np.ndarray:
     BudgetExceeded when the whole stack is over the Kraus entry budget.
     """
     _check_budget(len(gammas) * 2**n, 2**n, 2**n)
-    return _kron_power(np.stack([amplitude_damping(g)._stack for g in gammas]), n)
+    return _damping_on(gammas, np.eye(2**n, dtype=complex))
 
 
 def qubit_space() -> CodeSpace:
@@ -109,17 +135,8 @@ def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     """n-qubit amplitude damping truncated to at most one damping event:
     the no-damping operator E0^(x n) plus the n single-damping terms.
     Trace decreasing for gamma > 0."""
-    _check_gamma(gamma)
-    ad = amplitude_damping(gamma)
-    e0, e1 = ad.kraus
-    ops = []
-    for damp_at in range(-1, n):
-        factors = [e1 if k == damp_at else e0 for k in range(n)]
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        ops.append(op)
-    return QuantumChannel(ops)
+    ops = amplitude_damping_power([gamma], n)[0]
+    return QuantumChannel(ops[[0] + [1 << (n - 1 - k) for k in range(n)]])
 
 
 _LEUNG_DAMPED_IMAGES = {

@@ -517,3 +517,77 @@ def test_check_rejects_bad_epsilon(tmp_path, capsys):
         assert main(["check", str(ch), str(code), f"--epsilon={eps}"]) == 2
         assert "epsilon" in _one_error_line(capsys)
     assert main(["check", str(ch), str(code), "--epsilon", "0"]) == 0
+
+
+def test_f2_at_metric_must_name_a_grid_point(tmp_path, capsys):
+    out, best = tmp_path / "s.csv", tmp_path / "b.json"
+    args = ["search", "--qubits", "2", "--codes", "1", "--gamma-stop", "0.2",
+            "--gamma-step", "0.1", "--out", str(out), "--best-out", str(best)]
+    for metric in ("f2_at:5", "f2_at:0.15"):
+        assert main(args + ["--metric", metric]) == 2
+        assert "grid" in _one_error_line(capsys)
+        assert not out.exists() and not best.exists()
+    assert main(args + ["--metric", "f2_at:0.1"]) == 0
+    data = json.loads(best.read_text())
+    assert data["per_gamma"][1]["gamma"] == 0.1
+    assert data["metric_value"] == data["per_gamma"][1]["f2_worst"]
+    [row] = _sweep_table(out)
+    assert float(row[2]) == data["metric_value"]
+
+
+def test_search_rejects_code_dim_outside_ambient_space(tmp_path, capsys):
+    out, best = tmp_path / "s.csv", tmp_path / "b.json"
+    args = ["search", "--qubits", "2", "--codes", "1", "--gamma-stop", "0.1",
+            "--out", str(out), "--best-out", str(best)]
+    for dim in (0, 5):
+        assert main(args + ["--code-dim", str(dim)]) == 2
+        assert "code_dim" in _one_error_line(capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"code_dim": dim}))
+        assert main(args + ["--config", str(cfg)]) == 2
+        assert "code_dim" in _one_error_line(capsys)
+        assert not out.exists() and not best.exists()
+
+
+def test_search_rejects_gamma_above_one(tmp_path, capsys):
+    rc = main(["search", "--qubits", "2", "--codes", "1", "--gamma-stop", "1.2",
+               "--gamma-step", "0.1", "--out", str(tmp_path / "s.csv"),
+               "--best-out", str(tmp_path / "b.json")])
+    assert rc == 3
+    assert "outside [0, 1]" in _one_error_line(capsys)
+
+
+def test_search_scores_its_best_code_as_a_transpose_sweep_curve(tmp_path):
+    best = tmp_path / "best.json"
+    grid = ["--gamma-stop", "0.3", "--gamma-step", "0.05"]
+    assert main(["search", "--qubits", "3", "--codes", "3", "--seed", "2", *grid,
+                 "--out", str(tmp_path / "s.csv"), "--best-out", str(best)]) == 0
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--curve", f"file={best}:transpose", *grid,
+                 "--out", str(out)]) == 0
+    per_gamma = json.loads(best.read_text())["per_gamma"]
+    table = _sweep_table(out)
+    assert [float(row[0]) for row in table] == [p["gamma"] for p in per_gamma]
+    assert [float(row[2]) for row in table] == [p["f2_worst"] for p in per_gamma]
+
+
+def _peak_bytes(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_damping_built_on_the_code_keeps_memory_small():
+    # The ambient 5-qubit damping grid over 51 gammas alone is 26.7 MB.
+    from aqec import five_qubit_code_only
+    from aqec.cli import _curve_results, _search_one, gamma_grid
+
+    gammas = gamma_grid(0.0, 0.5, 0.01)
+    assert _peak_bytes(_search_one, (0, 11, 5, 2, gammas, 10)) < 20 * 2**20
+    code = five_qubit_code_only()
+    assert _peak_bytes(_curve_results, "identity", code, gammas, 10, 0) < 8 * 2**20

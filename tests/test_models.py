@@ -18,14 +18,16 @@ from aqec import (
     identity_channel,
     leung_code,
     leung_recovery,
+    amplitude_damping_power,
     random_code,
     tensor_power,
     tp_defect,
     transpose_channel,
+    truncated_damping_channel,
     worst_case_fidelity,
 )
 from aqec.exceptions import CertificateInvalid, ParamOutOfRange
-from aqec.models import basis_state, pauli_string
+from aqec.models import _damping_on, basis_state, pauli_string
 
 from properties import (
     check_damping_semigroup,
@@ -246,3 +248,46 @@ def test_example5_formula_only_for_d_at_least_3():
     assert abs(aqec_diagnostics(e, code, 0.1).eta - 0.09296) < 1e-5
     e, code = example5_channel(3, 0.1)
     assert abs(aqec_diagnostics(e, code, 0.1).eta - example5_eta_formula(3, 0.1)) < 1e-4
+
+
+def _kron_damping(gamma, n):
+    """The 2^n Kraus operators of n-qubit damping as np.kron products,
+    first qubit most significant."""
+    e = [np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex),
+         np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)]
+    ops = []
+    for a in range(2**n):
+        op = np.ones((1, 1), dtype=complex)
+        for k in range(n):
+            op = np.kron(op, e[(a >> (n - 1 - k)) & 1])
+        ops.append(op)
+    return np.stack(ops)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_damping_on_code_equals_kron_construction(n):
+    gammas = [0.0, 0.01, 0.37, 1.0]
+    bases = [np.eye(2**n, dtype=complex), random_code(2**n, 2, 40 + n).basis]
+    if n > 1:
+        bases.append(random_code(2**n, 3, 50 + n).basis)
+    ref = np.stack([_kron_damping(g, n) for g in gammas])
+    assert np.array_equal(amplitude_damping_power(gammas, n), ref)
+    for basis in bases:
+        m = _damping_on(gammas, basis)
+        assert m.shape == (4, 2**n, 2**n, basis.shape[1])
+        assert np.array_equal(m, ref @ basis)
+
+
+def test_truncated_damping_equals_kron_loop():
+    for gamma, n in [(0.0, 2), (0.2, 4), (0.37, 5), (1.0, 3)]:
+        e0, e1 = amplitude_damping(gamma).kraus
+        ops = []
+        for damp_at in range(-1, n):
+            factors = [e1 if k == damp_at else e0 for k in range(n)]
+            op = factors[0]
+            for f in factors[1:]:
+                op = np.kron(op, f)
+            ops.append(op)
+        assert np.array_equal(np.stack(truncated_damping_channel(gamma, n).kraus), ops)
+    with pytest.raises(ParamOutOfRange):
+        truncated_damping_channel(1.2, 3)
