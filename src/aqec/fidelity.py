@@ -19,7 +19,12 @@ and chooses the method:
 - For d > 2 only a sampled estimate (an upper bound on the true minimum)
   is provided: the forms are minimised over one shared set of
   Haar-random code states, then all are refined together from their
-  best samples by batched Riemannian Newton (_refine_forms).
+  best samples by batched Riemannian Newton (_refine_forms).  The
+  sampler (_min_forms_sampled) scores cache-sized blocks of states in
+  real arithmetic: each state's coefficients s come from the pair
+  products of the real and imaginary parts of its unnormalised draw,
+  divided by its squared norm, and only each form's best state is made
+  complex.
 
 The module needs only numpy.
 """
@@ -433,7 +438,21 @@ def _refine_forms(
 
 
 _CHUNK = 65536  # states per draw; the draws make the sample stream of a seed
-_EVAL_BLOCK = 1 << 18  # entries of s @ Q held at once, for a block of samples
+_ROW_BLOCK = 2048  # states scored at once, so that every temporary stays in cache
+_FORM_BLOCK = 4  # forms whose Q_g s are held at once, for a block of states
+
+
+def _pair_coefficients(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs j <= k of C^d and the real matrix coef (d^2, d^2) with
+    z^dag g_a z = sum_p coef[a, p] pairs_p for z = x + i y, g_a the code
+    operator basis, where the pairs are P_jk = x_j x_k + y_j y_k for every
+    j <= k, then Q_jk = x_j y_k - y_j x_k for every j < k: conj(z_j) z_k =
+    P_jk + i Q_jk and each g_a is Hermitian.  Returns j, k and coef."""
+    g = _code_operator_basis(d)
+    j, k = np.triu_indices(d)
+    off = j < k
+    return j, k, np.hstack([np.where(off, 2.0, 1.0) * g[:, j, k].real,
+                            -2.0 * g[:, j[off], k[off]].imag])
 
 
 def _min_forms_sampled(
@@ -443,10 +462,17 @@ def _min_forms_sampled(
     stack q of shape (G, d^2, d^2), s the state's coefficients over the
     code operator basis (s_0 = 1).
 
-    All forms share one set of n Haar-random states (drawn from seed);
-    all are then refined at once by _refine_forms, each from its own best
-    sample.  Returns the values (G,) and the code-coefficient vectors
-    (G, d); each value is the best seen, an upper bound on the true
+    All forms share one set of n Haar-random states c = z / |z|, z = x + i y
+    with x and y standard normal, drawn from seed _CHUNK states at a time
+    (the real parts of a chunk, then its imaginary parts) into two buffers
+    held for the call.  The draws are scored _ROW_BLOCK states at a time in
+    real arithmetic, s = coef @ pairs / |z|^2 from the pair products of x
+    and y (_pair_coefficients), with Q_g s held for _FORM_BLOCK forms at a
+    time, so that no complex state, outer product or chunk-sized temporary
+    is formed; only the best sample of each form is made a complex unit
+    vector.  All forms are then refined at once by _refine_forms, each from
+    its own best sample.  Returns the values (G,) and the code-coefficient
+    vectors (G, d); each value is the best seen, an upper bound on the true
     minimum.
     """
     if n < 1:
@@ -454,30 +480,39 @@ def _min_forms_sampled(
     q = (q + q.swapaxes(-1, -2)) / 2.0
     forms, dim, _ = q.shape
     d = int(round(np.sqrt(dim)))
-    gens_t = _code_operator_basis(d).reshape(dim, dim).T
-    wide = q.swapaxes(0, 1).reshape(dim, forms * dim)
-    rows = max(1, _EVAL_BLOCK // (forms * dim))
+    j, k, coef = _pair_coefficients(d)
+    jo, ko = j[j < k], k[j < k]
+    # row (g, a) of a group is Q_g[a]
+    q_groups = [q[g : g + _FORM_BLOCK].reshape(-1, dim) for g in range(0, forms, _FORM_BLOCK)]
     cols = np.arange(forms)
     rng = np.random.default_rng(seed)
+    xs, ys = np.empty((2, min(n, _CHUNK), d))
     best = np.full(forms, np.inf)
     best_c = np.zeros((forms, d), dtype=complex)
     remaining = n
     while remaining > 0:
         batch = min(_CHUNK, remaining)
         remaining -= batch
-        z = rng.standard_normal((batch, d)) + 1j * rng.standard_normal((batch, d))
-        cs = z / np.linalg.norm(z, axis=1, keepdims=True)
-        for lo in range(0, batch, rows):
-            cb = cs[lo : lo + rows]
-            # s_a = c^dag g_a c for every sample c of the block at once
-            outer = (cb.conj()[:, :, None] * cb[:, None, :]).reshape(len(cb), dim)
-            s = (outer @ gens_t).real
-            vals = np.einsum("nga,na->ng", (s @ wide).reshape(len(cb), forms, dim), s)
-            idx = np.argmin(vals, axis=0)
-            low_vals = vals[idx, cols]
+        rng.standard_normal(out=xs[:batch])
+        rng.standard_normal(out=ys[:batch])
+        for lo in range(0, batch, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, batch)
+            # one state per column
+            x, y = xs[lo:hi].T.copy(), ys[lo:hi].T.copy()
+            pairs = np.vstack([x[j] * x[k] + y[j] * y[k], x[jo] * y[ko] - y[jo] * x[ko]])
+            s = coef @ pairs
+            s /= s[0]  # s_0 = |z|^2 before this division
+            vals = np.concatenate([
+                np.einsum("gan,an->gn", (qg @ s).reshape(-1, dim, hi - lo), s)
+                for qg in q_groups
+            ])
+            idx = np.argmin(vals, axis=1)
+            low_vals = vals[cols, idx]
             low = low_vals < best
             best[low] = low_vals[low]
-            best_c[low] = cs[lo + idx[low]]
+            win = lo + idx[low]
+            z = xs[win] + 1j * ys[win]
+            best_c[low] = z / np.linalg.norm(z, axis=1, keepdims=True)
     f_ref, c_ref = _refine_forms(q, best_c, refine_iters)
     keep = f_ref <= best
     return np.where(keep, f_ref, best), np.where(keep[:, None], c_ref, best_c)

@@ -57,28 +57,30 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
     return QuantumChannel([e0, e1])
 
 
-def _damping_on(gammas, basis: np.ndarray) -> np.ndarray:
+def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
     """Kraus operators of n-qubit amplitude damping for each gamma times
-    basis (2^n, c), stacked (G, 2^n, 2^n, c), with no ambient operator
-    formed.
+    basis (2^n, c), stacked (G, K, 2^n, c), with no ambient operator
+    formed: the operators of the Kraus indices in kraus, or all K = 2^n
+    of them when kraus is None.
 
     Reading the Kraus index a and the row x as bitstrings, row x of
     E_a basis is coef(a, x) basis[a | x], coef the product in qubit order
     of the single-qubit entries 1 or sqrt(1 - gamma) (a bit 0) and
     sqrt(gamma) or 0 (a bit 1) at x's bit: each entry of E_a equals its
     Kronecker product entry to the bit.  Raises ParamOutOfRange for gamma
-    outside [0, 1] and BudgetExceeded when one gamma's ambient Kraus set
-    is over the Kraus entry budget.
+    outside [0, 1] and BudgetExceeded when the K ambient operators of one
+    gamma are over the Kraus entry budget.
     """
     for gamma in gammas:
         _check_gamma(gamma)
     dim = basis.shape[0]
-    _check_budget(dim, dim, dim)
+    a = np.arange(dim) if kraus is None else np.asarray(kraus)
+    _check_budget(len(a), dim, dim)
     g = np.asarray(gammas, dtype=float)[:, None]
     table = np.hstack([np.ones_like(g), np.sqrt(1.0 - g), np.sqrt(g), 0.0 * g])
     table = table.reshape(-1, 2, 2)  # (gamma, a bit, x bit)
-    a, x = np.arange(dim)[:, None], np.arange(dim)[None, :]
-    coef = np.ones((len(g), dim, dim))
+    a, x = a[:, None], np.arange(dim)[None, :]
+    coef = np.ones((len(g), len(a), dim))
     for bit in reversed(range(dim.bit_length() - 1)):  # first qubit first
         coef = coef * table[:, (a >> bit) & 1, (x >> bit) & 1]
     return coef[..., None] * basis[a | x]
@@ -135,8 +137,8 @@ def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     """n-qubit amplitude damping truncated to at most one damping event:
     the no-damping operator E0^(x n) plus the n single-damping terms.
     Trace decreasing for gamma > 0."""
-    ops = amplitude_damping_power([gamma], n)[0]
-    return QuantumChannel(ops[[0] + [1 << (n - 1 - k) for k in range(n)]])
+    kraus = [0] + [1 << (n - 1 - k) for k in range(n)]
+    return QuantumChannel(_damping_on([gamma], np.eye(2**n, dtype=complex), kraus)[0])
 
 
 _LEUNG_DAMPED_IMAGES = {

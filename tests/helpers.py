@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library code paths they are used
 to check: the polar oracle goes through scipy's SVD, the fidelity oracle
 evaluates Kraus amplitudes on explicitly sampled states, and the two
 scalar sphere minimisers (a brentq secular solve and projected gradient
-descent) solve one form at a time what aqec.fidelity solves in batches.
+descent) solve one form at a time what aqec.fidelity solves in batches,
+and the reference sampler evaluates the same Haar sample stream as
+aqec.fidelity in complex arithmetic on normalised states.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from aqec import QuantumChannel, CodeSpace, haar_unitary
-from aqec.fidelity import _code_operator_basis
+from aqec.fidelity import REFINE_ITERS, _CHUNK, _code_operator_basis, _refine_forms
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -278,3 +280,43 @@ def sphere_quartic_min(
         if not improved:
             break
     return f, c
+
+
+def reference_min_forms_sampled(
+    q: np.ndarray, n: int, seed: int, refine_iters: int = REFINE_ITERS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled minimum of each form s^T Q_g s of a stack q (G, d^2, d^2):
+    the same draws as aqec.fidelity._min_forms_sampled (chunks of _CHUNK
+    states, the real parts then the imaginary parts), normalised as
+    complex vectors, s_a = c^dag g_a c formed from each state's complex
+    outer product, evaluated 2^18 entries of s @ Q at a time, the best
+    sample of each form then refined by _refine_forms."""
+    q = (q + q.swapaxes(-1, -2)) / 2.0
+    forms, dim, _ = q.shape
+    d = int(round(np.sqrt(dim)))
+    gens_t = _code_operator_basis(d).reshape(dim, dim).T
+    wide = q.swapaxes(0, 1).reshape(dim, forms * dim)
+    rows = max(1, (1 << 18) // (forms * dim))
+    cols = np.arange(forms)
+    rng = np.random.default_rng(seed)
+    best = np.full(forms, np.inf)
+    best_c = np.zeros((forms, d), dtype=complex)
+    remaining = n
+    while remaining > 0:
+        batch = min(_CHUNK, remaining)
+        remaining -= batch
+        z = rng.standard_normal((batch, d)) + 1j * rng.standard_normal((batch, d))
+        cs = z / np.linalg.norm(z, axis=1, keepdims=True)
+        for lo in range(0, batch, rows):
+            cb = cs[lo : lo + rows]
+            outer = (cb.conj()[:, :, None] * cb[:, None, :]).reshape(len(cb), dim)
+            s = (outer @ gens_t).real
+            vals = np.einsum("nga,na->ng", (s @ wide).reshape(len(cb), forms, dim), s)
+            idx = np.argmin(vals, axis=0)
+            low_vals = vals[idx, cols]
+            low = low_vals < best
+            best[low] = low_vals[low]
+            best_c[low] = cs[lo + idx[low]]
+    f_ref, c_ref = _refine_forms(q, best_c, refine_iters)
+    keep = f_ref <= best
+    return np.where(keep, f_ref, best), np.where(keep[:, None], c_ref, best_c)

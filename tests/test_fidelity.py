@@ -20,6 +20,7 @@ from aqec.conditions import _deviation_operators, _eta_form
 from aqec.exceptions import OutputLeavesCode, PreconditionViolated
 from aqec.fidelity import (
     REFINE_ITERS,
+    _code_operator_basis,
     _code_process_matrices,
     _min_forms,
     _min_forms_sampled,
@@ -34,6 +35,7 @@ from aqec.transpose import code_kraus
 from helpers import (
     bloch_samples,
     random_tp_channel,
+    reference_min_forms_sampled,
     random_unital_qubit_channel,
     scalar_min_quadratic_on_sphere,
     sphere_oracle_min_f2,
@@ -418,6 +420,65 @@ def test_refine_iters_zero_keeps_the_samples():
     for c in cs:
         assert np.min(np.max(np.abs(states - c), axis=1)) <= 1e-15
     assert np.all(refined <= vals) and np.any(refined < vals - 1e-6)
+
+
+def _random_forms(d, forms, seed):
+    a = np.random.default_rng(seed).standard_normal((forms, d * d, d * d))
+    return a + a.swapaxes(-1, -2)
+
+
+# n = 2049 crosses a row block, n = 65537 a draw chunk
+@pytest.mark.parametrize("refine_iters", [0, REFINE_ITERS])
+@pytest.mark.parametrize("n", [1, 2049, 65537])
+@pytest.mark.parametrize("forms", [1, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_sampler_matches_reference(d, forms, n, refine_iters):
+    q = _random_forms(d, forms, 100 * d + forms)
+    vals, cs = _min_forms_sampled(q, n, 7, refine_iters)
+    ref_vals, ref_cs = reference_min_forms_sampled(q, n, 7, refine_iters)
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-12
+    # the same best sample of each form, up to a phase
+    assert np.min(np.abs(np.sum(ref_cs.conj() * cs, axis=1))) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("refine_iters", [0, REFINE_ITERS])
+@pytest.mark.parametrize("d", [3, 4])
+def test_sampler_value_is_the_form_at_its_state(d, refine_iters):
+    q = _random_forms(d, 6, 200 + d)
+    vals, cs = _min_forms_sampled(q, 3000, 2, refine_iters)
+    gens = _code_operator_basis(d)
+    for qg, val, c in zip(q, vals, cs):
+        assert abs(np.linalg.norm(c) - 1.0) <= 1e-14
+        s = np.einsum("i,aij,j->a", c.conj(), gens, c).real
+        assert abs(val - s @ qg @ s) <= 1e-12
+
+
+def test_sampler_independent_of_row_block(monkeypatch):
+    q = _random_forms(3, 6, 300)
+    runs = {}
+    for rows in (1, 7, 2048):
+        monkeypatch.setattr("aqec.fidelity._ROW_BLOCK", rows)
+        runs[rows] = (_min_forms_sampled(q, 5000, 3),
+                      _min_forms_sampled(q, 5000, 3, refine_iters=0)[0])
+    (vals, cs), raw = runs[2048]
+    for (vals_b, cs_b), raw_b in runs.values():
+        assert np.max(np.abs(vals_b - vals)) <= 1e-14
+        assert np.min(np.abs(np.sum(cs.conj() * cs_b, axis=1))) >= 1 - 1e-14
+        assert np.max(np.abs(raw_b - raw)) <= 1e-14
+
+
+def test_sampler_memory_is_cache_sized():
+    # The parent's chunk-wide complex temporaries peaked at 21.4 MB here.
+    import tracemalloc
+
+    q = _random_forms(4, 1, 400)
+    tracemalloc.start()
+    try:
+        _min_forms_sampled(q, 100_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("d", [2, 3])

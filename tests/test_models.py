@@ -291,3 +291,15 @@ def test_truncated_damping_equals_kron_loop():
         assert np.array_equal(np.stack(truncated_damping_channel(gamma, n).kraus), ops)
     with pytest.raises(ParamOutOfRange):
         truncated_damping_channel(1.2, 3)
+
+
+def test_truncated_damping_builds_only_its_operators():
+    # All 2^9 damping operators of 9 qubits are over the Kraus entry budget;
+    # the truncated channel needs 10 of them.
+    gamma, n = 0.1, 9
+    ops = np.stack(truncated_damping_channel(gamma, n).kraus)
+    assert ops.shape == (n + 1, 2**n, 2**n)
+    weight = np.array([bin(x).count("1") for x in range(2**n)])
+    assert np.allclose(np.diagonal(ops[0]), np.sqrt(1.0 - gamma) ** weight, rtol=0, atol=1e-15)
+    # damping at the last qubit maps |x1> to sqrt(gamma) |x0>
+    assert abs(ops[n][0, 1] - np.sqrt(gamma)) <= 1e-15
