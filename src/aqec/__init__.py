@@ -26,14 +26,11 @@ from .channels import (
 )
 from .codes import (
     CodeSpace,
-    OperatorBasis,
     bloch_state,
     bloch_to_state_vector,
     code_from_json,
     code_to_json,
     haar_unitary,
-    operator_basis,
-    pauli_basis,
     random_code,
 )
 from .conditions import (
@@ -48,16 +45,7 @@ from .conditions import (
     near_optimality_bound_check,
     near_optimality_factor,
 )
-from .fidelity import (
-    ProcessMatrix,
-    WorstCaseResult,
-    process_matrix,
-    transpose_fidelity_grid,
-    worst_case_fidelity,
-    worst_fidelity_qubit_lagrange,
-    worst_fidelity_sampled,
-    worst_fidelity_unital_qubit,
-)
+from .fidelity import WorstCaseResult, transpose_fidelity_grid, worst_case_fidelity
 from .linalg import (
     EigenDecomposition,
     hermitian_eig,
@@ -73,7 +61,6 @@ from .models import (
     complete_to_mixed_code,
     example5_channel,
     example5_eta_formula,
-    five_qubit_code,
     five_qubit_code_only,
     five_qubit_noise,
     five_qubit_recovery,
@@ -95,20 +82,17 @@ __all__ = [
     "channel_to_json", "channels_equal", "choi", "complete_to_tp", "compose",
     "identity_channel", "minimal_kraus", "restricted_tp_factor", "tensor_power",
     "tp_defect",
-    "CodeSpace", "OperatorBasis", "bloch_state", "bloch_to_state_vector",
-    "code_from_json", "code_to_json", "haar_unitary", "operator_basis",
-    "pauli_basis", "random_code",
+    "CodeSpace", "bloch_state", "bloch_to_state_vector", "code_from_json",
+    "code_to_json", "haar_unitary", "random_code",
     "AqecDiagnostics", "NearOptimalityReport", "PerfectQecCertificate", "Verdict",
     "alternate_condition_residual", "aqec_diagnostics", "build_r_perf",
     "check_perfect_qec", "near_optimality_bound_check", "near_optimality_factor",
-    "ProcessMatrix", "WorstCaseResult", "process_matrix", "transpose_fidelity_grid",
-    "worst_case_fidelity", "worst_fidelity_qubit_lagrange",
-    "worst_fidelity_sampled", "worst_fidelity_unital_qubit",
+    "WorstCaseResult", "transpose_fidelity_grid", "worst_case_fidelity",
     "EigenDecomposition", "hermitian_eig", "inv_sqrt_on_support",
     "polar_unitary_on_support", "psd_sqrt",
     "amplitude_damping", "amplitude_damping_power", "bit_flip_channel",
     "bit_flip_code", "complete_to_mixed_code", "example5_channel",
-    "example5_eta_formula", "five_qubit_code", "five_qubit_code_only",
+    "example5_eta_formula", "five_qubit_code_only",
     "five_qubit_noise", "five_qubit_recovery", "five_qubit_recovery_grid",
     "leung_code", "leung_recovery",
     "qubit_space", "truncated_damping_channel",

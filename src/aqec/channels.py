@@ -255,7 +255,10 @@ def _matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
 
 
 def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"expected [re, im] pairs of numbers: {exc}") from exc
     if arr.shape != (rows * cols, 2):
         raise DimensionMismatch(
             f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}"

@@ -169,7 +169,8 @@ def _load_code_file(path: str) -> CodeSpace:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UserConfigError(f"cannot read code file {path}: {exc}") from exc
-    if "code" in data:  # accept best-code files from `search`
+    # accept best-code files from `search`
+    if isinstance(data, dict) and "code" in data:
         data = data["code"]
     return code_from_json(data)
 
@@ -222,6 +223,15 @@ def _csv_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to the file path; UserConfigError when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UserConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[str]]):
     lines = [f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
     lines.append(f"# config: {json.dumps(config_json, sort_keys=True)}")
@@ -231,8 +241,7 @@ def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(path, text)
 
 
 def cmd_sweep(config: SweepConfig) -> None:
@@ -313,7 +322,11 @@ def cmd_search(config: SearchConfig) -> None:
         (i, code_seeds[i], config.n_qubits, config.code_dim, gammas, config.samples)
         for i in range(config.n_codes)
     ]
-    workers = int(os.environ.get("AQEC_THREADS", "1"))
+    threads = os.environ.get("AQEC_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError as exc:
+        raise UserConfigError(f"AQEC_THREADS must be an integer, got {threads!r}") from exc
     results: list = [None] * config.n_codes
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -352,8 +365,7 @@ def cmd_search(config: SearchConfig) -> None:
         "per_gamma": [{"gamma": g, "f2_worst": v} for g, v in best_values],
         "code": code_to_json(best_code),
     }
-    with open(config.best_out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+    _write_file(config.best_out, json.dumps(payload, indent=1))
 
 
 def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None) -> None:
@@ -371,8 +383,7 @@ def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None
     payload["epsilon_f_epsilon_d"] = epsilon * diag.f_epsilon_d
     text = json.dumps(payload, indent=1)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_file(out, text + "\n")
     print(text)
 
 

@@ -1,4 +1,4 @@
-"""Subspace codes and operator bases on them.
+"""Subspace codes, Haar-random codes and qubit-code Bloch states.
 
 A code is a d-dimensional subspace of a D-dimensional Hilbert space,
 stored as the D x d isometry whose columns are an orthonormal basis.
@@ -11,8 +11,6 @@ JSON wire format::
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,15 +61,6 @@ class CodeSpace:
 
     def __repr__(self) -> str:
         return f"CodeSpace(ambient_dim={self.ambient_dim}, code_dim={self.code_dim})"
-
-
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Hermitian operator basis on a code: O_0 = identity-on-code, the rest
-    traceless, normalized to tr(O_a O_b) = d * delta_ab."""
-
-    elements: tuple
-    code: CodeSpace
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -133,35 +122,13 @@ def _su_generators(d: int) -> list[np.ndarray]:
     return gens
 
 
-def operator_basis(code: CodeSpace) -> OperatorBasis:
-    """Hermitian basis {O_a} on the code, lifted to ambient dimension.
-
-    For qubit codes this is exactly the code-space Pauli basis; for larger
-    d the traceless part consists of scaled SU(d) generators.
-    """
-    w = code.basis
-    d = code.code_dim
-    elements = [code.projector()]
-    for g in _su_generators(d):
-        elements.append(w @ g @ w.conj().T)
-    return OperatorBasis(tuple(elements), code)
-
-
-def pauli_basis(code: CodeSpace) -> OperatorBasis:
-    """Code-space Pauli basis {identity, sigma_x, sigma_y, sigma_z} built
-    from the two basis vectors |v1>, |v2>:
+def bloch_state(code: CodeSpace, s) -> np.ndarray:
+    """Density matrix (P + s . sigma) / 2 for a Bloch vector s, with the
+    code-space Paulis built from the basis vectors |v1>, |v2>:
 
         sigma_x = |v1><v2| + |v2><v1|
         sigma_y = -i(|v1><v2| - |v2><v1|)
         sigma_z = |v1><v1| - |v2><v2|
-    """
-    if code.code_dim != 2:
-        raise NotQubitCode(f"code dimension is {code.code_dim}, need 2")
-    return operator_basis(code)
-
-
-def bloch_state(code: CodeSpace, s) -> np.ndarray:
-    """Density matrix (P + s . sigma) / 2 for a Bloch vector s.
 
     Pure exactly when |s| = 1; s = 0 gives the maximally mixed code state.
     """
@@ -172,8 +139,9 @@ def bloch_state(code: CodeSpace, s) -> np.ndarray:
         raise DimensionMismatch("Bloch vector must have three components")
     if np.linalg.norm(s) > 1 + 1e-12:
         raise InvalidBloch(f"|s| = {np.linalg.norm(s):.12f} exceeds 1")
-    _, sx, sy, sz = pauli_basis(code).elements
-    return (code.projector() + s[0] * sx + s[1] * sy + s[2] * sz) / 2.0
+    w = code.basis
+    sigma = sum(x * g for x, g in zip(s, _su_generators(2)))
+    return (code.projector() + w @ sigma @ w.conj().T) / 2.0
 
 
 def bloch_to_state_vector(code: CodeSpace, s) -> np.ndarray:

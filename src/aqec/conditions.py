@@ -161,16 +161,13 @@ def check_perfect_qec(
 
 
 def build_r_perf(
-    cert: PerfectQecCertificate,
-    e: QuantumChannel,
-    code: CodeSpace,
-    rank_tol: float = RANK_TOL,
+    cert: PerfectQecCertificate, e: QuantumChannel, code: CodeSpace
 ) -> QuantumChannel:
     """Standard recovery for a certified pair: Kraus {P U_k^dag}.
 
     The rotated Kraus operators F_k = sum_i u_ik E_i satisfy
     F_k P = sqrt(d_kk) U_k P by polar decomposition; only components with
-    d_kk above the rank cutoff contribute.  For any code state rho,
+    d_kk above RANK_TOL * max(d_kk) contribute.  For any code state rho,
     (R_perf after e)(rho) = (sum_k d_kk) rho.  Such an A = F_k P has full
     rank on the code, so P U_k^dag = (A^dag A)^(-1/2) A^dag with the
     inverse square root taken on the code: the unitary's extension off the
@@ -184,13 +181,13 @@ def build_r_perf(
     p = code.projector()
     u = cert.rotation
     vals = cert.diag_values
-    cutoff = rank_tol * max(float(vals[-1]), 0.0)
+    cutoff = RANK_TOL * max(float(vals[-1]), 0.0)
     ops = []
     for k in range(len(vals)):
         if vals[k] <= cutoff:
             continue
         a = np.einsum("i,iab->ab", u[:, k], e._stack) @ p
-        b, _ = inv_sqrt_on_support(a.conj().T @ a, rank_tol)
+        b, _ = inv_sqrt_on_support(a.conj().T @ a)
         ops.append(b @ a.conj().T)
     if not ops:
         ops = [np.zeros((e.dims_in, e.dims_in), dtype=complex)]
@@ -198,10 +195,10 @@ def build_r_perf(
 
 
 def _deviation_operators(
-    e: QuantumChannel, code: CodeSpace, rank_tol: float
+    e: QuantumChannel, code: CodeSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """beta matrix and code-basis Delta operators, shape (N, N, d, d)."""
-    k_ops = code_kraus(e._stack @ code.basis, rank_tol)
+    k_ops = code_kraus(e._stack @ code.basis)
     d = code.code_dim
     beta = np.trace(k_ops, axis1=2, axis2=3) / d
     deltas = k_ops - beta[:, :, None, None] * np.eye(d)[None, None, :, :]
@@ -230,7 +227,6 @@ def aqec_diagnostics(
     code: CodeSpace,
     epsilon: float,
     *,
-    rank_tol: float = RANK_TOL,
     eta_samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> AqecDiagnostics:
@@ -258,7 +254,7 @@ def aqec_diagnostics(
         if factor == 1.0
         else QuantumChannel([k / np.sqrt(factor) for k in e.kraus])
     )
-    beta, deltas_code = _deviation_operators(work, code, rank_tol)
+    beta, deltas_code = _deviation_operators(work, code)
     nk = beta.shape[0]
     flat = deltas_code.reshape(nk * nk, d, d)
     s_mat = np.einsum("kab,kac->bc", flat.conj(), flat, optimize=True)
@@ -295,9 +291,7 @@ def aqec_diagnostics(
     )
 
 
-def alternate_condition_residual(
-    e: QuantumChannel, code: CodeSpace, rank_tol: float = RANK_TOL
-) -> float:
+def alternate_condition_residual(e: QuantumChannel, code: CodeSpace) -> float:
     """Largest operator norm among the deviation operators Delta_ij.
 
     Zero (within tolerance) exactly when check_perfect_qec succeeds; the
@@ -305,7 +299,7 @@ def alternate_condition_residual(
     Kraus representation.
     """
     _check_dims(e, code)
-    _, deltas = _deviation_operators(e, code, rank_tol)
+    _, deltas = _deviation_operators(e, code)
     return float(np.max(np.linalg.norm(deltas, 2, axis=(-2, -1))))
 
 

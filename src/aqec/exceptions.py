@@ -46,10 +46,6 @@ class ParamOutOfRange(AqecError):
     """Model parameter outside its valid range."""
 
 
-class OutputLeavesCode(AqecError):
-    """Channel output is not supported on the code space."""
-
-
 class PreconditionViolated(AqecError):
     """Solver called on input lacking a required structural property."""
 

@@ -26,7 +26,9 @@ and chooses the method:
   divided by its squared norm, and only each form's best state is made
   complex.
 
-The module needs only numpy.
+The public entry points are worst_case_fidelity, for one noise and
+recovery pair, and transpose_fidelity_grid, for transpose recovery over
+a stack of noise channels.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -36,14 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel
-from .codes import (
-    CodeSpace,
-    OperatorBasis,
-    _su_generators,
-    bloch_to_state_vector,
-    operator_basis,
-)
-from .exceptions import DimensionMismatch, OutputLeavesCode, PreconditionViolated
+from .codes import CodeSpace, _su_generators, bloch_to_state_vector
+from .exceptions import DimensionMismatch, PreconditionViolated
 from .transpose import code_kraus
 
 EXACT_UNITAL_QUBIT = "exact_unital_qubit"
@@ -53,17 +49,6 @@ SAMPLED = "sampled"
 FLAG_TOL = 1e-9
 DEFAULT_SAMPLES = 100_000
 REFINE_ITERS = 300
-
-
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Real matrix representation of a code-preserving map."""
-
-    m: np.ndarray
-    basis: OperatorBasis
-    code: CodeSpace
-    is_tp: bool
-    is_unital: bool
 
 
 @dataclass(frozen=True)
@@ -131,23 +116,10 @@ def _code_kraus_after(
 
 
 def _code_operator_basis(d: int) -> np.ndarray:
-    """operator_basis in code coordinates: identity, then the generators."""
+    """The code operator basis g_a in code coordinates: the identity, then
+    the traceless generators of _su_generators (the Paulis x, y, z for
+    d = 2), with tr(g_a g_b) = d delta_ab."""
     return np.stack([np.eye(d)] + _su_generators(d))
-
-
-def _check_leakage(m: np.ndarray, code: CodeSpace, leak_tol: float) -> None:
-    """Raise OutputLeavesCode when the map with ambient Kraus stack
-    m = {K_x W} sends a basis element O_b outside the code."""
-    gens = _code_operator_basis(code.code_dim)
-    imgs = np.einsum("xab,gbc,xdc->gad", m, gens, m.conj(), optimize=True)
-    p = code.projector()
-    leak = np.max(np.abs(imgs - p @ imgs @ p), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(imgs), axis=(1, 2)))
-    bad = np.flatnonzero(leak > leak_tol * scale)
-    if bad.size:
-        raise OutputLeavesCode(
-            f"channel output leaks outside the code (max leak {leak[bad[0]]:.3e})"
-        )
 
 
 def _tp_unital(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +140,8 @@ def _qubit_methods(m: np.ndarray) -> list[str]:
 def _code_process_matrices(k: np.ndarray) -> np.ndarray:
     """Process matrices of maps given by code-basis Kraus stacks.
 
-    k has shape (..., X, d, d).  With g_a the identity followed by the
-    generators of operator_basis, M_ab = tr(g_a Phi(g_b)) / d comes from
+    k has shape (..., X, d, d).  With g_a the code operator basis
+    (_code_operator_basis), M_ab = tr(g_a Phi(g_b)) / d comes from
     the superoperator S = sum_x K_x (x) conj(K_x) (row-major vec) as
     conj(G) S G^T / d, G holding vec(g_a) in its rows.  Raises
     PreconditionViolated when an entry has an imaginary part above 1e-8.
@@ -187,32 +159,6 @@ def _code_process_matrices(k: np.ndarray) -> np.ndarray:
             "map is not completely positive on Hermitian inputs"
         )
     return m.real
-
-
-def process_matrix(
-    phi: QuantumChannel,
-    code: CodeSpace,
-    *,
-    allow_leakage: bool = False,
-    leak_tol: float = FLAG_TOL,
-) -> ProcessMatrix:
-    """Process matrix M_ab = tr(O_a phi(O_b)) / d over the code basis.
-
-    Raises OutputLeavesCode when phi's output leaves the code beyond
-    tolerance (disable with allow_leakage when only fidelities are wanted,
-    which never see the leaked part).
-    """
-    if phi.dims_in != code.ambient_dim or phi.dims_out != code.ambient_dim:
-        raise PreconditionViolated(
-            f"channel dims ({phi.dims_in}->{phi.dims_out}) do not match "
-            f"ambient dimension {code.ambient_dim}"
-        )
-    m = phi._stack @ code.basis
-    if not allow_leakage:
-        _check_leakage(m, code, leak_tol)
-    pm = _code_process_matrices(code.basis.conj().T @ m)
-    is_tp, is_unital = _tp_unital(pm)
-    return ProcessMatrix(pm, operator_basis(code), code, bool(is_tp), bool(is_unital))
 
 
 _SECULAR_ITERS = 100
@@ -318,36 +264,6 @@ def _min_quadratic_on_sphere(
     return np.where(pick, val_easy, val_deg), np.where(pick[:, None], s_easy, s_deg)
 
 
-def worst_fidelity_unital_qubit(m: ProcessMatrix) -> WorstCaseResult:
-    """Exact worst-case fidelity for a TP, unital qubit map.
-
-    With T the 3x3 traceless block and N_sym its symmetrization, the
-    minimum squared fidelity is (1 + t_min)/2 where t_min is the smallest
-    eigenvalue of N_sym, attained at the matching unit Bloch vector: the
-    zero-linear-term case of the qubit solver.
-    """
-    if m.code.code_dim != 2:
-        raise PreconditionViolated("unital-qubit solver requires a qubit code")
-    if not (m.is_tp and m.is_unital):
-        raise PreconditionViolated(
-            "unital-qubit solver requires trace-preserving and unital flags"
-        )
-    return _min_forms(m.m[None] / 2.0, m.code, [EXACT_UNITAL_QUBIT])[0]
-
-
-def worst_fidelity_qubit_lagrange(m: ProcessMatrix) -> WorstCaseResult:
-    """Exact worst-case fidelity for a TP qubit map, unitality not assumed.
-
-    Minimizes s^T M_sym s over s = (1, bloch) with |bloch| = 1 via the
-    secular equation; certified global minimum.
-    """
-    if m.code.code_dim != 2:
-        raise PreconditionViolated("Lagrange solver requires a qubit code")
-    if not m.is_tp:
-        raise PreconditionViolated("Lagrange solver requires the TP flag")
-    return _min_forms(m.m[None] / 2.0, m.code, [LAGRANGE_QUBIT])[0]
-
-
 _HALVINGS = 30  # backtracking halvings before a form's refinement stops
 _MAX_STEP = 0.5  # longest Newton step, in radians on the unit sphere
 
@@ -386,10 +302,13 @@ def _refine_forms(
     steps are capped at _MAX_STEP and backtracked on the normalised
     retraction.  A form stops at a small gradient, when a full step could
     lower its value by no more than rounding, or when backtracking fails;
-    iters caps the iterations (0: no refinement).
+    iters caps the iterations (0: no refinement).  A d = 1 code has one
+    state up to phase, at which every form takes its value Q[0, 0].
     Returns the values (G,) and the code vectors (G, d).
     """
     forms, d = c.shape
+    if d == 1:
+        return q[:, 0, 0].copy(), c / np.abs(c)
     gam = _real_generators(d)
     eye = np.eye(2 * d)
     r = np.concatenate([c.real, c.imag], axis=1)
@@ -553,25 +472,6 @@ def _min_forms(
         WorstCaseResult(float(f), 1.0 - float(f), psi, None, SAMPLED, samples, seed)
         for f, psi in zip(vals, cs @ code.basis.T)
     ]
-
-
-def worst_fidelity_sampled(
-    phi: QuantumChannel,
-    code: CodeSpace,
-    n: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    *,
-    refine_iters: int = REFINE_ITERS,
-) -> WorstCaseResult:
-    """Sampled worst-case fidelity: minimum of F^2 over n Haar-random pure
-    code states, then local refinement from the best sample.
-
-    The returned value is an upper bound on the true minimum; deterministic
-    for a given seed.
-    """
-    m = _code_process_matrices(_code_kraus_after(phi, None, code))
-    [f2], [c] = _min_forms_sampled(m[None] / code.code_dim, n, seed, refine_iters)
-    return WorstCaseResult(float(f2), 1.0 - float(f2), code.basis @ c, None, SAMPLED, n, seed)
 
 
 def _worst_cases(

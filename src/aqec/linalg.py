@@ -97,18 +97,18 @@ def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs)
 
 
-def inv_sqrt_on_support(a, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def inv_sqrt_on_support(a) -> tuple[np.ndarray, np.ndarray]:
     """Inverse square root of a PSD matrix, inverted on its support only.
 
     Returns (B, support) where B = sum over eigenvalues above the cutoff of
     lam^(-1/2) |v><v| and support is the projector onto those eigenvectors,
-    so B A B = support.  The cutoff is rank_tol * (largest eigenvalue);
+    so B A B = support.  The cutoff is RANK_TOL * (largest eigenvalue);
     eigenvalues at or below it count as zero.  Raises NotPSD when an
     eigenvalue is more negative than the cutoff allows.
     """
     vals, vecs = hermitian_eig(a)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    cutoff = rank_tol * scale
+    cutoff = RANK_TOL * scale
     if vals.size and float(vals[0]) < -cutoff:
         raise NotPSD(f"eigenvalue {vals[0]:.3e} below -{cutoff:.3e}")
     mask = vals > cutoff
@@ -118,70 +118,31 @@ def inv_sqrt_on_support(a, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.n
     return b, support
 
 
-def psd_sqrt(a, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix."""
+def psd_sqrt(a) -> np.ndarray:
+    """Principal square root of a Hermitian PSD matrix.  Raises NotPSD
+    when an eigenvalue lies below -RANK_TOL * (largest eigenvalue)."""
     vals, vecs = hermitian_eig(a)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    cutoff = rank_tol * scale
+    cutoff = RANK_TOL * scale
     if vals.size and float(vals[0]) < -cutoff:
         raise NotPSD(f"eigenvalue {vals[0]:.3e} below -{cutoff:.3e}")
     w = np.sqrt(np.clip(vals, 0.0, None))
     return (vecs * w) @ vecs.conj().T
 
 
-def complete_orthonormal_basis(v: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns of v to a full orthonormal basis.
-
-    Completion runs Gram-Schmidt against the canonical basis vectors in
-    index order, which makes the result deterministic.
-    """
-    v = _as_complex_matrix(v)
-    n, r = v.shape
-    if r > n:
-        raise DimensionMismatch("more columns than rows")
-    cols = [v[:, k] for k in range(r)]
-    for k in range(n):
-        if len(cols) == n:
-            break
-        e = np.zeros(n, dtype=complex)
-        e[k] = 1.0
-        w = e
-        for _ in range(2):  # re-orthogonalize for numerical safety
-            for c in cols:
-                w = w - c * (np.vdot(c, w))
-        norm = np.linalg.norm(w)
-        if norm > 1e-6:
-            cols.append(w / norm)
-    if len(cols) != n:
-        raise np.linalg.LinAlgError("basis completion failed")  # pragma: no cover
-    return np.column_stack(cols)
-
-
-def polar_unitary_on_support(a, rank_tol: float = RANK_TOL) -> np.ndarray:
+def polar_unitary_on_support(a) -> np.ndarray:
     """Unitary factor W of the polar decomposition A = W (A^dag A)^(1/2).
 
-    W maps the support of A^dag A isometrically onto the range of A and is
-    extended to a full unitary on the orthogonal complement via the
-    deterministic canonical-basis completion.
+    W = U V^dag from the SVD A = U S V^dag: unitary on the whole space,
+    it maps the support of A^dag A onto the range of A as
+    A (A^dag A)^(-1/2) does.  Off that support W follows the singular
+    vectors the SVD picks, so only its action on the support is canonical.
     """
     a = _as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("polar decomposition expects a square operator")
-    vals, vecs = hermitian_eig(a.conj().T @ a)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    cutoff = rank_tol * scale
-    mask = vals > cutoff
-    vs = vecs[:, mask]
-    ws = a @ (vs / np.sqrt(vals[mask]))
-    # Columns of ws are orthonormal up to rounding; one Gram-Schmidt pass
-    # keeps the extension below well conditioned.
-    for k in range(ws.shape[1]):
-        for j in range(k):
-            ws[:, k] -= ws[:, j] * np.vdot(ws[:, j], ws[:, k])
-        ws[:, k] /= np.linalg.norm(ws[:, k])
-    v_full = complete_orthonormal_basis(vs)
-    w_full = complete_orthonormal_basis(ws)
-    return w_full @ v_full.conj().T
+    u, _, vh = np.linalg.svd(a)
+    return u @ vh
 
 
 def max_abs(a) -> float:

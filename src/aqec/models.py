@@ -179,18 +179,10 @@ def leung_recovery(gamma: float) -> QuantumChannel:
 _FIVE_QUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
-def five_qubit_code(gamma: float = 0.1) -> tuple[CodeSpace, QuantumChannel]:
-    """Distance-3 five-qubit code and the channel it corrects exactly.
-
-    The code is the +1 eigenspace of the cyclic stabilizers XZZXI, IXZZX,
-    XIXZZ, ZXIXZ with logical states fixed by Z_L = ZZZZZ, X_L = XXXXX.
-    The channel is the weight-at-most-1 part of the Pauli expansion of
-    five-fold amplitude damping at the given gamma (see five_qubit_noise).
-    """
-    return five_qubit_code_only(), five_qubit_noise(gamma)
-
-
 def five_qubit_code_only() -> CodeSpace:
+    """Distance-3 five-qubit code: the +1 eigenspace of the cyclic
+    stabilizers XZZXI, IXZZX, XIXZZ, ZXIXZ with logical states fixed by
+    Z_L = ZZZZZ, X_L = XXXXX.  It corrects five_qubit_noise exactly."""
     dim = 32
     proj = np.eye(dim, dtype=complex)
     for s in _FIVE_QUBIT_STABILIZERS:
@@ -238,7 +230,7 @@ def five_qubit_noise(gamma: float) -> QuantumChannel:
         K_k = a^4 sqrt(gamma) (X_k + i Y_k) / 2,  k = 1..5.
 
     Every operator lies in the span of weight <= 1 Paulis, so the code
-    from five_qubit_code satisfies the perfect correction conditions for
+    from five_qubit_code_only satisfies the perfect correction conditions for
     this CP (trace-decreasing) channel at every gamma.
     """
     return QuantumChannel(_five_qubit_noise_on([gamma], np.eye(32))[0])

@@ -46,9 +46,7 @@ class TransposeRecovery:
     source_code: CodeSpace
 
 
-def transpose_channel(
-    e: QuantumChannel, code: CodeSpace, rank_tol: float = RANK_TOL
-) -> TransposeRecovery:
+def transpose_channel(e: QuantumChannel, code: CodeSpace) -> TransposeRecovery:
     """Build the transpose-channel recovery for noise e on the given code.
 
     Kraus operators are exactly {P E_i^dag B} with B the on-support inverse
@@ -57,12 +55,12 @@ def transpose_channel(
     """
     _check_dims(e, code)
     p = code.projector()
-    b, support = inv_sqrt_on_support(e.apply(p), rank_tol)
+    b, support = inv_sqrt_on_support(e.apply(p))
     ops = [p @ k.conj().T @ b for k in e.kraus]
     return TransposeRecovery(QuantumChannel(_prune(ops)), support, code)
 
 
-def code_kraus(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def code_kraus(m: np.ndarray) -> np.ndarray:
     """Code-space Kraus set of transpose recovery after noise, batched.
 
     m stacks M_i = E_i W with shape (..., N, D, d): the noise Kraus
@@ -76,7 +74,7 @@ def code_kraus(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     W (sum_ij K_ij rho K_ij^dag) W^dag.  One batched eigh
     E(P) = V diag(lam) V^dag gives K = C^dag C with
     C = diag(lam^(-1/4)) V^dag [M_1 ... M_N]; eigenvalues at or below
-    rank_tol * max|lam| count as zero.  Raises NotHermitian and NotPSD
+    RANK_TOL * max|lam| count as zero.  Raises NotHermitian and NotPSD
     under the same tests as inv_sqrt_on_support.
     """
     *lead, n, dim, d = m.shape
@@ -84,7 +82,7 @@ def code_kraus(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     ep = wide @ wide.conj().swapaxes(-1, -2)
     check_hermitian(ep)
     vals, vecs = np.linalg.eigh((ep + ep.conj().swapaxes(-1, -2)) / 2.0)
-    cutoff = rank_tol * np.max(np.abs(vals), axis=-1)
+    cutoff = RANK_TOL * np.max(np.abs(vals), axis=-1)
     low = np.flatnonzero(vals[..., 0] < -cutoff)
     if low.size:
         i = low[0]
@@ -97,9 +95,7 @@ def code_kraus(m: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return k.reshape(*lead, n, d, n, d).swapaxes(-3, -2)
 
 
-def recovered_channel(
-    e: QuantumChannel, code: CodeSpace, rank_tol: float = RANK_TOL
-) -> QuantumChannel:
+def recovered_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
     """Composition transpose-recovery after noise, restricted to the code.
 
     Kraus set {P E_i^dag E(P)^(-1/2) E_j P} = {W K_ij W^dag}, i-major.
@@ -109,7 +105,7 @@ def recovered_channel(
     """
     _check_dims(e, code)
     w = code.basis
-    k = code_kraus(e._stack @ w, rank_tol)
+    k = code_kraus(e._stack @ w)
     d = code.code_dim
     ops = w @ k.reshape(-1, d, d) @ w.conj().T
     return QuantumChannel(_prune(list(ops)))

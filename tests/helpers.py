@@ -15,8 +15,14 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from aqec import QuantumChannel, CodeSpace, haar_unitary
-from aqec.fidelity import REFINE_ITERS, _CHUNK, _code_operator_basis, _refine_forms
+from aqec import QuantumChannel, CodeSpace, bloch_state, haar_unitary
+from aqec.fidelity import (
+    REFINE_ITERS,
+    _CHUNK,
+    _code_operator_basis,
+    _code_process_matrices,
+    _refine_forms,
+)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -66,15 +72,37 @@ def remix_kraus(channel: QuantumChannel, rng: np.random.Generator) -> QuantumCha
 
 
 def svd_polar_oracle(a: np.ndarray) -> np.ndarray:
-    """Unitary polar factor computed via scipy's SVD, independent of the
-    library's eigendecomposition route."""
+    """Unitary polar factor from scipy's SVD."""
     u, _, vh = scipy.linalg.svd(a)
     return u @ vh
 
 
 def sqrtm_oracle(a: np.ndarray) -> np.ndarray:
-    """PSD square root via scipy."""
-    return np.asarray(scipy.linalg.sqrtm(a), dtype=complex)
+    """PSD square root from numpy's eigh, negative rounding-level
+    eigenvalues clipped to zero: defined on singular input, where
+    scipy.linalg.sqrtm warns."""
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+
+def code_paulis(code: CodeSpace) -> list[np.ndarray]:
+    """P and the code-space Paulis sigma_x, y, z of a qubit code, read off
+    bloch_state(code, e_k) = (P + sigma_k) / 2."""
+    p = code.projector()
+    return [p] + [2.0 * bloch_state(code, e) - p for e in np.eye(3)]
+
+
+def code_process_matrix(
+    phi: QuantumChannel, code: CodeSpace, leak_tol: float = 1e-9
+) -> np.ndarray:
+    """Real process matrix M_ab = tr(g_a phi(g_b)) / d of phi on the code,
+    g_a the code operator basis, as the worst-case solvers read it.
+    Asserts first that phi keeps code inputs on the code: (I - P) K W = 0
+    for every Kraus operator K, to leak_tol relative to max|K W|."""
+    m = phi._stack @ code.basis
+    leak = np.max(np.abs(m - code.projector() @ m))
+    assert leak <= leak_tol * max(1.0, np.max(np.abs(m))), leak
+    return _code_process_matrices(code.basis.conj().T @ m)
 
 
 def bloch_samples(n: int, rng: np.random.Generator) -> np.ndarray:

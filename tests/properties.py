@@ -21,20 +21,19 @@ from aqec import (
     hermitian_eig,
     inv_sqrt_on_support,
     near_optimality_factor,
-    pauli_basis,
     polar_unitary_on_support,
-    process_matrix,
     random_code,
     recovered_channel,
     transpose_channel,
     worst_case_fidelity,
-    worst_fidelity_sampled,
-    worst_fidelity_unital_qubit,
 )
 from aqec.conditions import Verdict
+from aqec.fidelity import EXACT_UNITAL_QUBIT, _min_forms_sampled
 from aqec.models import leung_code, pauli_string
 
 from helpers import (
+    code_paulis,
+    code_process_matrix,
     embed_qubit_channel,
     random_density,
     random_hermitian,
@@ -153,7 +152,7 @@ def check_pauli_support(seed: int, cases: int = 100) -> None:
     for _ in range(cases):
         code = random_code(int(rng.integers(2, 8)), 2, int(rng.integers(0, 2**31)))
         comp = np.eye(code.ambient_dim) - code.projector()
-        for sigma in pauli_basis(code).elements:
+        for sigma in code_paulis(code):
             assert np.max(np.abs(comp @ sigma @ comp)) < 1e-12
 
 
@@ -170,8 +169,8 @@ def check_recovered_hermitian_closed(seed: int, cases: int = 20) -> None:
         for k in rec.kraus:
             dev = np.min(np.max(np.abs(stack - k.conj().T), axis=(1, 2)))
             assert dev < 1e-9
-        m = process_matrix(rec, code)
-        t = m.m[1:, 1:]
+        m = code_process_matrix(rec, code)
+        t = m[1:, 1:]
         assert np.max(np.abs(t - t.T)) < 1e-10
 
 
@@ -248,7 +247,8 @@ def check_eta_dual_route(seed: int, cases: int = 30) -> None:
         code = random_code(dim, 2, int(rng.integers(0, 2**31)))
         diag = aqec_diagnostics(e, code, epsilon=0.1)
         rec = recovered_channel(e, code)
-        res = worst_fidelity_unital_qubit(process_matrix(rec, code))
+        res = worst_case_fidelity(rec, None, code)
+        assert res.method == EXACT_UNITAL_QUBIT
         assert abs(diag.eta - res.eta) < 1e-9
 
 
@@ -296,8 +296,8 @@ def check_f2_matches_process_matrix(seed: int, cases: int = 100) -> None:
     code = random_code(4, 2, seed)
     e = random_tp_channel(4, 3, rng)
     rec = recovered_channel(e, code)
-    m = process_matrix(rec, code)
-    m_sym = (m.m + m.m.T) / 2
+    m = code_process_matrix(rec, code)
+    m_sym = (m + m.T) / 2
     w = code.basis
     kraus_code = np.stack([w.conj().T @ k @ w for k in rec.kraus])
     for _ in range(cases):
@@ -305,7 +305,7 @@ def check_f2_matches_process_matrix(seed: int, cases: int = 100) -> None:
         s /= np.linalg.norm(s)
         vec = np.concatenate([[1.0], s])
         quad = float(vec @ m_sym @ vec) / 2.0
-        quad_raw = float(vec @ m.m @ vec) / 2.0
+        quad_raw = float(vec @ m @ vec) / 2.0
         c = np.array([np.sqrt((1 + s[2]) / 2),
                       (s[0] + 1j * s[1]) / np.sqrt(2 * (1 + s[2]))])
         amps = np.einsum("a,kab,b->k", c.conj(), kraus_code, c)
@@ -321,9 +321,12 @@ def check_sampled_upper_bounds_exact(seed: int, cases: int = 20) -> None:
         e = random_tp_channel(dim, 3, rng)
         code = random_code(dim, 2, int(rng.integers(0, 2**31)))
         rec = recovered_channel(e, code)
-        exact = worst_fidelity_unital_qubit(process_matrix(rec, code))
-        sampled = worst_fidelity_sampled(rec, code, n=2000, seed=int(rng.integers(0, 2**31)))
-        assert sampled.f2_min >= exact.f2_min - 1e-9
+        exact = worst_case_fidelity(rec, None, code)
+        assert exact.method == EXACT_UNITAL_QUBIT
+        # the sampler run on a qubit code, which _min_forms solves exactly
+        m = code_process_matrix(rec, code)
+        [sampled], _ = _min_forms_sampled(m[None] / 2.0, 2000, int(rng.integers(0, 2**31)))
+        assert sampled >= exact.f2_min - 1e-9
 
 
 def check_rotation_invariance(seed: int, cases: int = 100) -> None:

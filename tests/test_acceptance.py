@@ -25,14 +25,12 @@ from aqec import (
     leung_recovery,
     near_optimality_bound_check,
     near_optimality_factor,
-    process_matrix,
     psd_sqrt,
     qubit_space,
     random_code,
     tensor_power,
     transpose_channel,
     worst_case_fidelity,
-    worst_fidelity_unital_qubit,
 )
 from aqec.cli import main
 from aqec.conditions import _deviation_operators
@@ -101,14 +99,14 @@ def test_criterion_2_unital_qubit_exactness():
             if trial % 2 == 0:
                 code = qubit_space()
                 kraus_code = np.stack(chan.kraus)
-                m = process_matrix(chan, code)
+                exact = worst_case_fidelity(chan, None, code)
             else:
                 code = random_code(4, 2, int(rng.integers(0, 2**31)))
                 lifted = embed_qubit_channel(chan, code)
                 w = code.basis
                 kraus_code = np.stack([w.conj().T @ k @ w for k in lifted.kraus])
-                m = process_matrix(lifted, code)
-            exact = worst_fidelity_unital_qubit(m)
+                exact = worst_case_fidelity(lifted, None, code)
+            assert exact.method == "exact_unital_qubit"
             f2 = f2_of_states(kraus_code, coeffs)
             idx = int(np.argmin(f2))
             oracle = float(f2[idx])
@@ -161,7 +159,7 @@ def test_criterion_4_condition_equivalence():
             alt = alternate_condition_residual(e, code)
             assert cert.residual <= 1e-10
             assert alt <= 1e-10
-            beta, _ = _deviation_operators(e, code, 1e-10)
+            beta, _ = _deviation_operators(e, code)
             assert np.max(np.abs(beta - psd_sqrt(cert.alpha))) <= 1e-9
         for _ in range(50):
             e, code = _perturbed_bitflip_instance(rng)

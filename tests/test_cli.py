@@ -591,3 +591,55 @@ def test_damping_built_on_the_code_keeps_memory_small():
     assert _peak_bytes(_search_one, (0, 11, 5, 2, gammas, 10)) < 20 * 2**20
     code = five_qubit_code_only()
     assert _peak_bytes(_curve_results, "identity", code, gammas, 10, 0) < 8 * 2**20
+
+
+def test_non_numeric_kraus_or_basis_entry_exits_3(tmp_path, capsys):
+    chan_file, code_file = tmp_path / "chan.json", tmp_path / "code.json"
+    good_chan = channel_to_json(bit_flip_channel(0.1))
+    good_code = code_to_json(bit_flip_code())
+    bad_chan = json.loads(json.dumps(good_chan))
+    bad_chan["kraus"][0][0][0] = "x"
+    bad_code = json.loads(json.dumps(good_code))
+    bad_code["basis"][1][0] = [{}, 0.0]
+    for chan, code in ((bad_chan, good_code), (good_chan, bad_code)):
+        chan_file.write_text(json.dumps(chan))
+        code_file.write_text(json.dumps(code))
+        assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1"]) == 3
+        assert "pairs" in _one_error_line(capsys)
+
+
+def test_code_file_not_a_json_object_exits_with_one_line(tmp_path, capsys):
+    code_file = tmp_path / "code.json"
+    out = ["--gamma-stop", "0.02", "--out", str(tmp_path / "o.csv")]
+    for text in ("5", '"code"', "[1, 2]"):
+        code_file.write_text(text)
+        assert main(["sweep", "--curve", f"file={code_file}:transpose"] + out) == 3
+        assert "malformed code JSON" in _one_error_line(capsys)
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    ok = str(tmp_path / "ok")
+    search = ["search", "--codes", "1", "--qubits", "2", "--gamma-stop", "0.02"]
+    assert main(["sweep", "--curve", "ad:identity", "--gamma-stop", "0.02",
+                 "--out", missing]) == 2
+    assert "cannot write" in _one_error_line(capsys)
+    assert main(search + ["--out", missing, "--best-out", ok + ".json"]) == 2
+    assert "cannot write" in _one_error_line(capsys)
+    assert main(search + ["--out", ok + ".csv", "--best-out", missing]) == 2
+    assert "cannot write" in _one_error_line(capsys)
+    chan_file, code_file = tmp_path / "chan.json", tmp_path / "code.json"
+    chan_file.write_text(json.dumps(channel_to_json(bit_flip_channel(0.1))))
+    code_file.write_text(json.dumps(code_to_json(bit_flip_code())))
+    assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1",
+                 "--out", missing]) == 2
+    assert "cannot write" in _one_error_line(capsys)
+
+
+def test_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    out = ["--out", str(tmp_path / "o.csv"), "--best-out", str(tmp_path / "b.json")]
+    for value in ("two", "1.5", ""):
+        monkeypatch.setenv("AQEC_THREADS", value)
+        assert main(["search", "--codes", "1", "--qubits", "2", "--gamma-stop", "0.02"]
+                    + out) == 2
+        assert "AQEC_THREADS" in _one_error_line(capsys)

@@ -7,13 +7,13 @@ from aqec import (
     bloch_to_state_vector,
     code_from_json,
     code_to_json,
-    operator_basis,
-    pauli_basis,
     random_code,
 )
 from aqec.exceptions import DimensionMismatch, InvalidBloch, NotQubitCode
+from aqec.fidelity import _code_operator_basis
 from aqec.models import leung_code
 
+from helpers import code_paulis
 from properties import (
     check_bloch_purity,
     check_pauli_support,
@@ -68,10 +68,18 @@ def test_random_code_haar_moment():
     assert np.max(np.abs(acc - np.eye(4) / 4)) < 0.006
 
 
-def test_pauli_basis_action():
+def test_bloch_state_pauli_convention():
     code = random_code(6, 2, 11)
     v1, v2 = code.basis[:, 0], code.basis[:, 1]
-    _, sx, sy, sz = pauli_basis(code).elements
+    p = code.projector()
+    sigmas = [
+        np.outer(v1, v2.conj()) + np.outer(v2, v1.conj()),
+        -1j * (np.outer(v1, v2.conj()) - np.outer(v2, v1.conj())),
+        np.outer(v1, v1.conj()) - np.outer(v2, v2.conj()),
+    ]
+    for e, sigma in zip(np.eye(3), sigmas):
+        assert np.max(np.abs(bloch_state(code, e) - (p + sigma) / 2)) < 1e-12
+    _, sx, sy, sz = code_paulis(code)
     assert np.max(np.abs(sz @ v1 - v1)) < 1e-12
     assert np.max(np.abs(sz @ v2 + v2)) < 1e-12
     assert np.max(np.abs(sx @ sy - 1j * sz)) < 1e-12
@@ -79,21 +87,23 @@ def test_pauli_basis_action():
 
 def test_pauli_basis_trace_orthogonality():
     code = random_code(5, 2, 3)
-    elems = pauli_basis(code).elements
+    elems = code_paulis(code)
     for a in range(4):
         for b in range(4):
             val = np.trace(elems[a] @ elems[b]).real
             assert abs(val - (2.0 if a == b else 0.0)) < 1e-12
 
 
-def test_pauli_basis_requires_qubit():
+def test_bloch_state_requires_qubit():
     with pytest.raises(NotQubitCode):
-        pauli_basis(random_code(4, 3, 0))
+        bloch_state(random_code(4, 3, 0), (0, 0, 1))
 
 
 def test_su_generator_basis_orthogonality():
+    # the code operator basis lifted to the code, W g_a W^dag
     code = random_code(5, 3, 9)
-    elems = operator_basis(code).elements
+    w = code.basis
+    elems = w @ _code_operator_basis(3) @ w.conj().T
     assert len(elems) == 9
     for a in range(9):
         assert np.max(np.abs(elems[a] - elems[a].conj().T)) < 1e-12

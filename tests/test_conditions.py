@@ -199,7 +199,7 @@ def test_alternate_residual_iff_perfect():
     assert alternate_condition_residual(e, code) < 1e-12
     # beta equals the principal square root of alpha in the same gauge
     cert = check_perfect_qec(e, code)
-    beta, _ = _deviation_operators(e, code, 1e-10)
+    beta, _ = _deviation_operators(e, code)
     assert np.max(np.abs(beta - psd_sqrt(cert.alpha))) < 1e-9
     # diagonal gauge entries are sqrt(d_kk)
     assert np.allclose(
@@ -211,7 +211,7 @@ def test_alternate_residual_identity_channel():
     code = random_code(3, 2, 4)
     e = identity_channel(3)
     assert alternate_condition_residual(e, code) < 1e-12
-    beta, _ = _deviation_operators(e, code, 1e-10)
+    beta, _ = _deviation_operators(e, code)
     assert np.allclose(beta, [[1.0]])
 
 

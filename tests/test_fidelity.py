@@ -5,20 +5,16 @@ from aqec import (
     QuantumChannel,
     amplitude_damping,
     identity_channel,
-    process_matrix,
     qubit_space,
     random_code,
     recovered_channel,
     tensor_power,
     worst_case_fidelity,
-    worst_fidelity_qubit_lagrange,
-    worst_fidelity_sampled,
-    worst_fidelity_unital_qubit,
 )
-from aqec.codes import CodeSpace, operator_basis
 from aqec.conditions import _deviation_operators, _eta_form
-from aqec.exceptions import OutputLeavesCode, PreconditionViolated
 from aqec.fidelity import (
+    EXACT_UNITAL_QUBIT,
+    LAGRANGE_QUBIT,
     REFINE_ITERS,
     _code_operator_basis,
     _code_process_matrices,
@@ -27,13 +23,14 @@ from aqec.fidelity import (
     _min_quadratic_on_sphere,
     _qubit_methods,
     _refine_forms,
+    _tp_unital,
 )
-from aqec.linalg import RANK_TOL
 from aqec.models import amplitude_damping_power, leung_code
 from aqec.transpose import code_kraus
 
 from helpers import (
     bloch_samples,
+    code_process_matrix,
     random_tp_channel,
     reference_min_forms_sampled,
     random_unital_qubit_channel,
@@ -53,9 +50,9 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_process_matrix_identity():
-    m = process_matrix(identity_channel(2), qubit_space())
-    assert np.max(np.abs(m.m - np.eye(4))) < 1e-12
-    assert m.is_tp and m.is_unital
+    m = code_process_matrix(identity_channel(2), qubit_space())
+    assert np.max(np.abs(m - np.eye(4))) < 1e-12
+    assert all(_tp_unital(m))
 
 
 def test_process_matrix_depolarizing_to_mixed():
@@ -67,37 +64,24 @@ def test_process_matrix_depolarizing_to_mixed():
         0.5 * SY,
         0.5 * SZ,
     ]
-    m = process_matrix(QuantumChannel(ops), code)
-    assert np.max(np.abs(m.m - np.diag([1.0, 0, 0, 0]))) < 1e-12
+    m = code_process_matrix(QuantumChannel(ops), code)
+    assert np.max(np.abs(m - np.diag([1.0, 0, 0, 0]))) < 1e-12
 
 
 def test_process_matrix_recovered_structure():
     code = leung_code()
     e = tensor_power(amplitude_damping(0.1), 4)
-    m = process_matrix(recovered_channel(e, code), code)
-    assert m.is_tp and m.is_unital
-    t = m.m[1:, 1:]
+    m = code_process_matrix(recovered_channel(e, code), code)
+    assert all(_tp_unital(m))
+    t = m[1:, 1:]
     assert np.max(np.abs(t - t.T)) < 1e-10
-    assert np.max(np.abs(m.m[0, 1:])) < 1e-10
-    assert np.max(np.abs(m.m[1:, 0])) < 1e-10
-
-
-def test_process_matrix_leak_detection():
-    from aqec import haar_unitary
-
-    code = random_code(4, 2, 3)
-    rotate = QuantumChannel([haar_unitary(4, np.random.default_rng(0))])
-    with pytest.raises(OutputLeavesCode):
-        process_matrix(rotate, code)
-    # allowed when leakage is explicitly tolerated; the code-restricted
-    # trace is then genuinely not preserved
-    m = process_matrix(rotate, code, allow_leakage=True)
-    assert not m.is_tp
-    assert np.all(np.isfinite(m.m))
+    assert np.max(np.abs(m[0, 1:])) < 1e-10
+    assert np.max(np.abs(m[1:, 0])) < 1e-10
 
 
 def test_unital_identity():
-    res = worst_fidelity_unital_qubit(process_matrix(identity_channel(2), qubit_space()))
+    res = worst_case_fidelity(identity_channel(2), None, qubit_space())
+    assert res.method == EXACT_UNITAL_QUBIT
     assert abs(res.f2_min - 1.0) < 1e-12
     assert abs(res.eta) < 1e-12
 
@@ -111,9 +95,10 @@ def test_unital_depolarizing():
         np.sqrt(q / 4) * SZ,
     ]
     chan = QuantumChannel(ops)
-    m = process_matrix(chan, qubit_space())
-    assert np.max(np.abs(m.m[1:, 1:] - (1 - q) * np.eye(3))) < 1e-12
-    res = worst_fidelity_unital_qubit(m)
+    m = code_process_matrix(chan, qubit_space())
+    assert np.max(np.abs(m[1:, 1:] - (1 - q) * np.eye(3))) < 1e-12
+    res = worst_case_fidelity(chan, None, qubit_space())
+    assert res.method == EXACT_UNITAL_QUBIT
     assert abs(res.eta - q / 2) < 1e-12
     # cross-check against the independent sampled oracle
     rng = np.random.default_rng(1)
@@ -125,35 +110,31 @@ def test_unital_depolarizing():
 def test_unital_phase_flip():
     q = 0.23
     ops = [np.sqrt(1 - q) * np.eye(2, dtype=complex), np.sqrt(q) * SZ]
-    m = process_matrix(QuantumChannel(ops), qubit_space())
-    assert np.max(np.abs(m.m[1:, 1:] - np.diag([1 - 2 * q, 1 - 2 * q, 1.0]))) < 1e-12
-    res = worst_fidelity_unital_qubit(m)
+    m = code_process_matrix(QuantumChannel(ops), qubit_space())
+    assert np.max(np.abs(m[1:, 1:] - np.diag([1 - 2 * q, 1 - 2 * q, 1.0]))) < 1e-12
+    res = worst_case_fidelity(QuantumChannel(ops), None, qubit_space())
+    assert res.method == EXACT_UNITAL_QUBIT
     assert abs(res.eta - q) < 1e-12
     rng = np.random.default_rng(2)
     oracle = sphere_oracle_min_f2(QuantumChannel(ops), None, qubit_space(), 20_000, rng)
     assert oracle - res.f2_min < 1e-6
 
 
-def test_unital_solver_rejects_nonunital():
-    m = process_matrix(amplitude_damping(0.2), qubit_space())
-    assert m.is_tp and not m.is_unital
-    with pytest.raises(PreconditionViolated):
-        worst_fidelity_unital_qubit(m)
-
-
 def test_lagrange_agrees_with_unital_on_unital_input():
     rng = np.random.default_rng(5)
     for _ in range(20):
         chan = random_unital_qubit_channel(rng)
-        m = process_matrix(chan, qubit_space())
-        r1 = worst_fidelity_unital_qubit(m)
-        r2 = worst_fidelity_qubit_lagrange(m)
+        m = code_process_matrix(chan, qubit_space())
+        [r1] = _min_forms(m[None] / 2.0, qubit_space(), [EXACT_UNITAL_QUBIT])
+        [r2] = _min_forms(m[None] / 2.0, qubit_space(), [LAGRANGE_QUBIT])
         assert abs(r1.f2_min - r2.f2_min) < 1e-10
 
 
 def test_lagrange_bare_damping():
-    m = process_matrix(amplitude_damping(0.2), qubit_space())
-    res = worst_fidelity_qubit_lagrange(m)
+    m = code_process_matrix(amplitude_damping(0.2), qubit_space())
+    assert tuple(_tp_unital(m)) == (True, False)
+    res = worst_case_fidelity(amplitude_damping(0.2), None, qubit_space())
+    assert res.method == LAGRANGE_QUBIT
     assert abs(res.f2_min - 0.8) < 1e-12
     assert np.allclose(res.bloch, [0, 0, -1], atol=1e-8)
     # worst state is the excited state
@@ -164,8 +145,8 @@ def test_lagrange_matches_sphere_oracle_random_nonunital():
     rng = np.random.default_rng(6)
     for trial in range(5):
         chan = random_tp_channel(2, int(rng.integers(2, 5)), rng)
-        m = process_matrix(chan, qubit_space())
-        res = worst_fidelity_qubit_lagrange(m)
+        res = worst_case_fidelity(chan, None, qubit_space())
+        assert res.method == LAGRANGE_QUBIT
         oracle = sphere_oracle_min_f2(chan, None, qubit_space(), 1_000_000, rng)
         assert oracle >= res.f2_min - 1e-9, (trial, oracle, res.f2_min)
         assert oracle - res.f2_min < 1e-6, (trial, oracle, res.f2_min)
@@ -198,7 +179,8 @@ def test_quadratic_sphere_solver_hard_case_interior():
 
 def test_sampled_identity():
     code = random_code(5, 3, 2)
-    res = worst_fidelity_sampled(identity_channel(5), code, n=500, seed=0)
+    res = worst_case_fidelity(identity_channel(5), None, code, samples=500, seed=0)
+    assert res.method == "sampled"
     assert abs(res.f2_min - 1.0) < 1e-9
 
 
@@ -206,8 +188,8 @@ def test_sampled_deterministic():
     rng = np.random.default_rng(11)
     e = random_tp_channel(4, 3, rng)
     code = random_code(4, 3, 9)
-    r1 = worst_fidelity_sampled(e, code, n=2000, seed=5)
-    r2 = worst_fidelity_sampled(e, code, n=2000, seed=5)
+    r1 = worst_case_fidelity(e, None, code, samples=2000, seed=5)
+    r2 = worst_case_fidelity(e, None, code, samples=2000, seed=5)
     assert r1.f2_min == r2.f2_min
     assert np.array_equal(r1.worst_state, r2.worst_state)
 
@@ -215,15 +197,16 @@ def test_sampled_deterministic():
 def test_sampled_dominates_exact_on_qubit():
     rng = np.random.default_rng(12)
     e = random_tp_channel(2, 3, rng)
-    m = process_matrix(e, qubit_space())
-    exact = worst_fidelity_qubit_lagrange(m)
+    exact = worst_case_fidelity(e, None, qubit_space())
+    assert exact.method == LAGRANGE_QUBIT
+    m = code_process_matrix(e, qubit_space())
     prev = None
     for n in (50, 500, 5000):
-        samp = worst_fidelity_sampled(e, qubit_space(), n=n, seed=3, refine_iters=0)
-        assert samp.f2_min >= exact.f2_min - 1e-12
+        [samp], _ = _min_forms_sampled(m[None] / 2.0, n, 3, refine_iters=0)
+        assert samp >= exact.f2_min - 1e-12
         if prev is not None:
-            assert samp.f2_min <= prev + 1e-12
-        prev = samp.f2_min
+            assert samp <= prev + 1e-12
+        prev = samp
 
 
 def test_worst_case_dispatcher_methods():
@@ -282,7 +265,7 @@ def _form_test_cases(d, rng):
 
 
 def _coords_and_states(d, rng, count=20):
-    basis = operator_basis(CodeSpace(np.eye(d))).elements
+    basis = _code_operator_basis(d)
     for _ in range(count):
         c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         c /= np.linalg.norm(c)
@@ -347,7 +330,7 @@ def test_batched_qubit_solver_matches_scalar_unital_and_lagrange():
     rng = np.random.default_rng(70)
     unital = [random_unital_qubit_channel(rng) for _ in range(10)]
     general = [random_tp_channel(2, int(rng.integers(2, 5)), rng) for _ in range(10)]
-    m = np.stack([process_matrix(c, qubit_space()).m for c in unital + general])
+    m = np.stack([code_process_matrix(c, qubit_space()) for c in unital + general])
     methods = _qubit_methods(m)
     assert methods == ["exact_unital_qubit"] * 10 + ["lagrange_qubit"] * 10
     _assert_qubit_parity(m / 2.0, methods)
@@ -386,9 +369,7 @@ def _refinement_cases(d, seed):
     q, _, code = _transpose_forms(3, d, seed, [0.0, 0.05, 0.2, 0.5, 0.9])
     forms = list(q)
     for gamma in (0.05, 0.3):
-        _, deltas = _deviation_operators(
-            tensor_power(amplitude_damping(gamma), 3), code, RANK_TOL
-        )
+        _, deltas = _deviation_operators(tensor_power(amplitude_damping(gamma), 3), code)
         flat = deltas.reshape(-1, d, d)
         forms.append(_eta_form(flat, np.einsum("kab,kac->bc", flat.conj(), flat)))
     q = np.stack(forms)
@@ -439,6 +420,21 @@ def test_sampler_matches_reference(d, forms, n, refine_iters):
     assert np.max(np.abs(vals - ref_vals)) <= 1e-12
     # the same best sample of each form, up to a phase
     assert np.min(np.abs(np.sum(ref_cs.conj() * cs, axis=1))) >= 1 - 1e-12
+
+
+def test_one_dimensional_code_takes_the_form_value():
+    # A d = 1 code has one state up to phase, so every value is exactly the
+    # form's one entry, and no refinement step may overflow on the way.
+    import warnings
+
+    rng = np.random.default_rng(500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(200):
+            q = rng.standard_normal((int(rng.integers(1, 7)), 1, 1))
+            vals, cs = _min_forms_sampled(q, int(rng.integers(1, 3000)), int(rng.integers(1000)))
+            assert np.array_equal(vals, q[:, 0, 0])
+            assert np.max(np.abs(np.abs(cs) - 1.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("refine_iters", [0, REFINE_ITERS])

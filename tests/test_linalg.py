@@ -3,7 +3,6 @@ import pytest
 
 from aqec import hermitian_eig, inv_sqrt_on_support, polar_unitary_on_support
 from aqec.exceptions import DimensionMismatch, NotHermitian, NotPSD
-from aqec.linalg import complete_orthonormal_basis
 from aqec.models import bit_flip_code, pauli_string
 
 from helpers import random_hermitian, sqrtm_oracle, svd_polar_oracle
@@ -109,13 +108,6 @@ def test_polar_bitflip_error_restricted_to_code():
     assert np.max(np.abs(w @ h_sqrt - a)) < 1e-10
     w_oracle = svd_polar_oracle(a)
     assert np.max(np.abs(w_oracle @ h_sqrt - a)) < 1e-10
-
-
-def test_complete_basis_deterministic_and_unitary():
-    v = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    full = complete_orthonormal_basis(v)
-    assert np.max(np.abs(full.conj().T @ full - np.eye(2))) < 1e-12
-    assert np.array_equal(full, complete_orthonormal_basis(v))
 
 
 def test_property_inv_sqrt_commutes():

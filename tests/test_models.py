@@ -10,7 +10,6 @@ from aqec import (
     check_perfect_qec,
     complete_to_mixed_code,
     example5_channel,
-    five_qubit_code,
     five_qubit_code_only,
     five_qubit_noise,
     five_qubit_recovery,
@@ -113,7 +112,7 @@ def test_leung_recovery_beats_baseline():
 
 
 def test_five_qubit_code_shape():
-    code, noise = five_qubit_code(0.2)
+    code, noise = five_qubit_code_only(), five_qubit_noise(0.2)
     assert code.ambient_dim == 32 and code.code_dim == 2
     assert noise.dims_in == 32
 
