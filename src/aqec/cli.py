@@ -43,9 +43,10 @@ from .fidelity import SAMPLED, WorstCaseResult, _compose_on_code, _worst_cases
 from .models import (
     MODEL_REGISTRY,
     _check_gamma,
+    _complete_to_mixed_on_code,
     _damping_on,
+    _five_qubit_syndrome_grid,
     five_qubit_code_only,
-    five_qubit_recovery_grid,
     leung_code,
     leung_recovery,
     qubit_space,
@@ -201,7 +202,12 @@ def _curve_results(
 
     The noise enters only as M_i = E_i W, built for the whole grid in one
     call with no ambient operator formed; every curve is one code-basis
-    Kraus stack over the grid, scored in one call.
+    Kraus stack over the grid, scored in one call.  The rperf curve
+    composes only the six syndrome operators with the noise and completes
+    the map on the code (_complete_to_mixed_on_code): 6 N + d^2 operators
+    per gamma.  Defect eigenvalues at or below 1e-8, which the ambient
+    five_qubit_recovery_grid drops, are kept there; values move by about
+    1e-15.
     """
     _n_qubits_for(code)  # exit 2 unless the code lives on qubits
     w = code.basis
@@ -215,7 +221,8 @@ def _curve_results(
             _check_gamma(g, closed=False)
         k = _compose_on_code(w.conj().T @ leung_recovery(gammas[0])._stack, m)
     else:
-        k = _compose_on_code(five_qubit_recovery_grid(gammas, code), m)
+        k = _compose_on_code(_five_qubit_syndrome_grid(gammas, code), m)
+        k = _complete_to_mixed_on_code(k, m)
     return _worst_cases(k, code, samples, seed)
 
 
@@ -230,6 +237,23 @@ def _write_file(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise UserConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Raise UserConfigError unless the file path could be written: its
+    directory exists and is writable, and the path is not a directory nor
+    an existing read-only file.  Nothing is opened, so a run fails before
+    it scores anything and a successful run writes its outputs once."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"directory {folder} does not exist"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise UserConfigError(f"cannot write {path}: {problem}")
 
 
 def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[str]]):
@@ -247,6 +271,8 @@ def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[
 def cmd_sweep(config: SweepConfig) -> None:
     curves = [_parse_curve(c) for c in config.curves]
     _check_sampling(config.samples, config.seed)
+    if config.out != "-":
+        _check_writable(config.out)
     gammas = config.gammas()
     rows = []
     for spec, (model, recovery) in sorted(zip(config.curves, curves)):
@@ -316,6 +342,9 @@ def cmd_search(config: SearchConfig) -> None:
     _check_sampling(config.samples, config.seed)
     gammas = config.gammas()
     target = _metric_target(config.metric, gammas)
+    if config.out != "-":
+        _check_writable(config.out)
+    _check_writable(config.best_out)
     rng = np.random.default_rng(config.seed)
     code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=config.n_codes)]
     jobs = [
@@ -371,6 +400,8 @@ def cmd_search(config: SearchConfig) -> None:
 def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None) -> None:
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise UserConfigError(f"epsilon must be a finite number >= 0, got {epsilon}")
+    if out:
+        _check_writable(out)
     try:
         with open(channel_path, "r", encoding="utf-8") as fh:
             channel_data = json.load(fh)

@@ -179,18 +179,32 @@ def leung_recovery(gamma: float) -> QuantumChannel:
 _FIVE_QUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
+def _pauli_on(spec: str, vecs: np.ndarray) -> np.ndarray:
+    """The Pauli string spec (e.g. 'XZZXI') applied to vecs (2^n, ...),
+    one qubit axis at a time, with no 2^n x 2^n operator formed; identity
+    factors are skipped."""
+    n = len(spec)
+    cube = vecs.reshape((2,) * n + vecs.shape[1:])
+    for k, p in enumerate(spec):
+        if p != "I":
+            cube = np.moveaxis(np.tensordot(_PAULI[p], cube, axes=(1, k)), 0, k)
+    return cube.reshape(vecs.shape)
+
+
 def five_qubit_code_only() -> CodeSpace:
     """Distance-3 five-qubit code: the +1 eigenspace of the cyclic
     stabilizers XZZXI, IXZZX, XIXZZ, ZXIXZ with logical states fixed by
-    Z_L = ZZZZZ, X_L = XXXXX.  It corrects five_qubit_noise exactly."""
-    dim = 32
-    proj = np.eye(dim, dtype=complex)
+    Z_L = ZZZZZ, X_L = XXXXX.  It corrects five_qubit_noise exactly.
+
+    |0_L> is the normalised image of |00000> under the commuting
+    projectors (I + S)/2, applied as S one qubit axis at a time; every
+    entry is a dyadic rational, so the basis equals the Kronecker-product
+    construction to the bit."""
+    v0 = basis_state("00000")
     for s in _FIVE_QUBIT_STABILIZERS:
-        proj = proj @ (np.eye(dim) + pauli_string(s)) / 2.0
-    v0 = proj @ basis_state("00000")
+        v0 = (v0 + _pauli_on(s, v0)) / 2.0
     v0 /= np.linalg.norm(v0)
-    v1 = pauli_string("XXXXX") @ v0
-    return CodeSpace.from_vectors([v0, v1])
+    return CodeSpace.from_vectors([v0, _pauli_on("XXXXX", v0)])
 
 
 def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
@@ -199,10 +213,8 @@ def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
     on basis one qubit axis at a time, once per call."""
     for gamma in gammas:
         _check_gamma(gamma)
-    cube = basis.reshape((2,) * 5 + (-1,))
     paulis = np.stack([basis] + [
-        np.moveaxis(np.tensordot(_PAULI[p], cube, axes=(1, k)), 0, k).reshape(basis.shape)
-        for p in "ZXY" for k in range(5)
+        _pauli_on("I" * k + p + "I" * (4 - k), basis) for p in "ZXY" for k in range(5)
     ])
     gammas = np.asarray(gammas, dtype=float)
     a = (1.0 + np.sqrt(1.0 - gammas)) / 2.0
@@ -252,23 +264,21 @@ def complete_to_mixed_code(
     return QuantumChannel(ops)
 
 
-def five_qubit_recovery_grid(gammas, code: CodeSpace) -> np.ndarray:
-    """five_qubit_recovery for each gamma, in the coordinates of a code
-    (normally five_qubit_code_only): a (G, R, d, 32) stack of W^dag R_j,
-    W the code isometry, padded with zero operators to a common R.
+def _five_qubit_syndrome_grid(gammas, code: CodeSpace) -> np.ndarray:
+    """The syndrome operators of five_qubit_recovery for each gamma, in the
+    coordinates of a code (normally five_qubit_code_only): a (G, 6, d, 32)
+    stack of W^dag R_k, W the code isometry, zero where a syndrome is not
+    kept.
 
     Per gamma this is build_r_perf after check_perfect_qec on
-    five_qubit_noise, completed by complete_to_mixed_code.  With
-    M_i = E_i W, alpha = tr(M_i^dag M_j) / d = u diag(vals) u^dag; each
-    vals_k above RANK_TOL * max(vals) gives W^dag R_k = G_k^(-1/2)
-    (F_k W)^dag, F_k = sum_i u_ik E_i and G_k = (F_k W)^dag (F_k W), which
-    is build_r_perf's (A^dag A)^(-1/2) A^dag for A = F_k P seen from the
-    code.  Each eigenpair (lam, phi) of the defect I - sum_k R_k^dag R_k
-    with lam > 1e-8 adds sqrt(lam / d) e_a phi^dag, a = 1..d.  Neither
-    map depends on the eigenvectors chosen inside a degenerate
-    eigenspace.  Raises ParamOutOfRange for gamma outside [0, 1] and
-    CertificateInvalid when a gamma's pair misses the perfect correction
-    conditions by more than PERFECT_TOL.
+    five_qubit_noise.  With M_i = E_i W, alpha = tr(M_i^dag M_j) / d =
+    u diag(vals) u^dag; each vals_k above RANK_TOL * max(vals) gives
+    W^dag R_k = G_k^(-1/2) (F_k W)^dag, F_k = sum_i u_ik E_i and G_k =
+    (F_k W)^dag (F_k W), which is build_r_perf's (A^dag A)^(-1/2) A^dag
+    for A = F_k P seen from the code.  Every R_k maps into the code.
+    Raises ParamOutOfRange for gamma outside [0, 1] and CertificateInvalid
+    when a gamma's pair misses the perfect correction conditions by more
+    than PERFECT_TOL.
     """
     if code.ambient_dim != 32:
         raise DimensionMismatch(
@@ -294,7 +304,24 @@ def five_qubit_recovery_grid(gammas, code: CodeSpace) -> np.ndarray:
     weight = np.where(lam > RANK_TOL * lam[..., -1:], lam, np.inf) ** -0.5
     ops = (v * weight[..., None, :]) @ v.conj().swapaxes(-1, -2) @ fw_dag
     ops[~keep] = 0.0
+    return ops
 
+
+def five_qubit_recovery_grid(gammas, code: CodeSpace) -> np.ndarray:
+    """five_qubit_recovery for each gamma, in the coordinates of a code
+    (normally five_qubit_code_only): a (G, R, d, 32) stack of W^dag R_j,
+    W the code isometry, padded with zero operators to a common R.
+
+    The six syndrome operators of _five_qubit_syndrome_grid, completed
+    as complete_to_mixed_code does: each eigenpair (lam, phi) of the
+    ambient defect I - sum_k R_k^dag R_k with lam > 1e-8 adds
+    sqrt(lam / d) e_a phi^dag, a = 1..d.  Neither map depends on the
+    eigenvectors chosen inside a degenerate eigenspace.  The sweep does
+    not use this grid: it completes the recovered map on the code
+    (_complete_to_mixed_on_code), with no ambient defect formed.
+    """
+    ops = _five_qubit_syndrome_grid(gammas, code)
+    g, d = len(gammas), code.code_dim
     flat = ops.reshape(g, -1, 32)
     lam, phi = np.linalg.eigh(np.eye(32) - flat.conj().swapaxes(-1, -2) @ flat)
     used = np.flatnonzero((lam > 1e-8).any(axis=0))
@@ -302,6 +329,28 @@ def five_qubit_recovery_grid(gammas, code: CodeSpace) -> np.ndarray:
     rows = amp[..., None] * phi[:, :, used].conj().swapaxes(-1, -2)
     fill = np.eye(d)[:, :, None] * rows[:, :, None, None, :]
     return np.concatenate([ops, fill.reshape(g, -1, d, 32)], axis=1)
+
+
+def _complete_to_mixed_on_code(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """A recovered map completed by re-preparing the maximally mixed code
+    state, on the code: k (G, X, d, d) the code-basis Kraus stack of a
+    recovery after noise, m (G, N, D, d) the noise on the code, M_i = E_i W.
+    Returns k followed by d^2 operators per gamma, (G, X + d^2, d, d).
+
+    When every recovery operator maps into the code, the completion of
+    complete_to_mixed_code after the noise is rho -> tr(F rho) I / d with
+    F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, the defect seen through
+    the noise: its Kraus operators are sqrt(mu_c / d) e_a v_c^dag for the
+    eigenpairs (mu_c, v_c) of F, negative mu_c taken as 0.  Unlike the
+    ambient completion, no defect eigenvalue is dropped below 1e-8.
+    """
+    g, _, d, _ = k.shape
+    noise, kept = m.reshape(g, -1, d), k.reshape(g, -1, d)
+    f = noise.conj().swapaxes(-1, -2) @ noise - kept.conj().swapaxes(-1, -2) @ kept
+    mu, v = np.linalg.eigh(f)
+    rows = np.sqrt(np.maximum(mu, 0.0) / d)[..., None] * v.conj().swapaxes(-1, -2)
+    fill = np.eye(d)[:, None, :, None] * rows[:, None, :, None, :]
+    return np.concatenate([k, fill.reshape(g, d * d, d, d)], axis=1)
 
 
 def five_qubit_recovery(gamma: float) -> QuantumChannel:

@@ -454,6 +454,47 @@ def test_sweep_fixed_recovery_curves_match_per_gamma_reference(tmp_path):
         assert count == ("2000" if method == "sampled" else "exact")
 
 
+_RPERF_GRID = ["--gamma-start", "0", "--gamma-stop", "1", "--gamma-step", "0.125"]
+
+
+def test_rperf_sweep_matches_original_recovery_through_gamma_one(tmp_path):
+    # The sweep completes the recovery on the code; the reference completes
+    # it in the ambient space, at gamma 0 (one syndrome kept) through 1.
+    from aqec import five_qubit_code_only, worst_case_fidelity
+
+    code = five_qubit_code_only()
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--curve", "five513:rperf", *_RPERF_GRID, "--out", str(out)]) == 0
+    table = _sweep_table(out)
+    assert [float(r[0]) for r in table] == [0.125 * k for k in range(9)]
+    for gamma, _, f2, _, eta, method, _, _ in table:
+        noise = tensor_power(amplitude_damping(float(gamma)), 5)
+        ref = worst_case_fidelity(noise, _original_five_qubit_recovery(float(gamma)), code)
+        assert abs(float(f2) - ref.f2_min) <= 1e-12
+        assert abs(float(eta) - ref.eta) <= 1e-12
+        assert method == ref.method
+
+
+def test_completed_rperf_map_is_trace_preserving_on_the_code(tmp_path, monkeypatch):
+    import aqec.cli
+    from aqec.fidelity import _code_process_matrices
+
+    stacks = []
+
+    def keep_stack(k, *args):
+        stacks.append(k)
+        return real_worst_cases(k, *args)
+
+    real_worst_cases = aqec.cli._worst_cases
+    monkeypatch.setattr(aqec.cli, "_worst_cases", keep_stack)
+    assert main(["sweep", "--curve", "five513:rperf", *_RPERF_GRID,
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    [k] = stacks
+    m = _code_process_matrices(k)
+    assert m.shape == (9, 4, 4)
+    assert np.max(np.abs(m[:, 0, :] - np.eye(4)[0])) <= 1e-12
+
+
 def test_default_sweep_equals_split_calls(tmp_path):
     gammas = [round(0.01 * k, 12) for k in range(51)]
     whole = tmp_path / "whole.csv"
@@ -593,6 +634,16 @@ def test_damping_built_on_the_code_keeps_memory_small():
     assert _peak_bytes(_curve_results, "identity", code, gammas, 10, 0) < 8 * 2**20
 
 
+def test_rperf_curve_keeps_memory_small():
+    # Completing the recovery on the code forms no 32 x 32 defect and no
+    # ambient completion operators.
+    from aqec import five_qubit_code_only
+    from aqec.cli import _curve_results, gamma_grid
+
+    gammas = gamma_grid(0.0, 0.5, 0.01)
+    assert _peak_bytes(_curve_results, "rperf", five_qubit_code_only(), gammas, 10, 0) < 8 * 2**20
+
+
 def test_non_numeric_kraus_or_basis_entry_exits_3(tmp_path, capsys):
     chan_file, code_file = tmp_path / "chan.json", tmp_path / "code.json"
     good_chan = channel_to_json(bit_flip_channel(0.1))
@@ -634,6 +685,21 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
     assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1",
                  "--out", missing]) == 2
     assert "cannot write" in _one_error_line(capsys)
+
+
+def test_search_checks_its_outputs_before_scoring(tmp_path, capsys, monkeypatch):
+    import aqec.cli
+
+    def never(args):
+        raise AssertionError("scored a code before checking the outputs")
+
+    monkeypatch.setattr(aqec.cli, "_search_one", never)
+    out = tmp_path / "s.csv"
+    assert main(["search", "--codes", "1", "--qubits", "2", "--gamma-stop", "0.02",
+                 "--out", str(out), "--best-out",
+                 str(tmp_path / "no-such-dir" / "best.json")]) == 2
+    assert "does not exist" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch):

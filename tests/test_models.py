@@ -117,6 +117,16 @@ def test_five_qubit_code_shape():
     assert noise.dims_in == 32
 
 
+def test_five_qubit_code_equals_kron_construction():
+    proj = np.eye(32, dtype=complex)
+    for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"):
+        proj = proj @ (np.eye(32) + pauli_string(s)) / 2.0
+    v0 = proj @ basis_state("00000")
+    v0 /= np.linalg.norm(v0)
+    kron = np.column_stack([v0, pauli_string("XXXXX") @ v0])
+    assert np.array_equal(five_qubit_code_only().basis, kron)
+
+
 def test_five_qubit_stabilizer_eigenstates():
     code = five_qubit_code_only()
     for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"):
