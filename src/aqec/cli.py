@@ -39,7 +39,7 @@ from .channels import channel_from_json
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
 from .conditions import aqec_diagnostics
 from .exceptions import AqecError
-from .fidelity import SAMPLED, WorstCaseResult, _compose_on_code, _worst_cases
+from .fidelity import DEFAULT_SAMPLES, SAMPLED, WorstCaseResult, _compose_on_code, _worst_cases
 from .models import (
     MODEL_REGISTRY,
     _check_gamma,
@@ -93,7 +93,7 @@ class SweepConfig:
     gamma_start: float = 0.0
     gamma_stop: float = 0.5
     gamma_step: float = 0.01
-    samples: int = 100_000
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
     out: str = "sweep.csv"
 
@@ -122,7 +122,7 @@ class SearchConfig:
     gamma_stop: float = 0.5
     gamma_step: float = 0.01
     seed: int = 0
-    samples: int = 20_000
+    samples: int = DEFAULT_SAMPLES
     metric: str = "min_f2"  # or "f2_at:<gamma>"
     out: str = "search.csv"
     best_out: str = "best_code.json"
@@ -231,7 +231,11 @@ def _csv_float(x: float) -> str:
 
 
 def _write_file(path: str, text: str) -> None:
-    """Write text to the file path; UserConfigError when it cannot be written."""
+    """Write text to the file path, or to standard output when path is
+    '-'; UserConfigError when it cannot be written."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -242,8 +246,11 @@ def _write_file(path: str, text: str) -> None:
 def _check_writable(path: str) -> None:
     """Raise UserConfigError unless the file path could be written: its
     directory exists and is writable, and the path is not a directory nor
-    an existing read-only file.  Nothing is opened, so a run fails before
-    it scores anything and a successful run writes its outputs once."""
+    an existing read-only file ('-', standard output, always can).  Nothing
+    is opened, so a run fails before it scores anything and a successful
+    run writes its outputs once."""
+    if path == "-":
+        return
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         problem = "it is a directory"
@@ -261,18 +268,13 @@ def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[
     lines.append(f"# config: {json.dumps(config_json, sort_keys=True)}")
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        _write_file(path, text)
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def cmd_sweep(config: SweepConfig) -> None:
     curves = [_parse_curve(c) for c in config.curves]
     _check_sampling(config.samples, config.seed)
-    if config.out != "-":
-        _check_writable(config.out)
+    _check_writable(config.out)
     gammas = config.gammas()
     rows = []
     for spec, (model, recovery) in sorted(zip(config.curves, curves)):
@@ -342,8 +344,9 @@ def cmd_search(config: SearchConfig) -> None:
     _check_sampling(config.samples, config.seed)
     gammas = config.gammas()
     target = _metric_target(config.metric, gammas)
-    if config.out != "-":
-        _check_writable(config.out)
+    if config.out == config.best_out == "-":
+        raise UserConfigError("--out and --best-out cannot both be '-' (standard output)")
+    _check_writable(config.out)
     _check_writable(config.best_out)
     rng = np.random.default_rng(config.seed)
     code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=config.n_codes)]
@@ -394,7 +397,7 @@ def cmd_search(config: SearchConfig) -> None:
         "per_gamma": [{"gamma": g, "f2_worst": v} for g, v in best_values],
         "code": code_to_json(best_code),
     }
-    _write_file(config.best_out, json.dumps(payload, indent=1))
+    _write_file(config.best_out, json.dumps(payload, indent=1) + "\n")
 
 
 def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None) -> None:
@@ -413,7 +416,7 @@ def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None
     payload = diag.to_json_dict()
     payload["epsilon_f_epsilon_d"] = epsilon * diag.f_epsilon_d
     text = json.dumps(payload, indent=1)
-    if out:
+    if out and out != "-":  # '-' is standard output, which always gets the JSON
         _write_file(out, text + "\n")
     print(text)
 
@@ -443,9 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--gamma-start", type=float, default=0.0)
     sweep.add_argument("--gamma-stop", type=float, default=0.5)
     sweep.add_argument("--gamma-step", type=float, default=0.01)
-    sweep.add_argument("--samples", type=int, default=100_000)
+    sweep.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--out", default="sweep.csv")
+    sweep.add_argument("--out", default="sweep.csv", help="CSV path, - for standard output")
     sweep.add_argument("--config", help="JSON file overriding the flags above")
 
     search = sub.add_parser("search", help="evaluate Haar-random codes, CSV + best JSON")
@@ -455,19 +458,21 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--gamma-start", type=float, default=0.0)
     search.add_argument("--gamma-stop", type=float, default=0.5)
     search.add_argument("--gamma-step", type=float, default=0.01)
-    search.add_argument("--samples", type=int, default=20_000)
+    search.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--metric", default="min_f2",
                         help="min_f2 (default) or f2_at:<gamma>, gamma a grid point")
-    search.add_argument("--out", default="search.csv")
-    search.add_argument("--best-out", default="best_code.json")
+    search.add_argument("--out", default="search.csv", help="CSV path, - for standard output")
+    search.add_argument("--best-out", default="best_code.json",
+                        help="best-code JSON path, - for standard output")
     search.add_argument("--config", help="JSON file overriding the flags above")
 
     check = sub.add_parser("check", help="correctability diagnostics for a pair")
     check.add_argument("channel", help="channel JSON file")
     check.add_argument("code", help="code JSON file")
     check.add_argument("--epsilon", type=float, required=True)
-    check.add_argument("--out", default=None)
+    check.add_argument("--out", default=None,
+                       help="also write the JSON here (- is standard output, printed once)")
 
     sub.add_parser("models", help="list built-in models")
     return parser

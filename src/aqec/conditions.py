@@ -39,6 +39,7 @@ from .codes import CodeSpace
 from .exceptions import CertificateInvalid, NotTP
 from .fidelity import (
     DEFAULT_SAMPLES,
+    LAGRANGE_QUBIT,
     _code_operator_basis,
     _code_process_matrices,
     _min_forms,
@@ -262,7 +263,8 @@ def aqec_diagnostics(
     delta_sum_norm = float(max(s_vals[-1], 0.0))
 
     # The form's minimum (f2_min of the result) is -eta.
-    [worst] = _min_forms(_eta_form(flat, s_mat)[None], code, ["exact_qubit"],
+    # The eta form has a linear term, so a qubit code takes the Lagrange solver.
+    [worst] = _min_forms(_eta_form(flat, s_mat)[None], code, [LAGRANGE_QUBIT],
                          eta_samples, seed)
     eta = float(-worst.f2_min) if -worst.f2_min > 0.0 else 0.0
 
@@ -328,7 +330,7 @@ def near_optimality_bound_check(
     code: CodeSpace,
     candidate_recoveries,
     *,
-    samples: int = 20_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     tol: float = 1e-9,
 ) -> NearOptimalityReport:

@@ -17,13 +17,19 @@ and chooses the method:
   eigenvalue; the rest solve the Lagrange-multiplier secular equation by
   a vectorised, safeguarded Newton method (_min_quadratic_on_sphere).
 - For d > 2 only a sampled estimate (an upper bound on the true minimum)
-  is provided: the forms are minimised over one shared set of
-  Haar-random code states, then all are refined together from their
-  best samples by batched Riemannian Newton (_refine_forms).  The
-  sampler (_min_forms_sampled) scores cache-sized blocks of states in
-  real arithmetic: each state's coefficients s come from the pair
-  products of the real and imaginary parts of its unnormalised draw,
-  divided by its squared norm, and only each form's best state is made
+  is provided, by multi-start local search (_min_forms_sampled).  One
+  shared stream of DEFAULT_SAMPLES Haar-random code states seeds the
+  starts: each form keeps a small pool of its lowest samples and takes
+  from it up to 8 starts (d = 3) or 16 (d >= 4) in distinct basins, two
+  states with |<c_i|c_j>| >= 0.9 counting as one.  Every form x start is
+  refined in one batched Riemannian Newton call (_refine_forms), and
+  each form keeps its lowest value.  A single start from the best sample
+  stops in a local minimum on about one form in ten at d = 4 whatever the
+  sample count, so the samples need only land one start in the global
+  minimum's basin.  The sampler scores cache-sized blocks of
+  states in real arithmetic: each state's coefficients s come from the
+  pair products of the real and imaginary parts of its unnormalised
+  draw, divided by its squared norm, and only the pooled states are made
   complex.
 
 The public entry points are worst_case_fidelity, for one noise and
@@ -47,7 +53,7 @@ LAGRANGE_QUBIT = "lagrange_qubit"
 SAMPLED = "sampled"
 
 FLAG_TOL = 1e-9
-DEFAULT_SAMPLES = 100_000
+DEFAULT_SAMPLES = 1024
 REFINE_ITERS = 300
 
 
@@ -57,7 +63,8 @@ class WorstCaseResult:
 
     For the exact qubit methods f2_min is a certified global minimum; for
     the sampled method it is the best value seen (an upper bound on the
-    true minimum) and `samples`/`seed` record the search effort.
+    true minimum) and `samples`/`seed` give the Haar sample stream that
+    seeded its refinement starts.
     """
 
     f2_min: float
@@ -359,6 +366,8 @@ def _refine_forms(
 _CHUNK = 65536  # states per draw; the draws make the sample stream of a seed
 _ROW_BLOCK = 2048  # states scored at once, so that every temporary stays in cache
 _FORM_BLOCK = 4  # forms whose Q_g s are held at once, for a block of states
+_POOL_PER_START = 4  # lowest samples kept per form, per refinement start
+_SAME_BASIN = 0.9  # |<c_i|c_j>| at or above which two starts share a basin
 
 
 def _pair_coefficients(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -372,6 +381,35 @@ def _pair_coefficients(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     off = j < k
     return j, k, np.hstack([np.where(off, 2.0, 1.0) * g[:, j, k].real,
                             -2.0 * g[:, j[off], k[off]].imag])
+
+
+def _start_count(d: int) -> int:
+    """Refinement starts per form at code dimension d."""
+    return 8 if d <= 3 else 16
+
+
+def _distinct_starts(
+    vals: np.ndarray, cs: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to k starts per form from its pool: pool values vals (G, P), in
+    ascending order per row (inf for an empty slot), and unit states cs
+    (G, P, d).  Greedy in pool order: a state is taken unless it lies in the
+    basin of a start already taken, |<c_i|c_j>| >= _SAME_BASIN.  Returns
+    the starts (G, k, d) and a mask (G, k) of the slots filled."""
+    forms, pool, d = cs.shape
+    starts = np.zeros((forms, k, d), dtype=complex)
+    count = np.zeros(forms, dtype=int)
+    rows = np.arange(forms)
+    for p in range(pool):
+        c = cs[:, p]
+        # empty start slots are zero vectors and overlap nothing
+        overlap = np.abs(np.einsum("gkd,gd->gk", starts.conj(), c))
+        take = np.isfinite(vals[:, p]) & (count < k) & np.all(overlap < _SAME_BASIN, axis=1)
+        starts[rows[take], count[take]] = c[take]
+        count += take
+        if np.all(count == k):
+            break
+    return starts, np.arange(k) < count[:, None]
 
 
 def _min_forms_sampled(
@@ -388,26 +426,32 @@ def _min_forms_sampled(
     real arithmetic, s = coef @ pairs / |z|^2 from the pair products of x
     and y (_pair_coefficients), with Q_g s held for _FORM_BLOCK forms at a
     time, so that no complex state, outer product or chunk-sized temporary
-    is formed; only the best sample of each form is made a complex unit
-    vector.  All forms are then refined at once by _refine_forms, each from
-    its own best sample.  Returns the values (G,) and the code-coefficient
-    vectors (G, d); each value is the best seen, an upper bound on the true
-    minimum.
+    is formed.  Each form keeps a pool of its _POOL_PER_START * k lowest
+    samples, k = _start_count(d); only these are made complex unit vectors.
+    From its pool each form takes up to k starts in distinct basins
+    (_distinct_starts), and all forms x starts are refined at once by
+    _refine_forms; each form keeps its lowest refined value.  The samples
+    serve only to seed the starts, so n trades sampling time against the
+    chance that a basin holds no pool sample.  Returns the values (G,) and
+    the code-coefficient vectors (G, d); each value is the best seen, an
+    upper bound on the true minimum.
     """
     if n < 1:
         raise PreconditionViolated("need at least one sample")
     q = (q + q.swapaxes(-1, -2)) / 2.0
     forms, dim, _ = q.shape
     d = int(round(np.sqrt(dim)))
+    n_starts = _start_count(d)
+    pool = _POOL_PER_START * n_starts
     j, k, coef = _pair_coefficients(d)
     jo, ko = j[j < k], k[j < k]
     # row (g, a) of a group is Q_g[a]
     q_groups = [q[g : g + _FORM_BLOCK].reshape(-1, dim) for g in range(0, forms, _FORM_BLOCK)]
-    cols = np.arange(forms)
+    rows = np.arange(forms)[:, None]
     rng = np.random.default_rng(seed)
     xs, ys = np.empty((2, min(n, _CHUNK), d))
-    best = np.full(forms, np.inf)
-    best_c = np.zeros((forms, d), dtype=complex)
+    pool_vals = np.full((forms, pool), np.inf)
+    pool_cs = np.zeros((forms, pool, d), dtype=complex)
     remaining = n
     while remaining > 0:
         batch = min(_CHUNK, remaining)
@@ -425,14 +469,21 @@ def _min_forms_sampled(
                 np.einsum("gan,an->gn", (qg @ s).reshape(-1, dim, hi - lo), s)
                 for qg in q_groups
             ])
-            idx = np.argmin(vals, axis=1)
-            low_vals = vals[cols, idx]
-            low = low_vals < best
-            best[low] = low_vals[low]
-            win = lo + idx[low]
-            z = xs[win] + 1j * ys[win]
-            best_c[low] = z / np.linalg.norm(z, axis=1, keepdims=True)
-    f_ref, c_ref = _refine_forms(q, best_c, refine_iters)
+            idx = np.argpartition(vals, min(pool, hi - lo) - 1, axis=1)[:, :pool]
+            z = xs[lo + idx] + 1j * ys[lo + idx]
+            merged_vals = np.concatenate([pool_vals, vals[rows, idx]], axis=1)
+            merged_cs = np.concatenate(
+                [pool_cs, z / np.linalg.norm(z, axis=-1, keepdims=True)], axis=1)
+            # stable, so a pooled sample stays ahead of a new one of equal value
+            order = np.argsort(merged_vals, axis=1, kind="stable")[:, :pool]
+            pool_vals, pool_cs = merged_vals[rows, order], merged_cs[rows, order]
+    starts, filled = _distinct_starts(pool_vals, pool_cs, n_starts)
+    f_all = np.full(filled.shape, np.inf)
+    f_all[filled], starts[filled] = _refine_forms(
+        q[np.nonzero(filled)[0]], starts[filled], refine_iters)
+    pick = np.argmin(f_all, axis=1)[:, None]  # the first, lowest-sample start on ties
+    f_ref, c_ref = f_all[rows, pick][:, 0], starts[rows, pick][:, 0]
+    best, best_c = pool_vals[:, 0], pool_cs[:, 0]
     keep = f_ref <= best
     return np.where(keep, f_ref, best), np.where(keep[:, None], c_ref, best_c)
 

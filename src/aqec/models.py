@@ -180,15 +180,24 @@ _FIVE_QUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
 def _pauli_on(spec: str, vecs: np.ndarray) -> np.ndarray:
-    """The Pauli string spec (e.g. 'XZZXI') applied to vecs (2^n, ...),
-    one qubit axis at a time, with no 2^n x 2^n operator formed; identity
-    factors are skipped."""
+    """The Pauli string spec (e.g. 'XZZXI') applied to vecs (2^n, ...)
+    with no 2^n x 2^n operator formed.  A Pauli string is a phased
+    permutation of rows: output row r takes input row r xor m, m the mask
+    of its X and Y factors, times the product over factors of the
+    single-qubit entry [bit of r, bit of r xor m].  The phases are +-1 and
+    +-i, so the gather equals the Kronecker product to the bit."""
     n = len(spec)
-    cube = vecs.reshape((2,) * n + vecs.shape[1:])
+    rows = np.arange(2**n)
+    src = rows.copy()
+    phase = np.ones(2**n, dtype=complex)
     for k, p in enumerate(spec):
         if p != "I":
-            cube = np.moveaxis(np.tensordot(_PAULI[p], cube, axes=(1, k)), 0, k)
-    return cube.reshape(vecs.shape)
+            shift = n - 1 - k
+            flip = int(p in "XY")
+            out_bit = (rows >> shift) & 1
+            phase *= _PAULI[p][out_bit, out_bit ^ flip]
+            src ^= flip << shift
+    return phase.reshape((-1,) + (1,) * (vecs.ndim - 1)) * vecs[src]
 
 
 def five_qubit_code_only() -> CodeSpace:

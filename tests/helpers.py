@@ -6,7 +6,8 @@ evaluates Kraus amplitudes on explicitly sampled states, and the two
 scalar sphere minimisers (a brentq secular solve and projected gradient
 descent) solve one form at a time what aqec.fidelity solves in batches,
 and the reference sampler evaluates the same Haar sample stream as
-aqec.fidelity in complex arithmetic on normalised states.
+aqec.fidelity in complex arithmetic on normalised states and picks its
+refinement starts one form at a time.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from aqec import QuantumChannel, CodeSpace, bloch_state, haar_unitary
 from aqec.fidelity import (
     REFINE_ITERS,
     _CHUNK,
+    _POOL_PER_START,
+    _SAME_BASIN,
     _code_operator_basis,
     _code_process_matrices,
     _refine_forms,
+    _start_count,
 )
 
 
@@ -317,18 +321,22 @@ def reference_min_forms_sampled(
     the same draws as aqec.fidelity._min_forms_sampled (chunks of _CHUNK
     states, the real parts then the imaginary parts), normalised as
     complex vectors, s_a = c^dag g_a c formed from each state's complex
-    outer product, evaluated 2^18 entries of s @ Q at a time, the best
-    sample of each form then refined by _refine_forms."""
+    outer product, evaluated 2^18 entries of s @ Q at a time.  Every value
+    is kept; per form, one scalar loop walks its _POOL_PER_START * k lowest
+    samples in order (k = _start_count(d)) and takes each one that overlaps
+    no start taken before by |<c_i|c_j>| >= _SAME_BASIN, up to k starts.
+    Each form's starts are refined by _refine_forms, and the lowest result,
+    the earliest start on ties, is kept unless it lies above the best
+    sample."""
     q = (q + q.swapaxes(-1, -2)) / 2.0
     forms, dim, _ = q.shape
     d = int(round(np.sqrt(dim)))
+    k = _start_count(d)
     gens_t = _code_operator_basis(d).reshape(dim, dim).T
     wide = q.swapaxes(0, 1).reshape(dim, forms * dim)
     rows = max(1, (1 << 18) // (forms * dim))
-    cols = np.arange(forms)
     rng = np.random.default_rng(seed)
-    best = np.full(forms, np.inf)
-    best_c = np.zeros((forms, d), dtype=complex)
+    all_vals, all_cs = [], []
     remaining = n
     while remaining > 0:
         batch = min(_CHUNK, remaining)
@@ -339,12 +347,21 @@ def reference_min_forms_sampled(
             cb = cs[lo : lo + rows]
             outer = (cb.conj()[:, :, None] * cb[:, None, :]).reshape(len(cb), dim)
             s = (outer @ gens_t).real
-            vals = np.einsum("nga,na->ng", (s @ wide).reshape(len(cb), forms, dim), s)
-            idx = np.argmin(vals, axis=0)
-            low_vals = vals[idx, cols]
-            low = low_vals < best
-            best[low] = low_vals[low]
-            best_c[low] = cs[lo + idx[low]]
-    f_ref, c_ref = _refine_forms(q, best_c, refine_iters)
-    keep = f_ref <= best
-    return np.where(keep, f_ref, best), np.where(keep[:, None], c_ref, best_c)
+            all_vals.append(np.einsum("nga,na->ng", (s @ wide).reshape(len(cb), forms, dim), s))
+        all_cs.append(cs)
+    vals, cs = np.concatenate(all_vals), np.concatenate(all_cs)
+    out_vals, out_cs = np.empty(forms), np.empty((forms, d), dtype=complex)
+    for g in range(forms):
+        order = np.argsort(vals[:, g], kind="stable")[: _POOL_PER_START * k]
+        starts = []
+        for i in order:
+            if len(starts) < k and all(abs(np.vdot(c, cs[i])) < _SAME_BASIN for c in starts):
+                starts.append(cs[i])
+        f_ref, c_ref = _refine_forms(np.repeat(q[g : g + 1], len(starts), axis=0),
+                                     np.array(starts), refine_iters)
+        best = int(np.argmin(f_ref))
+        if f_ref[best] <= vals[order[0], g]:
+            out_vals[g], out_cs[g] = f_ref[best], c_ref[best]
+        else:
+            out_vals[g], out_cs[g] = vals[order[0], g], cs[order[0]]
+    return out_vals, out_cs

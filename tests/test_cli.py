@@ -709,3 +709,37 @@ def test_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch):
         assert main(["search", "--codes", "1", "--qubits", "2", "--gamma-stop", "0.02"]
                     + out) == 2
         assert "AQEC_THREADS" in _one_error_line(capsys)
+
+
+def test_check_out_dash_prints_the_json_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    chan_file, code_file = tmp_path / "chan.json", tmp_path / "code.json"
+    chan_file.write_text(json.dumps(channel_to_json(bit_flip_channel(0.1))))
+    code_file.write_text(json.dumps(code_to_json(bit_flip_code())))
+    assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1",
+                 "--out", "-"]) == 0
+    data = json.loads(capsys.readouterr().out)  # one JSON document, nothing after it
+    assert data["verdict"] == "Correctable"
+    assert not (tmp_path / "-").exists()
+
+
+def test_search_best_out_dash_writes_standard_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    csv = tmp_path / "s.csv"
+    assert main(["search", "--codes", "2", "--qubits", "2", "--gamma-stop", "0.1",
+                 "--gamma-step", "0.1", "--out", str(csv), "--best-out", "-"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    _, rows = _read_rows(csv)
+    assert len(rows) == 3  # header + two codes
+    assert [row["gamma"] for row in data["per_gamma"]] == [0.0, 0.1]
+    assert not (tmp_path / "-").exists()
+
+
+def test_search_rejects_both_outputs_on_standard_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "--codes", "1", "--qubits", "2", "--gamma-stop", "0.02",
+                 "--out", "-", "--best-out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+    assert "standard output" in captured.err
+    assert not (tmp_path / "-").exists()

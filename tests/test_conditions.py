@@ -22,6 +22,7 @@ from aqec import (
 )
 from aqec.conditions import Verdict, _deviation_operators
 from aqec.exceptions import CertificateInvalid, NotTP
+from aqec.fidelity import DEFAULT_SAMPLES, EXACT_UNITAL_QUBIT, LAGRANGE_QUBIT, SAMPLED
 from aqec.models import (
     bit_flip_channel,
     bit_flip_code,
@@ -320,7 +321,7 @@ def test_sampled_eta_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert diag.eta_method == "sampled" and diag.eta_samples == 100_000
+    assert diag.eta_method == "sampled" and diag.eta_samples == DEFAULT_SAMPLES
     assert peak < 64 * 2**20
 
 
@@ -352,3 +353,20 @@ def test_near_optimality_eta_p_matches_ambient_transpose(d, gamma):
     rp = transpose_channel(e, code).recovery
     ref = worst_case_fidelity(e, rp, code, samples=3000, seed=6)
     assert abs(report.eta_p - ref.eta) <= 1e-12
+
+
+def test_every_reported_method_is_a_fidelity_method():
+    # The eta form has a linear term, so qubit codes report the Lagrange
+    # solver; larger codes report the sampler.
+    methods = {EXACT_UNITAL_QUBIT, LAGRANGE_QUBIT, SAMPLED}
+    e4 = tensor_power(amplitude_damping(0.1), 4)
+    for code in (leung_code(), random_code(16, 2, 5), random_code(16, 3, 5)):
+        diag = aqec_diagnostics(e4, code, epsilon=0.1)
+        assert diag.eta_method in methods
+        assert diag.to_json_dict()["eta_method"] == diag.eta_method
+        assert diag.eta_method == (LAGRANGE_QUBIT if code.code_dim == 2 else SAMPLED)
+        recovery = transpose_channel(e4, code).recovery
+        for rec in (None, recovery):
+            assert worst_case_fidelity(e4, rec, code).method in methods
+    diag = aqec_diagnostics(bit_flip_channel(0.1), bit_flip_code(), epsilon=0.1)
+    assert diag.eta_method == LAGRANGE_QUBIT
