@@ -64,7 +64,6 @@ from .models import (
     five_qubit_code_only,
     five_qubit_noise,
     five_qubit_recovery,
-    five_qubit_recovery_grid,
     leung_code,
     leung_recovery,
     qubit_space,
@@ -93,7 +92,7 @@ __all__ = [
     "amplitude_damping", "amplitude_damping_power", "bit_flip_channel",
     "bit_flip_code", "complete_to_mixed_code", "example5_channel",
     "example5_eta_formula", "five_qubit_code_only",
-    "five_qubit_noise", "five_qubit_recovery", "five_qubit_recovery_grid",
+    "five_qubit_noise", "five_qubit_recovery",
     "leung_code", "leung_recovery",
     "qubit_space", "truncated_damping_channel",
     "TransposeRecovery", "code_kraus", "recovered_channel", "transpose_channel",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -37,7 +38,7 @@ import numpy as np
 from . import __version__
 from .channels import channel_from_json
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
-from .conditions import aqec_diagnostics
+from .conditions import _standard_recovery_on, aqec_diagnostics
 from .exceptions import AqecError
 from .fidelity import DEFAULT_SAMPLES, SAMPLED, WorstCaseResult, _compose_on_code, _worst_cases
 from .models import (
@@ -45,7 +46,7 @@ from .models import (
     _check_gamma,
     _complete_to_mixed_on_code,
     _damping_on,
-    _five_qubit_syndrome_grid,
+    _five_qubit_noise_on,
     five_qubit_code_only,
     leung_code,
     leung_recovery,
@@ -203,11 +204,12 @@ def _curve_results(
     The noise enters only as M_i = E_i W, built for the whole grid in one
     call with no ambient operator formed; every curve is one code-basis
     Kraus stack over the grid, scored in one call.  The rperf curve
-    composes only the six syndrome operators with the noise and completes
-    the map on the code (_complete_to_mixed_on_code): 6 N + d^2 operators
-    per gamma.  Defect eigenvalues at or below 1e-8, which the ambient
-    five_qubit_recovery_grid drops, are kept there; values move by about
-    1e-15.
+    composes only the six syndrome operators of the standard recovery
+    (conditions._standard_recovery_on of the single-error channel on the
+    code) with the noise and completes the map on the code
+    (_complete_to_mixed_on_code): 6 N + d^2 operators per gamma.  Defect
+    eigenvalues at or below 1e-8, which the ambient five_qubit_recovery
+    drops, are kept there; values move by about 1e-15.
     """
     _n_qubits_for(code)  # exit 2 unless the code lives on qubits
     w = code.basis
@@ -221,7 +223,8 @@ def _curve_results(
             _check_gamma(g, closed=False)
         k = _compose_on_code(w.conj().T @ leung_recovery(gammas[0])._stack, m)
     else:
-        k = _compose_on_code(_five_qubit_syndrome_grid(gammas, code), m)
+        syndromes = _standard_recovery_on(_five_qubit_noise_on(gammas, w))
+        k = _compose_on_code(syndromes, m)
         k = _complete_to_mixed_on_code(k, m)
     return _worst_cases(k, code, samples, seed)
 
@@ -427,7 +430,11 @@ def cmd_models() -> None:
         print(f"{name:<{width}}  {desc}")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parse does not
+    change it (each fills a fresh namespace, and --curve's default stays
+    None)."""
     parser = argparse.ArgumentParser(
         prog="aqec",
         description="Transpose-channel recovery and approximate QEC experiments",

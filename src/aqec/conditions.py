@@ -32,6 +32,7 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
+    _prune,
     restricted_tp_factor,
     tp_defect,
 )
@@ -46,7 +47,7 @@ from .fidelity import (
     transpose_fidelity_grid,
     worst_case_fidelity,
 )
-from .linalg import RANK_TOL, hermitian_eig, inv_sqrt_on_support
+from .linalg import RANK_TOL, hermitian_eig
 from .transpose import _check_dims, code_kraus
 
 PERFECT_TOL = 1e-9
@@ -126,10 +127,44 @@ class AqecDiagnostics:
         }
 
 
-def _code_rep_products(e: QuantumChannel, code: CodeSpace) -> np.ndarray:
-    """Gram products G[i, j] = W^dag E_i^dag E_j W in the code basis."""
-    m = e._stack @ code.basis  # (N, D, d)
-    return np.einsum("iab,jac->ijbc", m.conj(), m, optimize=True)
+def _condition_products(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha (G, N, N) and the residual (G,) of the conditions for the
+    noise on the code m, M_i = E_i W, stacked (G, N, D, d): from the
+    products M_i^dag M_j, alpha_ij = tr(M_i^dag M_j) / d (its Hermitian
+    part) and the residual max |M_i^dag M_j - alpha_ij I| per pair."""
+    g, n, dim, d = m.shape
+    wide = np.moveaxis(m, 1, 2).reshape(g, dim, n * d)
+    prods = (wide.conj().swapaxes(-1, -2) @ wide).reshape(g, n, d, n, d).swapaxes(2, 3)
+    alpha = np.trace(prods, axis1=-2, axis2=-1) / d
+    dev = np.abs(prods - alpha[..., None, None] * np.eye(d))
+    return (alpha + alpha.conj().swapaxes(-1, -2)) / 2.0, dev.reshape(g, -1).max(axis=1)
+
+
+def _syndrome_operators(m: np.ndarray, vals: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """W^dag R_k = (F_k W)^dag / sqrt(d_k), F_k W = sum_i u_ik M_i, for
+    alpha = u diag(vals) u^dag: m (G, N, D, d), vals (G, N), u (G, N, N).
+    Returns (G, N, d, D), zero where d_k <= RANK_TOL * max(d), the one
+    place that cut is made."""
+    keep = vals > RANK_TOL * np.maximum(vals[:, -1:], 0.0)
+    weight = np.where(keep, vals, np.inf) ** -0.5
+    fw = (u.swapaxes(-1, -2) @ m.reshape(m.shape[0], m.shape[1], -1)).reshape(m.shape)
+    return weight[..., None, None] * fw.conj().swapaxes(-1, -2)
+
+
+def _standard_recovery_on(m: np.ndarray) -> np.ndarray:
+    """The standard recovery R_k = P F_k^dag / sqrt(d_k) of each pair in a
+    stack, in code coordinates: for the noise on the code m (G, N, D, d),
+    M_i = E_i W, the (G, N, d, D) stack of W^dag R_k, zero for a dropped
+    syndrome.  Raises CertificateInvalid when a pair's residual exceeds
+    PERFECT_TOL."""
+    alpha, residual = _condition_products(m)
+    bad = np.flatnonzero(residual > PERFECT_TOL)
+    if bad.size:
+        raise CertificateInvalid(
+            f"residual {residual[bad[0]]:.3e} exceeds tolerance {PERFECT_TOL:.3e}"
+        )
+    vals, u = np.linalg.eigh(alpha)
+    return _syndrome_operators(m, vals, u)
 
 
 def check_perfect_qec(
@@ -142,14 +177,8 @@ def check_perfect_qec(
     with its diagonalization.
     """
     _check_dims(e, code)
-    d = code.code_dim
-    prods = _code_rep_products(e, code)
-    alpha = np.trace(prods, axis1=2, axis2=3) / d
-    eye = np.eye(d)
-    residual = float(
-        np.max(np.abs(prods - alpha[:, :, None, None] * eye[None, None, :, :]))
-    )
-    alpha = (alpha + alpha.conj().T) / 2.0
+    alpha, residual = _condition_products((e._stack @ code.basis)[None])
+    alpha, residual = alpha[0], float(residual[0])
     vals, vecs = hermitian_eig(alpha)
     return PerfectQecCertificate(
         alpha=alpha,
@@ -164,35 +193,23 @@ def check_perfect_qec(
 def build_r_perf(
     cert: PerfectQecCertificate, e: QuantumChannel, code: CodeSpace
 ) -> QuantumChannel:
-    """Standard recovery for a certified pair: Kraus {P U_k^dag}.
+    """Standard recovery for a certified pair: Kraus {P F_k^dag / sqrt(d_k)}.
 
-    The rotated Kraus operators F_k = sum_i u_ik E_i satisfy
-    F_k P = sqrt(d_kk) U_k P by polar decomposition; only components with
-    d_kk above RANK_TOL * max(d_kk) contribute.  For any code state rho,
-    (R_perf after e)(rho) = (sum_k d_kk) rho.  Such an A = F_k P has full
-    rank on the code, so P U_k^dag = (A^dag A)^(-1/2) A^dag with the
-    inverse square root taken on the code: the unitary's extension off the
-    code never enters.
+    The rotated Kraus operators F_k = sum_i u_ik E_i of the certificate's
+    alpha = u diag(d) u^dag satisfy P F_k^dag F_l P = d_k delta_kl P, so
+    F_k P / sqrt(d_k) is an isometry on the code and its adjoint undoes
+    it; only components with d_k above RANK_TOL * max(d_k) contribute.
+    For any code state rho, (R_perf after e)(rho) = (sum_k d_k) rho, and
+    R_perf equals the transpose channel of the pair.
     """
     if not cert.satisfied:
         raise CertificateInvalid(
             f"residual {cert.residual:.3e} exceeds tolerance {cert.tol:.3e}"
         )
     _check_dims(e, code)
-    p = code.projector()
-    u = cert.rotation
-    vals = cert.diag_values
-    cutoff = RANK_TOL * max(float(vals[-1]), 0.0)
-    ops = []
-    for k in range(len(vals)):
-        if vals[k] <= cutoff:
-            continue
-        a = np.einsum("i,iab->ab", u[:, k], e._stack) @ p
-        b, _ = inv_sqrt_on_support(a.conj().T @ a)
-        ops.append(b @ a.conj().T)
-    if not ops:
-        ops = [np.zeros((e.dims_in, e.dims_in), dtype=complex)]
-    return QuantumChannel(ops)
+    m = (e._stack @ code.basis)[None]
+    ops = _syndrome_operators(m, cert.diag_values[None], cert.rotation[None])[0]
+    return QuantumChannel(_prune(list(code.basis @ ops)))
 
 
 def _deviation_operators(

@@ -12,13 +12,12 @@ import numpy as np
 from .channels import (
     QuantumChannel,
     _check_budget,
-    _prune,
     complete_to_tp,
 )
 from .codes import CodeSpace, _su_generators
-from .conditions import PERFECT_TOL
-from .exceptions import CertificateInvalid, DimensionMismatch, ParamOutOfRange
-from .linalg import RANK_TOL, hermitian_eig
+from .conditions import build_r_perf, check_perfect_qec
+from .exceptions import ParamOutOfRange
+from .linalg import hermitian_eig
 
 _PAULI = dict(zip("IXYZ", [np.eye(2, dtype=complex)] + _su_generators(2)))
 
@@ -273,73 +272,6 @@ def complete_to_mixed_code(
     return QuantumChannel(ops)
 
 
-def _five_qubit_syndrome_grid(gammas, code: CodeSpace) -> np.ndarray:
-    """The syndrome operators of five_qubit_recovery for each gamma, in the
-    coordinates of a code (normally five_qubit_code_only): a (G, 6, d, 32)
-    stack of W^dag R_k, W the code isometry, zero where a syndrome is not
-    kept.
-
-    Per gamma this is build_r_perf after check_perfect_qec on
-    five_qubit_noise.  With M_i = E_i W, alpha = tr(M_i^dag M_j) / d =
-    u diag(vals) u^dag; each vals_k above RANK_TOL * max(vals) gives
-    W^dag R_k = G_k^(-1/2) (F_k W)^dag, F_k = sum_i u_ik E_i and G_k =
-    (F_k W)^dag (F_k W), which is build_r_perf's (A^dag A)^(-1/2) A^dag
-    for A = F_k P seen from the code.  Every R_k maps into the code.
-    Raises ParamOutOfRange for gamma outside [0, 1] and CertificateInvalid
-    when a gamma's pair misses the perfect correction conditions by more
-    than PERFECT_TOL.
-    """
-    if code.ambient_dim != 32:
-        raise DimensionMismatch(
-            f"the five-qubit recovery needs a code in dim 32, got {code.ambient_dim}"
-        )
-    g, d = len(gammas), code.code_dim
-    m = _five_qubit_noise_on(gammas, code.basis)
-    wide = np.moveaxis(m, 1, 2).reshape(g, 32, 6 * d)
-    prods = (wide.conj().swapaxes(-1, -2) @ wide).reshape(g, 6, d, 6, d).swapaxes(2, 3)
-    alpha = np.trace(prods, axis1=-2, axis2=-1) / d
-    dev = np.abs(prods - alpha[..., None, None] * np.eye(d))
-    residual = dev.reshape(g, -1).max(axis=1)
-    bad = np.flatnonzero(residual > PERFECT_TOL)
-    if bad.size:
-        raise CertificateInvalid(
-            f"residual {residual[bad[0]]:.3e} exceeds tolerance {PERFECT_TOL:.3e}"
-        )
-    vals, u = np.linalg.eigh((alpha + alpha.conj().swapaxes(-1, -2)) / 2.0)
-    keep = vals > RANK_TOL * np.maximum(vals[:, -1:], 0.0)
-    fw = (u.swapaxes(-1, -2) @ m.reshape(g, 6, -1)).reshape(m.shape)
-    fw_dag = fw.conj().swapaxes(-1, -2)
-    lam, v = np.linalg.eigh(fw_dag @ fw_dag.conj().swapaxes(-1, -2))
-    weight = np.where(lam > RANK_TOL * lam[..., -1:], lam, np.inf) ** -0.5
-    ops = (v * weight[..., None, :]) @ v.conj().swapaxes(-1, -2) @ fw_dag
-    ops[~keep] = 0.0
-    return ops
-
-
-def five_qubit_recovery_grid(gammas, code: CodeSpace) -> np.ndarray:
-    """five_qubit_recovery for each gamma, in the coordinates of a code
-    (normally five_qubit_code_only): a (G, R, d, 32) stack of W^dag R_j,
-    W the code isometry, padded with zero operators to a common R.
-
-    The six syndrome operators of _five_qubit_syndrome_grid, completed
-    as complete_to_mixed_code does: each eigenpair (lam, phi) of the
-    ambient defect I - sum_k R_k^dag R_k with lam > 1e-8 adds
-    sqrt(lam / d) e_a phi^dag, a = 1..d.  Neither map depends on the
-    eigenvectors chosen inside a degenerate eigenspace.  The sweep does
-    not use this grid: it completes the recovered map on the code
-    (_complete_to_mixed_on_code), with no ambient defect formed.
-    """
-    ops = _five_qubit_syndrome_grid(gammas, code)
-    g, d = len(gammas), code.code_dim
-    flat = ops.reshape(g, -1, 32)
-    lam, phi = np.linalg.eigh(np.eye(32) - flat.conj().swapaxes(-1, -2) @ flat)
-    used = np.flatnonzero((lam > 1e-8).any(axis=0))
-    amp = np.sqrt(np.where(lam[:, used] > 1e-8, lam[:, used], 0.0) / d)
-    rows = amp[..., None] * phi[:, :, used].conj().swapaxes(-1, -2)
-    fill = np.eye(d)[:, :, None] * rows[:, :, None, None, :]
-    return np.concatenate([ops, fill.reshape(g, -1, d, 32)], axis=1)
-
-
 def _complete_to_mixed_on_code(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     """A recovered map completed by re-preparing the maximally mixed code
     state, on the code: k (G, X, d, d) the code-basis Kraus stack of a
@@ -367,9 +299,9 @@ def five_qubit_recovery(gamma: float) -> QuantumChannel:
     single-error channel at this gamma.  Syndromes outside the corrected
     set (two or more damping events) are discarded and replaced by the
     maximally mixed code state."""
-    code = five_qubit_code_only()
-    stack = code.basis @ five_qubit_recovery_grid([gamma], code)[0]
-    return QuantumChannel(_prune(list(stack)))
+    code, noise = five_qubit_code_only(), five_qubit_noise(gamma)
+    cert = check_perfect_qec(noise, code)
+    return complete_to_mixed_code(build_r_perf(cert, noise, code), code)
 
 
 def example5_channel(

@@ -1,13 +1,14 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library code paths they are used
-to check: the polar oracle goes through scipy's SVD, the fidelity oracle
-evaluates Kraus amplitudes on explicitly sampled states, and the two
-scalar sphere minimisers (a brentq secular solve and projected gradient
-descent) solve one form at a time what aqec.fidelity solves in batches,
-and the reference sampler evaluates the same Haar sample stream as
-aqec.fidelity in complex arithmetic on normalised states and picks its
-refinement starts one form at a time.
+to check: the polar oracle goes through scipy's SVD, the standard
+recovery oracle through one full polar unitary per syndrome, the
+fidelity oracle evaluates Kraus amplitudes on explicitly sampled states,
+and the two scalar sphere minimisers (a brentq secular solve and
+projected gradient descent) solve one form at a time what aqec.fidelity
+solves in batches, and the reference sampler evaluates the same Haar
+sample stream as aqec.fidelity in complex arithmetic on normalised
+states and picks its refinement starts one form at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from aqec import QuantumChannel, CodeSpace, bloch_state, haar_unitary
+from aqec import (
+    CodeSpace,
+    QuantumChannel,
+    bloch_state,
+    haar_unitary,
+    polar_unitary_on_support,
+)
 from aqec.fidelity import (
     REFINE_ITERS,
     _CHUNK,
@@ -79,6 +86,19 @@ def svd_polar_oracle(a: np.ndarray) -> np.ndarray:
     """Unitary polar factor from scipy's SVD."""
     u, _, vh = scipy.linalg.svd(a)
     return u @ vh
+
+
+def polar_r_perf(cert, e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
+    """The standard recovery by its textbook construction: Kraus
+    {P U_k^dag} with U_k the full polar unitary of F_k P,
+    F_k = sum_i u_ik E_i, for the certificate's d_k above 1e-10 max(d)."""
+    p = code.projector()
+    vals = cert.diag_values
+    ops = []
+    for k in np.flatnonzero(vals > 1e-10 * max(float(vals[-1]), 0.0)):
+        f_k = np.einsum("i,iab->ab", cert.rotation[:, k], np.stack(e.kraus))
+        ops.append(p @ polar_unitary_on_support(f_k @ p).conj().T)
+    return QuantumChannel(ops)
 
 
 def sqrtm_oracle(a: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ from aqec import (
 from aqec.cli import main
 from aqec.models import bit_flip_channel, bit_flip_code
 
+from helpers import polar_r_perf
+
 
 def _read_rows(path):
     lines = path.read_text().splitlines()
@@ -404,7 +406,6 @@ def test_sweep_over_kraus_budget_exits_3(tmp_path, capsys):
 
 def _original_five_qubit_recovery(gamma):
     from aqec import (
-        build_r_perf,
         check_perfect_qec,
         complete_to_mixed_code,
         five_qubit_code_only,
@@ -413,7 +414,7 @@ def _original_five_qubit_recovery(gamma):
 
     code, single = five_qubit_code_only(), five_qubit_noise(gamma)
     cert = check_perfect_qec(single, code)
-    return complete_to_mixed_code(build_r_perf(cert, single, code), code)
+    return complete_to_mixed_code(polar_r_perf(cert, single, code), code)
 
 
 def test_sweep_fixed_recovery_curves_match_per_gamma_reference(tmp_path):

@@ -13,17 +13,17 @@ from aqec import (
     identity_channel,
     near_optimality_bound_check,
     near_optimality_factor,
-    polar_unitary_on_support,
     psd_sqrt,
     random_code,
     tensor_power,
     transpose_channel,
     worst_case_fidelity,
 )
-from aqec.conditions import Verdict, _deviation_operators
+from aqec.conditions import Verdict, _deviation_operators, _standard_recovery_on
 from aqec.exceptions import CertificateInvalid, NotTP
 from aqec.fidelity import DEFAULT_SAMPLES, EXACT_UNITAL_QUBIT, LAGRANGE_QUBIT, SAMPLED
 from aqec.models import (
+    _five_qubit_noise_on,
     bit_flip_channel,
     bit_flip_code,
     example5_channel,
@@ -34,7 +34,7 @@ from aqec.models import (
     truncated_damping_channel,
 )
 
-from helpers import random_tp_channel
+from helpers import polar_r_perf, random_tp_channel
 from properties import (
     check_condition_equivalence,
     check_delta_sum_bounds_eta,
@@ -105,26 +105,6 @@ def test_build_r_perf_recovers_code_states():
         assert np.max(np.abs(out - total * rho)) < 1e-9
 
 
-def test_build_r_perf_equals_transpose_channel():
-    code = bit_flip_code()
-    e = bit_flip_channel(0.1)
-    cert = check_perfect_qec(e, code)
-    assert channels_equal(
-        build_r_perf(cert, e, code), transpose_channel(e, code).recovery, 1e-10
-    )
-
-
-def _polar_r_perf(cert, e, code):
-    # Kraus {P U_k^dag} with U_k the full polar unitary of F_k P.
-    p = code.projector()
-    vals = cert.diag_values
-    ops = []
-    for k in np.flatnonzero(vals > 1e-10 * max(float(vals[-1]), 0.0)):
-        f_k = np.einsum("i,iab->ab", cert.rotation[:, k], np.stack(e.kraus))
-        ops.append(p @ polar_unitary_on_support(f_k @ p).conj().T)
-    return QuantumChannel(ops)
-
-
 _CERTIFIED_PAIRS = [
     (five_qubit_noise(g), five_qubit_code_only())
     for g in (0.0, 0.01, 0.1, 0.35, 0.7, 1.0)
@@ -135,11 +115,19 @@ _CERTIFIED_PAIRS = [
 
 
 @pytest.mark.parametrize("e, code", _CERTIFIED_PAIRS)
+def test_build_r_perf_equals_transpose_channel(e, code):
+    cert = check_perfect_qec(e, code)
+    assert channels_equal(
+        build_r_perf(cert, e, code), transpose_channel(e, code).recovery, 1e-12
+    )
+
+
+@pytest.mark.parametrize("e, code", _CERTIFIED_PAIRS)
 def test_build_r_perf_matches_polar_construction(e, code):
     cert = check_perfect_qec(e, code)
     assert cert.satisfied
     fast = choi(build_r_perf(cert, e, code)).matrix
-    assert np.max(np.abs(fast - choi(_polar_r_perf(cert, e, code)).matrix)) < 1e-12
+    assert np.max(np.abs(fast - choi(polar_r_perf(cert, e, code)).matrix)) < 1e-12
 
 
 def test_build_r_perf_rejects_bad_certificate():
@@ -148,6 +136,9 @@ def test_build_r_perf_rejects_bad_certificate():
     cert = check_perfect_qec(e, code)
     with pytest.raises(CertificateInvalid):
         build_r_perf(cert, e, code)
+    # the batched core checks the conditions itself
+    with pytest.raises(CertificateInvalid):
+        _standard_recovery_on(_five_qubit_noise_on([0.1], random_code(32, 2, 3).basis))
 
 
 def test_aqec_diagnostics_perfect_pair():

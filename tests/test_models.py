@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from aqec import (
-    QuantumChannel,
     amplitude_damping,
     aqec_diagnostics,
-    build_r_perf,
     channels_equal,
     check_perfect_qec,
     complete_to_mixed_code,
@@ -13,7 +11,6 @@ from aqec import (
     five_qubit_code_only,
     five_qubit_noise,
     five_qubit_recovery,
-    five_qubit_recovery_grid,
     identity_channel,
     leung_code,
     leung_recovery,
@@ -25,9 +22,10 @@ from aqec import (
     truncated_damping_channel,
     worst_case_fidelity,
 )
-from aqec.exceptions import CertificateInvalid, ParamOutOfRange
+from aqec.exceptions import ParamOutOfRange
 from aqec.models import _damping_on, basis_state, pauli_string
 
+from helpers import polar_r_perf
 from properties import (
     check_damping_semigroup,
     check_example5_ratio,
@@ -152,6 +150,8 @@ def test_five_qubit_recovery_tp_and_noiseless_limit():
     e = tensor_power(amplitude_damping(0.0), 5)
     res = worst_case_fidelity(e, five_qubit_recovery(0.0), code)
     assert res.f2_min > 1 - 1e-9
+    with pytest.raises(ParamOutOfRange):
+        five_qubit_recovery(1.2)
 
 
 def test_five_qubit_noise_matches_pauli_expansion():
@@ -170,22 +170,9 @@ def test_five_qubit_recovery_matches_original_construction():
     for g in (0.0, 0.01, 0.3, 1.0):
         noise = five_qubit_noise(g)
         original = complete_to_mixed_code(
-            build_r_perf(check_perfect_qec(noise, code), noise, code), code
+            polar_r_perf(check_perfect_qec(noise, code), noise, code), code
         )
         assert channels_equal(five_qubit_recovery(g), original, tol=1e-12)
-
-
-def test_five_qubit_recovery_grid_rows_and_checks():
-    code = five_qubit_code_only()
-    gammas = [0.0, 0.01, 0.3, 1.0]
-    grid = five_qubit_recovery_grid(gammas, code)
-    for g, stack in zip(gammas, grid):
-        row = QuantumChannel(list(code.basis @ stack))
-        assert channels_equal(row, five_qubit_recovery(g), tol=1e-14)
-    with pytest.raises(ParamOutOfRange):
-        five_qubit_recovery_grid([0.1, 1.2], code)
-    with pytest.raises(CertificateInvalid):
-        five_qubit_recovery_grid([0.1], random_code(32, 2, 3))
 
 
 def test_five_qubit_beats_reference_recovery():
