@@ -16,6 +16,7 @@ JSON wire format (fixed field names, used by the CLI)::
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -251,19 +252,21 @@ def complete_to_tp(
 
 def _matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
     flat = np.asarray(m, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack([flat.real, flat.imag], -1).tolist()
 
 
 def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols complex matrix of a list of rows * cols [re, im]
+    pairs in row-major order; DimensionMismatch for anything else."""
+    n = rows * cols
+    if not (type(pairs) is list and len(pairs) == n
+            and set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}):
+        raise DimensionMismatch(f"expected a list of {n} [re, im] pairs")
     try:
-        arr = np.asarray(pairs, dtype=float)
+        flat = np.fromiter(itertools.chain.from_iterable(pairs), float, count=2 * n)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"expected [re, im] pairs of numbers: {exc}") from exc
-    if arr.shape != (rows * cols, 2):
-        raise DimensionMismatch(
-            f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}"
-        )
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
+    return (flat[0::2] + 1j * flat[1::2]).reshape(rows, cols)
 
 
 def channel_to_json(e: QuantumChannel) -> dict:

@@ -246,6 +246,14 @@ def _write_file(path: str, text: str) -> None:
         raise UserConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _json_text(payload: dict) -> str:
+    """payload as a JSON object with one top-level key per line, each value
+    compact on its line, and a final newline.  Encoding the values without
+    indent lets json use its C encoder."""
+    body = ",\n".join(f" {json.dumps(key)}: {json.dumps(value)}" for key, value in payload.items())
+    return "{\n" + body + "\n}\n"
+
+
 def _check_writable(path: str) -> None:
     """Raise UserConfigError unless the file path could be written: its
     directory exists and is writable, and the path is not a directory nor
@@ -400,7 +408,7 @@ def cmd_search(config: SearchConfig) -> None:
         "per_gamma": [{"gamma": g, "f2_worst": v} for g, v in best_values],
         "code": code_to_json(best_code),
     }
-    _write_file(config.best_out, json.dumps(payload, indent=1) + "\n")
+    _write_file(config.best_out, _json_text(payload))
 
 
 def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None) -> None:
@@ -418,10 +426,10 @@ def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None
     diag = aqec_diagnostics(channel, code, epsilon)
     payload = diag.to_json_dict()
     payload["epsilon_f_epsilon_d"] = epsilon * diag.f_epsilon_d
-    text = json.dumps(payload, indent=1)
+    text = _json_text(payload)
     if out and out != "-":  # '-' is standard output, which always gets the JSON
-        _write_file(out, text + "\n")
-    print(text)
+        _write_file(out, text)
+    sys.stdout.write(text)
 
 
 def cmd_models() -> None:

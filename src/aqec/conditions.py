@@ -114,9 +114,7 @@ class AqecDiagnostics:
 
     def to_json_dict(self) -> dict:
         return {
-            "beta": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.beta
-            ],
+            "beta": np.stack([self.beta.real, self.beta.imag], -1).tolist(),
             "eta": self.eta,
             "eta_method": self.eta_method,
             "samples": self.eta_samples,

@@ -39,6 +39,7 @@ a stack of noise channels.  The module needs only numpy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,11 +123,17 @@ def _code_kraus_after(
     return _compose_on_code(code.basis.conj().T @ recovery._stack, m)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=None)
 def _code_operator_basis(d: int) -> np.ndarray:
     """The code operator basis g_a in code coordinates: the identity, then
     the traceless generators of _su_generators (the Paulis x, y, z for
-    d = 2), with tr(g_a g_b) = d delta_ab."""
-    return np.stack([np.eye(d)] + _su_generators(d))
+    d = 2), with tr(g_a g_b) = d delta_ab.  Built once per d, read-only."""
+    return _read_only(np.stack([np.eye(d)] + _su_generators(d)))
 
 
 def _tp_unital(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,11 +282,13 @@ _HALVINGS = 30  # backtracking halvings before a form's refinement stops
 _MAX_STEP = 0.5  # longest Newton step, in radians on the unit sphere
 
 
+@functools.lru_cache(maxsize=None)
 def _real_generators(d: int) -> np.ndarray:
     """Real symmetric forms Gamma_a, shape (d^2, 2d, 2d), with r^T Gamma_a r
-    = c^dag g_a c for r = (Re c, Im c) and g_a the code operator basis."""
+    = c^dag g_a c for r = (Re c, Im c) and g_a the code operator basis.
+    Built once per d, read-only."""
     g = _code_operator_basis(d)
-    return np.block([[g.real, -g.imag], [g.imag, g.real]])
+    return _read_only(np.block([[g.real, -g.imag], [g.imag, g.real]]))
 
 
 def _form_values(
@@ -288,7 +297,8 @@ def _form_values(
     """f = s^T Q s for each form of a stack q (G, A, A) at its point r
     (G, 2d), with s_a = r^T Gamma_a r; also J_a = Gamma_a r (G, A, 2d) and
     Q s (G, A)."""
-    jac = (gam @ r[:, None, :, None])[..., 0]
+    # all J_a at once: one (G, 2d) @ (2d, A 2d) product
+    jac = (r @ gam.reshape(-1, r.shape[1]).T).reshape(len(r), len(gam), -1)
     s = (jac @ r[..., None])[..., 0]
     qs = (q @ s[..., None])[..., 0]
     return (s[:, None, :] @ qs[..., None])[:, 0, 0], jac, qs
@@ -328,9 +338,9 @@ def _refine_forms(
         qa, ra = q[active], r[active]
         fa, jac, qs = _form_values(qa, gam, ra)
         grad = 4.0 * (jac.swapaxes(-1, -2) @ qs[..., None])[..., 0]
-        hess = 4.0 * np.tensordot(qs, gam, axes=1) + 8.0 * (
-            jac.swapaxes(-1, -2) @ qa @ jac
-        )
+        # sum_a (Q s)_a Gamma_a as one (G, A) @ (A, 4 d^2) product
+        hess = 4.0 * (qs @ gam.reshape(len(gam), -1)).reshape(-1, 2 * d, 2 * d)
+        hess += 8.0 * (jac.swapaxes(-1, -2) @ qa @ jac)
         phase = np.concatenate([-ra[:, d:], ra[:, :d]], axis=1)
         proj = eye - ra[:, :, None] * ra[:, None, :] - phase[:, :, None] * phase[:, None, :]
         rgrad = (proj @ grad[..., None])[..., 0]
@@ -370,17 +380,20 @@ _POOL_PER_START = 4  # lowest samples kept per form, per refinement start
 _SAME_BASIN = 0.9  # |<c_i|c_j>| at or above which two starts share a basin
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_coefficients(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs j <= k of C^d and the real matrix coef (d^2, d^2) with
     z^dag g_a z = sum_p coef[a, p] pairs_p for z = x + i y, g_a the code
     operator basis, where the pairs are P_jk = x_j x_k + y_j y_k for every
     j <= k, then Q_jk = x_j y_k - y_j x_k for every j < k: conj(z_j) z_k =
-    P_jk + i Q_jk and each g_a is Hermitian.  Returns j, k and coef."""
+    P_jk + i Q_jk and each g_a is Hermitian.  Returns j, k and coef,
+    built once per d, read-only."""
     g = _code_operator_basis(d)
     j, k = np.triu_indices(d)
     off = j < k
-    return j, k, np.hstack([np.where(off, 2.0, 1.0) * g[:, j, k].real,
-                            -2.0 * g[:, j[off], k[off]].imag])
+    coef = np.hstack([np.where(off, 2.0, 1.0) * g[:, j, k].real,
+                      -2.0 * g[:, j[off], k[off]].imag])
+    return _read_only(j), _read_only(k), _read_only(coef)
 
 
 def _start_count(d: int) -> int:
@@ -395,21 +408,23 @@ def _distinct_starts(
     ascending order per row (inf for an empty slot), and unit states cs
     (G, P, d).  Greedy in pool order: a state is taken unless it lies in the
     basin of a start already taken, |<c_i|c_j>| >= _SAME_BASIN.  Returns
-    the starts (G, k, d) and a mask (G, k) of the slots filled."""
-    forms, pool, d = cs.shape
-    starts = np.zeros((forms, k, d), dtype=complex)
+    the starts (G, k, d), in pool order, and a mask (G, k) of the slots
+    filled; an empty slot holds the zero vector."""
+    forms, pool, _ = cs.shape
+    near = np.abs(cs.conj() @ cs.swapaxes(-1, -2)) >= _SAME_BASIN  # (G, P, P)
+    taken = np.zeros((forms, pool), dtype=bool)
     count = np.zeros(forms, dtype=int)
-    rows = np.arange(forms)
     for p in range(pool):
-        c = cs[:, p]
-        # empty start slots are zero vectors and overlap nothing
-        overlap = np.abs(np.einsum("gkd,gd->gk", starts.conj(), c))
-        take = np.isfinite(vals[:, p]) & (count < k) & np.all(overlap < _SAME_BASIN, axis=1)
-        starts[rows[take], count[take]] = c[take]
+        take = np.isfinite(vals[:, p]) & (count < k) & ~np.any(taken & near[:, p], axis=1)
+        taken[:, p] = take
         count += take
         if np.all(count == k):
             break
-    return starts, np.arange(k) < count[:, None]
+    # the taken slots first, each form's in pool order
+    order = np.argsort(~taken, axis=1, kind="stable")[:, :k]
+    filled = np.arange(k) < count[:, None]
+    starts = np.where(filled[..., None], cs[np.arange(forms)[:, None], order], 0.0)
+    return starts, filled
 
 
 def _min_forms_sampled(

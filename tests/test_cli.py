@@ -653,7 +653,20 @@ def test_non_numeric_kraus_or_basis_entry_exits_3(tmp_path, capsys):
     bad_chan["kraus"][0][0][0] = "x"
     bad_code = json.loads(json.dumps(good_code))
     bad_code["basis"][1][0] = [{}, 0.0]
-    for chan, code in ((bad_chan, good_code), (good_chan, bad_code)):
+    cases = [(bad_chan, good_code), (good_chan, bad_code)]
+    # each malformed in a way a flat read of all the numbers could miss
+    string_pair = json.loads(json.dumps(good_chan))
+    string_pair["kraus"][0][0] = "12"
+    uneven = json.loads(json.dumps(good_chan))
+    uneven["kraus"][1][0] = [0.5, 0.0, 0.0]  # three numbers, then one: count still right
+    uneven["kraus"][1][1] = [0.0]
+    nested = json.loads(json.dumps(good_code))
+    nested["basis"][0][1][0] = [0.0, 0.0]
+    as_object = json.loads(json.dumps(good_chan))
+    as_object["kraus"][0] = {str(i): pair for i, pair in enumerate(as_object["kraus"][0])}
+    cases += [(string_pair, good_code), (uneven, good_code), (good_chan, nested),
+              (as_object, good_code)]
+    for chan, code in cases:
         chan_file.write_text(json.dumps(chan))
         code_file.write_text(json.dumps(code))
         assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1"]) == 3
@@ -744,3 +757,39 @@ def test_search_rejects_both_outputs_on_standard_output(tmp_path, capsys, monkey
     assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
     assert "standard output" in captured.err
     assert not (tmp_path / "-").exists()
+
+
+def test_json_outputs_put_one_top_level_key_per_line(tmp_path, capsys):
+    from aqec import aqec_diagnostics
+
+    def assert_layout(text, keys):
+        lines = text.split("\n")
+        assert lines[0] == "{" and lines[-2:] == ["}", ""]  # ends with a newline
+        assert len(lines) == len(keys) + 3
+        for line, key in zip(lines[1:-2], keys):
+            assert line.startswith(f" {json.dumps(key)}: ")
+
+    channel = tensor_power(amplitude_damping(0.1), 3)
+    code = random_code(8, 3, 0)
+    chan_file, code_file = tmp_path / "chan.json", tmp_path / "code.json"
+    chan_file.write_text(json.dumps(channel_to_json(channel)))
+    code_file.write_text(json.dumps(code_to_json(code)))
+    out = tmp_path / "check.json"
+    assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.05",
+                 "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert out.read_bytes() == text.encode()
+    diag = aqec_diagnostics(channel, code, 0.05)
+    expected = diag.to_json_dict()
+    expected["epsilon_f_epsilon_d"] = 0.05 * diag.f_epsilon_d
+    assert json.loads(text) == expected
+    assert_layout(text, list(expected))
+
+    best = tmp_path / "best.json"
+    assert main(["search", "--codes", "2", "--qubits", "2", "--gamma-stop", "0.1",
+                 "--gamma-step", "0.1", "--out", str(tmp_path / "s.csv"),
+                 "--best-out", str(best)]) == 0
+    text = best.read_text()
+    assert_layout(text, ["config", "best_index", "code_seed", "metric_value",
+                         "per_gamma", "code"])
+    assert json.loads(text)["code"]["code_dim"] == 2

@@ -11,6 +11,7 @@ from aqec import (
     tensor_power,
     worst_case_fidelity,
 )
+from aqec.codes import _su_generators
 from aqec.conditions import _deviation_operators, _eta_form
 from aqec.fidelity import (
     DEFAULT_SAMPLES,
@@ -22,7 +23,9 @@ from aqec.fidelity import (
     _min_forms,
     _min_forms_sampled,
     _min_quadratic_on_sphere,
+    _pair_coefficients,
     _qubit_methods,
+    _real_generators,
     _refine_forms,
     _tp_unital,
 )
@@ -519,3 +522,27 @@ def test_default_samples_reach_the_best_known_minimum_at_d5():
     runs = [default, _min_forms_sampled(q, 200_000, 1)[0], _single_start(q, 2049, 7),
             _single_start(q, 200_000, 1)]
     assert np.max(default - np.min(np.stack(runs), axis=0)) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_cached_code_tables_are_read_only_and_equal_a_fresh_build(d):
+    basis = np.stack([np.eye(d)] + _su_generators(d))
+    gam = np.block([[basis.real, -basis.imag], [basis.imag, basis.real]])
+    j, k, coef = _pair_coefficients(d)
+    tables = [_code_operator_basis(d), _real_generators(d), j, k, coef]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
+    assert np.array_equal(tables[0], basis) and np.array_equal(tables[1], gam)
+    assert _code_operator_basis(d) is tables[0]
+    ju, ku = np.triu_indices(d)
+    assert np.array_equal(j, ju) and np.array_equal(k, ku)
+    # coef maps the pair products of z = x + i y to z^dag g_a z
+    rng = np.random.default_rng(d)
+    x, y = rng.standard_normal((2, 5, d))
+    off = ju < ku
+    pairs = np.hstack([x[:, ju] * x[:, ku] + y[:, ju] * y[:, ku],
+                       x[:, ju[off]] * y[:, ku[off]] - y[:, ju[off]] * x[:, ku[off]]])
+    z = x + 1j * y
+    direct = np.einsum("ni,aij,nj->na", z.conj(), basis, z)
+    assert np.max(np.abs(pairs @ coef.T - direct)) <= 1e-12
