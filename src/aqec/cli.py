@@ -165,12 +165,18 @@ def _parse_curve(spec: str) -> tuple[str, str]:
     return model, recovery
 
 
-def _load_code_file(path: str) -> CodeSpace:
+def _read_json(path: str, what: str):
+    """The JSON value in the file path; UserConfigError naming it as what
+    (code file, channel file, config) when it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UserConfigError(f"cannot read code file {path}: {exc}") from exc
+        raise UserConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_code_file(path: str) -> CodeSpace:
+    data = _read_json(path, "code file")
     # accept best-code files from `search`
     if isinstance(data, dict) and "code" in data:
         data = data["code"]
@@ -416,12 +422,7 @@ def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None
         raise UserConfigError(f"epsilon must be a finite number >= 0, got {epsilon}")
     if out:
         _check_writable(out)
-    try:
-        with open(channel_path, "r", encoding="utf-8") as fh:
-            channel_data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UserConfigError(f"cannot read channel file {channel_path}: {exc}") from exc
-    channel = channel_from_json(channel_data)
+    channel = channel_from_json(_read_json(channel_path, "channel file"))
     code = _load_code_file(code_path)
     diag = aqec_diagnostics(channel, code, epsilon)
     payload = diag.to_json_dict()
@@ -503,11 +504,7 @@ DEFAULT_CURVES = [
 
 def _apply_config_file(args: argparse.Namespace) -> None:
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UserConfigError(f"cannot read config {args.config}: {exc}") from exc
+        overrides = _read_json(args.config, "config")
         if not isinstance(overrides, dict):
             raise UserConfigError(f"config {args.config} is not a JSON object")
         known = set(vars(args)) - {"command", "config"}

@@ -10,13 +10,16 @@ approximately, the deviations
     beta_ij  = tr(P E_i^dag E(P)^(-1/2) E_j P) / d,
 
 are traceless operators on the code whose size controls the worst-case
-fidelity loss eta of the transpose-channel recovery:
+fidelity loss of the transpose-channel recovery, eta = 1 - min F^2 over
+pure code states.  aqec_diagnostics scores eta on the recovered map
+itself, with the same worst-case call as search and sweep.  Once that
+map is trace preserving on the code, the identity
 
-    eta = max over pure code states of
-          sum_ij [ <Delta_ij^dag Delta_ij> - |<Delta_ij>|^2 ],
+    1 - F^2(psi) = <sum_ij Delta_ij^dag Delta_ij> - sum_ij |<Delta_ij>|^2
 
-with eta <= ||sum_ij Delta_ij^dag Delta_ij|| (operator norm).  A code is
-epsilon-correctable if eta <= epsilon, and only if
+holds for every pure code state psi, so eta is the largest value of the
+right-hand side and eta <= ||sum_ij Delta_ij^dag Delta_ij|| (operator
+norm).  A code is epsilon-correctable if eta <= epsilon, and only if
 eta <= epsilon * f(epsilon; d) with the near-optimality factor
 
     f(eta; d) = ((d + 1) - eta) / (1 + (d - 1) eta).
@@ -30,20 +33,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    _prune,
-    restricted_tp_factor,
-    tp_defect,
-)
+from .channels import QuantumChannel, _prune
 from .codes import CodeSpace
 from .exceptions import CertificateInvalid, NotTP
 from .fidelity import (
     DEFAULT_SAMPLES,
-    LAGRANGE_QUBIT,
-    _code_operator_basis,
-    _code_process_matrices,
-    _min_forms,
+    _worst_cases,
     transpose_fidelity_grid,
     worst_case_fidelity,
 )
@@ -87,9 +82,14 @@ class PerfectQecCertificate:
 class AqecDiagnostics:
     """Deviation operators and fidelity-loss estimate for one pair.
 
-    The deviation operators are kept in code coordinates, deltas_code of
-    shape (N, N, d, d) over the code basis code_basis (D, d); deltas lifts
-    them to the ambient space on first read.
+    eta = 1 - min F^2 of the transpose-recovered map on the code, with
+    eta_method the worst-case solver that scored it (exact for qubit
+    codes, sampled for d > 2) and worst_state the state attaining it;
+    restricted_factor is the a of sum_i M_i^dag M_i = a I_d (1.0 when the
+    channel is trace preserving on the code).  The deviation operators
+    are kept in code coordinates, deltas_code of shape (N, N, d, d) over
+    the code basis code_basis (D, d); deltas lifts them to the ambient
+    space on first read.
     """
 
     beta: np.ndarray
@@ -210,32 +210,36 @@ def build_r_perf(
     return QuantumChannel(_prune(list(code.basis @ ops)))
 
 
+def _beta_and_deltas(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """beta_ij = tr(K_ij) / d and the traceless Delta_ij = K_ij - beta_ij I
+    of a code-basis Kraus set k (N, N, d, d) from code_kraus."""
+    d = k.shape[-1]
+    beta = np.trace(k, axis1=2, axis2=3) / d
+    return beta, k - beta[:, :, None, None] * np.eye(d)
+
+
 def _deviation_operators(
     e: QuantumChannel, code: CodeSpace
 ) -> tuple[np.ndarray, np.ndarray]:
     """beta matrix and code-basis Delta operators, shape (N, N, d, d)."""
-    k_ops = code_kraus(e._stack @ code.basis)
-    d = code.code_dim
-    beta = np.trace(k_ops, axis1=2, axis2=3) / d
-    deltas = k_ops - beta[:, :, None, None] * np.eye(d)[None, None, :, :]
-    return beta, deltas
+    return _beta_and_deltas(code_kraus(e._stack @ code.basis))
 
 
-def _eta_form(flat: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
-    """Real form Q whose minimum over pure code states is -eta.
-
-    With s the state's coefficients over the code operator basis (s_0 = 1),
-    s^T Q s = sum_k |<Delta_k>|^2 - <S>: the deviation map's process
-    matrix over d, less the linear term <S> = sum_a s_a tr(S g_a) / d
-    written as s_0 s_a.  flat stacks the Delta operators, S = sum
-    Delta^dag Delta.
-    """
-    d = s_mat.shape[0]
-    lin = np.einsum("ab,gba->g", s_mat, _code_operator_basis(d)).real / d
-    q = _code_process_matrices(flat) / d
-    q[0] -= lin / 2.0
-    q[:, 0] -= lin / 2.0
-    return q
+def _code_tp_factor(m: np.ndarray) -> float:
+    """Factor a with sum_i M_i^dag M_i = a I_d for the noise on the code m
+    (N, D, d), M_i = E_i W: the channel is then proportionally trace
+    preserving on the code.  a within TP_CHECK_TOL of 1 is taken as
+    exactly 1.  Raises NotTP when no positive a fits to 1e-8."""
+    d = m.shape[-1]
+    wide = m.reshape(-1, d)
+    gram = wide.conj().T @ wide
+    a = float(np.trace(gram).real) / d
+    if a <= 0 or np.max(np.abs(gram - a * np.eye(d))) > 1e-8:
+        raise NotTP(
+            "channel is neither trace preserving nor proportionally "
+            "trace preserving on the code"
+        )
+    return 1.0 if abs(a - 1.0) <= TP_CHECK_TOL else a
 
 
 def aqec_diagnostics(
@@ -248,40 +252,29 @@ def aqec_diagnostics(
 ) -> AqecDiagnostics:
     """Deviation operators, fidelity loss, and correctability verdict.
 
-    Requires e trace preserving, or proportionally trace preserving on the
-    code with some factor a (recorded; the loss is then computed for the
-    1/a-normalized channel).  For qubit codes eta is exact; for d > 2 it
-    is a sampled lower bound.
+    Works on the noise restricted to the code, M_i = E_i W.  Requires
+    sum_i M_i^dag M_i = a I_d: e trace preserving on the code (a = 1) or
+    proportionally so (a recorded as restricted_factor; M is scaled by
+    1/sqrt(a)).  One code_kraus call gives K_ij = beta_ij I + Delta_ij,
+    and eta = 1 - F^2_min of the transpose-recovered map comes from the
+    same worst-case call that search and sweep make: exact for qubit
+    codes, a sampled lower bound on the loss for d > 2.
     """
     _check_dims(e, code)
     d = code.code_dim
-    p = code.projector()
-    factor = 1.0
-    if tp_defect(e) > TP_CHECK_TOL:
-        a = restricted_tp_factor(e, p, tol=1e-8)
-        if a is None or a <= 0:
-            raise NotTP(
-                "channel is neither trace preserving nor proportionally "
-                "trace preserving on the code"
-            )
-        factor = a
-    work = (
-        e
-        if factor == 1.0
-        else QuantumChannel([k / np.sqrt(factor) for k in e.kraus])
-    )
-    beta, deltas_code = _deviation_operators(work, code)
-    nk = beta.shape[0]
-    flat = deltas_code.reshape(nk * nk, d, d)
+    m = e._stack @ code.basis
+    factor = _code_tp_factor(m)
+    if factor != 1.0:
+        m = m / np.sqrt(factor)
+    k = code_kraus(m)
+    beta, deltas_code = _beta_and_deltas(k)
+    flat = deltas_code.reshape(-1, d, d)
     s_mat = np.einsum("kab,kac->bc", flat.conj(), flat, optimize=True)
     s_vals = np.linalg.eigvalsh((s_mat + s_mat.conj().T) / 2.0)
     delta_sum_norm = float(max(s_vals[-1], 0.0))
 
-    # The form's minimum (f2_min of the result) is -eta.
-    # The eta form has a linear term, so a qubit code takes the Lagrange solver.
-    [worst] = _min_forms(_eta_form(flat, s_mat)[None], code, [LAGRANGE_QUBIT],
-                         eta_samples, seed)
-    eta = float(-worst.f2_min) if -worst.f2_min > 0.0 else 0.0
+    [worst] = _worst_cases(k[None], code, eta_samples, seed)
+    eta = max(worst.eta, 0.0)
 
     f_eps = near_optimality_factor(epsilon, d)
     if eta <= epsilon:

@@ -7,9 +7,9 @@ the squared fidelity of a pure code state with coefficient vector s
 
     F^2(psi, Phi) = (1/d) s^T M s = (1/d) s^T M_sym s.
 
-Every worst case here, and the eta of conditions.aqec_diagnostics, goes
-through _min_forms, which minimises a whole stack of such forms at once
-and chooses the method:
+Every worst case here, and so the eta of conditions.aqec_diagnostics,
+goes through _min_forms, which minimises a whole stack of such forms at
+once and chooses the method:
 
 - Qubit codes are solved exactly on the Bloch sphere.  One stacked eigh
   of the symmetrized traceless blocks; forms whose map is trace
@@ -506,32 +506,35 @@ def _min_forms_sampled(
 def _min_forms(
     q: np.ndarray,
     code: CodeSpace,
-    qubit_methods: list[str],
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> list[WorstCaseResult]:
-    """Minimum over pure code states of each real form s^T Q_g s of a stack
-    q (G, d^2, d^2), s the state's coefficients over the code operator
-    basis (s_0 = 1): one result per form, the minimum as f2_min (1 - f2_min
-    as eta) with the state attaining it.
+    """Minimum over pure code states of each fidelity form s^T Q_g s of a
+    stack q (G, d^2, d^2), Q_g = M_g / d for M_g a process matrix and s
+    the state's coefficients over the code operator basis (s_0 = 1): one
+    result per form, the minimum as f2_min (1 - f2_min as eta) with the
+    state attaining it.
 
-    Qubit codes are solved exactly on the Bloch sphere s = (1, bloch), form
-    g labelled qubit_methods[g].  Larger codes share one _min_forms_sampled
-    run: upper bounds on the minima, labelled SAMPLED.
+    Qubit codes are solved exactly on the Bloch sphere s = (1, bloch),
+    each form labelled by the flags of its M_g (_qubit_methods).  Larger
+    codes share one _min_forms_sampled run: upper bounds on the minima,
+    labelled SAMPLED.
     """
     if code.code_dim == 2:
+        # doubling undoes _worst_cases' halving: these are the flags of M
+        methods = _qubit_methods(2.0 * q)
         q = (q + q.swapaxes(-1, -2)) / 2.0
         # A TP unital map's flags hold the first row and column of M to e0
         # within FLAG_TOL; taken as exact, c0 = 1/2 and b = 0 give the
         # eigenvalue formula (1 + t_min)/2.
-        unital = np.array([m == EXACT_UNITAL_QUBIT for m in qubit_methods])
+        unital = np.array([m == EXACT_UNITAL_QUBIT for m in methods])
         c0 = np.where(unital, 0.5, q[:, 0, 0])
         b = np.where(unital[:, None], 0.0, q[:, 1:, 0])
         vals, blochs = _min_quadratic_on_sphere(c0, b, q[:, 1:, 1:])
         psis = bloch_to_state_vector(code, blochs)
         return [
             WorstCaseResult(float(v), 1.0 - float(v), psi, bloch, method)
-            for v, psi, bloch, method in zip(vals, psis, blochs, qubit_methods)
+            for v, psi, bloch, method in zip(vals, psis, blochs, methods)
         ]
     vals, cs = _min_forms_sampled(q, samples, seed)
     return [
@@ -549,7 +552,7 @@ def _worst_cases(
     whole stack."""
     d = code.code_dim
     m = _code_process_matrices(k.reshape(len(k), -1, d, d))
-    return _min_forms(m / code.code_dim, code, _qubit_methods(m), samples, seed)
+    return _min_forms(m / d, code, samples, seed)
 
 
 def worst_case_fidelity(

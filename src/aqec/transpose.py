@@ -43,7 +43,6 @@ class TransposeRecovery:
 
     recovery: QuantumChannel
     support_projector: np.ndarray
-    source_code: CodeSpace
 
 
 def transpose_channel(e: QuantumChannel, code: CodeSpace) -> TransposeRecovery:
@@ -57,7 +56,7 @@ def transpose_channel(e: QuantumChannel, code: CodeSpace) -> TransposeRecovery:
     p = code.projector()
     b, support = inv_sqrt_on_support(e.apply(p))
     ops = [p @ k.conj().T @ b for k in e.kraus]
-    return TransposeRecovery(QuantumChannel(_prune(ops)), support, code)
+    return TransposeRecovery(QuantumChannel(_prune(ops)), support)
 
 
 def code_kraus(m: np.ndarray) -> np.ndarray:

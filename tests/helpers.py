@@ -129,6 +129,23 @@ def code_process_matrix(
     return _code_process_matrices(code.basis.conj().T @ m)
 
 
+def _eta_form(flat: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
+    """Real form Q whose minimum over pure code states is -eta.
+
+    With s the state's coefficients over the code operator basis (s_0 = 1),
+    s^T Q s = sum_k |<Delta_k>|^2 - <S>: the deviation map's process
+    matrix over d, less the linear term <S> = sum_a s_a tr(S g_a) / d
+    written as s_0 s_a.  flat stacks the Delta operators, S = sum
+    Delta^dag Delta.
+    """
+    d = s_mat.shape[0]
+    lin = np.einsum("ab,gba->g", s_mat, _code_operator_basis(d)).real / d
+    q = _code_process_matrices(flat) / d
+    q[0] -= lin / 2.0
+    q[:, 0] -= lin / 2.0
+    return q
+
+
 def bloch_samples(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples on the unit 2-sphere."""
     u = rng.standard_normal((n, 3))

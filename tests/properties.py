@@ -32,6 +32,7 @@ from aqec.fidelity import EXACT_UNITAL_QUBIT, _min_forms_sampled
 from aqec.models import leung_code, pauli_string
 
 from helpers import (
+    _eta_form,
     code_paulis,
     code_process_matrix,
     embed_qubit_channel,
@@ -41,6 +42,7 @@ from helpers import (
     random_tp_channel,
     random_unital_qubit_channel,
     remix_kraus,
+    scalar_min_quadratic_on_sphere,
 )
 
 
@@ -238,8 +240,10 @@ def check_condition_equivalence(seed: int, cases: int = 50) -> None:
 
 
 def check_eta_dual_route(seed: int, cases: int = 30) -> None:
-    """Diagnostics eta (deviation-operator route) must match the
-    worst-case loss of the recovered channel (process-matrix route)."""
+    """The worst-case loss of the recovered channel (process-matrix route)
+    must match the largest deviation objective <sum Delta^dag Delta> -
+    sum |<Delta_ij>|^2 (the _eta_form oracle, solved by the scalar sphere
+    solver), and the diagnostics eta must match both."""
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         dim = int(rng.integers(3, 7))
@@ -250,6 +254,34 @@ def check_eta_dual_route(seed: int, cases: int = 30) -> None:
         res = worst_case_fidelity(rec, None, code)
         assert res.method == EXACT_UNITAL_QUBIT
         assert abs(diag.eta - res.eta) < 1e-9
+        flat = diag.deltas_code.reshape(-1, 2, 2)
+        q = _eta_form(flat, np.einsum("kab,kac->bc", flat.conj(), flat))
+        q = (q + q.T) / 2.0
+        oracle_min, _ = scalar_min_quadratic_on_sphere(q[0, 0], q[1:, 0], q[1:, 1:])
+        assert abs(diag.eta - max(-oracle_min, 0.0)) < 1e-9
+        assert abs(res.eta + oracle_min) < 1e-9
+
+
+def check_eta_is_transpose_worst_case(seed: int, cases: int = 10) -> None:
+    """The diagnostics eta and its method are those of the worst case of
+    transpose recovery after the noise, on qubit and qutrit codes; for a
+    channel only proportionally trace preserving on the code (the
+    truncated bit flips), after the noise scaled by 1/sqrt(a)."""
+    from aqec.models import bit_flip_channel, bit_flip_code
+
+    rng = np.random.default_rng(seed)
+    pairs = [(bit_flip_channel(q), bit_flip_code()) for q in (0.1, rng.uniform(0.02, 0.3))]
+    for case in range(cases):
+        d = 2 + case % 2
+        dim = int(rng.integers(d + 1, 7))
+        e = random_tp_channel(dim, int(rng.integers(2, 5)), rng)
+        pairs.append((e, random_code(dim, d, int(rng.integers(0, 2**31)))))
+    for e, code in pairs:
+        diag = aqec_diagnostics(e, code, epsilon=0.1)
+        scaled = QuantumChannel([k / np.sqrt(diag.restricted_factor) for k in e.kraus])
+        ref = worst_case_fidelity(scaled, transpose_channel(e, code).recovery, code)
+        assert diag.eta_method == ref.method, (diag.eta_method, ref.method)
+        assert abs(diag.eta - ref.eta) <= 1e-9, (diag.eta, ref.eta)
 
 
 def check_delta_sum_bounds_eta(seed: int, cases: int = 100) -> None:
@@ -387,6 +419,7 @@ ALL_PROPERTIES = [
     check_transpose_gauge_invariance,
     check_condition_equivalence,
     check_eta_dual_route,
+    check_eta_is_transpose_worst_case,
     check_delta_sum_bounds_eta,
     check_verdict_soundness,
     check_f2_matches_process_matrix,

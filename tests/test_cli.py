@@ -188,6 +188,25 @@ def test_check_missing_file():
                  "--epsilon", "0.1"]) == 2
 
 
+def test_unreadable_json_file_is_named_in_one_line(tmp_path, capsys):
+    chan_file, code_file = tmp_path / "chan.json", tmp_path / "code.json"
+    chan_file.write_text(json.dumps(channel_to_json(amplitude_damping(0.1))))
+    code_file.write_text("{not json")
+    missing = tmp_path / "missing.json"
+    assert main(["check", str(missing), str(code_file), "--epsilon", "0.1"]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: cannot read channel file {missing}: "
+        f"[Errno 2] No such file or directory: '{missing}'\n")
+    assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1"]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: cannot read code file {code_file}: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n")
+    assert main(["sweep", "--config", str(missing), "--out", str(tmp_path / "o.csv")]) == 2
+    assert _one_error_line(capsys) == (
+        f"error: cannot read config {missing}: "
+        f"[Errno 2] No such file or directory: '{missing}'\n")
+
+
 def test_check_numerical_failure_exit_code(tmp_path):
     # a "channel" whose output operator is not PSD makes the inverse
     # square root fail; the CLI reports exit code 3

@@ -16,6 +16,7 @@ from aqec import (
     psd_sqrt,
     random_code,
     tensor_power,
+    tp_defect,
     transpose_channel,
     worst_case_fidelity,
 )
@@ -39,6 +40,7 @@ from properties import (
     check_condition_equivalence,
     check_delta_sum_bounds_eta,
     check_eta_dual_route,
+    check_eta_is_transpose_worst_case,
     check_verdict_soundness,
 )
 
@@ -347,17 +349,44 @@ def test_near_optimality_eta_p_matches_ambient_transpose(d, gamma):
 
 
 def test_every_reported_method_is_a_fidelity_method():
-    # The eta form has a linear term, so qubit codes report the Lagrange
-    # solver; larger codes report the sampler.
+    # eta is the transpose worst case, so it reports that case's method:
+    # the recovered map of a (proportionally) TP channel is TP and unital
+    # on the code, so qubit codes take the exact unital solver; larger
+    # codes report the sampler.
     methods = {EXACT_UNITAL_QUBIT, LAGRANGE_QUBIT, SAMPLED}
     e4 = tensor_power(amplitude_damping(0.1), 4)
     for code in (leung_code(), random_code(16, 2, 5), random_code(16, 3, 5)):
         diag = aqec_diagnostics(e4, code, epsilon=0.1)
         assert diag.eta_method in methods
         assert diag.to_json_dict()["eta_method"] == diag.eta_method
-        assert diag.eta_method == (LAGRANGE_QUBIT if code.code_dim == 2 else SAMPLED)
+        assert diag.eta_method == (EXACT_UNITAL_QUBIT if code.code_dim == 2 else SAMPLED)
         recovery = transpose_channel(e4, code).recovery
+        assert worst_case_fidelity(e4, recovery, code).method == diag.eta_method
         for rec in (None, recovery):
             assert worst_case_fidelity(e4, rec, code).method in methods
     diag = aqec_diagnostics(bit_flip_channel(0.1), bit_flip_code(), epsilon=0.1)
-    assert diag.eta_method == LAGRANGE_QUBIT
+    assert diag.eta_method == EXACT_UNITAL_QUBIT
+
+
+def test_tp_factor_is_read_on_the_code():
+    # a TP channel: exactly 1.0, so the noise is used unscaled
+    e = tensor_power(amplitude_damping(0.1), 3)
+    assert aqec_diagnostics(e, random_code(8, 2, 1), 0.1).restricted_factor == 1.0
+    # TP on the code but not on the ambient space: still exactly 1.0
+    code = random_code(4, 2, 7)
+    p = code.projector()
+    u = np.linalg.qr(np.random.default_rng(8).standard_normal((4, 4)))[0]
+    lossy = QuantumChannel([np.sqrt(0.8) * (p + 0.5 * (np.eye(4) - p)), np.sqrt(0.2) * u])
+    assert tp_defect(lossy) > 0.1
+    diag = aqec_diagnostics(lossy, code, 0.1)
+    assert diag.restricted_factor == 1.0
+    ref = worst_case_fidelity(lossy, transpose_channel(lossy, code).recovery, code)
+    assert abs(diag.eta - ref.eta) <= 1e-12
+    # the truncated bit flips: a = (1 - q)^3 + 3 q (1 - q)^2 = (1 - q)^2 (1 + 2 q)
+    q = 0.1
+    diag = aqec_diagnostics(bit_flip_channel(q), bit_flip_code(), 0.1)
+    assert abs(diag.restricted_factor - (1 - q) ** 2 * (1 + 2 * q)) <= 1e-12
+
+
+def test_property_eta_is_transpose_worst_case():
+    check_eta_is_transpose_worst_case(505, cases=12)

@@ -12,7 +12,7 @@ from aqec import (
     worst_case_fidelity,
 )
 from aqec.codes import _su_generators
-from aqec.conditions import _deviation_operators, _eta_form
+from aqec.conditions import _deviation_operators
 from aqec.fidelity import (
     DEFAULT_SAMPLES,
     EXACT_UNITAL_QUBIT,
@@ -33,6 +33,7 @@ from aqec.models import amplitude_damping_power, leung_code
 from aqec.transpose import code_kraus
 
 from helpers import (
+    _eta_form,
     bloch_samples,
     code_process_matrix,
     random_tp_channel,
@@ -129,9 +130,11 @@ def test_lagrange_agrees_with_unital_on_unital_input():
     for _ in range(20):
         chan = random_unital_qubit_channel(rng)
         m = code_process_matrix(chan, qubit_space())
-        [r1] = _min_forms(m[None] / 2.0, qubit_space(), [EXACT_UNITAL_QUBIT])
-        [r2] = _min_forms(m[None] / 2.0, qubit_space(), [LAGRANGE_QUBIT])
-        assert abs(r1.f2_min - r2.f2_min) < 1e-10
+        q = (m + m.T)[None] / 4.0
+        # the unital formula (c0 = 1/2, b = 0) against the Lagrange solve
+        [r1], _ = _min_quadratic_on_sphere(np.array([0.5]), np.zeros((1, 3)), q[:, 1:, 1:])
+        [r2], _ = _min_quadratic_on_sphere(q[:, 0, 0], q[:, 1:, 0], q[:, 1:, 1:])
+        assert abs(r1 - r2) < 1e-10
 
 
 def test_lagrange_bare_damping():
@@ -323,7 +326,7 @@ def _qubit_oracle(q, methods):
 
 
 def _assert_qubit_parity(q, methods):
-    results = _min_forms(q, qubit_space(), methods)
+    results = _min_forms(q, qubit_space())
     for res, method, (val, bloch) in zip(results, methods, _qubit_oracle(q, methods)):
         assert res.method == method
         assert abs(res.f2_min - val) <= 1e-12
@@ -483,10 +486,10 @@ def test_sampler_memory_is_cache_sized():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_min_forms_result_independent_of_stack(d):
-    q, methods, code = _transpose_forms(4, d, 60 + d, [round(0.05 * k, 12) for k in range(11)])
-    stacked = _min_forms(q, code, methods, samples=3000, seed=9)
+    q, _, code = _transpose_forms(4, d, 60 + d, [round(0.05 * k, 12) for k in range(11)])
+    stacked = _min_forms(q, code, samples=3000, seed=9)
     for g, res in enumerate(stacked):
-        [alone] = _min_forms(q[g : g + 1], code, methods[g : g + 1], samples=3000, seed=9)
+        [alone] = _min_forms(q[g : g + 1], code, samples=3000, seed=9)
         assert (alone.method, alone.samples) == (res.method, res.samples)
         assert abs(alone.f2_min - res.f2_min) <= 1e-14
         assert abs(abs(np.vdot(alone.worst_state, res.worst_state)) - 1.0) <= 1e-14
