@@ -262,10 +262,13 @@ def _pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
     if not (type(pairs) is list and len(pairs) == n
             and set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}):
         raise DimensionMismatch(f"expected a list of {n} [re, im] pairs")
+    # JSON numbers only: a string or a boolean would convert silently
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+        raise DimensionMismatch("expected [re, im] pairs of numbers")
     try:
         flat = np.fromiter(itertools.chain.from_iterable(pairs), float, count=2 * n)
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatch(f"expected [re, im] pairs of numbers: {exc}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise DimensionMismatch(f"expected [re, im] pairs of finite numbers: {exc}") from exc
     return (flat[0::2] + 1j * flat[1::2]).reshape(rows, cols)
 
 
@@ -277,12 +280,23 @@ def channel_to_json(e: QuantumChannel) -> dict:
     }
 
 
-def channel_from_json(data: dict) -> QuantumChannel:
+def _json_fields(data: dict, what: str, *keys: str) -> list:
+    """data[key] for each key of a parsed JSON object: JSON integers of at
+    least 1 for all keys but the last, a list for the last.  Raises
+    DimensionMismatch, naming what (channel, code), for anything else."""
     try:
-        dims_in = int(data["dims_in"])
-        dims_out = int(data["dims_out"])
-        kraus = data["kraus"]
+        values = [data[key] for key in keys]
     except (KeyError, TypeError) as exc:
-        raise DimensionMismatch(f"malformed channel JSON: {exc}") from exc
+        raise DimensionMismatch(f"malformed {what} JSON: {exc}") from exc
+    *dims, items = values
+    if not all(type(x) is int and x >= 1 for x in dims) or type(items) is not list:
+        raise DimensionMismatch(f"malformed {what} JSON: {' and '.join(keys[:-1])} must be "
+                                f"positive integers and {keys[-1]} a list, got {dims} and "
+                                f"{type(items).__name__}")
+    return values
+
+
+def channel_from_json(data: dict) -> QuantumChannel:
+    dims_in, dims_out, kraus = _json_fields(data, "channel", "dims_in", "dims_out", "kraus")
     ops = [_pairs_to_matrix(k, dims_out, dims_in) for k in kraus]
     return QuantumChannel(ops)

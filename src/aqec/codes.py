@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import _matrix_to_pairs, _pairs_to_matrix
+from .channels import _json_fields, _matrix_to_pairs, _pairs_to_matrix
 from .exceptions import DimensionMismatch, InvalidBloch, NonFiniteInput, NotQubitCode
 
 ORTHONORMALITY_TOL = 1e-12
@@ -63,18 +63,22 @@ class CodeSpace:
         return f"CodeSpace(ambient_dim={self.ambient_dim}, code_dim={self.code_dim})"
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
-
-    The R diagonal is rephased to be real positive, which makes the QR
-    output exactly Haar distributed and deterministic for a given rng.
+def _haar_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """The first cols columns of a Haar-distributed rows x rows unitary,
+    via QR of a complex Ginibre matrix whose R diagonal is rephased to be
+    real positive: exactly Haar distributed, deterministic for a given rng.
     """
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
     return q * (diag / np.abs(diag))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed dim x dim unitary drawn from rng."""
+    return _haar_columns(rng, dim, dim)
 
 
 def random_code(ambient_dim: int, code_dim: int, seed: int) -> CodeSpace:
@@ -86,16 +90,7 @@ def random_code(ambient_dim: int, code_dim: int, seed: int) -> CodeSpace:
         raise DimensionMismatch(
             f"code dimension {code_dim} exceeds ambient dimension {ambient_dim}"
         )
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((ambient_dim, code_dim)) + 1j * rng.standard_normal(
-        (ambient_dim, code_dim)
-    )
-    z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r).copy()
-    diag[diag == 0] = 1.0
-    q = q * (diag.conj() / np.abs(diag))
-    return CodeSpace(q)
+    return CodeSpace(_haar_columns(np.random.default_rng(seed), ambient_dim, code_dim))
 
 
 def _su_generators(d: int) -> list[np.ndarray]:
@@ -170,12 +165,7 @@ def code_to_json(code: CodeSpace) -> dict:
 
 
 def code_from_json(data: dict) -> CodeSpace:
-    try:
-        d_amb = int(data["ambient_dim"])
-        d_code = int(data["code_dim"])
-        vecs = data["basis"]
-    except (KeyError, TypeError) as exc:
-        raise DimensionMismatch(f"malformed code JSON: {exc}") from exc
+    d_amb, d_code, vecs = _json_fields(data, "code", "ambient_dim", "code_dim", "basis")
     cols = [_pairs_to_matrix(v, d_amb, 1).reshape(-1) for v in vecs]
     if len(cols) != d_code:
         raise DimensionMismatch(

@@ -23,6 +23,11 @@ norm).  A code is epsilon-correctable if eta <= epsilon, and only if
 eta <= epsilon * f(epsilon; d) with the near-optimality factor
 
     f(eta; d) = ((d + 1) - eta) / (1 + (d - 1) eta).
+
+Conditions (alpha, beta, residuals) are computed for the pair as given,
+worst cases on the normalised noise (see the transpose module); the beta
+and Delta_ij of aqec_diagnostics go with its eta, so they are those of
+the normalised noise.
 """
 
 from __future__ import annotations
@@ -36,17 +41,11 @@ import numpy as np
 from .channels import QuantumChannel, _prune
 from .codes import CodeSpace
 from .exceptions import CertificateInvalid, NotTP
-from .fidelity import (
-    DEFAULT_SAMPLES,
-    _worst_cases,
-    transpose_fidelity_grid,
-    worst_case_fidelity,
-)
+from .fidelity import DEFAULT_SAMPLES, _worst_cases, transpose_fidelity_grid, worst_case_fidelity
 from .linalg import RANK_TOL, hermitian_eig
-from .transpose import _check_dims, code_kraus
+from .transpose import _noise_on_code, _normalised_noise_on_code, code_kraus
 
 PERFECT_TOL = 1e-9
-TP_CHECK_TOL = 1e-9
 
 
 class Verdict(str, enum.Enum):
@@ -174,8 +173,7 @@ def check_perfect_qec(
     way.  alpha_ij = tr(P E_i^dag E_j P) / d is always reported, together
     with its diagonalization.
     """
-    _check_dims(e, code)
-    alpha, residual = _condition_products((e._stack @ code.basis)[None])
+    alpha, residual = _condition_products(_noise_on_code(e._stack, code)[None])
     alpha, residual = alpha[0], float(residual[0])
     vals, vecs = hermitian_eig(alpha)
     return PerfectQecCertificate(
@@ -204,8 +202,7 @@ def build_r_perf(
         raise CertificateInvalid(
             f"residual {cert.residual:.3e} exceeds tolerance {cert.tol:.3e}"
         )
-    _check_dims(e, code)
-    m = (e._stack @ code.basis)[None]
+    m = _noise_on_code(e._stack, code)[None]
     ops = _syndrome_operators(m, cert.diag_values[None], cert.rotation[None])[0]
     return QuantumChannel(_prune(list(code.basis @ ops)))
 
@@ -218,30 +215,6 @@ def _beta_and_deltas(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beta, k - beta[:, :, None, None] * np.eye(d)
 
 
-def _deviation_operators(
-    e: QuantumChannel, code: CodeSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """beta matrix and code-basis Delta operators, shape (N, N, d, d)."""
-    return _beta_and_deltas(code_kraus(e._stack @ code.basis))
-
-
-def _code_tp_factor(m: np.ndarray) -> float:
-    """Factor a with sum_i M_i^dag M_i = a I_d for the noise on the code m
-    (N, D, d), M_i = E_i W: the channel is then proportionally trace
-    preserving on the code.  a within TP_CHECK_TOL of 1 is taken as
-    exactly 1.  Raises NotTP when no positive a fits to 1e-8."""
-    d = m.shape[-1]
-    wide = m.reshape(-1, d)
-    gram = wide.conj().T @ wide
-    a = float(np.trace(gram).real) / d
-    if a <= 0 or np.max(np.abs(gram - a * np.eye(d))) > 1e-8:
-        raise NotTP(
-            "channel is neither trace preserving nor proportionally "
-            "trace preserving on the code"
-        )
-    return 1.0 if abs(a - 1.0) <= TP_CHECK_TOL else a
-
-
 def aqec_diagnostics(
     e: QuantumChannel,
     code: CodeSpace,
@@ -252,20 +225,21 @@ def aqec_diagnostics(
 ) -> AqecDiagnostics:
     """Deviation operators, fidelity loss, and correctability verdict.
 
-    Works on the noise restricted to the code, M_i = E_i W.  Requires
-    sum_i M_i^dag M_i = a I_d: e trace preserving on the code (a = 1) or
-    proportionally so (a recorded as restricted_factor; M is scaled by
-    1/sqrt(a)).  One code_kraus call gives K_ij = beta_ij I + Delta_ij,
-    and eta = 1 - F^2_min of the transpose-recovered map comes from the
-    same worst-case call that search and sweep make: exact for qubit
-    codes, a sampled lower bound on the loss for d > 2.
+    Works on the normalised noise on the code, M_i = E_i W scaled by
+    1/sqrt(a) for sum_i M_i^dag M_i = a I_d (a recorded as
+    restricted_factor, 1.0 for noise trace preserving on the code), and
+    raises NotTP when no a fits.  One code_kraus call gives K_ij =
+    beta_ij I + Delta_ij, and eta = 1 - F^2_min of the transpose-recovered
+    map comes from the same worst-case call that search and sweep make:
+    exact for qubit codes, a sampled lower bound on the loss for d > 2.
     """
-    _check_dims(e, code)
     d = code.code_dim
-    m = e._stack @ code.basis
-    factor = _code_tp_factor(m)
-    if factor != 1.0:
-        m = m / np.sqrt(factor)
+    m, factor = _normalised_noise_on_code(e._stack, code)
+    if np.isnan(factor):
+        raise NotTP(
+            "channel is neither trace preserving nor proportionally "
+            "trace preserving on the code"
+        )
     k = code_kraus(m)
     beta, deltas_code = _beta_and_deltas(k)
     flat = deltas_code.reshape(-1, d, d)
@@ -296,7 +270,7 @@ def aqec_diagnostics(
         verdict=verdict,
         epsilon=epsilon,
         f_epsilon_d=f_eps,
-        restricted_factor=factor,
+        restricted_factor=float(factor),
         worst_state=worst.worst_state,
     )
 
@@ -308,8 +282,7 @@ def alternate_condition_residual(e: QuantumChannel, code: CodeSpace) -> float:
     beta matrix then equals the principal square root of alpha in the same
     Kraus representation.
     """
-    _check_dims(e, code)
-    _, deltas = _deviation_operators(e, code)
+    _, deltas = _beta_and_deltas(code_kraus(_noise_on_code(e._stack, code)))
     return float(np.max(np.linalg.norm(deltas, 2, axis=(-2, -1))))
 
 

@@ -34,7 +34,8 @@ once and chooses the method:
 
 The public entry points are worst_case_fidelity, for one noise and
 recovery pair, and transpose_fidelity_grid, for transpose recovery over
-a stack of noise channels.  The module needs only numpy.
+a stack of noise channels.  Both score the normalised noise, as the
+transpose module sets out.  The module needs only numpy.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .channels import QuantumChannel
 from .codes import CodeSpace, _su_generators, bloch_to_state_vector
 from .exceptions import DimensionMismatch, PreconditionViolated
-from .transpose import code_kraus
+from .transpose import _normalised_noise_on_code, code_kraus
 
 EXACT_UNITAL_QUBIT = "exact_unital_qubit"
 LAGRANGE_QUBIT = "lagrange_qubit"
@@ -101,26 +102,6 @@ def _compose_on_code(wr: np.ndarray, m: np.ndarray) -> np.ndarray:
     )
     lead = k.shape[:-2]
     return k.reshape(*lead, r, d, n, d).swapaxes(-3, -2).reshape(*lead, r * n, d, d)
-
-
-def _code_kraus_after(
-    noise: QuantumChannel, recovery: QuantumChannel | None, code: CodeSpace
-) -> np.ndarray:
-    """Code-basis Kraus stack {W^dag R_j E_i W}, j-major, of recovery after
-    noise (noise alone when recovery is None): the map on code inputs,
-    with its output compressed to the code."""
-    last = noise if recovery is None else recovery
-    if (noise.dims_in, last.dims_out) != (code.ambient_dim,) * 2 or (
-        last.dims_in != noise.dims_out
-    ):
-        raise DimensionMismatch(
-            f"maps act on dims {noise.dims_in}->{noise.dims_out}->{last.dims_out}, "
-            f"code lives in dim {code.ambient_dim}"
-        )
-    m = noise._stack @ code.basis
-    if recovery is None:
-        return code.basis.conj().T @ m
-    return _compose_on_code(code.basis.conj().T @ recovery._stack, m)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -565,11 +546,19 @@ def worst_case_fidelity(
 ) -> WorstCaseResult:
     """Worst-case fidelity of recovery-after-noise over pure code states.
 
-    recovery = None means no recovery (identity map).  Qubit codes are
-    solved exactly; larger codes fall back to the sampled estimator.
-    Output that leaves the code is ignored, as fidelities never see it.
+    recovery = None means no recovery (identity map); the noise is
+    normalised first.  Qubit codes are solved exactly; larger codes fall
+    back to the sampled estimator.  Output that leaves the code is
+    ignored, as fidelities never see it.
     """
-    k = _code_kraus_after(noise, recovery, code)
+    m = _normalised_noise_on_code(noise._stack, code)[0]
+    if recovery is None:
+        k = code.basis.conj().T @ m
+    elif (recovery.dims_in, recovery.dims_out) != (code.ambient_dim,) * 2:
+        raise DimensionMismatch(f"recovery acts on dim {recovery.dims_in}->"
+                                f"{recovery.dims_out}, code lives in dim {code.ambient_dim}")
+    else:
+        k = _compose_on_code(code.basis.conj().T @ recovery._stack, m)
     return _worst_cases(k[None], code, samples, seed)[0]
 
 
@@ -584,16 +573,14 @@ def transpose_fidelity_grid(
     noise channels, one result per channel.
 
     kraus has shape (G, N, D, D): G channels of N Kraus operators each
-    (zero operators are allowed).  Each result equals
+    (zero operators are allowed), each normalised.  Each result equals
     worst_case_fidelity(noise, transpose_channel(noise, code).recovery,
     code) up to rounding, with the same method: all G code-space maps and
     their process matrices come from one batched call each, and all G
     worst cases from one _min_forms call.
     """
     kraus = np.asarray(kraus, dtype=complex)
-    if kraus.ndim != 4 or kraus.shape[-2:] != (code.ambient_dim,) * 2:
-        raise DimensionMismatch(
-            f"expected a (G, N, {code.ambient_dim}, {code.ambient_dim}) Kraus stack, "
-            f"got shape {kraus.shape}"
-        )
-    return _worst_cases(code_kraus(kraus @ code.basis), code, samples, seed)
+    if kraus.ndim != 4:
+        raise DimensionMismatch(f"expected a (G, N, D, D) Kraus stack, got shape {kraus.shape}")
+    m = _normalised_noise_on_code(kraus, code)[0]
+    return _worst_cases(code_kraus(m), code, samples, seed)

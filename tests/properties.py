@@ -20,11 +20,13 @@ from aqec import (
     example5_channel,
     hermitian_eig,
     inv_sqrt_on_support,
+    near_optimality_bound_check,
     near_optimality_factor,
     polar_unitary_on_support,
     random_code,
     recovered_channel,
     transpose_channel,
+    transpose_fidelity_grid,
     worst_case_fidelity,
 )
 from aqec.conditions import Verdict
@@ -284,6 +286,30 @@ def check_eta_is_transpose_worst_case(seed: int, cases: int = 10) -> None:
         assert abs(diag.eta - ref.eta) <= 1e-9, (diag.eta, ref.eta)
 
 
+def check_eta_scale_invariant(seed: int, cases: int = 8) -> None:
+    """Noise c E with c in (0, 1), proportionally trace preserving on the
+    code, has the eta of E to 1e-12 in every call that scores a transpose
+    worst case: random TP channels on d = 2 and d = 3 codes, the d = 3
+    sampler drawing from one seed on both sides."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        d = 2 + case % 2
+        dim = int(rng.integers(d + 1, 7))
+        e = random_tp_channel(dim, int(rng.integers(2, 5)), rng)
+        code = random_code(dim, d, int(rng.integers(0, 2**31)))
+        c = float(rng.uniform(0.05, 0.95))
+        etas = []
+        for noise in (e, QuantumChannel([c * k for k in e.kraus])):
+            recovery = transpose_channel(noise, code).recovery
+            etas.append([
+                aqec_diagnostics(noise, code, 0.1, seed=seed).eta,
+                transpose_fidelity_grid(noise._stack[None], code, seed=seed)[0].eta,
+                worst_case_fidelity(noise, recovery, code, seed=seed).eta,
+                near_optimality_bound_check(noise, code, [None], seed=seed).eta_p,
+            ])
+        assert np.max(np.abs(np.subtract(*etas))) <= 1e-12, (d, c, etas)
+
+
 def check_delta_sum_bounds_eta(seed: int, cases: int = 100) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(cases):
@@ -420,6 +446,7 @@ ALL_PROPERTIES = [
     check_condition_equivalence,
     check_eta_dual_route,
     check_eta_is_transpose_worst_case,
+    check_eta_scale_invariant,
     check_delta_sum_bounds_eta,
     check_verdict_soundness,
     check_f2_matches_process_matrix,

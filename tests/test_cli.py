@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from aqec import (
     amplitude_damping,
@@ -690,6 +691,44 @@ def test_non_numeric_kraus_or_basis_entry_exits_3(tmp_path, capsys):
         code_file.write_text(json.dumps(code))
         assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1"]) == 3
         assert "pairs" in _one_error_line(capsys)
+
+
+def _malformed(payload, key, value):
+    """A JSON copy of payload with payload[key] set to value."""
+    bad = json.loads(json.dumps(payload))
+    bad[key] = value
+    return bad
+
+
+def _bad_entry(value):
+    """The bit-flip channel's JSON with its first real part set to value."""
+    bad = channel_to_json(bit_flip_channel(0.1))
+    bad["kraus"][0][0][0] = value
+    return bad
+
+
+_GOOD_CHANNEL = channel_to_json(bit_flip_channel(0.1))
+_GOOD_CODE = code_to_json(bit_flip_code())
+
+
+@pytest.mark.parametrize("chan, code, message", [
+    (_malformed(_GOOD_CHANNEL, "kraus", 5), _GOOD_CODE, "kraus a list, got [8, 8] and int"),
+    (_GOOD_CHANNEL, _malformed(_GOOD_CODE, "basis", 5), "basis a list, got [8, 2] and int"),
+    (_GOOD_CHANNEL, _malformed(_malformed(_GOOD_CODE, "code_dim", 0), "basis", []),
+     "ambient_dim and code_dim must be positive integers"),
+    (_malformed(_GOOD_CHANNEL, "dims_in", float("inf")), _GOOD_CODE, "got [inf, 8]"),
+    (_malformed(_GOOD_CHANNEL, "dims_out", 8.0), _GOOD_CODE, "got [8, 8.0]"),
+    (_bad_entry("1.5"), _GOOD_CODE, "pairs of numbers"),
+    (_bad_entry(True), _GOOD_CODE, "pairs of numbers"),
+    (_bad_entry(None), _GOOD_CODE, "pairs of numbers"),
+    (_bad_entry(10**400), _GOOD_CODE, "pairs of finite numbers"),
+])
+def test_malformed_json_fields_exit_3_with_one_line(tmp_path, capsys, chan, code, message):
+    chan_file, code_file = tmp_path / "chan.json", tmp_path / "code.json"
+    chan_file.write_text(json.dumps(chan))
+    code_file.write_text(json.dumps(code))
+    assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1"]) == 3
+    assert message in _one_error_line(capsys)
 
 
 def test_code_file_not_a_json_object_exits_with_one_line(tmp_path, capsys):

@@ -18,9 +18,10 @@ from aqec import (
     tensor_power,
     tp_defect,
     transpose_channel,
+    transpose_fidelity_grid,
     worst_case_fidelity,
 )
-from aqec.conditions import Verdict, _deviation_operators, _standard_recovery_on
+from aqec.conditions import Verdict, _beta_and_deltas, _standard_recovery_on
 from aqec.exceptions import CertificateInvalid, NotTP
 from aqec.fidelity import DEFAULT_SAMPLES, EXACT_UNITAL_QUBIT, LAGRANGE_QUBIT, SAMPLED
 from aqec.models import (
@@ -34,6 +35,7 @@ from aqec.models import (
     leung_code,
     truncated_damping_channel,
 )
+from aqec.transpose import code_kraus
 
 from helpers import polar_r_perf, random_tp_channel
 from properties import (
@@ -41,6 +43,7 @@ from properties import (
     check_delta_sum_bounds_eta,
     check_eta_dual_route,
     check_eta_is_transpose_worst_case,
+    check_eta_scale_invariant,
     check_verdict_soundness,
 )
 
@@ -193,7 +196,7 @@ def test_alternate_residual_iff_perfect():
     assert alternate_condition_residual(e, code) < 1e-12
     # beta equals the principal square root of alpha in the same gauge
     cert = check_perfect_qec(e, code)
-    beta, _ = _deviation_operators(e, code)
+    beta, _ = _beta_and_deltas(code_kraus(e._stack @ code.basis))
     assert np.max(np.abs(beta - psd_sqrt(cert.alpha))) < 1e-9
     # diagonal gauge entries are sqrt(d_kk)
     assert np.allclose(
@@ -205,7 +208,7 @@ def test_alternate_residual_identity_channel():
     code = random_code(3, 2, 4)
     e = identity_channel(3)
     assert alternate_condition_residual(e, code) < 1e-12
-    beta, _ = _deviation_operators(e, code)
+    beta, _ = _beta_and_deltas(code_kraus(e._stack @ code.basis))
     assert np.allclose(beta, [[1.0]])
 
 
@@ -390,3 +393,20 @@ def test_tp_factor_is_read_on_the_code():
 
 def test_property_eta_is_transpose_worst_case():
     check_eta_is_transpose_worst_case(505, cases=12)
+
+
+def test_property_eta_scale_invariant():
+    check_eta_scale_invariant(506, cases=12)
+
+
+def test_bit_flip_pair_corrected_in_every_eta():
+    # the truncated bit flips are proportionally trace preserving on the
+    # code and exactly correctable: every transpose worst case is perfect
+    code, e = bit_flip_code(), bit_flip_channel(0.1)
+    etas = [
+        aqec_diagnostics(e, code, 0.1).eta,
+        transpose_fidelity_grid(e._stack[None], code)[0].eta,
+        worst_case_fidelity(e, transpose_channel(e, code).recovery, code).eta,
+        near_optimality_bound_check(e, code, [None]).eta_p,
+    ]
+    assert max(etas) <= 1e-12, etas

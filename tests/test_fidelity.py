@@ -12,7 +12,7 @@ from aqec import (
     worst_case_fidelity,
 )
 from aqec.codes import _su_generators
-from aqec.conditions import _deviation_operators
+from aqec.conditions import _beta_and_deltas
 from aqec.fidelity import (
     DEFAULT_SAMPLES,
     EXACT_UNITAL_QUBIT,
@@ -376,7 +376,8 @@ def _refinement_cases(d, seed):
     q, _, code = _transpose_forms(3, d, seed, [0.0, 0.05, 0.2, 0.5, 0.9])
     forms = list(q)
     for gamma in (0.05, 0.3):
-        _, deltas = _deviation_operators(tensor_power(amplitude_damping(gamma), 3), code)
+        e = tensor_power(amplitude_damping(gamma), 3)
+        _, deltas = _beta_and_deltas(code_kraus(e._stack @ code.basis))
         flat = deltas.reshape(-1, d, d)
         forms.append(_eta_form(flat, np.einsum("kab,kac->bc", flat.conj(), flat)))
     q = np.stack(forms)
