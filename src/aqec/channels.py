@@ -46,21 +46,21 @@ class QuantumChannel:
     __slots__ = ("kraus", "dims_in", "dims_out", "_stack")
 
     def __init__(self, kraus: Sequence[np.ndarray]):
-        ops = [np.array(k, dtype=complex) for k in kraus]
-        if not ops:
+        shapes = [np.shape(k) for k in kraus]
+        if not shapes:
             raise DimensionMismatch("channel needs at least one Kraus operator")
-        shape = ops[0].shape
+        shape = shapes[0]
         if len(shape) != 2:
             raise DimensionMismatch("Kraus operators must be matrices")
-        for k in ops:
-            if k.shape != shape:
-                raise DimensionMismatch(f"Kraus shapes differ: {k.shape} vs {shape}")
-        stack = np.stack(ops)
+        for other in shapes:
+            if other != shape:
+                raise DimensionMismatch(f"Kraus shapes differ: {other} vs {shape}")
+        stack = np.array(kraus, dtype=complex)  # the one copy of the operators
         if not np.isfinite(stack).all():
             raise NonFiniteInput("Kraus operators hold NaN or infinite entries")
         stack.flags.writeable = False
         self._stack = stack
-        self.kraus = tuple(stack[i] for i in range(len(ops)))
+        self.kraus = tuple(stack)
         self.dims_out, self.dims_in = shape
 
     @property
@@ -81,9 +81,6 @@ class QuantumChannel:
     def kraus_sum(self) -> np.ndarray:
         """Return sum_i E_i^dag E_i."""
         return np.einsum("kij,kil->jl", self._stack.conj(), self._stack, optimize=True)
-
-    def is_trace_preserving(self, tol: float = TP_TOL) -> bool:
-        return tp_defect(self) <= tol
 
     def __repr__(self) -> str:
         return (

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +55,8 @@ from .models import (
 from .transpose import code_kraus
 
 RECOVERIES = ("transpose", "rperf", "identity", "leung")
+DEFAULT_CURVES = ["ad:identity", "leung41:transpose", "leung41:leung", "five513:rperf"]
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class UserConfigError(Exception):
@@ -86,63 +88,6 @@ def _check_sampling(samples, seed) -> None:
         raise UserConfigError(f"samples must be a positive integer, got {samples!r}")
     if not isinstance(seed, int) or seed < 0:
         raise UserConfigError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-@dataclass
-class SweepConfig:
-    curves: list[str]
-    gamma_start: float = 0.0
-    gamma_stop: float = 0.5
-    gamma_step: float = 0.01
-    samples: int = DEFAULT_SAMPLES
-    seed: int = 0
-    out: str = "sweep.csv"
-
-    def gammas(self) -> list[float]:
-        return gamma_grid(self.gamma_start, self.gamma_stop, self.gamma_step)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": "sweep",
-            "curves": self.curves,
-            "gamma_start": self.gamma_start,
-            "gamma_stop": self.gamma_stop,
-            "gamma_step": self.gamma_step,
-            "samples": self.samples,
-            "seed": self.seed,
-            "version": __version__,
-        }
-
-
-@dataclass
-class SearchConfig:
-    n_qubits: int = 4
-    code_dim: int = 2
-    n_codes: int = 500
-    gamma_start: float = 0.0
-    gamma_stop: float = 0.5
-    gamma_step: float = 0.01
-    seed: int = 0
-    samples: int = DEFAULT_SAMPLES
-    metric: str = "min_f2"  # or "f2_at:<gamma>"
-    out: str = "search.csv"
-    best_out: str = "best_code.json"
-
-    def gammas(self) -> list[float]:
-        return gamma_grid(self.gamma_start, self.gamma_stop, self.gamma_step)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": "search",
-            "n_qubits": self.n_qubits,
-            "code_dim": self.code_dim,
-            "n_codes": self.n_codes,
-            "gammas": self.gammas(),
-            "seed": self.seed,
-            "samples": self.samples,
-            "metric": self.metric,
-            "version": __version__,
-        }
 
 
 def _parse_curve(spec: str) -> tuple[str, str]:
@@ -288,32 +233,28 @@ def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[
     _write_file(path, "\n".join(lines) + "\n")
 
 
-def cmd_sweep(config: SweepConfig) -> None:
-    curves = [_parse_curve(c) for c in config.curves]
-    _check_sampling(config.samples, config.seed)
-    _check_writable(config.out)
-    gammas = config.gammas()
+def cmd_sweep(args: argparse.Namespace) -> None:
+    specs = args.curves or list(DEFAULT_CURVES)
+    curves = [_parse_curve(c) for c in specs]
+    _check_sampling(args.samples, args.seed)
+    _check_writable(args.out)
+    gammas = gamma_grid(args.gamma_start, args.gamma_stop, args.gamma_step)
     rows = []
-    for spec, (model, recovery) in sorted(zip(config.curves, curves)):
+    for spec, (model, recovery) in sorted(zip(specs, curves)):
         code = _curve_code(model)
-        results = _curve_results(recovery, code, gammas, config.samples, config.seed)
+        results = _curve_results(recovery, code, gammas, args.samples, args.seed)
         for gamma, res in zip(gammas, results):
-            rows.append(
-                [
-                    _csv_float(gamma),
-                    spec,
-                    _csv_float(res.f2_min),
-                    _csv_float(np.sqrt(max(res.f2_min, 0.0))),
-                    _csv_float(res.eta),
-                    res.method,
-                    str(res.samples) if res.method == SAMPLED else "exact",
-                    str(config.seed),
-                ]
-            )
+            samples = str(res.samples) if res.method == SAMPLED else "exact"
+            rows.append([_csv_float(gamma), spec, _csv_float(res.f2_min),
+                         _csv_float(np.sqrt(max(res.f2_min, 0.0))), _csv_float(res.eta),
+                         res.method, samples, str(args.seed)])
     rows.sort(key=lambda r: (r[1], float(r[0])))
     header = ["gamma", "curve", "f2_worst", "f_worst", "eta", "method",
               "samples_or_exact", "seed"]
-    _write_csv(config.out, config.to_json_dict(), header, rows)
+    config = {"command": "sweep", "curves": specs, "gamma_start": args.gamma_start,
+              "gamma_stop": args.gamma_stop, "gamma_step": args.gamma_step,
+              "samples": args.samples, "seed": args.seed, "version": __version__}
+    _write_csv(args.out, config, header, rows)
 
 
 def _search_one(args: tuple) -> tuple[int, int, list[tuple[float, float]]]:
@@ -351,34 +292,58 @@ def _metric_value(target: int | None, values: list[tuple[float, float]]) -> floa
     return values[target][1]
 
 
-def cmd_search(config: SearchConfig) -> None:
-    if config.n_codes < 1:
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A process pool of workers started by spawn, each with one BLAS
+    thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS read
+    "1" while the pool runs and are restored after it.  Forked workers
+    would inherit the parent's BLAS threads and oversubscribe the cores.
+    multiprocessing is imported here, so a serial run never loads it."""
+    import multiprocessing
+
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def cmd_search(args: argparse.Namespace) -> None:
+    if args.codes < 1:
         raise UserConfigError("need at least one code")
-    if config.n_qubits not in (2, 3, 4, 5):
+    if args.qubits not in (2, 3, 4, 5):
         raise UserConfigError("n_qubits must be between 2 and 5")
-    if not 1 <= config.code_dim <= 2**config.n_qubits:
-        raise UserConfigError(f"code_dim must be between 1 and 2^n_qubits, got {config.code_dim}")
-    _check_sampling(config.samples, config.seed)
-    gammas = config.gammas()
-    target = _metric_target(config.metric, gammas)
-    if config.out == config.best_out == "-":
+    if not 1 <= args.code_dim <= 2**args.qubits:
+        raise UserConfigError(f"code_dim must be between 1 and 2^n_qubits, got {args.code_dim}")
+    _check_sampling(args.samples, args.seed)
+    gammas = gamma_grid(args.gamma_start, args.gamma_stop, args.gamma_step)
+    target = _metric_target(args.metric, gammas)
+    if args.out == args.best_out == "-":
         raise UserConfigError("--out and --best-out cannot both be '-' (standard output)")
-    _check_writable(config.out)
-    _check_writable(config.best_out)
-    rng = np.random.default_rng(config.seed)
-    code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=config.n_codes)]
+    _check_writable(args.out)
+    _check_writable(args.best_out)
+    rng = np.random.default_rng(args.seed)
+    code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=args.codes)]
     jobs = [
-        (i, code_seeds[i], config.n_qubits, config.code_dim, gammas, config.samples)
-        for i in range(config.n_codes)
+        (i, code_seeds[i], args.qubits, args.code_dim, gammas, args.samples)
+        for i in range(args.codes)
     ]
     threads = os.environ.get("AQEC_THREADS", "1")
     try:
         workers = int(threads)
     except ValueError as exc:
         raise UserConfigError(f"AQEC_THREADS must be an integer, got {threads!r}") from exc
-    results: list = [None] * config.n_codes
+    results: list = [None] * args.codes
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with _worker_pool(workers) as pool:
             for index, seed, values in pool.map(_search_one, jobs, chunksize=4):
                 results[index] = (seed, values)
     else:
@@ -386,44 +351,39 @@ def cmd_search(config: SearchConfig) -> None:
             index, seed, values = _search_one(job)
             results[index] = (seed, values)
 
-    rows = []
-    metrics = []
+    rows, metrics = [], []
     for index, (seed, values) in enumerate(results):
-        metric = _metric_value(target, values)
-        metrics.append(metric)
+        metrics.append(_metric_value(target, values))
         worst_gamma = min(values, key=lambda gv: gv[1])[0]
-        rows.append(
-            [
-                str(index),
-                str(seed),
-                _csv_float(metric),
-                _csv_float(worst_gamma),
-            ]
-        )
+        rows.append([str(index), str(seed), _csv_float(metrics[-1]), _csv_float(worst_gamma)])
     header = ["code_index", "code_seed", "metric_value", "worst_gamma"]
-    _write_csv(config.out, config.to_json_dict(), header, rows)
+    config = {"command": "search", "n_qubits": args.qubits, "code_dim": args.code_dim,
+              "n_codes": args.codes, "gammas": gammas, "seed": args.seed,
+              "samples": args.samples, "metric": args.metric, "version": __version__}
+    _write_csv(args.out, config, header, rows)
 
     best_index = int(np.argmax(metrics))
     best_seed, best_values = results[best_index]
-    best_code = random_code(2**config.n_qubits, config.code_dim, best_seed)
+    best_code = random_code(2**args.qubits, args.code_dim, best_seed)
     payload = {
-        "config": config.to_json_dict(),
+        "config": config,
         "best_index": best_index,
         "code_seed": best_seed,
         "metric_value": metrics[best_index],
         "per_gamma": [{"gamma": g, "f2_worst": v} for g, v in best_values],
         "code": code_to_json(best_code),
     }
-    _write_file(config.best_out, _json_text(payload))
+    _write_file(args.best_out, _json_text(payload))
 
 
-def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None) -> None:
+def cmd_check(args: argparse.Namespace) -> None:
+    epsilon, out = args.epsilon, args.out
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise UserConfigError(f"epsilon must be a finite number >= 0, got {epsilon}")
     if out:
         _check_writable(out)
-    channel = channel_from_json(_read_json(channel_path, "channel file"))
-    code = _load_code_file(code_path)
+    channel = channel_from_json(_read_json(args.channel, "channel file"))
+    code = _load_code_file(args.code)
     diag = aqec_diagnostics(channel, code, epsilon)
     payload = diag.to_json_dict()
     payload["epsilon_f_epsilon_d"] = epsilon * diag.f_epsilon_d
@@ -433,17 +393,21 @@ def cmd_check(channel_path: str, code_path: str, epsilon: float, out: str | None
     sys.stdout.write(text)
 
 
-def cmd_models() -> None:
+def cmd_models(args: argparse.Namespace) -> None:
     width = max(len(name) for name in MODEL_REGISTRY)
     for name, desc in MODEL_REGISTRY.items():
         print(f"{name:<{width}}  {desc}")
+
+
+COMMANDS = {"sweep": cmd_sweep, "search": cmd_search, "check": cmd_check, "models": cmd_models}
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: a parse does not
     change it (each fills a fresh namespace, and --curve's default stays
-    None)."""
+    None).  sweep and search declare their shared flags once, in one
+    parent parser."""
     parser = argparse.ArgumentParser(
         prog="aqec",
         description="Transpose-channel recovery and approximate QEC experiments",
@@ -451,7 +415,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="worst-case fidelity vs gamma, CSV output")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--gamma-start", type=float, default=0.0)
+    shared.add_argument("--gamma-stop", type=float, default=0.5)
+    shared.add_argument("--gamma-step", type=float, default=0.01)
+    shared.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--config", help="JSON file overriding any flag of this command")
+
+    sweep = sub.add_parser("sweep", parents=[shared],
+                           help="worst-case fidelity vs gamma, CSV output")
     sweep.add_argument(
         "--curve",
         dest="curves",
@@ -459,29 +432,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="MODEL:RECOVERY, repeatable (default: the standard comparison set)",
     )
-    sweep.add_argument("--gamma-start", type=float, default=0.0)
-    sweep.add_argument("--gamma-stop", type=float, default=0.5)
-    sweep.add_argument("--gamma-step", type=float, default=0.01)
-    sweep.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", default="sweep.csv", help="CSV path, - for standard output")
-    sweep.add_argument("--config", help="JSON file overriding the flags above")
 
-    search = sub.add_parser("search", help="evaluate Haar-random codes, CSV + best JSON")
+    search = sub.add_parser("search", parents=[shared],
+                            help="evaluate Haar-random codes, CSV + best JSON")
     search.add_argument("--qubits", type=int, default=4)
     search.add_argument("--code-dim", type=int, default=2)
     search.add_argument("--codes", type=int, default=500)
-    search.add_argument("--gamma-start", type=float, default=0.0)
-    search.add_argument("--gamma-stop", type=float, default=0.5)
-    search.add_argument("--gamma-step", type=float, default=0.01)
-    search.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    search.add_argument("--seed", type=int, default=0)
     search.add_argument("--metric", default="min_f2",
                         help="min_f2 (default) or f2_at:<gamma>, gamma a grid point")
     search.add_argument("--out", default="search.csv", help="CSV path, - for standard output")
     search.add_argument("--best-out", default="best_code.json",
                         help="best-code JSON path, - for standard output")
-    search.add_argument("--config", help="JSON file overriding the flags above")
 
     check = sub.add_parser("check", help="correctability diagnostics for a pair")
     check.add_argument("channel", help="channel JSON file")
@@ -492,14 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("models", help="list built-in models")
     return parser
-
-
-DEFAULT_CURVES = [
-    "ad:identity",
-    "leung41:transpose",
-    "leung41:leung",
-    "five513:rperf",
-]
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -537,41 +491,10 @@ def _check_config_type(key: str, value, current) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            _apply_config_file(args)
-            config = SweepConfig(
-                curves=args.curves or list(DEFAULT_CURVES),
-                gamma_start=args.gamma_start,
-                gamma_stop=args.gamma_stop,
-                gamma_step=args.gamma_step,
-                samples=args.samples,
-                seed=args.seed,
-                out=args.out,
-            )
-            cmd_sweep(config)
-        elif args.command == "search":
-            _apply_config_file(args)
-            config = SearchConfig(
-                n_qubits=args.qubits,
-                code_dim=args.code_dim,
-                n_codes=args.codes,
-                gamma_start=args.gamma_start,
-                gamma_stop=args.gamma_stop,
-                gamma_step=args.gamma_step,
-                samples=args.samples,
-                seed=args.seed,
-                metric=args.metric,
-                out=args.out,
-                best_out=args.best_out,
-            )
-            cmd_search(config)
-        elif args.command == "check":
-            cmd_check(args.channel, args.code, args.epsilon, args.out)
-        elif args.command == "models":
-            cmd_models()
+        _apply_config_file(args)
+        COMMANDS[args.command](args)
     except UserConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

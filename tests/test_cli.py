@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from aqec import (
+    __version__,
     amplitude_damping,
     channel_to_json,
     code_to_json,
@@ -851,3 +853,59 @@ def test_json_outputs_put_one_top_level_key_per_line(tmp_path, capsys):
     assert_layout(text, ["config", "best_index", "code_seed", "metric_value",
                          "per_gamma", "code"])
     assert json.loads(text)["code"]["code_dim"] == 2
+
+
+def _config_line(path):
+    (line,) = [l for l in path.read_text().splitlines() if l.startswith("# config:")]
+    return json.loads(line[len("# config:"):])
+
+
+def test_provenance_lines_pin_every_setting(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--gamma-stop", "0.02", "--out", str(out)]) == 0
+    assert _config_line(out) == {
+        "command": "sweep",
+        "curves": ["ad:identity", "leung41:transpose", "leung41:leung", "five513:rperf"],
+        "gamma_start": 0.0, "gamma_step": 0.01, "gamma_stop": 0.02,
+        "samples": 1024, "seed": 0, "version": __version__,
+    }
+    # a --config file's values are written as given: an integer stays one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_stop": 1, "gamma_step": 0.25,
+                               "curves": ["ad:identity", "leung41:transpose"]}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    config = _config_line(out)
+    assert config == {
+        "command": "sweep", "curves": ["ad:identity", "leung41:transpose"],
+        "gamma_start": 0.0, "gamma_step": 0.25, "gamma_stop": 1,
+        "samples": 1024, "seed": 0, "version": __version__,
+    }
+    assert isinstance(config["gamma_stop"], int)
+
+    best = tmp_path / "best.json"
+    assert main(["search", "--qubits", "3", "--codes", "3", "--gamma-stop", "0.2",
+                 "--gamma-step", "0.1", "--metric", "f2_at:0.1", "--seed", "4",
+                 "--out", str(out), "--best-out", str(best)]) == 0
+    expected = {
+        "command": "search", "n_qubits": 3, "code_dim": 2, "n_codes": 3,
+        "gammas": [0.0, 0.1, 0.2], "seed": 4, "samples": 1024,
+        "metric": "f2_at:0.1", "version": __version__,
+    }
+    assert _config_line(out) == expected
+    config = json.loads(best.read_text())["config"]
+    assert config == expected and list(config) == list(expected)
+
+
+def test_worker_pool_pins_blas_and_restores_the_environment(monkeypatch):
+    from aqec.cli import BLAS_THREAD_VARIABLES, _worker_pool
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "")
+    before = dict(os.environ)
+    with _worker_pool(1) as pool:
+        # os.getenv reads os.environ.get in the worker (a bound method of
+        # os.environ does not pickle)
+        values = list(pool.map(os.getenv, BLAS_THREAD_VARIABLES, timeout=60))
+    assert values == ["1", "1", "1"]
+    assert dict(os.environ) == before
