@@ -24,7 +24,6 @@ Plotting stays out of process: feed the CSV to any tool, e.g.::
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
 import json
@@ -40,7 +39,14 @@ from .channels import channel_from_json
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
 from .conditions import _standard_recovery_on, aqec_diagnostics
 from .exceptions import AqecError
-from .fidelity import DEFAULT_SAMPLES, SAMPLED, WorstCaseResult, _compose_on_code, _worst_cases
+from .fidelity import (
+    DEFAULT_SAMPLES,
+    SAMPLED,
+    WorstCaseResult,
+    _compose_on_code,
+    _fidelity_forms,
+    _min_forms,
+)
 from .models import (
     MODEL_REGISTRY,
     _check_gamma,
@@ -147,37 +153,64 @@ def _n_qubits_for(code: CodeSpace) -> int:
     return n
 
 
-def _curve_results(
-    recovery_name: str, code: CodeSpace, gammas: list[float], samples: int, seed: int
-) -> list[WorstCaseResult]:
-    """Worst case of recovery after n-qubit amplitude damping at each gamma.
-
-    The noise enters only as M_i = E_i W, built for the whole grid in one
-    call with no ambient operator formed; every curve is one code-basis
-    Kraus stack over the grid, scored in one call.  The rperf curve
-    composes only the six syndrome operators of the standard recovery
+def _recovered_on_code(
+    recovery_name: str, code: CodeSpace, m: np.ndarray, gammas: list[float]
+) -> np.ndarray:
+    """The code-basis Kraus stack (G, X, d, d) of a recovery after the
+    noise on the code m (G, N, D, d), M_i = E_i W, over the grid: identity
+    is W^dag M; transpose is code_kraus(M); leung composes the gamma
+    independent map, built once, with M.  The rperf curve composes only
+    the six syndrome operators of the standard recovery
     (conditions._standard_recovery_on of the single-error channel on the
     code) with the noise and completes the map on the code
     (_complete_to_mixed_on_code): 6 N + d^2 operators per gamma.  Defect
     eigenvalues at or below 1e-8, which the ambient five_qubit_recovery
     drops, are kept there; values move by about 1e-15.
     """
-    _n_qubits_for(code)  # exit 2 unless the code lives on qubits
     w = code.basis
-    m = _damping_on(gammas, w)
     if recovery_name == "transpose":
-        k = code_kraus(m)
-    elif recovery_name == "identity":
-        k = w.conj().T @ m
-    elif recovery_name == "leung":
-        for g in gammas:  # the map is gamma independent: built once
+        return code_kraus(m)
+    if recovery_name == "identity":
+        return w.conj().T @ m
+    if recovery_name == "leung":
+        for g in gammas:
             _check_gamma(g, closed=False)
-        k = _compose_on_code(w.conj().T @ leung_recovery(gammas[0])._stack, m)
-    else:
-        syndromes = _standard_recovery_on(_five_qubit_noise_on(gammas, w))
-        k = _compose_on_code(syndromes, m)
-        k = _complete_to_mixed_on_code(k, m)
-    return _worst_cases(k, code, samples, seed)
+        return _compose_on_code(w.conj().T @ leung_recovery(gammas[0])._stack, m)
+    syndromes = _standard_recovery_on(_five_qubit_noise_on(gammas, w))
+    return _complete_to_mixed_on_code(_compose_on_code(syndromes, m), m)
+
+
+def _score_curves(
+    curves: list[tuple[CodeSpace, str]], gammas: list[float], samples: int, seed: int
+) -> list[list[WorstCaseResult]]:
+    """Worst cases of each (code, recovery) curve after n-qubit amplitude
+    damping at each gamma, one result list per curve, in one scoring pass.
+
+    Each code's noise enters only as M_i = E_i W, built for the whole grid
+    in one call with no ambient operator formed, once for every curve on
+    that code object, and dropped after its last curve.  Each curve's
+    code-basis Kraus stack (_recovered_on_code) becomes its fidelity
+    forms as soon as it is built, so one stack is alive at a time, and
+    the forms of all curves of one code dimension are minimised in one
+    _min_forms call, each curve's worst states taken in its own code.
+    """
+    last = {code: i for i, (code, _) in enumerate(curves)}
+    noise: dict[CodeSpace, np.ndarray] = {}
+    forms = []
+    for i, (code, recovery) in enumerate(curves):
+        if code not in noise:
+            _n_qubits_for(code)  # exit 2 unless the code lives on qubits
+            noise[code] = _damping_on(gammas, code.basis)
+        forms.append(_fidelity_forms(_recovered_on_code(recovery, code, noise[code], gammas)))
+        if last[code] == i:
+            del noise[code]
+    results: list = [None] * len(curves)
+    for d in dict.fromkeys(code.code_dim for code, _ in curves):
+        group = [i for i, (code, _) in enumerate(curves) if code.code_dim == d]
+        found = _min_forms([(forms[i], curves[i][0]) for i in group], samples, seed)
+        for i, res in zip(group, found):
+            results[i] = res
+    return results
 
 
 def _csv_float(x: float) -> str:
@@ -239,10 +272,15 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     _check_sampling(args.samples, args.seed)
     _check_writable(args.out)
     gammas = gamma_grid(args.gamma_start, args.gamma_stop, args.gamma_step)
+    ordered = sorted(zip(specs, curves))
+    codes: dict[str, CodeSpace] = {}
+    for _, (model, _) in ordered:
+        if model not in codes:
+            codes[model] = _curve_code(model)
+    scored = _score_curves([(codes[model], recovery) for _, (model, recovery) in ordered],
+                           gammas, args.samples, args.seed)
     rows = []
-    for spec, (model, recovery) in sorted(zip(specs, curves)):
-        code = _curve_code(model)
-        results = _curve_results(recovery, code, gammas, args.samples, args.seed)
+    for (spec, _), results in zip(ordered, scored):
         for gamma, res in zip(gammas, results):
             samples = str(res.samples) if res.method == SAMPLED else "exact"
             rows.append([_csv_float(gamma), spec, _csv_float(res.f2_min),
@@ -262,7 +300,7 @@ def _search_one(args: tuple) -> tuple[int, int, list[tuple[float, float]]]:
     # batched together, so a code's values do not depend on its worker.
     index, code_seed, n_qubits, code_dim, gammas, samples = args
     code = random_code(2**n_qubits, code_dim, code_seed)
-    results = _curve_results("transpose", code, gammas, samples, code_seed)
+    [results] = _score_curves([(code, "transpose")], gammas, samples, code_seed)
     return index, code_seed, [(g, res.f2_min) for g, res in zip(gammas, results)]
 
 
@@ -298,7 +336,9 @@ def _worker_pool(workers: int):
     thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS read
     "1" while the pool runs and are restored after it.  Forked workers
     would inherit the parent's BLAS threads and oversubscribe the cores.
-    multiprocessing is imported here, so a serial run never loads it."""
+    concurrent.futures (and with it logging) and multiprocessing are
+    imported here, so a serial run never loads them."""
+    import concurrent.futures
     import multiprocessing
 
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}

@@ -9,7 +9,8 @@ the squared fidelity of a pure code state with coefficient vector s
 
 Every worst case here, and so the eta of conditions.aqec_diagnostics,
 goes through _min_forms, which minimises a whole stack of such forms at
-once and chooses the method:
+once, on one code or on several codes of one dimension, and chooses the
+method:
 
 - Qubit codes are solved exactly on the Bloch sphere.  One stacked eigh
   of the symmetrized traceless blocks; forms whose map is trace
@@ -390,21 +391,22 @@ def _distinct_starts(
     (G, P, d).  Greedy in pool order: a state is taken unless it lies in the
     basin of a start already taken, |<c_i|c_j>| >= _SAME_BASIN.  Returns
     the starts (G, k, d), in pool order, and a mask (G, k) of the slots
-    filled; an empty slot holds the zero vector."""
-    forms, pool, _ = cs.shape
-    near = np.abs(cs.conj() @ cs.swapaxes(-1, -2)) >= _SAME_BASIN  # (G, P, P)
-    taken = np.zeros((forms, pool), dtype=bool)
-    count = np.zeros(forms, dtype=int)
-    for p in range(pool):
-        take = np.isfinite(vals[:, p]) & (count < k) & ~np.any(taken & near[:, p], axis=1)
-        taken[:, p] = take
-        count += take
-        if np.all(count == k):
-            break
-    # the taken slots first, each form's in pool order
-    order = np.argsort(~taken, axis=1, kind="stable")[:, :k]
-    filled = np.arange(k) < count[:, None]
-    starts = np.where(filled[..., None], cs[np.arange(forms)[:, None], order], 0.0)
+    filled; an empty slot holds the zero vector.  The pools are small, so
+    each form's walk runs over Python lists and stops at its k-th start."""
+    forms, _, d = cs.shape
+    near = (np.abs(cs.conj() @ cs.swapaxes(-1, -2)) >= _SAME_BASIN).tolist()  # (G, P, P)
+    finite = np.isfinite(vals).tolist()
+    starts = np.zeros((forms, k, d), dtype=complex)
+    filled = np.zeros((forms, k), dtype=bool)
+    for g in range(forms):
+        taken: list[int] = []
+        for p, (ok, row) in enumerate(zip(finite[g], near[g])):
+            if ok and not any([row[t] for t in taken]):
+                taken.append(p)
+                if len(taken) == k:
+                    break
+        starts[g, : len(taken)] = cs[g, taken]
+        filled[g, : len(taken)] = True
     return starts, filled
 
 
@@ -485,24 +487,26 @@ def _min_forms_sampled(
 
 
 def _min_forms(
-    q: np.ndarray,
-    code: CodeSpace,
+    blocks: list[tuple[np.ndarray, CodeSpace]],
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-) -> list[WorstCaseResult]:
-    """Minimum over pure code states of each fidelity form s^T Q_g s of a
-    stack q (G, d^2, d^2), Q_g = M_g / d for M_g a process matrix and s
-    the state's coefficients over the code operator basis (s_0 = 1): one
-    result per form, the minimum as f2_min (1 - f2_min as eta) with the
-    state attaining it.
+) -> list[list[WorstCaseResult]]:
+    """Minimum over pure code states of each fidelity form s^T Q_g s, for
+    blocks (q, code) of forms on codes of one dimension d: q a stack
+    (G, d^2, d^2), Q_g = M_g / d for M_g a process matrix and s the state's
+    coefficients over the code operator basis (s_0 = 1).  One result list
+    per block, one result per form: the minimum as f2_min (1 - f2_min as
+    eta) with the state of the block's code attaining it.
 
-    Qubit codes are solved exactly on the Bloch sphere s = (1, bloch),
-    each form labelled by the flags of its M_g (_qubit_methods).  Larger
-    codes share one _min_forms_sampled run: upper bounds on the minima,
-    labelled SAMPLED.
+    The forms of all blocks are minimised together.  Qubit codes are solved
+    exactly on the Bloch sphere s = (1, bloch), each form labelled by the
+    flags of its M_g (_qubit_methods).  Larger codes share one
+    _min_forms_sampled run: upper bounds on the minima, labelled SAMPLED.
     """
-    if code.code_dim == 2:
-        # doubling undoes _worst_cases' halving: these are the flags of M
+    d = blocks[0][1].code_dim
+    q = np.concatenate([forms for forms, _ in blocks])
+    if d == 2:
+        # doubling undoes _fidelity_forms' halving: these are the flags of M
         methods = _qubit_methods(2.0 * q)
         q = (q + q.swapaxes(-1, -2)) / 2.0
         # A TP unital map's flags hold the first row and column of M to e0
@@ -512,28 +516,35 @@ def _min_forms(
         c0 = np.where(unital, 0.5, q[:, 0, 0])
         b = np.where(unital[:, None], 0.0, q[:, 1:, 0])
         vals, blochs = _min_quadratic_on_sphere(c0, b, q[:, 1:, 1:])
-        psis = bloch_to_state_vector(code, blochs)
-        return [
-            WorstCaseResult(float(v), 1.0 - float(v), psi, bloch, method)
-            for v, psi, bloch, method in zip(vals, psis, blochs, methods)
-        ]
-    vals, cs = _min_forms_sampled(q, samples, seed)
-    return [
-        WorstCaseResult(float(f), 1.0 - float(f), psi, None, SAMPLED, samples, seed)
-        for f, psi in zip(vals, cs @ code.basis.T)
-    ]
+        tails = [(bloch, method, None, None) for bloch, method in zip(blochs, methods)]
+    else:
+        vals, cs = _min_forms_sampled(q, samples, seed)
+        tails = [(None, SAMPLED, samples, seed)] * len(vals)
+    out, lo = [], 0
+    for forms, code in blocks:
+        part = slice(lo, lo + len(forms))
+        lo = part.stop
+        psis = bloch_to_state_vector(code, blochs[part]) if d == 2 else cs[part] @ code.basis.T
+        out.append([WorstCaseResult(float(v), 1.0 - float(v), psi, *tail)
+                    for v, psi, tail in zip(vals[part], psis, tails[part])])
+    return out
+
+
+def _fidelity_forms(k: np.ndarray) -> np.ndarray:
+    """The fidelity forms Q_g = M_g / d (G, d^2, d^2) of a stack of
+    code-basis Kraus sets k (G, ..., d, d), map g having the Kraus
+    operators k[g]: one batched process-matrix call."""
+    d = k.shape[-1]
+    return _code_process_matrices(k.reshape(len(k), -1, d, d)) / d
 
 
 def _worst_cases(
     k: np.ndarray, code: CodeSpace, samples: int, seed: int
 ) -> list[WorstCaseResult]:
     """Worst case of each map of a stack of code-basis Kraus sets k
-    (G, ..., d, d), map g having the Kraus operators k[g], one result per
-    map: one batched process-matrix call and one _min_forms call for the
-    whole stack."""
-    d = code.code_dim
-    m = _code_process_matrices(k.reshape(len(k), -1, d, d))
-    return _min_forms(m / d, code, samples, seed)
+    (G, ..., d, d), one result per map, from one _min_forms call."""
+    [results] = _min_forms([(_fidelity_forms(k), code)], samples, seed)
+    return results
 
 
 def worst_case_fidelity(

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    _check_budget,
-    complete_to_tp,
-)
+from .channels import QuantumChannel, _check_budget
 from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf, check_perfect_qec
 from .exceptions import ParamOutOfRange
@@ -140,6 +136,7 @@ def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     return QuantumChannel(_damping_on([gamma], np.eye(2**n, dtype=complex), kraus)[0])
 
 
+_LEUNG_SECTOR = ("0000", "1111", "0011", "1100")
 _LEUNG_DAMPED_IMAGES = {
     1: ("0111", "0100"),
     2: ("1011", "1000"),
@@ -159,20 +156,27 @@ def leung_recovery(gamma: float) -> QuantumChannel:
     distortion of the codewords.  The remaining (multi-damping) subspace
     is routed to |0_L><0_L| to make the map TP.
 
-    The gamma argument is accepted for interface symmetry with the other
-    recoveries; the map itself is gamma independent apart from validation.
+    The sectors and images cover twelve basis states, so the trace
+    defect is the projector onto the other four, e_x: the completion is
+    |0_L><e_x| for each, in index order, the operators
+    complete_to_tp(., |0_L>) appends.  The gamma argument is accepted for
+    interface symmetry with the other recoveries; the map itself is gamma
+    independent apart from validation.
     """
     _check_gamma(gamma, closed=False)
     code = leung_code()
     v0, v1 = code.basis[:, 0], code.basis[:, 1]
-    sector = [basis_state(b) for b in ("0000", "1111", "0011", "1100")]
+    sector = [basis_state(b) for b in _LEUNG_SECTOR]
     ops = [sum(np.outer(v, v.conj()) for v in sector)]
     for d0, d1 in _LEUNG_DAMPED_IMAGES.values():
         ops.append(
             np.outer(v0, basis_state(d0).conj())
             + np.outer(v1, basis_state(d1).conj())
         )
-    return complete_to_tp(QuantumChannel(ops), v0)
+    covered = {int(b, 2) for b in _LEUNG_SECTOR + sum(_LEUNG_DAMPED_IMAGES.values(), ())}
+    target = v0 / np.linalg.norm(v0)
+    ops += [np.outer(target, e) for x, e in enumerate(np.eye(16)) if x not in covered]
+    return QuantumChannel(ops)
 
 
 _FIVE_QUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")

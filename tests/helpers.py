@@ -21,6 +21,7 @@ from aqec import (
     CodeSpace,
     QuantumChannel,
     bloch_state,
+    complete_to_tp,
     haar_unitary,
     polar_unitary_on_support,
 )
@@ -99,6 +100,22 @@ def polar_r_perf(cert, e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
         f_k = np.einsum("i,iab->ab", cert.rotation[:, k], np.stack(e.kraus))
         ops.append(p @ polar_unitary_on_support(f_k @ p).conj().T)
     return QuantumChannel(ops)
+
+
+def complete_to_tp_leung_recovery() -> QuantumChannel:
+    """The leung41 syndrome recovery completed by complete_to_tp: the
+    no-damping sector projector and the four damped-image isometries of
+    the four-qubit code, with the trace defect's eigenvectors, from its
+    eigh, routed to |0_L>."""
+    def ket(bits: str) -> np.ndarray:
+        return np.eye(16)[int(bits, 2)]
+
+    v0 = (ket("0000") + ket("1111")) / np.sqrt(2.0)
+    v1 = (ket("0011") + ket("1100")) / np.sqrt(2.0)
+    ops = [sum(np.outer(ket(b), ket(b)) for b in ("0000", "1111", "0011", "1100"))]
+    for d0, d1 in (("0111", "0100"), ("1011", "1000"), ("1101", "0001"), ("1110", "0010")):
+        ops.append(np.outer(v0, ket(d0)) + np.outer(v1, ket(d1)))
+    return complete_to_tp(QuantumChannel(ops), v0)
 
 
 def sqrtm_oracle(a: np.ndarray) -> np.ndarray:

@@ -504,12 +504,12 @@ def test_completed_rperf_map_is_trace_preserving_on_the_code(tmp_path, monkeypat
 
     stacks = []
 
-    def keep_stack(k, *args):
+    def keep_stack(k):
         stacks.append(k)
-        return real_worst_cases(k, *args)
+        return real_fidelity_forms(k)
 
-    real_worst_cases = aqec.cli._worst_cases
-    monkeypatch.setattr(aqec.cli, "_worst_cases", keep_stack)
+    real_fidelity_forms = aqec.cli._fidelity_forms
+    monkeypatch.setattr(aqec.cli, "_fidelity_forms", keep_stack)
     assert main(["sweep", "--curve", "five513:rperf", *_RPERF_GRID,
                  "--out", str(tmp_path / "s.csv")]) == 0
     [k] = stacks
@@ -561,6 +561,67 @@ def test_leung_sweep_rejects_gamma_one(tmp_path, capsys):
                "--out", str(tmp_path / "s.csv")])
     assert rc == 3
     assert "outside [0, 1)" in _one_error_line(capsys)
+
+
+def test_scoring_pass_matches_each_curve_swept_alone(tmp_path, monkeypatch):
+    # One sweep builds each code's noise once and minimises the forms of
+    # every curve of one code dimension in one call.  Each curve's rows
+    # equal the curve swept alone: to the byte for the qubit curves, and
+    # within the stacking bound of the sampled minimiser for d = 3.
+    import aqec.cli
+    from aqec.cli import DEFAULT_CURVES
+
+    code_file = tmp_path / "code3.json"
+    code_file.write_text(json.dumps(code_to_json(random_code(8, 3, 21))))
+    qutrit = [f"file={code_file}:transpose", f"file={code_file}:identity"]
+    grid = ["--gamma-stop", "0.2", "--gamma-step", "0.05", "--samples", "2000", "--seed", "3"]
+
+    calls, noise_shapes = [], []
+
+    def count_calls(blocks, *args):
+        calls.append(len(blocks))
+        return real_min_forms(blocks, *args)
+
+    def count_noise(gammas, basis):
+        noise_shapes.append(basis.shape)
+        return real_damping_on(gammas, basis)
+
+    real_min_forms, real_damping_on = aqec.cli._min_forms, aqec.cli._damping_on
+    monkeypatch.setattr(aqec.cli, "_min_forms", count_calls)
+    monkeypatch.setattr(aqec.cli, "_damping_on", count_noise)
+    together = tmp_path / "together.csv"
+    argv = ["sweep", *grid, "--out", str(together)]
+    for spec in DEFAULT_CURVES + qutrit:
+        argv += ["--curve", spec]
+    assert main(argv) == 0
+    assert sorted(calls) == [2, 4]
+    assert sorted(noise_shapes) == [(2, 2), (8, 3), (16, 2), (32, 2)]  # one build per code
+    rows = _read_rows(together)[1][1:]
+    for spec in DEFAULT_CURVES + qutrit:
+        alone = tmp_path / "alone.csv"
+        assert main(["sweep", "--curve", spec, *grid, "--out", str(alone)]) == 0
+        mine = [row for row in rows if row.split(",")[1] == spec]
+        ref = _read_rows(alone)[1][1:]
+        assert len(mine) == len(ref) == 5
+        if spec in qutrit:
+            for got, want in zip(mine, ref):
+                got, want = got.split(","), want.split(",")
+                assert got[:2] + got[5:] == want[:2] + want[5:]
+                for a, b in zip(got[2:5], want[2:5]):
+                    assert abs(float(a) - float(b)) <= 1e-14
+        else:
+            assert mine == ref
+
+
+def test_failing_curve_of_a_scoring_pass_exits_3(tmp_path, capsys):
+    # The default curves at gamma 1: leung41:leung rejects it, and the
+    # whole sweep exits 3 with one line, writing nothing.
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--gamma-start", "0.9", "--gamma-stop", "1.0", "--gamma-step", "0.1",
+               "--out", str(out)])
+    assert rc == 3
+    assert _one_error_line(capsys) == "numerical failure: gamma = 1.0 outside [0, 1)\n"
+    assert not out.exists()
 
 
 def test_bad_metric_rejected_before_scoring(tmp_path, capsys):
@@ -649,22 +710,35 @@ def _peak_bytes(fn, *args):
 def test_damping_built_on_the_code_keeps_memory_small():
     # The ambient 5-qubit damping grid over 51 gammas alone is 26.7 MB.
     from aqec import five_qubit_code_only
-    from aqec.cli import _curve_results, _search_one, gamma_grid
+    from aqec.cli import _score_curves, _search_one, gamma_grid
 
     gammas = gamma_grid(0.0, 0.5, 0.01)
     assert _peak_bytes(_search_one, (0, 11, 5, 2, gammas, 10)) < 20 * 2**20
     code = five_qubit_code_only()
-    assert _peak_bytes(_curve_results, "identity", code, gammas, 10, 0) < 8 * 2**20
+    assert _peak_bytes(_score_curves, [(code, "identity")], gammas, 10, 0) < 8 * 2**20
 
 
 def test_rperf_curve_keeps_memory_small():
     # Completing the recovery on the code forms no 32 x 32 defect and no
     # ambient completion operators.
     from aqec import five_qubit_code_only
-    from aqec.cli import _curve_results, gamma_grid
+    from aqec.cli import _score_curves, gamma_grid
 
     gammas = gamma_grid(0.0, 0.5, 0.01)
-    assert _peak_bytes(_curve_results, "rperf", five_qubit_code_only(), gammas, 10, 0) < 8 * 2**20
+    curves = [(five_qubit_code_only(), "rperf")]
+    assert _peak_bytes(_score_curves, curves, gammas, 10, 0) < 8 * 2**20
+
+
+def test_scoring_pass_holds_one_codes_noise_at_a_time():
+    # A 6-qubit code's noise on the code over 51 gammas is 6.7 MB; a pass
+    # over three codes drops each code's noise after its last curve.
+    from aqec.cli import _score_curves, gamma_grid
+
+    gammas = gamma_grid(0.0, 0.5, 0.01)
+    codes = [random_code(64, 2, seed) for seed in range(3)]
+    one = _peak_bytes(_score_curves, [(codes[0], "identity")], gammas, 10, 0)
+    three = _peak_bytes(_score_curves, [(code, "identity") for code in codes], gammas, 10, 0)
+    assert three < 1.2 * one
 
 
 def test_non_numeric_kraus_or_basis_entry_exits_3(tmp_path, capsys):

@@ -326,7 +326,7 @@ def _qubit_oracle(q, methods):
 
 
 def _assert_qubit_parity(q, methods):
-    results = _min_forms(q, qubit_space())
+    [results] = _min_forms([(q, qubit_space())])
     for res, method, (val, bloch) in zip(results, methods, _qubit_oracle(q, methods)):
         assert res.method == method
         assert abs(res.f2_min - val) <= 1e-12
@@ -488,9 +488,9 @@ def test_sampler_memory_is_cache_sized():
 @pytest.mark.parametrize("d", [2, 3])
 def test_min_forms_result_independent_of_stack(d):
     q, _, code = _transpose_forms(4, d, 60 + d, [round(0.05 * k, 12) for k in range(11)])
-    stacked = _min_forms(q, code, samples=3000, seed=9)
+    [stacked] = _min_forms([(q, code)], samples=3000, seed=9)
     for g, res in enumerate(stacked):
-        [alone] = _min_forms(q[g : g + 1], code, samples=3000, seed=9)
+        [[alone]] = _min_forms([(q[g : g + 1], code)], samples=3000, seed=9)
         assert (alone.method, alone.samples) == (res.method, res.samples)
         assert abs(alone.f2_min - res.f2_min) <= 1e-14
         assert abs(abs(np.vdot(alone.worst_state, res.worst_state)) - 1.0) <= 1e-14

@@ -25,7 +25,7 @@ from aqec import (
 from aqec.exceptions import ParamOutOfRange
 from aqec.models import _damping_on, basis_state, pauli_string
 
-from helpers import polar_r_perf
+from helpers import complete_to_tp_leung_recovery, polar_r_perf
 from properties import (
     check_damping_semigroup,
     check_example5_ratio,
@@ -83,6 +83,18 @@ def test_leung_recovery_noiseless_limit():
 
 def test_leung_recovery_is_tp():
     assert tp_defect(leung_recovery(0.1)) < 1e-9
+
+
+def test_leung_recovery_equals_complete_to_tp_construction():
+    # The completion is appended directly, with no defect eigh: operator
+    # for operator the one complete_to_tp builds, and TP to rounding.
+    ref = complete_to_tp_leung_recovery()
+    for g in (0.0, 0.1, 0.9):
+        rec = leung_recovery(g)
+        assert rec.n_kraus == ref.n_kraus == 9
+        for got, want in zip(rec.kraus, ref.kraus):
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(rec.kraus_sum() - np.eye(16))) <= 1e-15
 
 
 def test_leung_recovery_param_range():

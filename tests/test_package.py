@@ -33,3 +33,20 @@ def test_import_pulls_in_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool_modules():
+    # concurrent.futures (which loads logging) and multiprocessing are
+    # imported only when AQEC_THREADS asks for worker processes.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, aqec.cli; "
+        "print([m for m in ('concurrent.futures', 'logging', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
