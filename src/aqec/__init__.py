@@ -9,7 +9,6 @@ codes, by sampling otherwise).
 __version__ = "0.1.0"
 
 from .channels import (
-    ChoiMatrix,
     QuantumChannel,
     adjoint,
     channel_from_json,
@@ -47,18 +46,15 @@ from .conditions import (
 )
 from .fidelity import WorstCaseResult, transpose_fidelity_grid, worst_case_fidelity
 from .linalg import (
-    EigenDecomposition,
     hermitian_eig,
     inv_sqrt_on_support,
     polar_unitary_on_support,
-    psd_sqrt,
 )
 from .models import (
     amplitude_damping,
     amplitude_damping_power,
     bit_flip_channel,
     bit_flip_code,
-    complete_to_mixed_code,
     example5_channel,
     example5_eta_formula,
     five_qubit_code_only,
@@ -77,7 +73,7 @@ from .transpose import (
 )
 
 __all__ = [
-    "ChoiMatrix", "QuantumChannel", "adjoint", "channel_from_json",
+    "QuantumChannel", "adjoint", "channel_from_json",
     "channel_to_json", "channels_equal", "choi", "complete_to_tp", "compose",
     "identity_channel", "minimal_kraus", "restricted_tp_factor", "tensor_power",
     "tp_defect",
@@ -87,10 +83,9 @@ __all__ = [
     "alternate_condition_residual", "aqec_diagnostics", "build_r_perf",
     "check_perfect_qec", "near_optimality_bound_check", "near_optimality_factor",
     "WorstCaseResult", "transpose_fidelity_grid", "worst_case_fidelity",
-    "EigenDecomposition", "hermitian_eig", "inv_sqrt_on_support",
-    "polar_unitary_on_support", "psd_sqrt",
+    "hermitian_eig", "inv_sqrt_on_support", "polar_unitary_on_support",
     "amplitude_damping", "amplitude_damping_power", "bit_flip_channel",
-    "bit_flip_code", "complete_to_mixed_code", "example5_channel",
+    "bit_flip_code", "example5_channel",
     "example5_eta_formula", "five_qubit_code_only",
     "five_qubit_noise", "five_qubit_recovery",
     "leung_code", "leung_recovery",

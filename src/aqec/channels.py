@@ -1,4 +1,4 @@
-"""Quantum channels as lists of Kraus operators.
+"""Quantum channels as stacks of Kraus operators.
 
 A channel E with Kraus operators {E_i} acts as E(rho) = sum_i E_i rho E_i^dag.
 Channels here may be completely positive without being trace preserving;
@@ -17,7 +17,6 @@ JSON wire format (fixed field names, used by the CLI)::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,17 +32,20 @@ KRAUS_ENTRY_BUDGET = 2**26
 PRUNE_TOL = 1e-12
 TP_TOL = 1e-9
 CHOI_EQ_TOL = 1e-9
+COMPLETION_TOL = 1e-8  # defect eigenvalues at or below it need no completion
 
 
 class QuantumChannel:
-    """Completely positive map stored as a tuple of Kraus operators.
+    """Completely positive map stored as one stack of Kraus operators.
 
     All Kraus operators must share one shape (dims_out, dims_in) and hold
-    finite entries (NonFiniteInput otherwise).  The stored arrays are
-    read-only; channels are immutable after construction.
+    finite entries (NonFiniteInput otherwise).  kraus is the read-only
+    complex array of shape (n_kraus, dims_out, dims_in), the one copy of
+    the operators; kraus[i] is E_i.  Channels are immutable after
+    construction.
     """
 
-    __slots__ = ("kraus", "dims_in", "dims_out", "_stack")
+    __slots__ = ("kraus", "dims_in", "dims_out")
 
     def __init__(self, kraus: Sequence[np.ndarray]):
         shapes = [np.shape(k) for k in kraus]
@@ -59,8 +61,7 @@ class QuantumChannel:
         if not np.isfinite(stack).all():
             raise NonFiniteInput("Kraus operators hold NaN or infinite entries")
         stack.flags.writeable = False
-        self._stack = stack
-        self.kraus = tuple(stack)
+        self.kraus = stack
         self.dims_out, self.dims_in = shape
 
     @property
@@ -75,12 +76,12 @@ class QuantumChannel:
                 f"state is {rho.shape}, channel input dimension is {self.dims_in}"
             )
         return np.einsum(
-            "kij,jl,kml->im", self._stack, rho, self._stack.conj(), optimize=True
+            "kij,jl,kml->im", self.kraus, rho, self.kraus.conj(), optimize=True
         )
 
     def kraus_sum(self) -> np.ndarray:
         """Return sum_i E_i^dag E_i."""
-        return np.einsum("kij,kil->jl", self._stack.conj(), self._stack, optimize=True)
+        return np.einsum("kij,kil->jl", self.kraus.conj(), self.kraus, optimize=True)
 
     def __repr__(self) -> str:
         return (
@@ -89,21 +90,12 @@ class QuantumChannel:
         )
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi representative sum_i vec(E_i) vec(E_i)^dag with row-major vec."""
-
-    matrix: np.ndarray
-    dims_in: int
-    dims_out: int
-
-
 def identity_channel(dim: int) -> QuantumChannel:
     return QuantumChannel([np.eye(dim, dtype=complex)])
 
 
-def _prune(ops: Iterable[np.ndarray], tol: float = PRUNE_TOL) -> list[np.ndarray]:
-    kept = [k for k in ops if np.linalg.norm(k) >= tol]
+def _prune(ops: Iterable[np.ndarray]) -> list[np.ndarray]:
+    kept = [k for k in ops if np.linalg.norm(k) >= PRUNE_TOL]
     if not kept:
         first = next(iter(ops))
         kept = [np.zeros_like(first)]
@@ -146,9 +138,9 @@ def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
     if n < 1:
         raise DimensionMismatch(f"tensor power needs n >= 1, got {n}")
     _check_budget(e.n_kraus**n, e.dims_out**n, e.dims_in**n)
-    ops = e._stack
+    ops = e.kraus
     for p in range(2, n + 1):
-        ops = np.einsum("aij,bkl->abikjl", ops, e._stack).reshape(
+        ops = np.einsum("aij,bkl->abikjl", ops, e.kraus).reshape(
             e.n_kraus**p, e.dims_out**p, e.dims_in**p
         )
     return QuantumChannel(_prune(list(ops)))
@@ -179,10 +171,11 @@ def restricted_tp_factor(
     return None
 
 
-def choi(e: QuantumChannel) -> ChoiMatrix:
-    flat = e._stack.reshape(e.n_kraus, e.dims_out * e.dims_in)
-    m = flat.T @ flat.conj()
-    return ChoiMatrix(m, e.dims_in, e.dims_out)
+def choi(e: QuantumChannel) -> np.ndarray:
+    """Choi matrix sum_i vec(E_i) vec(E_i)^dag with row-major vec, of
+    shape (dims_out dims_in, dims_out dims_in)."""
+    flat = e.kraus.reshape(e.n_kraus, e.dims_out * e.dims_in)
+    return flat.T @ flat.conj()
 
 
 def channels_equal(
@@ -197,15 +190,15 @@ def channels_equal(
             f"channel dims differ: ({e1.dims_in}->{e1.dims_out}) vs "
             f"({e2.dims_in}->{e2.dims_out})"
         )
-    return max_abs(choi(e1).matrix - choi(e2).matrix) <= tol
+    return max_abs(choi(e1) - choi(e2)) <= tol
 
 
-def minimal_kraus(e: QuantumChannel, tol: float = PRUNE_TOL) -> QuantumChannel:
-    """Re-extract a minimal Kraus set from the Choi eigendecomposition."""
-    c = choi(e)
-    vals, vecs = hermitian_eig(c.matrix)
+def minimal_kraus(e: QuantumChannel) -> QuantumChannel:
+    """Re-extract a minimal Kraus set from the Choi eigendecomposition,
+    dropping eigenvalues at or below PRUNE_TOL * max(1, largest)."""
+    vals, vecs = hermitian_eig(choi(e))
     scale = float(vals[-1]) if vals.size else 0.0
-    cutoff = max(tol, tol * scale)
+    cutoff = max(PRUNE_TOL, PRUNE_TOL * scale)
     ops = []
     for idx in range(len(vals) - 1, -1, -1):
         if vals[idx] <= cutoff:
@@ -218,32 +211,37 @@ def minimal_kraus(e: QuantumChannel, tol: float = PRUNE_TOL) -> QuantumChannel:
     return QuantumChannel(ops)
 
 
-def complete_to_tp(
-    e: QuantumChannel, target: np.ndarray, tol: float = 1e-8
-) -> QuantumChannel:
+def complete_to_tp(e: QuantumChannel, target: np.ndarray) -> QuantumChannel:
     """Extend a trace-nonincreasing channel to a TP one.
 
-    The missing trace weight I - sum E_i^dag E_i is routed to the pure
-    state `target`: for each eigenpair (lam, phi) of the defect operator
-    a Kraus operator sqrt(lam) |target><phi| is appended.
+    The missing trace weight I - sum E_i^dag E_i is routed to target: a
+    state vector (normalised here), or a dims_out x k isometry W, whose
+    span then receives the maximally mixed state W W^dag / k.  For each
+    eigenpair (lam, phi) of the defect with lam above COMPLETION_TOL, the
+    Kraus operators sqrt(lam / k) |w_j><phi| are appended, j over the k
+    columns (k = 1 for a state).  Raises NotPSD when the defect has an
+    eigenvalue below -COMPLETION_TOL.
     """
-    target = np.asarray(target, dtype=complex).reshape(-1)
-    if target.shape[0] != e.dims_out:
-        raise DimensionMismatch("target state dimension must match channel output")
-    norm = np.linalg.norm(target)
-    if norm == 0:
-        raise DimensionMismatch("target state must be nonzero")
-    target = target / norm
-    defect = np.eye(e.dims_in) - e.kraus_sum()
-    vals, vecs = hermitian_eig(defect)
-    if vals.size and float(vals[0]) < -tol:
+    w = np.asarray(target, dtype=complex)
+    if w.ndim == 1:
+        norm = np.linalg.norm(w)
+        if norm == 0:
+            raise DimensionMismatch("target state must be nonzero")
+        w = (w / norm)[:, None]
+    if w.ndim != 2 or w.shape[0] != e.dims_out:
+        raise DimensionMismatch("target must be a state or an isometry into the channel output")
+    k = w.shape[1]
+    if max_abs(w.conj().T @ w - np.eye(k)) > TP_TOL:
+        raise DimensionMismatch("target columns must be orthonormal")
+    vals, vecs = hermitian_eig(np.eye(e.dims_in) - e.kraus_sum())
+    if vals.size and float(vals[0]) < -COMPLETION_TOL:
         raise NotPSD(
             f"channel exceeds trace preservation (defect eigenvalue {vals[0]:.3e})"
         )
     ops = list(e.kraus)
     for lam, phi in zip(vals, vecs.T):
-        if lam > tol:
-            ops.append(np.sqrt(lam) * np.outer(target, phi.conj()))
+        if lam > COMPLETION_TOL:
+            ops += [np.sqrt(lam / k) * np.outer(w[:, j], phi.conj()) for j in range(k)]
     return QuantumChannel(ops)
 
 

@@ -175,7 +175,7 @@ def _recovered_on_code(
     if recovery_name == "leung":
         for g in gammas:
             _check_gamma(g, closed=False)
-        return _compose_on_code(w.conj().T @ leung_recovery(gammas[0])._stack, m)
+        return _compose_on_code(w.conj().T @ leung_recovery(gammas[0]).kraus, m)
     syndromes = _standard_recovery_on(_five_qubit_noise_on(gammas, w))
     return _complete_to_mixed_on_code(_compose_on_code(syndromes, m), m)
 

@@ -42,10 +42,11 @@ from .channels import QuantumChannel, _prune
 from .codes import CodeSpace
 from .exceptions import CertificateInvalid, NotTP
 from .fidelity import DEFAULT_SAMPLES, _worst_cases, transpose_fidelity_grid, worst_case_fidelity
-from .linalg import RANK_TOL, hermitian_eig
+from .linalg import hermitian_eig, psd_eigh
 from .transpose import _noise_on_code, _normalised_noise_on_code, code_kraus
 
 PERFECT_TOL = 1e-9
+BOUND_TOL = 1e-9  # slack of the near-optimality bound check
 
 
 class Verdict(str, enum.Enum):
@@ -64,7 +65,7 @@ class PerfectQecCertificate:
     """Result of testing P E_i^dag E_j P = alpha_ij P.
 
     residual is the largest entrywise deviation (in the code basis) from
-    exact proportionality; `satisfied` compares it against tol.  The
+    exact proportionality; `satisfied` compares it against PERFECT_TOL.  The
     rotation u diagonalizes alpha = u diag(diag_values) u^dag, giving the
     Kraus representation in which the conditions take diagonal form.
     """
@@ -73,7 +74,6 @@ class PerfectQecCertificate:
     diag_values: np.ndarray
     rotation: np.ndarray
     residual: float
-    tol: float
     satisfied: bool
 
 
@@ -137,12 +137,13 @@ def _condition_products(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (alpha + alpha.conj().swapaxes(-1, -2)) / 2.0, dev.reshape(g, -1).max(axis=1)
 
 
-def _syndrome_operators(m: np.ndarray, vals: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _syndrome_operators(
+    m: np.ndarray, vals: np.ndarray, u: np.ndarray, keep: np.ndarray
+) -> np.ndarray:
     """W^dag R_k = (F_k W)^dag / sqrt(d_k), F_k W = sum_i u_ik M_i, for
-    alpha = u diag(vals) u^dag: m (G, N, D, d), vals (G, N), u (G, N, N).
-    Returns (G, N, d, D), zero where d_k <= RANK_TOL * max(d), the one
-    place that cut is made."""
-    keep = vals > RANK_TOL * np.maximum(vals[:, -1:], 0.0)
+    alpha = u diag(vals) u^dag: m (G, N, D, d), vals and keep (G, N), u
+    (G, N, N).  Returns (G, N, d, D), zero where keep (linalg.psd_eigh's
+    support of alpha) drops d_k."""
     weight = np.where(keep, vals, np.inf) ** -0.5
     fw = (u.swapaxes(-1, -2) @ m.reshape(m.shape[0], m.shape[1], -1)).reshape(m.shape)
     return weight[..., None, None] * fw.conj().swapaxes(-1, -2)
@@ -160,20 +161,17 @@ def _standard_recovery_on(m: np.ndarray) -> np.ndarray:
         raise CertificateInvalid(
             f"residual {residual[bad[0]]:.3e} exceeds tolerance {PERFECT_TOL:.3e}"
         )
-    vals, u = np.linalg.eigh(alpha)
-    return _syndrome_operators(m, vals, u)
+    return _syndrome_operators(m, *psd_eigh(alpha))
 
 
-def check_perfect_qec(
-    e: QuantumChannel, code: CodeSpace, tol: float = PERFECT_TOL
-) -> PerfectQecCertificate:
+def check_perfect_qec(e: QuantumChannel, code: CodeSpace) -> PerfectQecCertificate:
     """Test the proportionality conditions P E_i^dag E_j P = alpha_ij P.
 
     Never raises on failure: the certificate carries the residual either
     way.  alpha_ij = tr(P E_i^dag E_j P) / d is always reported, together
     with its diagonalization.
     """
-    alpha, residual = _condition_products(_noise_on_code(e._stack, code)[None])
+    alpha, residual = _condition_products(_noise_on_code(e.kraus, code)[None])
     alpha, residual = alpha[0], float(residual[0])
     vals, vecs = hermitian_eig(alpha)
     return PerfectQecCertificate(
@@ -181,8 +179,7 @@ def check_perfect_qec(
         diag_values=vals,
         rotation=vecs,
         residual=residual,
-        tol=tol,
-        satisfied=residual <= tol,
+        satisfied=residual <= PERFECT_TOL,
     )
 
 
@@ -194,16 +191,17 @@ def build_r_perf(
     The rotated Kraus operators F_k = sum_i u_ik E_i of the certificate's
     alpha = u diag(d) u^dag satisfy P F_k^dag F_l P = d_k delta_kl P, so
     F_k P / sqrt(d_k) is an isometry on the code and its adjoint undoes
-    it; only components with d_k above RANK_TOL * max(d_k) contribute.
+    it; only the components psd_eigh keeps in alpha contribute.
     For any code state rho, (R_perf after e)(rho) = (sum_k d_k) rho, and
     R_perf equals the transpose channel of the pair.
     """
     if not cert.satisfied:
         raise CertificateInvalid(
-            f"residual {cert.residual:.3e} exceeds tolerance {cert.tol:.3e}"
+            f"residual {cert.residual:.3e} exceeds tolerance {PERFECT_TOL:.3e}"
         )
-    m = _noise_on_code(e._stack, code)[None]
-    ops = _syndrome_operators(m, cert.diag_values[None], cert.rotation[None])[0]
+    m = _noise_on_code(e.kraus, code)[None]
+    keep = psd_eigh(cert.alpha)[2]
+    ops = _syndrome_operators(m, cert.diag_values[None], cert.rotation[None], keep[None])[0]
     return QuantumChannel(_prune(list(code.basis @ ops)))
 
 
@@ -234,7 +232,7 @@ def aqec_diagnostics(
     exact for qubit codes, a sampled lower bound on the loss for d > 2.
     """
     d = code.code_dim
-    m, factor = _normalised_noise_on_code(e._stack, code)
+    m, factor = _normalised_noise_on_code(e.kraus, code)
     if np.isnan(factor):
         raise NotTP(
             "channel is neither trace preserving nor proportionally "
@@ -282,7 +280,7 @@ def alternate_condition_residual(e: QuantumChannel, code: CodeSpace) -> float:
     beta matrix then equals the principal square root of alpha in the same
     Kraus representation.
     """
-    _, deltas = _beta_and_deltas(code_kraus(_noise_on_code(e._stack, code)))
+    _, deltas = _beta_and_deltas(code_kraus(_noise_on_code(e.kraus, code)))
     return float(np.max(np.linalg.norm(deltas, 2, axis=(-2, -1))))
 
 
@@ -313,13 +311,12 @@ def near_optimality_bound_check(
     *,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> NearOptimalityReport:
     """Evaluate candidate recoveries and verify the near-optimality bound.
 
     Pass None inside candidate_recoveries for the do-nothing recovery.
     """
-    [res_p] = transpose_fidelity_grid(e._stack[None], code, samples=samples, seed=seed)
+    [res_p] = transpose_fidelity_grid(e.kraus[None], code, samples=samples, seed=seed)
     eta_p = res_p.eta
     etas = []
     for idx, cand in enumerate(candidate_recoveries):
@@ -338,6 +335,6 @@ def near_optimality_bound_check(
         eta_hat=eta_hat,
         f_eta_hat=f_hat,
         bound=bound,
-        bound_satisfied=eta_p <= bound + tol,
+        bound_satisfied=eta_p <= bound + BOUND_TOL,
         f_zero=near_optimality_factor(0.0, d),
     )

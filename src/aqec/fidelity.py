@@ -562,14 +562,14 @@ def worst_case_fidelity(
     back to the sampled estimator.  Output that leaves the code is
     ignored, as fidelities never see it.
     """
-    m = _normalised_noise_on_code(noise._stack, code)[0]
+    m = _normalised_noise_on_code(noise.kraus, code)[0]
     if recovery is None:
         k = code.basis.conj().T @ m
     elif (recovery.dims_in, recovery.dims_out) != (code.ambient_dim,) * 2:
         raise DimensionMismatch(f"recovery acts on dim {recovery.dims_in}->"
                                 f"{recovery.dims_out}, code lives in dim {code.ambient_dim}")
     else:
-        k = _compose_on_code(code.basis.conj().T @ recovery._stack, m)
+        k = _compose_on_code(code.basis.conj().T @ recovery.kraus, m)
     return _worst_cases(k[None], code, samples, seed)[0]
 
 

@@ -7,26 +7,17 @@ downstream constructions are bit-reproducible for identical inputs.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotHermitian, NotPSD
 
-# Relative eigenvalue cutoff: eigenvalues below RANK_TOL * max(|eigenvalue|)
-# are treated as exactly zero.  Relative thresholding keeps the support
-# detection stable when channel output operators scale with a small noise
-# parameter.
+# Relative eigenvalue cutoff: eigenvalues at or below RANK_TOL *
+# max(|eigenvalue|) are treated as exactly zero.  Relative thresholding
+# keeps the support detection stable when channel output operators scale
+# with a small noise parameter.  psd_eigh is the one place it is applied.
 RANK_TOL = 1e-10
 
 HERMITICITY_TOL = 1e-10
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues ascending, eigenvectors as orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_complex_matrix(a) -> np.ndarray:
@@ -66,68 +57,71 @@ def _canonicalize_eigenvectors(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray
     return vecs
 
 
-def check_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    """Raise NotHermitian when max|A - A^dag| exceeds tol * max(1, max|A|)
-    for A the matrix or any matrix of a stack over leading axes."""
+def check_hermitian(a: np.ndarray) -> None:
+    """Raise NotHermitian when max|A - A^dag| exceeds HERMITICITY_TOL *
+    max(1, max|A|) for A the matrix or any matrix of a stack over leading
+    axes."""
     if not a.size:
         return
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
     dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    bad = np.flatnonzero(dev > tol * scale)
+    limit = HERMITICITY_TOL * scale
+    bad = np.flatnonzero(dev > limit)
     if bad.size:
         i = bad[0]
         raise NotHermitian(
-            f"max|A - A^dag| = {dev.flat[i]:.3e} exceeds tolerance {tol * scale.flat[i]:.3e}"
+            f"max|A - A^dag| = {dev.flat[i]:.3e} exceeds tolerance {limit.flat[i]:.3e}"
         )
 
 
-def hermitian_eig(a, tol: float = HERMITICITY_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic output.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (vals, vecs) of a Hermitian matrix with
+    deterministic output.
 
-    Raises NotHermitian when max|A - A^dag| exceeds tol * max(1, max|A|),
-    and DimensionMismatch for non-square input.  Eigenvalues come back
-    ascending; V diag(w) V^dag reconstructs A to machine precision.
+    Raises NotHermitian as check_hermitian does, and DimensionMismatch for
+    non-square input.  Eigenvalues come back ascending, eigenvectors as
+    orthonormal columns; V diag(w) V^dag reconstructs A to machine
+    precision.
     """
     a = _as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
-    check_hermitian(a, tol)
+    check_hermitian(a)
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    vecs = _canonicalize_eigenvectors(vals, vecs)
-    return EigenDecomposition(vals, vecs)
+    return vals, _canonicalize_eigenvectors(vals, vecs)
+
+
+def psd_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support rule of the package, for a PSD matrix or a stack of
+    them over leading axes (..., n, n), n = 0 included: one eigh of the
+    Hermitian part A = V diag(lam) V^dag, returned as (lam ascending, V,
+    keep) with keep = lam > RANK_TOL * max|lam|, the eigenvalues that
+    count as nonzero.  Raises NotHermitian as check_hermitian does, NotPSD
+    when an eigenvalue lies below -RANK_TOL * max|lam|, and
+    DimensionMismatch for non-square input."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+    check_hermitian(a)
+    vals, vecs = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
+    cutoff = RANK_TOL * np.max(np.abs(vals), axis=-1, initial=0.0)
+    low = np.flatnonzero(np.min(vals, axis=-1, initial=0.0) < -cutoff)
+    if low.size:
+        i = low[0]
+        raise NotPSD(f"eigenvalue {vals[..., 0].flat[i]:.3e} below -{cutoff.flat[i]:.3e}")
+    return vals, vecs, vals > cutoff[..., None]
 
 
 def inv_sqrt_on_support(a) -> tuple[np.ndarray, np.ndarray]:
     """Inverse square root of a PSD matrix, inverted on its support only.
 
-    Returns (B, support) where B = sum over eigenvalues above the cutoff of
-    lam^(-1/2) |v><v| and support is the projector onto those eigenvectors,
-    so B A B = support.  The cutoff is RANK_TOL * (largest eigenvalue);
-    eigenvalues at or below it count as zero.  Raises NotPSD when an
-    eigenvalue is more negative than the cutoff allows.
+    Returns (B, support) where B = sum over the eigenvalues psd_eigh keeps
+    of lam^(-1/2) |v><v| and support is the projector onto those
+    eigenvectors, so B A B = support.  Raises NotPSD as psd_eigh does.
     """
-    vals, vecs = hermitian_eig(a)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    cutoff = RANK_TOL * scale
-    if vals.size and float(vals[0]) < -cutoff:
-        raise NotPSD(f"eigenvalue {vals[0]:.3e} below -{cutoff:.3e}")
-    mask = vals > cutoff
-    vs = vecs[:, mask]
-    b = (vs / np.sqrt(vals[mask])) @ vs.conj().T
-    support = vs @ vs.conj().T
-    return b, support
-
-
-def psd_sqrt(a) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.  Raises NotPSD
-    when an eigenvalue lies below -RANK_TOL * (largest eigenvalue)."""
-    vals, vecs = hermitian_eig(a)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    cutoff = RANK_TOL * scale
-    if vals.size and float(vals[0]) < -cutoff:
-        raise NotPSD(f"eigenvalue {vals[0]:.3e} below -{cutoff:.3e}")
-    w = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * w) @ vecs.conj().T
+    vals, vecs, keep = psd_eigh(_as_complex_matrix(a))
+    vs = vecs[:, keep]
+    return (vs / np.sqrt(vals[keep])) @ vs.conj().T, vs @ vs.conj().T
 
 
 def polar_unitary_on_support(a) -> np.ndarray:

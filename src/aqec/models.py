@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import QuantumChannel, _check_budget
+from .channels import QuantumChannel, _check_budget, complete_to_tp
 from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf, check_perfect_qec
 from .exceptions import ParamOutOfRange
-from .linalg import hermitian_eig
 
 _PAULI = dict(zip("IXYZ", [np.eye(2, dtype=complex)] + _su_generators(2)))
 
@@ -260,22 +259,6 @@ def five_qubit_noise(gamma: float) -> QuantumChannel:
     return QuantumChannel(_five_qubit_noise_on([gamma], np.eye(32))[0])
 
 
-def complete_to_mixed_code(
-    e: QuantumChannel, code: CodeSpace, tol: float = 1e-8
-) -> QuantumChannel:
-    """Extend a trace-nonincreasing channel to TP by routing the missing
-    weight to the maximally mixed code state (unbiased re-preparation)."""
-    defect = np.eye(e.dims_in) - e.kraus_sum()
-    vals, vecs = hermitian_eig(defect)
-    d = code.code_dim
-    ops = list(e.kraus)
-    for lam, phi in zip(vals, vecs.T):
-        if lam > tol:
-            for k in range(d):
-                ops.append(np.sqrt(lam / d) * np.outer(code.basis[:, k], phi.conj()))
-    return QuantumChannel(ops)
-
-
 def _complete_to_mixed_on_code(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     """A recovered map completed by re-preparing the maximally mixed code
     state, on the code: k (G, X, d, d) the code-basis Kraus stack of a
@@ -283,8 +266,8 @@ def _complete_to_mixed_on_code(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     Returns k followed by d^2 operators per gamma, (G, X + d^2, d, d).
 
     When every recovery operator maps into the code, the completion of
-    complete_to_mixed_code after the noise is rho -> tr(F rho) I / d with
-    F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, the defect seen through
+    complete_to_tp(., code.basis) after the noise is rho -> tr(F rho) I / d
+    with F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, the defect seen through
     the noise: its Kraus operators are sqrt(mu_c / d) e_a v_c^dag for the
     eigenpairs (mu_c, v_c) of F, negative mu_c taken as 0.  Unlike the
     ambient completion, no defect eigenvalue is dropped below 1e-8.
@@ -305,7 +288,7 @@ def five_qubit_recovery(gamma: float) -> QuantumChannel:
     maximally mixed code state."""
     code, noise = five_qubit_code_only(), five_qubit_noise(gamma)
     cert = check_perfect_qec(noise, code)
-    return complete_to_mixed_code(build_r_perf(cert, noise, code), code)
+    return complete_to_tp(build_r_perf(cert, noise, code), code.basis)
 
 
 def example5_channel(

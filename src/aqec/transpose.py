@@ -29,8 +29,8 @@ import numpy as np
 
 from .channels import QuantumChannel, _prune
 from .codes import CodeSpace
-from .exceptions import DimensionMismatch, NotPSD
-from .linalg import RANK_TOL, check_hermitian
+from .exceptions import DimensionMismatch
+from .linalg import psd_eigh
 
 TP_CHECK_TOL = 1e-9  # a this close to 1 is exactly 1: TP noise stays unscaled
 PROPORTIONAL_TOL = 1e-8
@@ -63,24 +63,15 @@ def _normalised_noise_on_code(kraus: np.ndarray, code: CodeSpace) -> tuple[np.nd
 
 
 def _transpose_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One batched eigh E(P) = sum_i M_i M_i^dag = V diag(lam) V^dag of
-    the noise on the code m (..., N, D, d), returned as (w, V, C):
-    w = lam^(-1/4) on the support (lam above RANK_TOL * max|lam|), 0 off
-    it, and C = diag(w) V^dag [M_1 ... M_N] (..., D, N d).  Raises
-    NotHermitian and NotPSD as linalg.inv_sqrt_on_support does."""
+    """One batched linalg.psd_eigh E(P) = sum_i M_i M_i^dag = V diag(lam)
+    V^dag of the noise on the code m (..., N, D, d), returned as (w, V, C):
+    w = lam^(-1/4) on the support psd_eigh keeps, 0 off it, and
+    C = diag(w) V^dag [M_1 ... M_N] (..., D, N d).  Raises NotHermitian
+    and NotPSD as psd_eigh does."""
     *lead, n, dim, d = m.shape
     wide = np.moveaxis(m, -3, -2).reshape(*lead, dim, n * d)
-    ep = wide @ wide.conj().swapaxes(-1, -2)
-    check_hermitian(ep)
-    vals, vecs = np.linalg.eigh((ep + ep.conj().swapaxes(-1, -2)) / 2.0)
-    cutoff = RANK_TOL * np.max(np.abs(vals), axis=-1)
-    low = np.flatnonzero(vals[..., 0] < -cutoff)
-    if low.size:
-        i = low[0]
-        raise NotPSD(
-            f"eigenvalue {vals[..., 0].flat[i]:.3e} below -{cutoff.flat[i]:.3e}"
-        )
-    weight = np.where(vals > cutoff[..., None], vals, np.inf) ** -0.25
+    vals, vecs, keep = psd_eigh(wide @ wide.conj().swapaxes(-1, -2))
+    weight = np.where(keep, vals, np.inf) ** -0.25
     c = (weight[..., :, None] * vecs.conj().swapaxes(-1, -2)) @ wide
     return weight, vecs, c
 
@@ -101,7 +92,7 @@ def transpose_channel(e: QuantumChannel, code: CodeSpace) -> TransposeRecovery:
     C) and the support projector is V diag(w > 0) V^dag, from one
     _transpose_factor.  Raises NotPSD if E(P) is not PSD.
     """
-    m = _noise_on_code(e._stack, code)
+    m = _noise_on_code(e.kraus, code)
     n, dim, d = m.shape
     weight, v, c = _transpose_factor(m)
     c_blocks = c.reshape(dim, n, d).transpose(1, 2, 0).conj()
@@ -139,7 +130,7 @@ def recovered_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
     preserving.
     """
     w = code.basis
-    k = code_kraus(_noise_on_code(e._stack, code))
+    k = code_kraus(_noise_on_code(e.kraus, code))
     d = code.code_dim
     ops = w @ k.reshape(-1, d, d) @ w.conj().T
     return QuantumChannel(_prune(list(ops)))

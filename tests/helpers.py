@@ -140,7 +140,7 @@ def code_process_matrix(
     g_a the code operator basis, as the worst-case solvers read it.
     Asserts first that phi keeps code inputs on the code: (I - P) K W = 0
     for every Kraus operator K, to leak_tol relative to max|K W|."""
-    m = phi._stack @ code.basis
+    m = phi.kraus @ code.basis
     leak = np.max(np.abs(m - code.projector() @ m))
     assert leak <= leak_tol * max(1.0, np.max(np.abs(m))), leak
     return _code_process_matrices(code.basis.conj().T @ m)

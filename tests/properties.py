@@ -103,7 +103,7 @@ def check_choi_psd(seed: int, cases: int = 100) -> None:
     for _ in range(cases):
         dim = int(rng.integers(2, 5))
         e = random_tp_channel(dim, int(rng.integers(1, 5)), rng)
-        vals = np.linalg.eigvalsh(choi(e).matrix)
+        vals = np.linalg.eigvalsh(choi(e))
         assert vals[0] >= -1e-10
 
 
@@ -198,7 +198,7 @@ def check_transpose_gauge_invariance(seed: int, cases: int = 20) -> None:
         code = random_code(dim, 2, int(rng.integers(0, 2**31)))
         r1 = transpose_channel(e, code).recovery
         r2 = transpose_channel(remix_kraus(e, rng), code).recovery
-        assert np.max(np.abs(choi(r1).matrix - choi(r2).matrix)) < 1e-10
+        assert np.max(np.abs(choi(r1) - choi(r2))) < 1e-10
 
 
 # -------------------------------------------------------- qec-conditions
@@ -303,7 +303,7 @@ def check_eta_scale_invariant(seed: int, cases: int = 8) -> None:
             recovery = transpose_channel(noise, code).recovery
             etas.append([
                 aqec_diagnostics(noise, code, 0.1, seed=seed).eta,
-                transpose_fidelity_grid(noise._stack[None], code, seed=seed)[0].eta,
+                transpose_fidelity_grid(noise.kraus[None], code, seed=seed)[0].eta,
                 worst_case_fidelity(noise, recovery, code, seed=seed).eta,
                 near_optimality_bound_check(noise, code, [None], seed=seed).eta_p,
             ])

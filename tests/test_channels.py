@@ -10,6 +10,7 @@ from aqec import (
     channels_equal,
     choi,
     compose,
+    haar_unitary,
     identity_channel,
     minimal_kraus,
     restricted_tp_factor,
@@ -94,7 +95,7 @@ def test_recovered_composition_is_projection_on_code():
     a = restricted_tp_factor(e, p, 1e-8)
     rec = recovered_channel(e, code)
     proj = QuantumChannel([p])
-    assert np.max(np.abs(choi(rec).matrix - a * choi(proj).matrix)) < 1e-10
+    assert np.max(np.abs(choi(rec) - a * choi(proj))) < 1e-10
 
 
 def test_adjoint_unitary_and_involution():
@@ -176,7 +177,7 @@ def test_channels_not_equal():
 def test_choi_partial_trace_tp():
     rng = np.random.default_rng(5)
     e = random_tp_channel(3, 2, rng)
-    c = choi(e).matrix.reshape(3, 3, 3, 3)
+    c = choi(e).reshape(3, 3, 3, 3)
     # row-major vec: index (out, in); trace over the output slot
     reduced = np.einsum("aiaj->ij", c)
     assert np.max(np.abs(reduced - np.eye(3))) < 1e-12
@@ -195,6 +196,46 @@ def test_complete_to_tp():
     target = basis_state("00")
     full = complete_to_tp(e, target)
     assert tp_defect(full) < 1e-9
+
+
+def _defect_oracle(e: QuantumChannel) -> list:
+    # eigenpairs of I - sum E_i^dag E_i from numpy, each eigenvector
+    # rephased so its largest entry is real positive
+    lam, phi = np.linalg.eigh(np.eye(e.dims_in) - e.kraus_sum())
+    pivots = phi[np.argmax(np.abs(phi), axis=0), np.arange(len(lam))]
+    return list(zip(lam, (phi * (pivots.conj() / np.abs(pivots))).T))
+
+
+def test_complete_to_tp_on_an_isometry_target():
+    rng = np.random.default_rng(11)
+    # one Kraus operator diag(sqrt s) V^dag: defect V diag(1 - s) V^dag,
+    # four distinct eigenvalues
+    s = np.array([0.9, 0.6, 0.3, 0.1])
+    e = QuantumChannel([np.sqrt(s)[:, None] * haar_unitary(4, rng).conj().T])
+    w = haar_unitary(4, rng)[:, :2]
+    full = complete_to_tp(e, w)
+    want = [np.sqrt(lam / 2) * np.outer(w[:, j], phi.conj())
+            for lam, phi in _defect_oracle(e) for j in range(2)]
+    assert full.n_kraus == 1 + len(want)
+    assert np.array_equal(full.kraus[0], e.kraus[0])
+    assert np.max(np.abs(full.kraus[1:] - np.stack(want))) <= 1e-15
+    assert tp_defect(full) <= 1e-12
+    # the appended operators output only on span(w), as w w^dag / 2
+    assert np.max(np.abs((np.eye(4) - w @ w.conj().T) @ full.kraus[1:])) <= 1e-15
+    rho = random_density(4, rng)
+    added = QuantumChannel(full.kraus[1:]).apply(rho)
+    weight = np.trace((np.eye(4) - e.kraus_sum()) @ rho).real
+    assert np.max(np.abs(added - weight * w @ w.conj().T / 2)) <= 1e-14
+    # a state target keeps the operators sqrt(lam) |t><phi|, t normalised
+    t = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    one = complete_to_tp(e, t)
+    want = [np.sqrt(lam) * np.outer(t / np.linalg.norm(t), phi.conj())
+            for lam, phi in _defect_oracle(e)]
+    assert np.max(np.abs(one.kraus[1:] - np.stack(want))) <= 1e-15
+    assert np.array_equal(one.kraus, complete_to_tp(e, (t / np.linalg.norm(t))[:, None]).kraus)
+    for bad in (2.0 * w, np.ones((4, 2)), np.zeros(4), w[:3]):
+        with pytest.raises(DimensionMismatch):
+            complete_to_tp(e, bad)
 
 
 def test_channel_json_roundtrip():

@@ -429,14 +429,14 @@ def test_sweep_over_kraus_budget_exits_3(tmp_path, capsys):
 def _original_five_qubit_recovery(gamma):
     from aqec import (
         check_perfect_qec,
-        complete_to_mixed_code,
+        complete_to_tp,
         five_qubit_code_only,
         five_qubit_noise,
     )
 
     code, single = five_qubit_code_only(), five_qubit_noise(gamma)
     cert = check_perfect_qec(single, code)
-    return complete_to_mixed_code(polar_r_perf(cert, single, code), code)
+    return complete_to_tp(polar_r_perf(cert, single, code), code.basis)
 
 
 def test_sweep_fixed_recovery_curves_match_per_gamma_reference(tmp_path):

@@ -13,7 +13,6 @@ from aqec import (
     identity_channel,
     near_optimality_bound_check,
     near_optimality_factor,
-    psd_sqrt,
     random_code,
     tensor_power,
     tp_defect,
@@ -37,7 +36,7 @@ from aqec.models import (
 )
 from aqec.transpose import code_kraus
 
-from helpers import polar_r_perf, random_tp_channel
+from helpers import polar_r_perf, random_tp_channel, sqrtm_oracle
 from properties import (
     check_condition_equivalence,
     check_delta_sum_bounds_eta,
@@ -131,8 +130,8 @@ def test_build_r_perf_equals_transpose_channel(e, code):
 def test_build_r_perf_matches_polar_construction(e, code):
     cert = check_perfect_qec(e, code)
     assert cert.satisfied
-    fast = choi(build_r_perf(cert, e, code)).matrix
-    assert np.max(np.abs(fast - choi(polar_r_perf(cert, e, code)).matrix)) < 1e-12
+    fast = choi(build_r_perf(cert, e, code))
+    assert np.max(np.abs(fast - choi(polar_r_perf(cert, e, code)))) < 1e-12
 
 
 def test_build_r_perf_rejects_bad_certificate():
@@ -196,8 +195,8 @@ def test_alternate_residual_iff_perfect():
     assert alternate_condition_residual(e, code) < 1e-12
     # beta equals the principal square root of alpha in the same gauge
     cert = check_perfect_qec(e, code)
-    beta, _ = _beta_and_deltas(code_kraus(e._stack @ code.basis))
-    assert np.max(np.abs(beta - psd_sqrt(cert.alpha))) < 1e-9
+    beta, _ = _beta_and_deltas(code_kraus(e.kraus @ code.basis))
+    assert np.max(np.abs(beta - sqrtm_oracle(cert.alpha))) < 1e-9
     # diagonal gauge entries are sqrt(d_kk)
     assert np.allclose(
         np.sort(np.diagonal(beta)).real, np.sqrt(np.sort(cert.diag_values))
@@ -208,7 +207,7 @@ def test_alternate_residual_identity_channel():
     code = random_code(3, 2, 4)
     e = identity_channel(3)
     assert alternate_condition_residual(e, code) < 1e-12
-    beta, _ = _beta_and_deltas(code_kraus(e._stack @ code.basis))
+    beta, _ = _beta_and_deltas(code_kraus(e.kraus @ code.basis))
     assert np.allclose(beta, [[1.0]])
 
 
@@ -405,7 +404,7 @@ def test_bit_flip_pair_corrected_in_every_eta():
     code, e = bit_flip_code(), bit_flip_channel(0.1)
     etas = [
         aqec_diagnostics(e, code, 0.1).eta,
-        transpose_fidelity_grid(e._stack[None], code)[0].eta,
+        transpose_fidelity_grid(e.kraus[None], code)[0].eta,
         worst_case_fidelity(e, transpose_channel(e, code).recovery, code).eta,
         near_optimality_bound_check(e, code, [None]).eta_p,
     ]

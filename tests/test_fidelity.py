@@ -377,7 +377,7 @@ def _refinement_cases(d, seed):
     forms = list(q)
     for gamma in (0.05, 0.3):
         e = tensor_power(amplitude_damping(gamma), 3)
-        _, deltas = _beta_and_deltas(code_kraus(e._stack @ code.basis))
+        _, deltas = _beta_and_deltas(code_kraus(e.kraus @ code.basis))
         flat = deltas.reshape(-1, d, d)
         forms.append(_eta_form(flat, np.einsum("kab,kac->bc", flat.conj(), flat)))
     q = np.stack(forms)

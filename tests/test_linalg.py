@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aqec import hermitian_eig, inv_sqrt_on_support, polar_unitary_on_support
+from aqec.linalg import psd_eigh
 from aqec.exceptions import DimensionMismatch, NotHermitian, NotPSD
 from aqec.models import bit_flip_code, pauli_string
 
@@ -45,8 +46,8 @@ def test_eig_rejects_non_hermitian():
 
 def test_eig_deterministic_on_degenerate_input():
     a = np.diag([2.0, 2.0, 1.0]).astype(complex)
-    v1 = hermitian_eig(a).eigenvectors
-    v2 = hermitian_eig(a).eigenvectors
+    v1 = hermitian_eig(a)[1]
+    v2 = hermitian_eig(a)[1]
     assert np.array_equal(v1, v2)
     # phase convention: largest component real positive
     for k in range(3):
@@ -82,6 +83,22 @@ def test_inv_sqrt_rank3_vs_spectral_oracle():
 def test_inv_sqrt_rejects_negative():
     with pytest.raises(NotPSD):
         inv_sqrt_on_support(np.diag([1.0, -0.5]))
+
+
+def test_psd_eigh_cut_is_per_matrix_of_a_stack():
+    # the cutoff is RANK_TOL times each matrix's own largest |eigenvalue|
+    stack = np.stack([np.diag([1.0, 0.9e-10, 0.0]), np.diag([2.0, 2.2e-10, 0.0])])
+    vals, vecs, keep = psd_eigh(stack)
+    assert keep.tolist() == [[False, False, True], [False, True, True]]
+    assert np.allclose((vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2), stack)
+    # rounding-level negatives pass, one beyond the cutoff in any matrix raises
+    assert not psd_eigh(np.diag([1.0, -1e-11]))[2][0]
+    with pytest.raises(NotPSD):
+        psd_eigh(np.stack([np.eye(2), np.diag([1.0, -1e-9])]))
+    with pytest.raises(DimensionMismatch):
+        psd_eigh(np.zeros((2, 3)))
+    vals, vecs, keep = psd_eigh(np.zeros((3, 0, 0)))
+    assert vals.shape == keep.shape == (3, 0) and vecs.shape == (3, 0, 0)
 
 
 def test_polar_positive_multiple_of_identity():

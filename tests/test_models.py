@@ -6,7 +6,7 @@ from aqec import (
     aqec_diagnostics,
     channels_equal,
     check_perfect_qec,
-    complete_to_mixed_code,
+    complete_to_tp,
     example5_channel,
     five_qubit_code_only,
     five_qubit_noise,
@@ -174,15 +174,15 @@ def test_five_qubit_noise_matches_pauli_expansion():
         for k in range(5):
             x, y = ("I" * k + p + "I" * (4 - k) for p in "XY")
             ops.append(a**4 * np.sqrt(g) * (pauli_string(x) + 1j * pauli_string(y)) / 2)
-        assert np.max(np.abs(np.stack(ops) - five_qubit_noise(g)._stack)) < 1e-15
+        assert np.max(np.abs(np.stack(ops) - five_qubit_noise(g).kraus)) < 1e-15
 
 
 def test_five_qubit_recovery_matches_original_construction():
     code = five_qubit_code_only()
     for g in (0.0, 0.01, 0.3, 1.0):
         noise = five_qubit_noise(g)
-        original = complete_to_mixed_code(
-            polar_r_perf(check_perfect_qec(noise, code), noise, code), code
+        original = complete_to_tp(
+            polar_r_perf(check_perfect_qec(noise, code), noise, code), code.basis
         )
         assert channels_equal(five_qubit_recovery(g), original, tol=1e-12)
 
@@ -309,7 +309,7 @@ def test_truncated_damping_copies_its_operators_once():
 
     tracemalloc.start()
     try:
-        stack = truncated_damping_channel(0.1, 8)._stack
+        stack = truncated_damping_channel(0.1, 8).kraus
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aqec import (
+    CodeSpace,
     QuantumChannel,
     amplitude_damping,
     amplitude_damping_power,
@@ -20,6 +21,7 @@ from aqec import (
     worst_case_fidelity,
 )
 from aqec.cli import _search_one
+from aqec.linalg import psd_eigh
 from aqec.models import bit_flip_code, leung_code
 
 from helpers import random_tp_channel
@@ -28,6 +30,31 @@ from properties import (
     check_recovered_unital,
     check_transpose_gauge_invariance,
 )
+
+
+@pytest.mark.parametrize("eps, kept", [(2e-10, True), (5e-11, False)])
+def test_planted_tiny_eigenvalue_is_one_cut_for_every_reader(eps, kept):
+    # E = diag(1, sqrt(eps), 1, 1) on span{|0>, |1>} in C^4 gives
+    # E(P) = diag(1, eps, 0, 0): eps sits just above (kept) or below
+    # (dropped) the cutoff RANK_TOL * 1 = 1e-10, and in closed form
+    # K = M^dag E(P)^(-1/2) M is diag(1, sqrt(eps)) or diag(1, 0).
+    e = QuantumChannel([np.diag([1.0, np.sqrt(eps), 1.0, 1.0])])
+    code = CodeSpace(np.eye(4)[:, :2])
+    ep = e.apply(code.projector())
+    assert np.allclose(ep, np.diag([1.0, eps, 0.0, 0.0]), rtol=0, atol=1e-25)
+    k = code_kraus(e.kraus @ code.basis)[0, 0]
+    assert abs(k[0, 0] - 1.0) <= 1e-15
+    assert abs(k[1, 1] - np.sqrt(eps) * kept) <= 1e-12 * np.sqrt(eps)
+    assert abs(k[0, 1]) + abs(k[1, 0]) <= 1e-25
+    vals, vecs, keep = psd_eigh(ep)
+    assert keep.sum() == 1 + kept
+    support = np.diag([1.0, float(kept), 0.0, 0.0])
+    b, inv_support = inv_sqrt_on_support(ep)
+    for proj in ((vecs * keep) @ vecs.conj().T, inv_support,
+                 transpose_channel(e, code).support_projector):
+        assert np.max(np.abs(proj - support)) <= 1e-15
+    want_b = np.diag([1.0, eps**-0.5 if kept else 0.0, 0.0, 0.0])
+    assert np.allclose(b, want_b, rtol=1e-12, atol=1e-15)
 
 
 def test_identity_noise_gives_projection_recovery():
@@ -188,7 +215,7 @@ def test_code_kraus_qutrit_choi_matches_composition():
         got = choi(QuantumChannel(list(k.reshape(n * n, 3, 3))))
         composed = compose(transpose_channel(e, code).recovery, e)
         want = choi(QuantumChannel([w.conj().T @ a @ w for a in composed.kraus]))
-        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+        assert np.max(np.abs(got - want)) <= 1e-12
         assert np.max(np.abs(k - _reference_code_kraus(e, code))) <= 1e-12
 
 
