@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .channels import (
     QuantumChannel,
-    adjoint,
     channel_from_json,
     channel_to_json,
     channels_equal,
@@ -18,8 +17,6 @@ from .channels import (
     complete_to_tp,
     compose,
     identity_channel,
-    minimal_kraus,
-    restricted_tp_factor,
     tensor_power,
     tp_defect,
 )
@@ -52,7 +49,6 @@ from .linalg import (
 )
 from .models import (
     amplitude_damping,
-    amplitude_damping_power,
     bit_flip_channel,
     bit_flip_code,
     example5_channel,
@@ -73,10 +69,9 @@ from .transpose import (
 )
 
 __all__ = [
-    "QuantumChannel", "adjoint", "channel_from_json",
+    "QuantumChannel", "channel_from_json",
     "channel_to_json", "channels_equal", "choi", "complete_to_tp", "compose",
-    "identity_channel", "minimal_kraus", "restricted_tp_factor", "tensor_power",
-    "tp_defect",
+    "identity_channel", "tensor_power", "tp_defect",
     "CodeSpace", "bloch_state", "bloch_to_state_vector", "code_from_json",
     "code_to_json", "haar_unitary", "random_code",
     "AqecDiagnostics", "NearOptimalityReport", "PerfectQecCertificate", "Verdict",
@@ -84,7 +79,7 @@ __all__ = [
     "check_perfect_qec", "near_optimality_bound_check", "near_optimality_factor",
     "WorstCaseResult", "transpose_fidelity_grid", "worst_case_fidelity",
     "hermitian_eig", "inv_sqrt_on_support", "polar_unitary_on_support",
-    "amplitude_damping", "amplitude_damping_power", "bit_flip_channel",
+    "amplitude_damping", "bit_flip_channel",
     "bit_flip_code", "example5_channel",
     "example5_eta_formula", "five_qubit_code_only",
     "five_qubit_noise", "five_qubit_recovery",

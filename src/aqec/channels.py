@@ -126,12 +126,6 @@ def compose(r: QuantumChannel, e: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(_prune(ops))
 
 
-def adjoint(e: QuantumChannel) -> QuantumChannel:
-    """Adjoint map with Kraus set {E_i^dag}; satisfies
-    tr(A e(B)) = tr(adjoint(e)(A) B)."""
-    return QuantumChannel([k.conj().T for k in e.kraus])
-
-
 def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
     """n independent copies of e; Kraus operators are all n-fold tensor
     products in lexicographic index order (first factor most significant)."""
@@ -150,25 +144,6 @@ def tp_defect(e: QuantumChannel) -> float:
     """Operator norm of sum_i E_i^dag E_i - I; zero for TP channels."""
     s = e.kraus_sum()
     return float(np.linalg.norm(s - np.eye(e.dims_in), 2))
-
-
-def restricted_tp_factor(
-    e: QuantumChannel, p: np.ndarray, tol: float = TP_TOL
-) -> float | None:
-    """Factor a with P (sum E_i^dag E_i) P = a P, or None if no such a.
-
-    Covers channels that are only proportionally trace preserving on a
-    subspace, e.g. noise truncated to a maximum error weight.
-    """
-    p = np.asarray(p, dtype=complex)
-    tr_p = float(np.trace(p).real)
-    if tr_p <= 0:
-        return None
-    q = p @ e.kraus_sum() @ p
-    a = float(np.trace(q).real) / tr_p
-    if max_abs(q - a * p) <= tol:
-        return a
-    return None
 
 
 def choi(e: QuantumChannel) -> np.ndarray:
@@ -191,24 +166,6 @@ def channels_equal(
             f"({e2.dims_in}->{e2.dims_out})"
         )
     return max_abs(choi(e1) - choi(e2)) <= tol
-
-
-def minimal_kraus(e: QuantumChannel) -> QuantumChannel:
-    """Re-extract a minimal Kraus set from the Choi eigendecomposition,
-    dropping eigenvalues at or below PRUNE_TOL * max(1, largest)."""
-    vals, vecs = hermitian_eig(choi(e))
-    scale = float(vals[-1]) if vals.size else 0.0
-    cutoff = max(PRUNE_TOL, PRUNE_TOL * scale)
-    ops = []
-    for idx in range(len(vals) - 1, -1, -1):
-        if vals[idx] <= cutoff:
-            break
-        ops.append(
-            np.sqrt(vals[idx]) * vecs[:, idx].reshape(e.dims_out, e.dims_in)
-        )
-    if not ops:
-        ops = [np.zeros((e.dims_out, e.dims_in), dtype=complex)]
-    return QuantumChannel(ops)
 
 
 def complete_to_tp(e: QuantumChannel, target: np.ndarray) -> QuantumChannel:

@@ -43,8 +43,8 @@ from .fidelity import (
     DEFAULT_SAMPLES,
     SAMPLED,
     WorstCaseResult,
+    _code_process_matrices,
     _compose_on_code,
-    _fidelity_forms,
     _min_forms,
 )
 from .models import (
@@ -169,7 +169,7 @@ def _recovered_on_code(
     """
     w = code.basis
     if recovery_name == "transpose":
-        return code_kraus(m)
+        return code_kraus(m).reshape(len(m), -1, code.code_dim, code.code_dim)
     if recovery_name == "identity":
         return w.conj().T @ m
     if recovery_name == "leung":
@@ -189,25 +189,26 @@ def _score_curves(
     Each code's noise enters only as M_i = E_i W, built for the whole grid
     in one call with no ambient operator formed, once for every curve on
     that code object, and dropped after its last curve.  Each curve's
-    code-basis Kraus stack (_recovered_on_code) becomes its fidelity
-    forms as soon as it is built, so one stack is alive at a time, and
-    the forms of all curves of one code dimension are minimised in one
+    code-basis Kraus stack (_recovered_on_code) becomes its process
+    matrices as soon as it is built, so one stack is alive at a time, and
+    the maps of all curves of one code dimension are minimised in one
     _min_forms call, each curve's worst states taken in its own code.
     """
     last = {code: i for i, (code, _) in enumerate(curves)}
     noise: dict[CodeSpace, np.ndarray] = {}
-    forms = []
+    maps = []
     for i, (code, recovery) in enumerate(curves):
         if code not in noise:
             _n_qubits_for(code)  # exit 2 unless the code lives on qubits
             noise[code] = _damping_on(gammas, code.basis)
-        forms.append(_fidelity_forms(_recovered_on_code(recovery, code, noise[code], gammas)))
+        k = _recovered_on_code(recovery, code, noise[code], gammas)
+        maps.append(_code_process_matrices(k))
         if last[code] == i:
             del noise[code]
     results: list = [None] * len(curves)
     for d in dict.fromkeys(code.code_dim for code, _ in curves):
         group = [i for i, (code, _) in enumerate(curves) if code.code_dim == d]
-        found = _min_forms([(forms[i], curves[i][0]) for i in group], samples, seed)
+        found = _min_forms([(maps[i], curves[i][0]) for i in group], samples, seed)
         for i, res in zip(group, found):
             results[i] = res
     return results

@@ -41,8 +41,14 @@ import numpy as np
 from .channels import QuantumChannel, _prune
 from .codes import CodeSpace
 from .exceptions import CertificateInvalid, NotTP
-from .fidelity import DEFAULT_SAMPLES, _worst_cases, transpose_fidelity_grid, worst_case_fidelity
-from .linalg import hermitian_eig, psd_eigh
+from .fidelity import (
+    DEFAULT_SAMPLES,
+    _code_process_matrices,
+    _min_forms,
+    transpose_fidelity_grid,
+    worst_case_fidelity,
+)
+from .linalg import psd_eigh
 from .transpose import _noise_on_code, _normalised_noise_on_code, code_kraus
 
 PERFECT_TOL = 1e-9
@@ -66,8 +72,9 @@ class PerfectQecCertificate:
 
     residual is the largest entrywise deviation (in the code basis) from
     exact proportionality; `satisfied` compares it against PERFECT_TOL.  The
-    rotation u diagonalizes alpha = u diag(diag_values) u^dag, giving the
-    Kraus representation in which the conditions take diagonal form.
+    rotation u diagonalizes alpha = u diag(diag_values) u^dag (one
+    linalg.psd_eigh), giving the Kraus representation in which the
+    conditions take diagonal form.
     """
 
     alpha: np.ndarray
@@ -97,7 +104,6 @@ class AqecDiagnostics:
     eta: float
     eta_method: str
     eta_samples: int | None
-    eta_seed: int | None
     delta_sum_norm: float
     verdict: Verdict
     epsilon: float
@@ -137,31 +143,23 @@ def _condition_products(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (alpha + alpha.conj().swapaxes(-1, -2)) / 2.0, dev.reshape(g, -1).max(axis=1)
 
 
-def _syndrome_operators(
-    m: np.ndarray, vals: np.ndarray, u: np.ndarray, keep: np.ndarray
-) -> np.ndarray:
-    """W^dag R_k = (F_k W)^dag / sqrt(d_k), F_k W = sum_i u_ik M_i, for
-    alpha = u diag(vals) u^dag: m (G, N, D, d), vals and keep (G, N), u
-    (G, N, N).  Returns (G, N, d, D), zero where keep (linalg.psd_eigh's
-    support of alpha) drops d_k."""
-    weight = np.where(keep, vals, np.inf) ** -0.5
-    fw = (u.swapaxes(-1, -2) @ m.reshape(m.shape[0], m.shape[1], -1)).reshape(m.shape)
-    return weight[..., None, None] * fw.conj().swapaxes(-1, -2)
-
-
 def _standard_recovery_on(m: np.ndarray) -> np.ndarray:
     """The standard recovery R_k = P F_k^dag / sqrt(d_k) of each pair in a
     stack, in code coordinates: for the noise on the code m (G, N, D, d),
-    M_i = E_i W, the (G, N, d, D) stack of W^dag R_k, zero for a dropped
-    syndrome.  Raises CertificateInvalid when a pair's residual exceeds
-    PERFECT_TOL."""
+    M_i = E_i W, and alpha = u diag(d) u^dag from one linalg.psd_eigh, the
+    (G, N, d, D) stack of W^dag R_k = (F_k W)^dag / sqrt(d_k), F_k W =
+    sum_i u_ik M_i, zero where psd_eigh's support of alpha drops d_k.
+    Raises CertificateInvalid when a pair's residual exceeds PERFECT_TOL."""
     alpha, residual = _condition_products(m)
     bad = np.flatnonzero(residual > PERFECT_TOL)
     if bad.size:
         raise CertificateInvalid(
             f"residual {residual[bad[0]]:.3e} exceeds tolerance {PERFECT_TOL:.3e}"
         )
-    return _syndrome_operators(m, *psd_eigh(alpha))
+    vals, u, keep = psd_eigh(alpha)
+    weight = np.where(keep, vals, np.inf) ** -0.5
+    fw = (u.swapaxes(-1, -2) @ m.reshape(m.shape[0], m.shape[1], -1)).reshape(m.shape)
+    return weight[..., None, None] * fw.conj().swapaxes(-1, -2)
 
 
 def check_perfect_qec(e: QuantumChannel, code: CodeSpace) -> PerfectQecCertificate:
@@ -173,7 +171,7 @@ def check_perfect_qec(e: QuantumChannel, code: CodeSpace) -> PerfectQecCertifica
     """
     alpha, residual = _condition_products(_noise_on_code(e.kraus, code)[None])
     alpha, residual = alpha[0], float(residual[0])
-    vals, vecs = hermitian_eig(alpha)
+    vals, vecs, _ = psd_eigh(alpha)
     return PerfectQecCertificate(
         alpha=alpha,
         diag_values=vals,
@@ -188,7 +186,9 @@ def build_r_perf(
 ) -> QuantumChannel:
     """Standard recovery for a certified pair: Kraus {P F_k^dag / sqrt(d_k)}.
 
-    The rotated Kraus operators F_k = sum_i u_ik E_i of the certificate's
+    Raises CertificateInvalid unless cert is satisfied; the operators are
+    those of _standard_recovery_on, the core the five513:rperf sweep curve
+    reads.  The rotated Kraus operators F_k = sum_i u_ik E_i of
     alpha = u diag(d) u^dag satisfy P F_k^dag F_l P = d_k delta_kl P, so
     F_k P / sqrt(d_k) is an isometry on the code and its adjoint undoes
     it; only the components psd_eigh keeps in alpha contribute.
@@ -199,9 +199,7 @@ def build_r_perf(
         raise CertificateInvalid(
             f"residual {cert.residual:.3e} exceeds tolerance {PERFECT_TOL:.3e}"
         )
-    m = _noise_on_code(e.kraus, code)[None]
-    keep = psd_eigh(cert.alpha)[2]
-    ops = _syndrome_operators(m, cert.diag_values[None], cert.rotation[None], keep[None])[0]
+    ops = _standard_recovery_on(_noise_on_code(e.kraus, code)[None])[0]
     return QuantumChannel(_prune(list(code.basis @ ops)))
 
 
@@ -245,7 +243,8 @@ def aqec_diagnostics(
     s_vals = np.linalg.eigvalsh((s_mat + s_mat.conj().T) / 2.0)
     delta_sum_norm = float(max(s_vals[-1], 0.0))
 
-    [worst] = _worst_cases(k[None], code, eta_samples, seed)
+    [[worst]] = _min_forms([(_code_process_matrices(k.reshape(1, -1, d, d)), code)],
+                           eta_samples, seed)
     eta = max(worst.eta, 0.0)
 
     f_eps = near_optimality_factor(epsilon, d)
@@ -263,7 +262,6 @@ def aqec_diagnostics(
         eta=eta,
         eta_method=worst.method,
         eta_samples=worst.samples,
-        eta_seed=worst.seed,
         delta_sum_norm=delta_sum_norm,
         verdict=verdict,
         epsilon=epsilon,
@@ -298,7 +296,6 @@ class NearOptimalityReport:
     eta_p: float
     candidate_etas: tuple
     eta_hat: float
-    f_eta_hat: float
     bound: float
     bound_satisfied: bool
     f_zero: float
@@ -326,14 +323,12 @@ def near_optimality_bound_check(
         etas.append(res.eta)
     d = code.code_dim
     eta_hat = min(etas) if etas else eta_p
-    f_hat = near_optimality_factor(eta_hat, d)
-    bound = eta_hat * f_hat
+    bound = eta_hat * near_optimality_factor(eta_hat, d)
     return NearOptimalityReport(
         code_dim=d,
         eta_p=eta_p,
         candidate_etas=tuple(etas),
         eta_hat=eta_hat,
-        f_eta_hat=f_hat,
         bound=bound,
         bound_satisfied=eta_p <= bound + BOUND_TOL,
         f_zero=near_optimality_factor(0.0, d),

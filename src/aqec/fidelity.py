@@ -78,18 +78,6 @@ class WorstCaseResult:
     samples: int | None = None
     seed: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "f2_min": self.f2_min,
-            "f_min": float(np.sqrt(max(self.f2_min, 0.0))),
-            "eta": self.eta,
-            "worst_state": [[float(z.real), float(z.imag)] for z in self.worst_state],
-            "bloch": None if self.bloch is None else [float(x) for x in self.bloch],
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def _compose_on_code(wr: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Code-basis Kraus stack {(W^dag R_j)(E_i W)}, j-major, of a recovery
@@ -492,11 +480,12 @@ def _min_forms(
     seed: int = 0,
 ) -> list[list[WorstCaseResult]]:
     """Minimum over pure code states of each fidelity form s^T Q_g s, for
-    blocks (q, code) of forms on codes of one dimension d: q a stack
-    (G, d^2, d^2), Q_g = M_g / d for M_g a process matrix and s the state's
-    coefficients over the code operator basis (s_0 = 1).  One result list
-    per block, one result per form: the minimum as f2_min (1 - f2_min as
-    eta) with the state of the block's code attaining it.
+    blocks (m, code) of maps on codes of one dimension d: m a stack
+    (G, d^2, d^2) of process matrices M_g (_code_process_matrices),
+    Q_g = M_g / d and s the state's coefficients over the code operator
+    basis (s_0 = 1).  One result list per block, one result per map: the
+    minimum as f2_min (1 - f2_min as eta) with the state of the block's
+    code attaining it.
 
     The forms of all blocks are minimised together.  Qubit codes are solved
     exactly on the Bloch sphere s = (1, bloch), each form labelled by the
@@ -504,10 +493,10 @@ def _min_forms(
     _min_forms_sampled run: upper bounds on the minima, labelled SAMPLED.
     """
     d = blocks[0][1].code_dim
-    q = np.concatenate([forms for forms, _ in blocks])
+    m = np.concatenate([maps for maps, _ in blocks])
+    q = m / d
     if d == 2:
-        # doubling undoes _fidelity_forms' halving: these are the flags of M
-        methods = _qubit_methods(2.0 * q)
+        methods = _qubit_methods(m)
         q = (q + q.swapaxes(-1, -2)) / 2.0
         # A TP unital map's flags hold the first row and column of M to e0
         # within FLAG_TOL; taken as exact, c0 = 1/2 and b = 0 give the
@@ -521,30 +510,13 @@ def _min_forms(
         vals, cs = _min_forms_sampled(q, samples, seed)
         tails = [(None, SAMPLED, samples, seed)] * len(vals)
     out, lo = [], 0
-    for forms, code in blocks:
-        part = slice(lo, lo + len(forms))
+    for maps, code in blocks:
+        part = slice(lo, lo + len(maps))
         lo = part.stop
         psis = bloch_to_state_vector(code, blochs[part]) if d == 2 else cs[part] @ code.basis.T
         out.append([WorstCaseResult(float(v), 1.0 - float(v), psi, *tail)
                     for v, psi, tail in zip(vals[part], psis, tails[part])])
     return out
-
-
-def _fidelity_forms(k: np.ndarray) -> np.ndarray:
-    """The fidelity forms Q_g = M_g / d (G, d^2, d^2) of a stack of
-    code-basis Kraus sets k (G, ..., d, d), map g having the Kraus
-    operators k[g]: one batched process-matrix call."""
-    d = k.shape[-1]
-    return _code_process_matrices(k.reshape(len(k), -1, d, d)) / d
-
-
-def _worst_cases(
-    k: np.ndarray, code: CodeSpace, samples: int, seed: int
-) -> list[WorstCaseResult]:
-    """Worst case of each map of a stack of code-basis Kraus sets k
-    (G, ..., d, d), one result per map, from one _min_forms call."""
-    [results] = _min_forms([(_fidelity_forms(k), code)], samples, seed)
-    return results
 
 
 def worst_case_fidelity(
@@ -570,7 +542,8 @@ def worst_case_fidelity(
                                 f"{recovery.dims_out}, code lives in dim {code.ambient_dim}")
     else:
         k = _compose_on_code(code.basis.conj().T @ recovery.kraus, m)
-    return _worst_cases(k[None], code, samples, seed)[0]
+    [[result]] = _min_forms([(_code_process_matrices(k[None]), code)], samples, seed)
+    return result
 
 
 def transpose_fidelity_grid(
@@ -593,5 +566,8 @@ def transpose_fidelity_grid(
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.ndim != 4:
         raise DimensionMismatch(f"expected a (G, N, D, D) Kraus stack, got shape {kraus.shape}")
-    m = _normalised_noise_on_code(kraus, code)[0]
-    return _worst_cases(code_kraus(m), code, samples, seed)
+    k = code_kraus(_normalised_noise_on_code(kraus, code)[0])
+    d = code.code_dim
+    [results] = _min_forms([(_code_process_matrices(k.reshape(len(k), -1, d, d)), code)],
+                           samples, seed)
+    return results

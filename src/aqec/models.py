@@ -80,19 +80,6 @@ def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
     return coef[..., None] * basis[a | x]
 
 
-def amplitude_damping_power(gammas, n: int) -> np.ndarray:
-    """Kraus operators of n-qubit amplitude damping for each gamma, stacked
-    with shape (G, 2^n, 2^n, 2^n).
-
-    The operators and their order are those of
-    tensor_power(amplitude_damping(gamma), n) before pruning: all n-fold
-    Kronecker products, first factor most significant.  Raises
-    BudgetExceeded when the whole stack is over the Kraus entry budget.
-    """
-    _check_budget(len(gammas) * 2**n, 2**n, 2**n)
-    return _damping_on(gammas, np.eye(2**n, dtype=complex))
-
-
 def qubit_space() -> CodeSpace:
     """The full single-qubit space as a trivial code (no encoding)."""
     return CodeSpace(np.eye(2, dtype=complex))

@@ -506,10 +506,9 @@ def test_completed_rperf_map_is_trace_preserving_on_the_code(tmp_path, monkeypat
 
     def keep_stack(k):
         stacks.append(k)
-        return real_fidelity_forms(k)
+        return _code_process_matrices(k)
 
-    real_fidelity_forms = aqec.cli._fidelity_forms
-    monkeypatch.setattr(aqec.cli, "_fidelity_forms", keep_stack)
+    monkeypatch.setattr(aqec.cli, "_code_process_matrices", keep_stack)
     assert main(["sweep", "--curve", "five513:rperf", *_RPERF_GRID,
                  "--out", str(tmp_path / "s.csv")]) == 0
     [k] = stacks
@@ -539,7 +538,8 @@ def test_default_sweep_equals_split_calls(tmp_path):
 
 
 def test_seven_qubit_transpose_sweep_beyond_32_gammas(tmp_path):
-    from aqec import amplitude_damping_power, transpose_fidelity_grid
+    from aqec import transpose_fidelity_grid
+    from aqec.models import _damping_on
 
     code = random_code(128, 2, 7)
     code_file = tmp_path / "code7.json"
@@ -550,7 +550,8 @@ def test_seven_qubit_transpose_sweep_beyond_32_gammas(tmp_path):
     table = _sweep_table(out)
     assert len(table) == 33
     for row in (table[0], table[17], table[-1]):
-        [ref] = transpose_fidelity_grid(amplitude_damping_power([float(row[0])], 7), code)
+        noise = _damping_on([float(row[0])], np.eye(128, dtype=complex))
+        [ref] = transpose_fidelity_grid(noise, code)
         assert abs(float(row[2]) - ref.f2_min) <= 1e-12
         assert row[5] == ref.method
 

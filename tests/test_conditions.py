@@ -181,12 +181,14 @@ def test_aqec_diagnostics_example5_sampled():
 
 
 def test_aqec_diagnostics_rejects_non_tp():
-    # a channel that is neither TP nor proportionally TP on the code
+    # channels that are neither TP nor proportionally TP on the code; the
+    # truncated damping is proportional only up to order gamma^2 terms
     k = np.diag([1.0, 0.5, 0.2, 0.1]).astype(complex)
-    e = QuantumChannel([k])
-    code = random_code(4, 2, 2)
-    with pytest.raises(NotTP):
-        aqec_diagnostics(e, code, epsilon=0.1)
+    pairs = [(QuantumChannel([k]), random_code(4, 2, 2)),
+             (truncated_damping_channel(0.1, 4), leung_code())]
+    for e, code in pairs:
+        with pytest.raises(NotTP):
+            aqec_diagnostics(e, code, epsilon=0.1)
 
 
 def test_alternate_residual_iff_perfect():

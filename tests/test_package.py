@@ -50,3 +50,17 @@ def test_cli_import_loads_no_process_pool_modules():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_tour_runs_and_prints_what_its_comments_claim(capsys):
+    # The README's first python block, executed as written, so a name it
+    # imports cannot leave the package unnoticed.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from aqec import" in block
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    capsys.readouterr()
+    cert, res = namespace["cert"], namespace["res"]
+    assert cert.satisfied is False and abs(cert.residual - 0.05) <= 1e-3  # False, ~0.05
+    assert res.method == "exact_unital_qubit" and abs(res.f2_min - 0.9833) <= 1e-4

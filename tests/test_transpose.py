@@ -5,7 +5,6 @@ from aqec import (
     CodeSpace,
     QuantumChannel,
     amplitude_damping,
-    amplitude_damping_power,
     channels_equal,
     choi,
     code_kraus,
@@ -22,7 +21,7 @@ from aqec import (
 )
 from aqec.cli import _search_one
 from aqec.linalg import psd_eigh
-from aqec.models import bit_flip_code, leung_code
+from aqec.models import _damping_on, bit_flip_code, leung_code
 
 from helpers import random_tp_channel
 from properties import (
@@ -173,7 +172,7 @@ def _reference_code_kraus(e, code):
 def test_fidelity_grid_matches_worst_case_fidelity(n):
     # gamma = 0 prunes the damping Kraus set, gamma = 1 makes E(P) rank one
     gammas = [0.0, 0.05, 0.3, 0.7, 1.0]
-    stack = amplitude_damping_power(gammas, n)
+    stack = _damping_on(gammas, np.eye(2**n, dtype=complex))
     code = random_code(2**n, 2, 100 + n)
     results = transpose_fidelity_grid(stack, code)
     for g, kraus, res in zip(gammas, stack, results):
@@ -191,7 +190,7 @@ def test_fidelity_grid_qutrit_matches_worst_case_fidelity():
     # d = 3 goes through the sampler: one draw serves the whole grid, so each
     # gamma must equal its own single-channel run with the same seed.
     gammas = [0.0, 0.1, 0.4, 1.0]
-    stack = amplitude_damping_power(gammas, 3)
+    stack = _damping_on(gammas, np.eye(8, dtype=complex))
     code = random_code(8, 3, 77)
     results = transpose_fidelity_grid(stack, code, samples=3000, seed=5)
     for g, res in zip(gammas, results):
@@ -222,7 +221,7 @@ def test_code_kraus_qutrit_choi_matches_composition():
 def test_code_kraus_batch_matches_single_calls():
     gammas = [0.0, 0.2, 0.6, 1.0]
     code = random_code(8, 2, 12)
-    m = amplitude_damping_power(gammas, 3) @ code.basis
+    m = _damping_on(gammas, np.eye(8, dtype=complex)) @ code.basis
     batched = code_kraus(m)
     for i in range(len(gammas)):
         assert np.max(np.abs(batched[i] - code_kraus(m[i]))) <= 1e-14
