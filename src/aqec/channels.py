@@ -5,9 +5,6 @@ Channels here may be completely positive without being trace preserving;
 trace preservation is a property you can test, not a construction-time
 requirement.
 
-Channel equality is decided at the Choi-matrix level, which is invariant
-under unitary remixing of the Kraus set.
-
 JSON wire format (fixed field names, used by the CLI)::
 
     {"dims_in": n, "dims_out": m,
@@ -22,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import BudgetExceeded, DimensionMismatch, NonFiniteInput, NotPSD
-from .linalg import hermitian_eig, max_abs
+from .linalg import max_abs
 
 # Cap on total complex entries (n_kraus * dims_out * dims_in) a single
 # channel construction may produce.  Keeps five-fold tensor powers and
@@ -31,7 +28,6 @@ KRAUS_ENTRY_BUDGET = 2**26
 
 PRUNE_TOL = 1e-12
 TP_TOL = 1e-9
-CHOI_EQ_TOL = 1e-9
 COMPLETION_TOL = 1e-8  # defect eigenvalues at or below it need no completion
 
 
@@ -90,10 +86,6 @@ class QuantumChannel:
         )
 
 
-def identity_channel(dim: int) -> QuantumChannel:
-    return QuantumChannel([np.eye(dim, dtype=complex)])
-
-
 def _prune(ops: Iterable[np.ndarray]) -> list[np.ndarray]:
     kept = [k for k in ops if np.linalg.norm(k) >= PRUNE_TOL]
     if not kept:
@@ -111,21 +103,6 @@ def _check_budget(n_ops: int, dims_out: int, dims_in: int) -> None:
         )
 
 
-def compose(r: QuantumChannel, e: QuantumChannel) -> QuantumChannel:
-    """Channel applying e first, then r; Kraus set {R_j E_i}, j-major order.
-
-    Near-zero products are pruned so deep compositions stay compact.
-    """
-    if e.dims_out != r.dims_in:
-        raise DimensionMismatch(
-            f"cannot compose: first map outputs dim {e.dims_out}, "
-            f"second expects dim {r.dims_in}"
-        )
-    _check_budget(r.n_kraus * e.n_kraus, r.dims_out, e.dims_in)
-    ops = [rj @ ei for rj in r.kraus for ei in e.kraus]
-    return QuantumChannel(_prune(ops))
-
-
 def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
     """n independent copies of e; Kraus operators are all n-fold tensor
     products in lexicographic index order (first factor most significant)."""
@@ -138,34 +115,6 @@ def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
             e.n_kraus**p, e.dims_out**p, e.dims_in**p
         )
     return QuantumChannel(_prune(list(ops)))
-
-
-def tp_defect(e: QuantumChannel) -> float:
-    """Operator norm of sum_i E_i^dag E_i - I; zero for TP channels."""
-    s = e.kraus_sum()
-    return float(np.linalg.norm(s - np.eye(e.dims_in), 2))
-
-
-def choi(e: QuantumChannel) -> np.ndarray:
-    """Choi matrix sum_i vec(E_i) vec(E_i)^dag with row-major vec, of
-    shape (dims_out dims_in, dims_out dims_in)."""
-    flat = e.kraus.reshape(e.n_kraus, e.dims_out * e.dims_in)
-    return flat.T @ flat.conj()
-
-
-def channels_equal(
-    e1: QuantumChannel, e2: QuantumChannel, tol: float = CHOI_EQ_TOL
-) -> bool:
-    """True when the Choi matrices agree entrywise within tol.
-
-    Insensitive to the choice of Kraus representation on either side.
-    """
-    if (e1.dims_in, e1.dims_out) != (e2.dims_in, e2.dims_out):
-        raise DimensionMismatch(
-            f"channel dims differ: ({e1.dims_in}->{e1.dims_out}) vs "
-            f"({e2.dims_in}->{e2.dims_out})"
-        )
-    return max_abs(choi(e1) - choi(e2)) <= tol
 
 
 def complete_to_tp(e: QuantumChannel, target: np.ndarray) -> QuantumChannel:
@@ -190,7 +139,7 @@ def complete_to_tp(e: QuantumChannel, target: np.ndarray) -> QuantumChannel:
     k = w.shape[1]
     if max_abs(w.conj().T @ w - np.eye(k)) > TP_TOL:
         raise DimensionMismatch("target columns must be orthonormal")
-    vals, vecs = hermitian_eig(np.eye(e.dims_in) - e.kraus_sum())
+    vals, vecs = np.linalg.eigh(np.eye(e.dims_in) - e.kraus_sum())
     if vals.size and float(vals[0]) < -COMPLETION_TOL:
         raise NotPSD(
             f"channel exceeds trace preservation (defect eigenvalue {vals[0]:.3e})"

@@ -72,7 +72,8 @@ class UserConfigError(Exception):
 def gamma_grid(start: float, stop: float, step: float) -> list[float]:
     """The grid start, start + step, ..., stop, each value rounded to 12
     decimals.  Raises UserConfigError for a non-numeric or non-finite
-    bound, a non-positive step or an empty grid."""
+    bound, a non-positive step, a step too small for a finite point count
+    or an empty grid."""
     try:
         start, stop, step = float(start), float(stop), float(step)
     except (TypeError, ValueError) as exc:
@@ -83,7 +84,11 @@ def gamma_grid(start: float, stop: float, step: float) -> list[float]:
         )
     if step <= 0:
         raise UserConfigError(f"gamma step must be positive, got {step}")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise UserConfigError(f"gamma grid from {start} to {stop} in steps of {step} "
+                              "has no finite number of points")
+    count = int(round(steps)) + 1
     if count < 1:
         raise UserConfigError(f"empty gamma grid: start {start} lies above stop {stop}")
     return [round(start + k * step, 12) for k in range(count)]

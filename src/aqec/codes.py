@@ -1,4 +1,4 @@
-"""Subspace codes, Haar-random codes and qubit-code Bloch states.
+"""Subspace codes, Haar-random codes and qubit-code Bloch state vectors.
 
 A code is a d-dimensional subspace of a D-dimensional Hilbert space,
 stored as the D x d isometry whose columns are an orthonormal basis.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _json_fields, _matrix_to_pairs, _pairs_to_matrix
-from .exceptions import DimensionMismatch, InvalidBloch, NonFiniteInput, NotQubitCode
+from .exceptions import DimensionMismatch, NonFiniteInput, NotQubitCode
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -76,11 +76,6 @@ def _haar_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed dim x dim unitary drawn from rng."""
-    return _haar_columns(rng, dim, dim)
-
-
 def random_code(ambient_dim: int, code_dim: int, seed: int) -> CodeSpace:
     """Haar-random code: first code_dim columns of a Haar-random unitary.
 
@@ -115,28 +110,6 @@ def _su_generators(d: int) -> list[np.ndarray]:
         g[l, l] = -l
         gens.append(scale * np.sqrt(2.0 / (l * (l + 1))) * g)
     return gens
-
-
-def bloch_state(code: CodeSpace, s) -> np.ndarray:
-    """Density matrix (P + s . sigma) / 2 for a Bloch vector s, with the
-    code-space Paulis built from the basis vectors |v1>, |v2>:
-
-        sigma_x = |v1><v2| + |v2><v1|
-        sigma_y = -i(|v1><v2| - |v2><v1|)
-        sigma_z = |v1><v1| - |v2><v2|
-
-    Pure exactly when |s| = 1; s = 0 gives the maximally mixed code state.
-    """
-    if code.code_dim != 2:
-        raise NotQubitCode(f"code dimension is {code.code_dim}, need 2")
-    s = np.asarray(s, dtype=float).reshape(-1)
-    if s.shape != (3,):
-        raise DimensionMismatch("Bloch vector must have three components")
-    if np.linalg.norm(s) > 1 + 1e-12:
-        raise InvalidBloch(f"|s| = {np.linalg.norm(s):.12f} exceeds 1")
-    w = code.basis
-    sigma = sum(x * g for x, g in zip(s, _su_generators(2)))
-    return (code.projector() + w @ sigma @ w.conj().T) / 2.0
 
 
 def bloch_to_state_vector(code: CodeSpace, s) -> np.ndarray:

@@ -71,15 +71,10 @@ class PerfectQecCertificate:
     """Result of testing P E_i^dag E_j P = alpha_ij P.
 
     residual is the largest entrywise deviation (in the code basis) from
-    exact proportionality; `satisfied` compares it against PERFECT_TOL.  The
-    rotation u diagonalizes alpha = u diag(diag_values) u^dag (one
-    linalg.psd_eigh), giving the Kraus representation in which the
-    conditions take diagonal form.
+    exact proportionality; `satisfied` compares it against PERFECT_TOL.
     """
 
     alpha: np.ndarray
-    diag_values: np.ndarray
-    rotation: np.ndarray
     residual: float
     satisfied: bool
 
@@ -166,18 +161,12 @@ def check_perfect_qec(e: QuantumChannel, code: CodeSpace) -> PerfectQecCertifica
     """Test the proportionality conditions P E_i^dag E_j P = alpha_ij P.
 
     Never raises on failure: the certificate carries the residual either
-    way.  alpha_ij = tr(P E_i^dag E_j P) / d is always reported, together
-    with its diagonalization.
+    way.  alpha_ij = tr(P E_i^dag E_j P) / d is always reported.
     """
     alpha, residual = _condition_products(_noise_on_code(e.kraus, code)[None])
-    alpha, residual = alpha[0], float(residual[0])
-    vals, vecs, _ = psd_eigh(alpha)
+    residual = float(residual[0])
     return PerfectQecCertificate(
-        alpha=alpha,
-        diag_values=vals,
-        rotation=vecs,
-        residual=residual,
-        satisfied=residual <= PERFECT_TOL,
+        alpha=alpha[0], residual=residual, satisfied=residual <= PERFECT_TOL
     )
 
 

@@ -29,10 +29,6 @@ class NotQubitCode(AqecError):
     """Operation requires a code of dimension 2."""
 
 
-class InvalidBloch(AqecError):
-    """Bloch vector has norm exceeding 1 beyond tolerance."""
-
-
 class NotTP(AqecError):
     """Channel is neither trace preserving nor proportionally trace
     preserving on the relevant subspace."""

@@ -1,8 +1,8 @@
 """Dense complex linear algebra primitives.
 
-All operators are plain numpy arrays of complex128.  The functions here
-make eigenvector output deterministic (fixed ordering and phase) so that
-downstream constructions are bit-reproducible for identical inputs.
+All operators are plain numpy arrays of complex128.  psd_eigh holds the
+package's one rule for the support of a PSD matrix, which
+inv_sqrt_on_support inverts on; polar_unitary_on_support takes one SVD.
 """
 
 from __future__ import annotations
@@ -27,36 +27,6 @@ def _as_complex_matrix(a) -> np.ndarray:
     return a
 
 
-def _canonicalize_eigenvectors(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Fix eigenvector order and phase inside degenerate clusters.
-
-    Within a cluster of (numerically) equal eigenvalues, eigenvectors are
-    ordered by the first index of their largest-magnitude component, and
-    each vector is rephased so that component is real positive.
-    """
-    n = len(vals)
-    scale = max(1.0, float(np.max(np.abs(vals))) if n else 1.0)
-    ctol = 1e-12 * scale
-    vecs = vecs.copy()
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and vals[j + 1] - vals[j] <= ctol:
-            j += 1
-        if j > i:
-            block = vecs[:, i : j + 1]
-            keys = [int(np.argmax(np.abs(block[:, k]))) for k in range(block.shape[1])]
-            order = np.argsort(keys, kind="stable")
-            vecs[:, i : j + 1] = block[:, order]
-        for k in range(i, j + 1):
-            idx = int(np.argmax(np.abs(vecs[:, k])))
-            pivot = vecs[idx, k]
-            if abs(pivot) > 0:
-                vecs[:, k] *= np.conj(pivot) / abs(pivot)
-        i = j + 1
-    return vecs
-
-
 def check_hermitian(a: np.ndarray) -> None:
     """Raise NotHermitian when max|A - A^dag| exceeds HERMITICITY_TOL *
     max(1, max|A|) for A the matrix or any matrix of a stack over leading
@@ -72,23 +42,6 @@ def check_hermitian(a: np.ndarray) -> None:
         raise NotHermitian(
             f"max|A - A^dag| = {dev.flat[i]:.3e} exceeds tolerance {limit.flat[i]:.3e}"
         )
-
-
-def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (vals, vecs) of a Hermitian matrix with
-    deterministic output.
-
-    Raises NotHermitian as check_hermitian does, and DimensionMismatch for
-    non-square input.  Eigenvalues come back ascending, eigenvectors as
-    orthonormal columns; V diag(w) V^dag reconstructs A to machine
-    precision.
-    """
-    a = _as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
-    check_hermitian(a)
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return vals, _canonicalize_eigenvectors(vals, vecs)
 
 
 def psd_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,14 +17,6 @@ from .exceptions import ParamOutOfRange
 _PAULI = dict(zip("IXYZ", [np.eye(2, dtype=complex)] + _su_generators(2)))
 
 
-def pauli_string(spec: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. 'XZZXI'."""
-    op = np.array([[1.0]], dtype=complex)
-    for ch in spec:
-        op = np.kron(op, _PAULI[ch])
-    return op
-
-
 def basis_state(bits: str) -> np.ndarray:
     """Computational basis vector for a bitstring like '0011'."""
     n = len(bits)
@@ -85,24 +77,6 @@ def qubit_space() -> CodeSpace:
     return CodeSpace(np.eye(2, dtype=complex))
 
 
-def bit_flip_code() -> CodeSpace:
-    """Three-qubit repetition code span{|000>, |111>}."""
-    return CodeSpace.from_vectors([basis_state("000"), basis_state("111")])
-
-
-def bit_flip_channel(q: float) -> QuantumChannel:
-    """Independent bit flips truncated to at most one flip (CP, sub-TP):
-
-        {sqrt((1-q)^3) I, sqrt(q(1-q)^2) X_k for k = 1, 2, 3}.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ParamOutOfRange(f"q = {q} outside [0, 1]")
-    ops = [np.sqrt((1 - q) ** 3) * pauli_string("III")]
-    for s in ("XII", "IXI", "IIX"):
-        ops.append(np.sqrt(q * (1 - q) ** 2) * pauli_string(s))
-    return QuantumChannel(ops)
-
-
 def leung_code() -> CodeSpace:
     """Four-qubit code tailored to amplitude damping:
 
@@ -145,8 +119,9 @@ def leung_recovery(gamma: float) -> QuantumChannel:
     The sectors and images cover twelve basis states, so the trace
     defect is the projector onto the other four, e_x: the completion is
     |0_L><e_x| for each, in index order, the operators
-    complete_to_tp(., |0_L>) appends.  The gamma argument is accepted for
-    interface symmetry with the other recoveries; the map itself is gamma
+    complete_to_tp(., |0_L>) appends in the order its eigh returns the
+    degenerate e_x.  The gamma argument is accepted for interface
+    symmetry with the other recoveries; the map itself is gamma
     independent apart from validation.
     """
     _check_gamma(gamma, closed=False)

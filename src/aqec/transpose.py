@@ -120,17 +120,3 @@ def code_kraus(m: np.ndarray) -> np.ndarray:
     k = c.conj().swapaxes(-1, -2) @ c
     return k.reshape(*lead, n, d, n, d).swapaxes(-3, -2)
 
-
-def recovered_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
-    """Composition transpose-recovery after noise, restricted to the code.
-
-    Kraus set {P E_i^dag E(P)^(-1/2) E_j P} = {W K_ij W^dag}, i-major.
-    The set is Hermitian-closed (the adjoint of the (i, j) element is the
-    (j, i) element) and the map is unital on the code whenever e is trace
-    preserving.
-    """
-    w = code.basis
-    k = code_kraus(_noise_on_code(e.kraus, code))
-    d = code.code_dim
-    ops = w @ k.reshape(-1, d, d) @ w.conj().T
-    return QuantumChannel(_prune(list(ops)))

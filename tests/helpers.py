@@ -1,14 +1,21 @@
 """Shared fixtures and independent oracles for the test suite.
 
+The channel algebra the tests check the library against (composition,
+Choi matrices and Choi equality, the TP defect, the recovered map on the
+code) lives here, with the bit-flip fixture, Bloch states of qubit codes
+and a Kronecker-product Pauli string oracle.  The package ships only what
+the transpose recovery, its conditions, its worst case and the CLI use.
+
 The oracles here deliberately avoid the library code paths they are used
 to check: the polar oracle goes through scipy's SVD, the standard
-recovery oracle through one full polar unitary per syndrome, the
-fidelity oracle evaluates Kraus amplitudes on explicitly sampled states,
-and the two scalar sphere minimisers (a brentq secular solve and
-projected gradient descent) solve one form at a time what aqec.fidelity
-solves in batches, and the reference sampler evaluates the same Haar
-sample stream as aqec.fidelity in complex arithmetic on normalised
-states and picks its refinement starts one form at a time.
+recovery oracle through numpy's eigh of alpha and one full polar unitary
+per syndrome, the fidelity oracle evaluates Kraus amplitudes on
+explicitly sampled states, and the two scalar sphere minimisers (a
+brentq secular solve and projected gradient descent) solve one form at a
+time what aqec.fidelity solves in batches, and the reference sampler
+evaluates the same Haar sample stream as aqec.fidelity in complex
+arithmetic on normalised states and picks its refinement starts one form
+at a time.
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ from scipy.optimize import brentq
 from aqec import (
     CodeSpace,
     QuantumChannel,
-    bloch_state,
+    code_kraus,
     complete_to_tp,
-    haar_unitary,
     polar_unitary_on_support,
 )
+from aqec.codes import _haar_columns, _su_generators
 from aqec.fidelity import (
     REFINE_ITERS,
     _CHUNK,
@@ -36,6 +43,92 @@ from aqec.fidelity import (
     _start_count,
 )
 
+
+# ------------------------------------------- channel algebra and fixtures
+
+def compose(r: QuantumChannel, e: QuantumChannel) -> QuantumChannel:
+    """Channel applying e first, then r: Kraus set {R_j E_i}, j-major,
+    products of norm below 1e-12 pruned."""
+    ops = [rj @ ei for rj in r.kraus for ei in e.kraus]
+    return QuantumChannel([k for k in ops if np.linalg.norm(k) >= 1e-12]
+                          or [np.zeros_like(ops[0])])
+
+
+def tp_defect(e: QuantumChannel) -> float:
+    """Operator norm of sum_i E_i^dag E_i - I; zero for TP channels."""
+    return float(np.linalg.norm(e.kraus_sum() - np.eye(e.dims_in), 2))
+
+
+def choi(e: QuantumChannel) -> np.ndarray:
+    """Choi matrix sum_i vec(E_i) vec(E_i)^dag with row-major vec, of
+    shape (dims_out dims_in, dims_out dims_in)."""
+    flat = e.kraus.reshape(e.n_kraus, e.dims_out * e.dims_in)
+    return flat.T @ flat.conj()
+
+
+def channels_equal(e1: QuantumChannel, e2: QuantumChannel, tol: float = 1e-9) -> bool:
+    """True when the Choi matrices agree entrywise within tol: insensitive
+    to the choice of Kraus representation on either side."""
+    assert (e1.dims_in, e1.dims_out) == (e2.dims_in, e2.dims_out)
+    return float(np.max(np.abs(choi(e1) - choi(e2)))) <= tol
+
+
+def recovered_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
+    """Transpose recovery after e, restricted to the code: the lift
+    {W K_ij W^dag}, i-major, of K = code_kraus(M), M_i = E_i W."""
+    w, d = code.basis, code.code_dim
+    k = code_kraus(e.kraus @ w).reshape(-1, d, d)
+    return QuantumChannel(list(w @ k @ w.conj().T))
+
+
+def bloch_state(code: CodeSpace, s) -> np.ndarray:
+    """Density matrix (P + s . sigma) / 2 of a qubit code for a Bloch
+    vector s, with the code-space Paulis built from the basis vectors
+    |v1>, |v2>:
+
+        sigma_x = |v1><v2| + |v2><v1|
+        sigma_y = -i(|v1><v2| - |v2><v1|)
+        sigma_z = |v1><v1| - |v2><v2|
+    """
+    w = code.basis
+    sigma = sum(x * g for x, g in zip(s, _su_generators(2)))
+    return (code.projector() + w @ sigma @ w.conj().T) / 2.0
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]).astype(complex),
+}
+
+
+def pauli_string(spec: str) -> np.ndarray:
+    """Kronecker product of single-qubit Paulis, e.g. 'XZZXI', first
+    factor most significant."""
+    op = np.array([[1.0]], dtype=complex)
+    for ch in spec:
+        op = np.kron(op, _PAULI[ch])
+    return op
+
+
+def bit_flip_code() -> CodeSpace:
+    """Three-qubit repetition code span{|000>, |111>}."""
+    return CodeSpace(np.eye(8, dtype=complex)[:, [0, 7]])
+
+
+def bit_flip_channel(q: float) -> QuantumChannel:
+    """Independent bit flips truncated to at most one flip (CP, sub-TP):
+
+        {sqrt((1-q)^3) I, sqrt(q(1-q)^2) X_k for k = 1, 2, 3}.
+    """
+    ops = [np.sqrt((1 - q) ** 3) * pauli_string("III")]
+    for s in ("XII", "IXI", "IIX"):
+        ops.append(np.sqrt(q * (1 - q) ** 2) * pauli_string(s))
+    return QuantumChannel(ops)
+
+
+# ------------------------------------------------------ random instances
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -54,7 +147,7 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_tp_channel(dim: int, n_kraus: int, rng: np.random.Generator) -> QuantumChannel:
     """Haar-random CPTP channel via a Stinespring isometry."""
-    u = haar_unitary(dim * n_kraus, rng)
+    u = _haar_columns(rng, dim * n_kraus, dim * n_kraus)
     v = u[:, :dim]
     return QuantumChannel([v[i * dim : (i + 1) * dim, :] for i in range(n_kraus)])
 
@@ -63,7 +156,7 @@ def random_unital_qubit_channel(rng: np.random.Generator, n_unitaries: int = 4) 
     """Random mixture of unitaries: TP and unital by construction."""
     probs = rng.dirichlet(np.ones(n_unitaries))
     return QuantumChannel(
-        [np.sqrt(probs[i]) * haar_unitary(2, rng) for i in range(n_unitaries)]
+        [np.sqrt(probs[i]) * _haar_columns(rng, 2, 2) for i in range(n_unitaries)]
     )
 
 
@@ -78,7 +171,7 @@ def embed_qubit_channel(
 def remix_kraus(channel: QuantumChannel, rng: np.random.Generator) -> QuantumChannel:
     """Equivalent channel with Kraus operators mixed by a Haar unitary."""
     n = channel.n_kraus
-    u = haar_unitary(n, rng)
+    u = _haar_columns(rng, n, n)
     stack = np.stack(channel.kraus)
     return QuantumChannel(list(np.einsum("ij,iab->jab", u, stack)))
 
@@ -92,12 +185,13 @@ def svd_polar_oracle(a: np.ndarray) -> np.ndarray:
 def polar_r_perf(cert, e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
     """The standard recovery by its textbook construction: Kraus
     {P U_k^dag} with U_k the full polar unitary of F_k P,
-    F_k = sum_i u_ik E_i, for the certificate's d_k above 1e-10 max(d)."""
+    F_k = sum_i u_ik E_i, for the eigenvalues d_k of alpha = u diag(d) u^dag
+    (numpy's eigh of the certificate's alpha) above 1e-10 max(d)."""
     p = code.projector()
-    vals = cert.diag_values
+    vals, rotation = np.linalg.eigh(cert.alpha)
     ops = []
     for k in np.flatnonzero(vals > 1e-10 * max(float(vals[-1]), 0.0)):
-        f_k = np.einsum("i,iab->ab", cert.rotation[:, k], np.stack(e.kraus))
+        f_k = np.einsum("i,iab->ab", rotation[:, k], np.stack(e.kraus))
         ops.append(p @ polar_unitary_on_support(f_k @ p).conj().T)
     return QuantumChannel(ops)
 

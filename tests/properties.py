@@ -12,37 +12,41 @@ from aqec import (
     amplitude_damping,
     aqec_diagnostics,
     alternate_condition_residual,
-    bloch_state,
-    channels_equal,
     check_perfect_qec,
-    choi,
-    compose,
     example5_channel,
-    hermitian_eig,
     inv_sqrt_on_support,
     near_optimality_bound_check,
     near_optimality_factor,
     polar_unitary_on_support,
     random_code,
-    recovered_channel,
     transpose_channel,
     transpose_fidelity_grid,
     worst_case_fidelity,
 )
+from aqec.codes import _haar_columns
 from aqec.conditions import Verdict
 from aqec.fidelity import EXACT_UNITAL_QUBIT, _min_forms_sampled
-from aqec.models import leung_code, pauli_string
+from aqec.linalg import psd_eigh
+from aqec.models import leung_code
 
 from helpers import (
     _eta_form,
+    bit_flip_channel,
+    bit_flip_code,
+    bloch_state,
+    channels_equal,
+    choi,
     code_paulis,
     code_process_matrix,
+    compose,
     embed_qubit_channel,
+    pauli_string,
     random_density,
     random_hermitian,
     random_psd,
     random_tp_channel,
     random_unital_qubit_channel,
+    recovered_channel,
     remix_kraus,
     scalar_min_quadratic_on_sphere,
 )
@@ -76,8 +80,8 @@ def check_eigenvalue_sum(seed: int, cases: int = 100) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         dim = int(rng.integers(2, 9))
-        a = random_hermitian(dim, rng)
-        vals, _ = hermitian_eig(a)
+        a = random_psd(dim, int(rng.integers(1, dim + 1)), rng)
+        vals, _, _ = psd_eigh(a)
         assert abs(vals.sum() - np.trace(a).real) < 1e-10 * dim * max(
             1.0, np.max(np.abs(a))
         )
@@ -204,12 +208,9 @@ def check_transpose_gauge_invariance(seed: int, cases: int = 20) -> None:
 # -------------------------------------------------------- qec-conditions
 
 def _rotated_bitflip_instance(rng: np.random.Generator):
-    from aqec.models import bit_flip_channel, bit_flip_code
-    from aqec import haar_unitary
-
     code = bit_flip_code()
     e = bit_flip_channel(float(rng.uniform(0.02, 0.3)))
-    g = haar_unitary(8, rng)
+    g = _haar_columns(rng, 8, 8)
     code_r = CodeSpace(g @ code.basis)
     e_r = QuantumChannel([g @ k @ g.conj().T for k in e.kraus])
     return e_r, code_r
@@ -217,8 +218,6 @@ def _rotated_bitflip_instance(rng: np.random.Generator):
 
 def _perturbed_bitflip_instance(rng: np.random.Generator):
     import scipy.linalg
-
-    from aqec.models import bit_flip_channel, bit_flip_code
 
     code = bit_flip_code()
     e = bit_flip_channel(float(rng.uniform(0.05, 0.3)))
@@ -269,8 +268,6 @@ def check_eta_is_transpose_worst_case(seed: int, cases: int = 10) -> None:
     transpose recovery after the noise, on qubit and qutrit codes; for a
     channel only proportionally trace preserving on the code (the
     truncated bit flips), after the noise scaled by 1/sqrt(a)."""
-    from aqec.models import bit_flip_channel, bit_flip_code
-
     rng = np.random.default_rng(seed)
     pairs = [(bit_flip_channel(q), bit_flip_code()) for q in (0.1, rng.uniform(0.02, 0.3))]
     for case in range(cases):

@@ -17,7 +17,6 @@ from aqec import (
     alternate_condition_residual,
     build_r_perf,
     check_perfect_qec,
-    choi,
     five_qubit_code_only,
     five_qubit_noise,
     five_qubit_recovery,
@@ -33,12 +32,15 @@ from aqec import (
 )
 from aqec.cli import main
 from aqec.conditions import _beta_and_deltas
-from aqec.models import bit_flip_channel, bit_flip_code, example5_channel, example5_eta_formula
+from aqec.models import example5_channel, example5_eta_formula
 from aqec.transpose import code_kraus
 
 from helpers import (
+    bit_flip_channel,
+    bit_flip_code,
     bloch_samples,
     bloch_to_coeffs,
+    choi,
     embed_qubit_channel,
     random_tp_channel,
     random_unital_qubit_channel,

@@ -13,9 +13,8 @@ from aqec import (
     tensor_power,
 )
 from aqec.cli import main
-from aqec.models import bit_flip_channel, bit_flip_code
 
-from helpers import polar_r_perf
+from helpers import bit_flip_channel, bit_flip_code, polar_r_perf
 
 
 def _read_rows(path):
@@ -288,7 +287,9 @@ def test_reversed_gamma_grid_rejected(tmp_path, capsys):
 
 def test_non_finite_or_zero_step_grid_rejected(tmp_path, capsys):
     out = ["--out", str(tmp_path / "o.csv"), "--best-out", str(tmp_path / "b.json")]
-    for bad in (["--gamma-stop", "nan"], ["--gamma-start=-inf"], ["--gamma-step", "0"]):
+    for bad in (["--gamma-stop", "nan"], ["--gamma-start=-inf"], ["--gamma-step", "0"],
+                ["--gamma-stop", "1", "--gamma-step", "5e-324"],
+                ["--gamma-stop", "1e308", "--gamma-step", "1e-308"]):
         assert main(["search", "--codes", "1", "--qubits", "2"] + bad + out) == 2
         _one_error_line(capsys)
 

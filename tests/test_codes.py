@@ -3,17 +3,16 @@ import pytest
 
 from aqec import (
     CodeSpace,
-    bloch_state,
     bloch_to_state_vector,
     code_from_json,
     code_to_json,
     random_code,
 )
-from aqec.exceptions import DimensionMismatch, InvalidBloch, NotQubitCode
+from aqec.exceptions import DimensionMismatch
 from aqec.fidelity import _code_operator_basis
 from aqec.models import leung_code
 
-from helpers import code_paulis
+from helpers import bloch_state, code_paulis
 from properties import (
     check_bloch_purity,
     check_pauli_support,
@@ -117,11 +116,6 @@ def test_pauli_basis_trace_orthogonality():
             assert abs(val - (2.0 if a == b else 0.0)) < 1e-12
 
 
-def test_bloch_state_requires_qubit():
-    with pytest.raises(NotQubitCode):
-        bloch_state(random_code(4, 3, 0), (0, 0, 1))
-
-
 def test_su_generator_basis_orthogonality():
     # the code operator basis lifted to the code, W g_a W^dag
     code = random_code(5, 3, 9)
@@ -147,11 +141,6 @@ def test_bloch_state_poles_and_mixed():
     plus = bloch_state(code, (1, 0, 0))
     vec = (v1 + v2) / np.sqrt(2)
     assert np.max(np.abs(plus - np.outer(vec, vec.conj()))) < 1e-12
-
-
-def test_bloch_state_rejects_long_vector():
-    with pytest.raises(InvalidBloch):
-        bloch_state(random_code(4, 2, 2), (1.1, 0, 0))
 
 
 def test_bloch_to_state_vector_consistency():

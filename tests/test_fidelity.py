@@ -4,10 +4,8 @@ import pytest
 from aqec import (
     QuantumChannel,
     amplitude_damping,
-    identity_channel,
     qubit_space,
     random_code,
-    recovered_channel,
     tensor_power,
     worst_case_fidelity,
 )
@@ -37,6 +35,7 @@ from helpers import (
     bloch_samples,
     code_process_matrix,
     random_tp_channel,
+    recovered_channel,
     reference_min_forms_sampled,
     random_unital_qubit_channel,
     scalar_min_quadratic_on_sphere,
@@ -55,7 +54,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_process_matrix_identity():
-    m = code_process_matrix(identity_channel(2), qubit_space())
+    m = code_process_matrix(QuantumChannel([np.eye(2)]), qubit_space())
     assert np.max(np.abs(m - np.eye(4))) < 1e-12
     assert all(_tp_unital(m))
 
@@ -85,7 +84,7 @@ def test_process_matrix_recovered_structure():
 
 
 def test_unital_identity():
-    res = worst_case_fidelity(identity_channel(2), None, qubit_space())
+    res = worst_case_fidelity(QuantumChannel([np.eye(2)]), None, qubit_space())
     assert res.method == EXACT_UNITAL_QUBIT
     assert abs(res.f2_min - 1.0) < 1e-12
     assert abs(res.eta) < 1e-12
@@ -186,7 +185,7 @@ def test_quadratic_sphere_solver_hard_case_interior():
 
 def test_sampled_identity():
     code = random_code(5, 3, 2)
-    res = worst_case_fidelity(identity_channel(5), None, code, samples=500, seed=0)
+    res = worst_case_fidelity(QuantumChannel([np.eye(5)]), None, code, samples=500, seed=0)
     assert res.method == "sampled"
     assert abs(res.f2_min - 1.0) < 1e-9
 

@@ -1,36 +1,27 @@
 import numpy as np
 import pytest
 
-from aqec import hermitian_eig, inv_sqrt_on_support, polar_unitary_on_support
+from aqec import inv_sqrt_on_support, polar_unitary_on_support
 from aqec.linalg import psd_eigh
 from aqec.exceptions import DimensionMismatch, NotHermitian, NotPSD
-from aqec.models import bit_flip_code, pauli_string
 
-from helpers import random_hermitian, sqrtm_oracle, svd_polar_oracle
+from helpers import bit_flip_code, pauli_string, random_psd, sqrtm_oracle, svd_polar_oracle
 from properties import (
     check_eigenvalue_sum,
     check_inv_sqrt_commutes,
     check_polar_unitary,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
 def test_eig_identity():
-    vals, vecs = hermitian_eig(np.eye(2))
+    vals, vecs, _ = psd_eigh(np.eye(2))
     assert np.allclose(vals, [1.0, 1.0])
     assert np.allclose(vecs @ vecs.conj().T, np.eye(2))
 
 
-def test_eig_pauli_x_spectrum():
-    vals, _ = hermitian_eig(SX)
-    assert np.allclose(vals, [-1.0, 1.0])
-
-
 def test_eig_reconstruction_random():
     rng = np.random.default_rng(8)
-    a = random_hermitian(8, rng)
-    vals, vecs = hermitian_eig(a)
+    a = random_psd(8, 8, rng)
+    vals, vecs, _ = psd_eigh(a)
     recon = (vecs * vals) @ vecs.conj().T
     assert np.max(np.abs(recon - a)) < 1e-10 * np.max(np.abs(a))
     assert np.all(np.diff(vals) >= 0)
@@ -39,20 +30,9 @@ def test_eig_reconstruction_random():
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        psd_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
-        hermitian_eig(np.zeros((2, 3)))
-
-
-def test_eig_deterministic_on_degenerate_input():
-    a = np.diag([2.0, 2.0, 1.0]).astype(complex)
-    v1 = hermitian_eig(a)[1]
-    v2 = hermitian_eig(a)[1]
-    assert np.array_equal(v1, v2)
-    # phase convention: largest component real positive
-    for k in range(3):
-        idx = np.argmax(np.abs(v1[:, k]))
-        assert v1[idx, k].real > 0 and abs(v1[idx, k].imag) < 1e-14
+        psd_eigh(np.zeros((2, 3)))
 
 
 def test_inv_sqrt_identity():

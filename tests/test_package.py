@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -12,12 +13,22 @@ def test_public_names_are_an_explicit_list():
     assert len(set(aqec.__all__)) == len(aqec.__all__)
     for name in aqec.__all__:
         assert not isinstance(getattr(aqec, name), types.ModuleType), name
+    # every name imported from the package by the tests, the README's
+    # python blocks or a `python -c` line of the CI workflow
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    sources = [path.read_text() for path in Path(__file__).parent.glob("*.py")]
     imported = set()
-    for path in Path(__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for text in sources + blocks:
+        for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.ImportFrom) and node.module == "aqec":
                 imported.update(alias.name for alias in node.names)
-    assert imported - {"__version__"} <= set(aqec.__all__)
+    ci = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    ci_names = {name.strip() for names in re.findall(r"from aqec import ([\w, ]+)", ci)
+                for name in names.split(",")}
+    assert blocks and ci_names
+    assert (imported | ci_names) - {"__version__"} <= set(aqec.__all__)
 
 
 def test_import_pulls_in_no_scipy():

@@ -5,15 +5,9 @@ from aqec import (
     CodeSpace,
     QuantumChannel,
     amplitude_damping,
-    channels_equal,
-    choi,
     code_kraus,
-    compose,
-    haar_unitary,
-    identity_channel,
     inv_sqrt_on_support,
     random_code,
-    recovered_channel,
     tensor_power,
     transpose_channel,
     transpose_fidelity_grid,
@@ -21,9 +15,18 @@ from aqec import (
 )
 from aqec.cli import _search_one
 from aqec.linalg import psd_eigh
-from aqec.models import _damping_on, bit_flip_code, leung_code
+from aqec.codes import _haar_columns
+from aqec.models import _damping_on, leung_code
 
-from helpers import random_tp_channel
+from helpers import (
+    bit_flip_code,
+    channels_equal,
+    choi,
+    compose,
+    pauli_string,
+    random_tp_channel,
+    recovered_channel,
+)
 from properties import (
     check_recovered_hermitian_closed,
     check_recovered_unital,
@@ -58,12 +61,12 @@ def test_planted_tiny_eigenvalue_is_one_cut_for_every_reader(eps, kept):
 
 def test_identity_noise_gives_projection_recovery():
     code = random_code(4, 2, 1)
-    tr = transpose_channel(identity_channel(4), code)
+    tr = transpose_channel(QuantumChannel([np.eye(4)]), code)
     p = code.projector()
     assert np.max(np.abs(tr.support_projector - p)) < 1e-10
     assert tr.recovery.n_kraus == 1
     assert np.max(np.abs(tr.recovery.kraus[0] - p)) < 1e-10
-    rec = recovered_channel(identity_channel(4), code)
+    rec = recovered_channel(QuantumChannel([np.eye(4)]), code)
     rng = np.random.default_rng(0)
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     c /= np.linalg.norm(c)
@@ -74,7 +77,7 @@ def test_identity_noise_gives_projection_recovery():
 
 def test_unitary_noise_inverted():
     rng = np.random.default_rng(7)
-    u = haar_unitary(4, rng)
+    u = _haar_columns(rng, 4, 4)
     code = random_code(4, 2, 3)
     noise = QuantumChannel([u])
     r = transpose_channel(noise, code).recovery
@@ -114,8 +117,6 @@ def test_recovered_channel_perfect_pair_identity_on_code():
     # exactly one-or-zero flips with probabilities summing to one: TP and
     # exactly correctable
     probs = [0.7, 0.1, 0.1, 0.1]
-    from aqec.models import pauli_string
-
     ops = [np.sqrt(probs[0]) * pauli_string("III")]
     for pr, s in zip(probs[1:], ("XII", "IXI", "IIX")):
         ops.append(np.sqrt(pr) * pauli_string(s))
@@ -127,7 +128,7 @@ def test_recovered_channel_perfect_pair_identity_on_code():
 
 def test_recovered_channel_identity_cases():
     code = random_code(4, 2, 23)
-    rec = recovered_channel(identity_channel(4), code)
+    rec = recovered_channel(QuantumChannel([np.eye(4)]), code)
     proj = QuantumChannel([code.projector()])
     assert channels_equal(rec, proj, 1e-10)
 
