@@ -120,22 +120,16 @@ def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
 def complete_to_tp(e: QuantumChannel, target: np.ndarray) -> QuantumChannel:
     """Extend a trace-nonincreasing channel to a TP one.
 
-    The missing trace weight I - sum E_i^dag E_i is routed to target: a
-    state vector (normalised here), or a dims_out x k isometry W, whose
-    span then receives the maximally mixed state W W^dag / k.  For each
-    eigenpair (lam, phi) of the defect with lam above COMPLETION_TOL, the
-    Kraus operators sqrt(lam / k) |w_j><phi| are appended, j over the k
-    columns (k = 1 for a state).  Raises NotPSD when the defect has an
-    eigenvalue below -COMPLETION_TOL.
+    The missing trace weight I - sum E_i^dag E_i is routed to target, a
+    dims_out x k isometry W (a unit state as one column, k = 1), whose span
+    receives the maximally mixed state W W^dag / k.  For each eigenpair
+    (lam, phi) of the defect with lam above COMPLETION_TOL, the Kraus
+    operators sqrt(lam / k) |w_j><phi| are appended, j over the k columns.
+    Raises NotPSD when the defect has an eigenvalue below -COMPLETION_TOL.
     """
     w = np.asarray(target, dtype=complex)
-    if w.ndim == 1:
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            raise DimensionMismatch("target state must be nonzero")
-        w = (w / norm)[:, None]
     if w.ndim != 2 or w.shape[0] != e.dims_out:
-        raise DimensionMismatch("target must be a state or an isometry into the channel output")
+        raise DimensionMismatch("target must be an isometry into the channel output")
     k = w.shape[1]
     if max_abs(w.conj().T @ w - np.eye(k)) > TP_TOL:
         raise DimensionMismatch("target columns must be orthonormal")

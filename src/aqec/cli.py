@@ -7,8 +7,8 @@ Curves for `sweep` are given as MODEL:RECOVERY pairs, e.g.::
     aqec sweep --curve ad:identity --curve leung41:transpose \
                --curve leung41:leung --curve five513:rperf --out fig1.csv
 
-MODEL is a registry name (ad, leung41, five513) or file=CODE.json for a
-serialized code; RECOVERY is one of transpose, rperf, identity, leung.
+MODEL is a name in MODELS (ad, leung41, five513) or file=CODE.json for a
+serialized code; RECOVERY is a name in RECOVERIES (transpose, rperf, identity, leung).
 Output CSV embeds the full configuration as a JSON comment line, so runs
 are reproducible byte for byte apart from the timestamp line.
 
@@ -48,7 +48,6 @@ from .fidelity import (
     _min_forms,
 )
 from .models import (
-    MODEL_REGISTRY,
     _check_gamma,
     _complete_to_mixed_on_code,
     _damping_on,
@@ -60,9 +59,17 @@ from .models import (
 )
 from .transpose import code_kraus
 
-RECOVERIES = ("transpose", "rperf", "identity", "leung")
+# What sweep takes: each model's code and description, each recovery's one model or None
+MODELS = {
+    "ad": (qubit_space, "single-qubit amplitude damping channel (parameter gamma)"),
+    "leung41": (leung_code, "four-qubit amplitude-damping code [4,1]"),
+    "five513": (five_qubit_code_only,
+                "five-qubit distance-3 code [[5,1,3]] with its single-error channel"),
+}
+RECOVERIES = {"transpose": None, "rperf": "five513", "identity": None, "leung": "leung41"}
 DEFAULT_CURVES = ["ad:identity", "leung41:transpose", "leung41:leung", "five513:rperf"]
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MAX_COUNT = 2**21  # most gamma points, and most codes, one run takes
 
 
 class UserConfigError(Exception):
@@ -72,8 +79,8 @@ class UserConfigError(Exception):
 def gamma_grid(start: float, stop: float, step: float) -> list[float]:
     """The grid start, start + step, ..., stop, each value rounded to 12
     decimals.  Raises UserConfigError for a non-numeric or non-finite
-    bound, a non-positive step, a step too small for a finite point count
-    or an empty grid."""
+    bound, a non-positive step, a step too small for a finite point count,
+    an empty grid or one of more than MAX_COUNT points."""
     try:
         start, stop, step = float(start), float(stop), float(step)
     except (TypeError, ValueError) as exc:
@@ -91,6 +98,8 @@ def gamma_grid(start: float, stop: float, step: float) -> list[float]:
     count = int(round(steps)) + 1
     if count < 1:
         raise UserConfigError(f"empty gamma grid: start {start} lies above stop {stop}")
+    if count > MAX_COUNT:
+        raise UserConfigError(f"gamma grid of {count} points is over the limit of {MAX_COUNT}")
     return [round(start + k * step, 12) for k in range(count)]
 
 
@@ -110,14 +119,12 @@ def _parse_curve(spec: str) -> tuple[str, str]:
         raise UserConfigError(
             f"unknown recovery '{recovery}'; choose from {', '.join(RECOVERIES)}"
         )
-    if model not in ("ad", "leung41", "five513") and not model.startswith("file="):
+    if model not in MODELS and not model.startswith("file="):
         raise UserConfigError(
-            f"unknown model '{model}'; use ad, leung41, five513 or file=CODE.json"
+            f"unknown model '{model}'; use {', '.join(MODELS)} or file=CODE.json"
         )
-    if recovery == "leung" and model != "leung41":
-        raise UserConfigError("the leung recovery applies to the leung41 code only")
-    if recovery == "rperf" and model != "five513":
-        raise UserConfigError("the rperf recovery is provided for five513 only")
+    if RECOVERIES[recovery] not in (None, model):
+        raise UserConfigError(f"the {recovery} recovery applies to {RECOVERIES[recovery]} only")
     return model, recovery
 
 
@@ -137,16 +144,6 @@ def _load_code_file(path: str) -> CodeSpace:
     if isinstance(data, dict) and "code" in data:
         data = data["code"]
     return code_from_json(data)
-
-
-def _curve_code(model: str) -> CodeSpace:
-    if model == "ad":
-        return qubit_space()
-    if model == "leung41":
-        return leung_code()
-    if model == "five513":
-        return five_qubit_code_only()
-    return _load_code_file(model[len("file=") :])
 
 
 def _n_qubits_for(code: CodeSpace) -> int:
@@ -273,6 +270,8 @@ def _write_csv(path: str, config_json: dict, header: list[str], rows: list[list[
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
+    if args.curves == []:
+        raise UserConfigError("curves is empty; name at least one MODEL:RECOVERY")
     specs = args.curves or list(DEFAULT_CURVES)
     curves = [_parse_curve(c) for c in specs]
     _check_sampling(args.samples, args.seed)
@@ -282,7 +281,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     codes: dict[str, CodeSpace] = {}
     for _, (model, _) in ordered:
         if model not in codes:
-            codes[model] = _curve_code(model)
+            codes[model] = (MODELS[model][0]() if model in MODELS
+                            else _load_code_file(model[len("file=") :]))
     scored = _score_curves([(codes[model], recovery) for _, (model, recovery) in ordered],
                            gammas, args.samples, args.seed)
     rows = []
@@ -363,8 +363,8 @@ def _worker_pool(workers: int):
 
 
 def cmd_search(args: argparse.Namespace) -> None:
-    if args.codes < 1:
-        raise UserConfigError("need at least one code")
+    if not 1 <= args.codes <= MAX_COUNT:
+        raise UserConfigError(f"codes must be between 1 and {MAX_COUNT}, got {args.codes}")
     if args.qubits not in (2, 3, 4, 5):
         raise UserConfigError("n_qubits must be between 2 and 5")
     if not 1 <= args.code_dim <= 2**args.qubits:
@@ -440,8 +440,8 @@ def cmd_check(args: argparse.Namespace) -> None:
 
 
 def cmd_models(args: argparse.Namespace) -> None:
-    width = max(len(name) for name in MODEL_REGISTRY)
-    for name, desc in MODEL_REGISTRY.items():
+    width = max(len(name) for name in MODELS)
+    for name, (_, desc) in MODELS.items():
         print(f"{name:<{width}}  {desc}")
 
 
@@ -498,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--out", default=None,
                        help="also write the JSON here (- is standard output, printed once)")
 
-    sub.add_parser("models", help="list built-in models")
+    sub.add_parser("models", help="list the models sweep takes")
     return parser
 
 

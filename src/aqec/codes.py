@@ -113,20 +113,17 @@ def _su_generators(d: int) -> list[np.ndarray]:
 
 
 def bloch_to_state_vector(code: CodeSpace, s) -> np.ndarray:
-    """Unit-norm ambient state vector for a Bloch vector with |s| = 1, or
-    one vector per row of a (G, 3) stack."""
+    """Unit-norm ambient state vectors (G, D), one per row of a (G, 3)
+    stack of Bloch vectors with |s| = 1."""
     if code.code_dim != 2:
         raise NotQubitCode(f"code dimension is {code.code_dim}, need 2")
     s = np.asarray(s, dtype=float)
-    single = s.ndim == 1
-    s = s.reshape(-1, 3)
-    v1 = code.basis[:, 0]
-    v2 = code.basis[:, 1]
+    v1, v2 = code.basis.T
     south = s[:, 2] < -1 + 1e-14
     psi = (1.0 + s[:, 2:]) * v1 + (s[:, :1] + 1j * s[:, 1:2]) * v2
     psi[south] = v2
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    return psi[0] if single else psi
+    return psi
 
 
 def code_to_json(code: CodeSpace) -> dict:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -88,14 +87,12 @@ class AqecDiagnostics:
     codes, sampled for d > 2) and worst_state the state attaining it;
     restricted_factor is the a of sum_i M_i^dag M_i = a I_d (1.0 when the
     channel is trace preserving on the code).  The deviation operators
-    are kept in code coordinates, deltas_code of shape (N, N, d, d) over
-    the code basis code_basis (D, d); deltas lifts them to the ambient
-    space on first read.
+    are in code coordinates only, deltas_code of shape (N, N, d, d) over
+    the code basis W: the ambient Delta_ij is W deltas_code[i, j] W^dag.
     """
 
     beta: np.ndarray
     deltas_code: np.ndarray
-    code_basis: np.ndarray
     eta: float
     eta_method: str
     eta_samples: int | None
@@ -105,12 +102,6 @@ class AqecDiagnostics:
     f_epsilon_d: float
     restricted_factor: float
     worst_state: np.ndarray | None
-
-    @cached_property
-    def deltas(self) -> np.ndarray:
-        """Ambient deviation operators W Delta_ij W^dag, shape (N, N, D, D)."""
-        w = self.code_basis
-        return np.einsum("ab,ijbc,dc->ijad", w, self.deltas_code, w.conj(), optimize=True)
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,12 +225,10 @@ def aqec_diagnostics(
 
     [[worst]] = _min_forms([(_code_process_matrices(k.reshape(1, -1, d, d)), code)],
                            eta_samples, seed)
-    eta = max(worst.eta, 0.0)
-
     f_eps = near_optimality_factor(epsilon, d)
-    if eta <= epsilon:
+    if worst.eta <= epsilon:
         verdict = Verdict.CORRECTABLE
-    elif eta > epsilon * f_eps:
+    elif worst.eta > epsilon * f_eps:
         verdict = Verdict.NOT_CORRECTABLE
     else:
         verdict = Verdict.INDETERMINATE
@@ -247,8 +236,7 @@ def aqec_diagnostics(
     return AqecDiagnostics(
         beta=beta,
         deltas_code=deltas_code,
-        code_basis=code.basis,
-        eta=eta,
+        eta=worst.eta,
         eta_method=worst.method,
         eta_samples=worst.samples,
         delta_sum_norm=delta_sum_norm,

@@ -484,8 +484,8 @@ def _min_forms(
     (G, d^2, d^2) of process matrices M_g (_code_process_matrices),
     Q_g = M_g / d and s the state's coefficients over the code operator
     basis (s_0 = 1).  One result list per block, one result per map: the
-    minimum as f2_min (1 - f2_min as eta) with the state of the block's
-    code attaining it.
+    minimum, taken as 1 where rounding puts it above, as f2_min (1 - f2_min
+    as eta) with the state of the block's code attaining it.
 
     The forms of all blocks are minimised together.  Qubit codes are solved
     exactly on the Bloch sphere s = (1, bloch), each form labelled by the
@@ -509,6 +509,7 @@ def _min_forms(
     else:
         vals, cs = _min_forms_sampled(q, samples, seed)
         tails = [(None, SAMPLED, samples, seed)] * len(vals)
+    vals = np.minimum(vals, 1.0)
     out, lo = [], 0
     for maps, code in blocks:
         part = slice(lo, lo + len(maps))

@@ -14,7 +14,10 @@ from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf, check_perfect_qec
 from .exceptions import ParamOutOfRange
 
-_PAULI = dict(zip("IXYZ", [np.eye(2, dtype=complex)] + _su_generators(2)))
+# I, X, Y, Z: the column of each row's one entry (X, Y flip the bit), its value
+_PAULI_COLS = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+_PAULI_VALS = np.array([m[[0, 1], c] for m, c in
+                        zip([np.eye(2, dtype=complex)] + _su_generators(2), _PAULI_COLS)])
 
 
 def basis_state(bits: str) -> np.ndarray:
@@ -43,33 +46,47 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
     return QuantumChannel([e0, e1])
 
 
-def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
-    """Kraus operators of n-qubit amplitude damping for each gamma times
-    basis (2^n, c), stacked (G, K, 2^n, c), with no ambient operator
-    formed: the operators of the Kraus indices in kraus, or all K = 2^n
-    of them when kraus is None.
+def _product_on(cols: np.ndarray, vals: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """A product of n single-qubit factors, each with at most one nonzero
+    entry per row, times basis (2^n, ...), no 2^n x 2^n operator formed.
+    cols[..., q, r] is the column of row r's entry in qubit q's factor and
+    vals[..., q, r] its value (vals may stack more leading axes).  Row x is
+    the product of x's entries, first qubit first, times row src(x) of
+    basis, src(x) the bitstring of their columns: each entry equals its
+    Kronecker product entry to the bit.  Returns (..., 2^n, ...).
+    """
+    n, ops, stack = cols.shape[-2], cols.shape[:-2], vals.shape[:-2]
+    # factors as (n, 2, flat stack): each step spans whole stacks as rows grow
+    col_t = cols.reshape(-1, n, 2).transpose(1, 2, 0)
+    val_t = np.ascontiguousarray(vals.reshape(-1, n, 2).transpose(1, 2, 0))
+    src, coef = np.zeros((1, 1), dtype=int), np.ones((1, 1), dtype=vals.dtype)
+    for col, val in zip(col_t, val_t):  # row x gains qubit q's bit as its last
+        src = (src[:, None] << 1 | col).reshape(-1, col.shape[-1])
+        coef = (coef[:, None] * val).reshape(-1, val.shape[-1])
+    coef = coef.T.reshape(stack + (-1,) + (1,) * (basis.ndim - 1))
+    return coef * basis[src.T.reshape(ops + (-1,))]
 
-    Reading the Kraus index a and the row x as bitstrings, row x of
-    E_a basis is coef(a, x) basis[a | x], coef the product in qubit order
-    of the single-qubit entries 1 or sqrt(1 - gamma) (a bit 0) and
-    sqrt(gamma) or 0 (a bit 1) at x's bit: each entry of E_a equals its
-    Kronecker product entry to the bit.  Raises ParamOutOfRange for gamma
-    outside [0, 1] and BudgetExceeded when the K ambient operators of one
-    gamma are over the Kraus entry budget.
+
+def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
+    """Kraus operators E_a of n-qubit amplitude damping for each gamma
+    times basis (2^n, c), stacked (G, K, 2^n, c) by _product_on, for the
+    Kraus indices a in kraus, or all K = 2^n of them when kraus is None.
+    E_a is the product over a's bits of E0 (bit 0: row r holds 1 or
+    sqrt(1 - gamma) in column r) and E1 (bit 1: sqrt(gamma) or 0 in column
+    1).  Raises ParamOutOfRange for gamma outside [0, 1] and BudgetExceeded
+    when one gamma's K ambient operators, or the stack, are over budget.
     """
     for gamma in gammas:
         _check_gamma(gamma)
-    dim = basis.shape[0]
+    dim, c = basis.shape
     a = np.arange(dim) if kraus is None else np.asarray(kraus)
     _check_budget(len(a), dim, dim)
+    _check_budget(len(gammas) * len(a), dim, c)
     g = np.asarray(gammas, dtype=float)[:, None]
     table = np.hstack([np.ones_like(g), np.sqrt(1.0 - g), np.sqrt(g), 0.0 * g])
     table = table.reshape(-1, 2, 2)  # (gamma, a bit, x bit)
-    a, x = a[:, None], np.arange(dim)[None, :]
-    coef = np.ones((len(g), len(a), dim))
-    for bit in reversed(range(dim.bit_length() - 1)):  # first qubit first
-        coef = coef * table[:, (a >> bit) & 1, (x >> bit) & 1]
-    return coef[..., None] * basis[a | x]
+    a_bits = (a[:, None] >> np.arange(dim.bit_length() - 2, -1, -1)) & 1  # (K, qubit)
+    return _product_on(a_bits[..., None] | np.arange(2), np.take(table, a_bits, axis=1), basis)
 
 
 def qubit_space() -> CodeSpace:
@@ -118,9 +135,9 @@ def leung_recovery(gamma: float) -> QuantumChannel:
 
     The sectors and images cover twelve basis states, so the trace
     defect is the projector onto the other four, e_x: the completion is
-    |0_L><e_x| for each, in index order, the operators
-    complete_to_tp(., |0_L>) appends in the order its eigh returns the
-    degenerate e_x.  The gamma argument is accepted for interface
+    |0_L><e_x| for each, in index order, the operators complete_to_tp
+    appends for the one-column target |0_L> in the order its eigh returns
+    the degenerate e_x.  The gamma argument is accepted for interface
     symmetry with the other recoveries; the map itself is gamma
     independent apart from validation.
     """
@@ -143,25 +160,14 @@ def leung_recovery(gamma: float) -> QuantumChannel:
 _FIVE_QUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
-def _pauli_on(spec: str, vecs: np.ndarray) -> np.ndarray:
-    """The Pauli string spec (e.g. 'XZZXI') applied to vecs (2^n, ...)
-    with no 2^n x 2^n operator formed.  A Pauli string is a phased
-    permutation of rows: output row r takes input row r xor m, m the mask
-    of its X and Y factors, times the product over factors of the
-    single-qubit entry [bit of r, bit of r xor m].  The phases are +-1 and
-    +-i, so the gather equals the Kronecker product to the bit."""
-    n = len(spec)
-    rows = np.arange(2**n)
-    src = rows.copy()
-    phase = np.ones(2**n, dtype=complex)
-    for k, p in enumerate(spec):
-        if p != "I":
-            shift = n - 1 - k
-            flip = int(p in "XY")
-            out_bit = (rows >> shift) & 1
-            phase *= _PAULI[p][out_bit, out_bit ^ flip]
-            src ^= flip << shift
-    return phase.reshape((-1,) + (1,) * (vecs.ndim - 1)) * vecs[src]
+def _pauli_on(spec, vecs: np.ndarray) -> np.ndarray:
+    """The Pauli string spec (e.g. 'XZZXI') applied to vecs (2^n, ...), or
+    each string of a list spec, stacked (S, 2^n, ...), by _product_on.  The
+    entries are +-1 and +-i, so the gather equals the Kronecker product to
+    the bit."""
+    idx = np.array(["IXYZ".index(p) for p in spec] if isinstance(spec, str)
+                   else [["IXYZ".index(p) for p in s] for s in spec])
+    return _product_on(_PAULI_COLS[idx], _PAULI_VALS[idx], vecs)
 
 
 def five_qubit_code_only() -> CodeSpace:
@@ -170,7 +176,7 @@ def five_qubit_code_only() -> CodeSpace:
     Z_L = ZZZZZ, X_L = XXXXX.  It corrects five_qubit_noise exactly.
 
     |0_L> is the normalised image of |00000> under the commuting
-    projectors (I + S)/2, applied as S one qubit axis at a time; every
+    projectors (I + S)/2, each S applied by one _pauli_on gather; every
     entry is a dyadic rational, so the basis equals the Kronecker-product
     construction to the bit."""
     v0 = basis_state("00000")
@@ -182,13 +188,12 @@ def five_qubit_code_only() -> CodeSpace:
 
 def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
     """Kraus operators of five_qubit_noise for each gamma times basis
-    (32, c), stacked (G, 6, 32, c).  The Paulis of weight at most one act
-    on basis one qubit axis at a time, once per call."""
+    (32, c), stacked (G, 6, 32, c).  The 15 Paulis of weight one act on
+    basis in one _pauli_on gather per call."""
     for gamma in gammas:
         _check_gamma(gamma)
-    paulis = np.stack([basis] + [
-        _pauli_on("I" * k + p + "I" * (4 - k), basis) for p in "ZXY" for k in range(5)
-    ])
+    weight_one = ["I" * k + p + "I" * (4 - k) for p in "ZXY" for k in range(5)]
+    paulis = np.concatenate([basis[None], _pauli_on(weight_one, basis)])
     gammas = np.asarray(gammas, dtype=float)
     a = (1.0 + np.sqrt(1.0 - gammas)) / 2.0
     b = (1.0 - np.sqrt(1.0 - gammas)) / 2.0
@@ -298,10 +303,3 @@ def example5_eta_formula(d: int, p: float) -> float:
         raise ParamOutOfRange(f"the closed form holds for d >= 3, got d = {d}")
     return (d - 1) * p / (1.0 + (d - 1) * p)
 
-
-MODEL_REGISTRY = {
-    "ad": "single-qubit amplitude damping channel (parameter gamma)",
-    "leung41": "four-qubit amplitude-damping code [4,1]",
-    "five513": "five-qubit distance-3 code [[5,1,3]] with its single-error channel",
-    "example5": "identity-plus-leak channel family (parameters d, p)",
-}

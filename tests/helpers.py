@@ -209,7 +209,7 @@ def complete_to_tp_leung_recovery() -> QuantumChannel:
     ops = [sum(np.outer(ket(b), ket(b)) for b in ("0000", "1111", "0011", "1100"))]
     for d0, d1 in (("0111", "0100"), ("1011", "1000"), ("1101", "0001"), ("1110", "0010")):
         ops.append(np.outer(v0, ket(d0)) + np.outer(v1, ket(d1)))
-    return complete_to_tp(QuantumChannel(ops), v0)
+    return complete_to_tp(QuantumChannel(ops), (v0 / np.linalg.norm(v0))[:, None])
 
 
 def sqrtm_oracle(a: np.ndarray) -> np.ndarray:

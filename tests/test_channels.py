@@ -161,7 +161,7 @@ def test_choi_partial_trace_tp():
 
 def test_complete_to_tp():
     e = truncated_damping_channel(0.2, 2)
-    target = basis_state("00")
+    target = basis_state("00")[:, None]
     full = complete_to_tp(e, target)
     assert tp_defect(full) < 1e-9
 
@@ -192,13 +192,12 @@ def test_complete_to_tp_on_an_isometry_target():
     added = QuantumChannel(full.kraus[1:]).apply(rho)
     weight = np.trace((np.eye(4) - e.kraus_sum()) @ rho).real
     assert np.max(np.abs(added - weight * w @ w.conj().T / 2)) <= 1e-14
-    # a state target keeps the operators sqrt(lam) |t><phi|, t normalised
+    # a unit state as one column keeps the operators sqrt(lam) |t><phi|
     t = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    one = complete_to_tp(e, t)
-    want = [np.sqrt(lam) * np.outer(t / np.linalg.norm(t), phi.conj())
-            for lam, phi in _defect_oracle(e)]
+    t /= np.linalg.norm(t)
+    one = complete_to_tp(e, t[:, None])
+    want = [np.sqrt(lam) * np.outer(t, phi.conj()) for lam, phi in _defect_oracle(e)]
     assert np.max(np.abs(one.kraus[1:] - np.stack(want))) <= 1e-15
-    assert np.array_equal(one.kraus, complete_to_tp(e, (t / np.linalg.norm(t))[:, None]).kraus)
     for bad in (2.0 * w, np.ones((4, 2)), np.zeros(4), w[:3]):
         with pytest.raises(DimensionMismatch):
             complete_to_tp(e, bad)

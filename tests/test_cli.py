@@ -27,8 +27,12 @@ def _read_rows(path):
 def test_models_listing(capsys):
     assert main(["models"]) == 0
     out = capsys.readouterr().out
-    for name in ("ad", "leung41", "five513", "example5"):
+    for name in ("ad", "leung41", "five513"):
         assert name in out
+    # every listed model is one sweep takes
+    for name in [line.split()[0] for line in out.splitlines()]:
+        assert main(["sweep", "--curve", f"{name}:identity", "--gamma-stop", "0.02",
+                     "--out", "-"]) == 0
 
 
 def test_sweep_baseline_and_orderings(tmp_path):
@@ -143,6 +147,7 @@ def test_sweep_config_file_override(tmp_path):
 
 def test_search_rejects_bad_config(tmp_path):
     assert main(["search", "--codes", "0"]) == 2
+    assert main(["search", "--codes", "1000000000"]) == 2  # before any allocation
     assert main(["search", "--qubits", "7"]) == 2
     assert main(["search", "--codes", "1", "--metric", "bogus"]) == 2
 
@@ -289,7 +294,8 @@ def test_non_finite_or_zero_step_grid_rejected(tmp_path, capsys):
     out = ["--out", str(tmp_path / "o.csv"), "--best-out", str(tmp_path / "b.json")]
     for bad in (["--gamma-stop", "nan"], ["--gamma-start=-inf"], ["--gamma-step", "0"],
                 ["--gamma-stop", "1", "--gamma-step", "5e-324"],
-                ["--gamma-stop", "1e308", "--gamma-step", "1e-308"]):
+                ["--gamma-stop", "1e308", "--gamma-step", "1e-308"],
+                ["--gamma-stop", "1", "--gamma-step", "1e-8"]):  # 1e8 points
         assert main(["search", "--codes", "1", "--qubits", "2"] + bad + out) == 2
         _one_error_line(capsys)
 
@@ -356,9 +362,10 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
         cfg.write_text(json.dumps(overrides))
         assert main(["search", "--codes", "1", "--qubits", "2", "--config", str(cfg)] + out) == 2
         assert key in _one_error_line(capsys)
-    cfg.write_text(json.dumps({"curves": "ad:identity"}))
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
-    assert "curves" in _one_error_line(capsys)
+    for curves in ("ad:identity", []):  # an empty list does not mean the defaults
+        cfg.write_text(json.dumps({"curves": curves}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "curves" in _one_error_line(capsys)
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -368,6 +375,28 @@ def test_config_integer_accepted_for_float_flag(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(_read_rows(out)[1]) == 3  # header + gamma in {0, 1}
+
+
+def test_noise_stack_over_budget_is_a_numerical_failure(capsys):
+    # 10^6 + 1 gammas of leung41 damping, (G, 16, 16, 2): 1.9 GiB, refused
+    # before it is allocated
+    args = ["sweep", "--curve", "leung41:transpose", "--gamma-stop", "1",
+            "--gamma-step", "1e-6", "--out", "-"]
+    assert main(args) == 3
+    assert "budget" in _one_error_line(capsys)
+
+
+def test_sweep_f2_never_above_one(tmp_path):
+    # rounding put this d = 1 code's f2 at 1 + 4e-16 and its eta below 0
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(code_to_json(random_code(4, 1, 3))))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--curve", f"file={code_file}:transpose", "--gamma-stop", "0.1",
+                 "--gamma-step", "0.02", "--out", str(out)]) == 0
+    rows = _sweep_table(out)
+    assert len(rows) == 6
+    for row in rows:
+        assert float(row[2]) <= 1.0 and float(row[4]) >= 0.0
 
 
 def test_negative_seed_rejected(tmp_path, capsys):

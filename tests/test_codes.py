@@ -149,7 +149,7 @@ def test_bloch_to_state_vector_consistency():
     for _ in range(20):
         s = rng.standard_normal(3)
         s /= np.linalg.norm(s)
-        psi = bloch_to_state_vector(code, s)
+        [psi] = bloch_to_state_vector(code, s[None])
         rho = bloch_state(code, s)
         assert np.max(np.abs(np.outer(psi, psi.conj()) - rho)) < 1e-10
 
