@@ -17,7 +17,6 @@ from .channels import (
 )
 from .codes import (
     CodeSpace,
-    bloch_to_state_vector,
     code_from_json,
     code_to_json,
     random_code,
@@ -48,13 +47,12 @@ from .models import (
     qubit_space,
     truncated_damping_channel,
 )
-from .transpose import TransposeRecovery, code_kraus, transpose_channel
+from .transpose import code_kraus, transpose_channel
 
 __all__ = [
     "QuantumChannel", "channel_from_json", "channel_to_json", "complete_to_tp",
     "tensor_power",
-    "CodeSpace", "bloch_to_state_vector", "code_from_json", "code_to_json",
-    "random_code",
+    "CodeSpace", "code_from_json", "code_to_json", "random_code",
     "AqecDiagnostics", "NearOptimalityReport", "PerfectQecCertificate", "Verdict",
     "alternate_condition_residual", "aqec_diagnostics", "build_r_perf",
     "check_perfect_qec", "near_optimality_bound_check", "near_optimality_factor",
@@ -63,5 +61,5 @@ __all__ = [
     "amplitude_damping", "example5_channel", "example5_eta_formula",
     "five_qubit_code_only", "five_qubit_noise", "five_qubit_recovery",
     "leung_code", "leung_recovery", "qubit_space", "truncated_damping_channel",
-    "TransposeRecovery", "code_kraus", "transpose_channel",
+    "code_kraus", "transpose_channel",
 ]

@@ -1,6 +1,7 @@
 """Command-line interface: gamma sweeps, random code search, condition checks.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or
+running out of memory.
 
 Curves for `sweep` are given as MODEL:RECOVERY pairs, e.g.::
 
@@ -77,10 +78,12 @@ class UserConfigError(Exception):
 
 
 def gamma_grid(start: float, stop: float, step: float) -> list[float]:
-    """The grid start, start + step, ..., stop, each value rounded to 12
-    decimals.  Raises UserConfigError for a non-numeric or non-finite
-    bound, a non-positive step, a step too small for a finite point count,
-    an empty grid or one of more than MAX_COUNT points."""
+    """The grid start, start + step, ..., each value rounded to 12 decimals,
+    up to the last point that, so rounded, does not exceed stop; stop itself
+    is a point when the span is a whole number of steps.  Raises
+    UserConfigError for a non-numeric or non-finite bound, a non-positive
+    step, a step too small for a finite point count, an empty grid or one
+    of more than MAX_COUNT points."""
     try:
         start, stop, step = float(start), float(stop), float(step)
     except (TypeError, ValueError) as exc:
@@ -96,6 +99,8 @@ def gamma_grid(start: float, stop: float, step: float) -> list[float]:
         raise UserConfigError(f"gamma grid from {start} to {stop} in steps of {step} "
                               "has no finite number of points")
     count = int(round(steps)) + 1
+    if count >= 1 and round(start + (count - 1) * step, 12) > stop:
+        count -= 1  # the span rounded up to whole steps
     if count < 1:
         raise UserConfigError(f"empty gamma grid: start {start} lies above stop {stop}")
     if count > MAX_COUNT:
@@ -430,10 +435,7 @@ def cmd_check(args: argparse.Namespace) -> None:
         _check_writable(out)
     channel = channel_from_json(_read_json(args.channel, "channel file"))
     code = _load_code_file(args.code)
-    diag = aqec_diagnostics(channel, code, epsilon)
-    payload = diag.to_json_dict()
-    payload["epsilon_f_epsilon_d"] = epsilon * diag.f_epsilon_d
-    text = _json_text(payload)
+    text = _json_text(aqec_diagnostics(channel, code, epsilon).to_json_dict())
     if out and out != "-":  # '-' is standard output, which always gets the JSON
         _write_file(out, text)
     sys.stdout.write(text)
@@ -546,6 +548,10 @@ def main(argv=None) -> int:
         return 2
     except AqecError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 3
     return 0
 

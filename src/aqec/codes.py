@@ -1,4 +1,4 @@
-"""Subspace codes, Haar-random codes and qubit-code Bloch state vectors.
+"""Subspace codes and Haar-random codes.
 
 A code is a d-dimensional subspace of a D-dimensional Hilbert space,
 stored as the D x d isometry whose columns are an orthonormal basis.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _json_fields, _matrix_to_pairs, _pairs_to_matrix
-from .exceptions import DimensionMismatch, NonFiniteInput, NotQubitCode
+from .exceptions import DimensionMismatch, NonFiniteInput
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -110,20 +110,6 @@ def _su_generators(d: int) -> list[np.ndarray]:
         g[l, l] = -l
         gens.append(scale * np.sqrt(2.0 / (l * (l + 1))) * g)
     return gens
-
-
-def bloch_to_state_vector(code: CodeSpace, s) -> np.ndarray:
-    """Unit-norm ambient state vectors (G, D), one per row of a (G, 3)
-    stack of Bloch vectors with |s| = 1."""
-    if code.code_dim != 2:
-        raise NotQubitCode(f"code dimension is {code.code_dim}, need 2")
-    s = np.asarray(s, dtype=float)
-    v1, v2 = code.basis.T
-    south = s[:, 2] < -1 + 1e-14
-    psi = (1.0 + s[:, 2:]) * v1 + (s[:, :1] + 1j * s[:, 1:2]) * v2
-    psi[south] = v2
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    return psi
 
 
 def code_to_json(code: CodeSpace) -> dict:

@@ -113,6 +113,7 @@ class AqecDiagnostics:
             "verdict": self.verdict.value,
             "epsilon": self.epsilon,
             "f_epsilon_d": self.f_epsilon_d,
+            "epsilon_f_epsilon_d": self.epsilon * self.f_epsilon_d,
         }
 
 
@@ -161,24 +162,21 @@ def check_perfect_qec(e: QuantumChannel, code: CodeSpace) -> PerfectQecCertifica
     )
 
 
-def build_r_perf(
-    cert: PerfectQecCertificate, e: QuantumChannel, code: CodeSpace
-) -> QuantumChannel:
-    """Standard recovery for a certified pair: Kraus {P F_k^dag / sqrt(d_k)}.
+def build_r_perf(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
+    """Standard recovery for a perfectly correctable pair: Kraus
+    {P F_k^dag / sqrt(d_k)}.
 
-    Raises CertificateInvalid unless cert is satisfied; the operators are
-    those of _standard_recovery_on, the core the five513:rperf sweep curve
-    reads.  The rotated Kraus operators F_k = sum_i u_ik E_i of
-    alpha = u diag(d) u^dag satisfy P F_k^dag F_l P = d_k delta_kl P, so
-    F_k P / sqrt(d_k) is an isometry on the code and its adjoint undoes
-    it; only the components psd_eigh keeps in alpha contribute.
-    For any code state rho, (R_perf after e)(rho) = (sum_k d_k) rho, and
-    R_perf equals the transpose channel of the pair.
+    Certifies the pair and builds the recovery in one pass: the operators
+    are those of _standard_recovery_on, the core the five513:rperf sweep
+    curve reads, which raises CertificateInvalid when the residual of
+    check_perfect_qec's conditions exceeds PERFECT_TOL.  The rotated
+    Kraus operators F_k = sum_i u_ik E_i of alpha = u diag(d) u^dag
+    satisfy P F_k^dag F_l P = d_k delta_kl P, so F_k P / sqrt(d_k) is an
+    isometry on the code and its adjoint undoes it; only the components
+    psd_eigh keeps in alpha contribute.  For any code state rho,
+    (R_perf after e)(rho) = (sum_k d_k) rho, and R_perf equals the
+    transpose channel of the pair.
     """
-    if not cert.satisfied:
-        raise CertificateInvalid(
-            f"residual {cert.residual:.3e} exceeds tolerance {PERFECT_TOL:.3e}"
-        )
     ops = _standard_recovery_on(_noise_on_code(e.kraus, code)[None])[0]
     return QuantumChannel(_prune(list(code.basis @ ops)))
 
@@ -275,7 +273,6 @@ class NearOptimalityReport:
     eta_hat: float
     bound: float
     bound_satisfied: bool
-    f_zero: float
 
 
 def near_optimality_bound_check(
@@ -308,5 +305,4 @@ def near_optimality_bound_check(
         eta_hat=eta_hat,
         bound=bound,
         bound_satisfied=eta_p <= bound + BOUND_TOL,
-        f_zero=near_optimality_factor(0.0, d),
     )

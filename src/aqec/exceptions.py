@@ -25,10 +25,6 @@ class NotPSD(AqecError):
     """Matrix has an eigenvalue below the allowed negative tolerance."""
 
 
-class NotQubitCode(AqecError):
-    """Operation requires a code of dimension 2."""
-
-
 class NotTP(AqecError):
     """Channel is neither trace preserving nor proportionally trace
     preserving on the relevant subspace."""

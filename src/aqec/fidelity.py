@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel
-from .codes import CodeSpace, _su_generators, bloch_to_state_vector
+from .codes import CodeSpace, _su_generators
 from .exceptions import DimensionMismatch, PreconditionViolated
 from .transpose import _normalised_noise_on_code, code_kraus
 
@@ -73,7 +73,6 @@ class WorstCaseResult:
     f2_min: float
     eta: float
     worst_state: np.ndarray
-    bloch: np.ndarray | None
     method: str
     samples: int | None = None
     seed: int | None = None
@@ -112,13 +111,6 @@ def _tp_unital(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e0 = np.eye(m.shape[-1])[0]
     return (np.max(np.abs(m[..., 0, :] - e0), axis=-1) <= FLAG_TOL,
             np.max(np.abs(m[..., :, 0] - e0), axis=-1) <= FLAG_TOL)
-
-
-def _qubit_methods(m: np.ndarray) -> list[str]:
-    """Method labels of qubit worst cases, from the flags of each process
-    matrix of a stack m."""
-    tp, unital = _tp_unital(m)
-    return [EXACT_UNITAL_QUBIT if ok else LAGRANGE_QUBIT for ok in tp & unital]
 
 
 def _code_process_matrices(k: np.ndarray) -> np.ndarray:
@@ -195,12 +187,13 @@ def _min_quadratic_on_sphere(
 
     Trust-region-style solver on one stacked eigh of N: stationary points
     satisfy (N - lam I) s = -b with lam at or below the smallest
-    eigenvalue mu_0 of N.  A form with b = 0 takes the bottom eigenvector.
-    Otherwise the candidates are the secular root strictly below mu_0
-    (easy branch), and the solution on the complement of the bottom
-    eigenspace with its remaining length filled along a bottom
+    eigenvalue mu_0 of N.  The candidates are the secular root strictly
+    below mu_0 (easy branch), and the solution on the complement of the
+    bottom eigenspace with its remaining length filled along a bottom
     eigenvector, or, when that solution is longer than one, the complement
     terms' own secular root (degenerate branch); the lower one is kept.
+    A form with b = 0 has no easy branch, and its degenerate branch is the
+    bottom eigenvector.
     """
     n_sym = (n_sym + n_sym.swapaxes(-1, -2)) / 2.0
     mu, q = np.linalg.eigh(n_sym)
@@ -213,14 +206,11 @@ def _min_quadratic_on_sphere(
     beta_min_norm = np.linalg.norm(np.where(cluster, beta, 0.0), axis=-1)
     lo = mu0 - bnorm - 1e-3 * scale
     xtol = 1e-15 * scale
-    unital = bnorm <= 1e-14 * scale
 
-    # Degenerate branch, in eigenvector coordinates; it is the bottom
-    # eigenvector itself when b = 0.
+    # Degenerate branch, in eigenvector coordinates.
     beta_rest = np.where(cluster, 0.0, beta)
     gap = np.where(cluster, 1.0, mu - mu0[:, None])
     y_deg = -beta_rest / gap
-    y_deg[unital] = 0.0
     perp_norm = np.linalg.norm(y_deg, axis=-1)
     y_deg[:, 0] += np.sqrt(np.maximum(0.0, 1.0 - perp_norm**2))
     over = np.flatnonzero(perp_norm > 1.0)
@@ -231,7 +221,7 @@ def _min_quadratic_on_sphere(
 
     # Easy branch: secular root strictly below mu_0.
     hi = mu0 - np.maximum(0.5 * beta_min_norm, 1e-14 * scale)
-    easy = (beta_min_norm > 1e-13 * scale) & ~unital
+    easy = beta_min_norm > 1e-13 * scale
     easy[easy] = np.sum((beta[easy] / (mu[easy] - hi[easy, None])) ** 2, axis=-1) > 1.0
     easy = np.flatnonzero(easy)
     s_easy = s_deg.copy()
@@ -489,34 +479,40 @@ def _min_forms(
 
     The forms of all blocks are minimised together.  Qubit codes are solved
     exactly on the Bloch sphere s = (1, bloch), each form labelled by the
-    flags of its M_g (_qubit_methods).  Larger codes share one
-    _min_forms_sampled run: upper bounds on the minima, labelled SAMPLED.
+    flags of its M_g (_tp_unital): EXACT_UNITAL_QUBIT when it is trace
+    preserving and unital, LAGRANGE_QUBIT otherwise; a Bloch minimiser
+    becomes the code coefficients (1 + s_z, s_x + i s_y), normalised, or
+    (0, 1) at the south pole.  Larger codes share one _min_forms_sampled
+    run: upper bounds on the minima, labelled SAMPLED.  Every worst state
+    is c W^T for its code coefficients c.
     """
     d = blocks[0][1].code_dim
     m = np.concatenate([maps for maps, _ in blocks])
     q = m / d
     if d == 2:
-        methods = _qubit_methods(m)
+        tp, unital = _tp_unital(m)
+        exact = tp & unital
         q = (q + q.swapaxes(-1, -2)) / 2.0
-        # A TP unital map's flags hold the first row and column of M to e0
-        # within FLAG_TOL; taken as exact, c0 = 1/2 and b = 0 give the
-        # eigenvalue formula (1 + t_min)/2.
-        unital = np.array([m == EXACT_UNITAL_QUBIT for m in methods])
-        c0 = np.where(unital, 0.5, q[:, 0, 0])
-        b = np.where(unital[:, None], 0.0, q[:, 1:, 0])
-        vals, blochs = _min_quadratic_on_sphere(c0, b, q[:, 1:, 1:])
-        tails = [(bloch, method, None, None) for bloch, method in zip(blochs, methods)]
+        # The flags hold the first row and column of M to e0 within
+        # FLAG_TOL; taken as exact, c0 = 1/2 and b = 0 give the eigenvalue
+        # formula (1 + t_min)/2.
+        c0 = np.where(exact, 0.5, q[:, 0, 0])
+        b = np.where(exact[:, None], 0.0, q[:, 1:, 0])
+        vals, s = _min_quadratic_on_sphere(c0, b, q[:, 1:, 1:])
+        cs = np.stack([1.0 + s[:, 2], s[:, 0] + 1j * s[:, 1]], axis=1)
+        cs[s[:, 2] < -1 + 1e-14] = (0.0, 1.0)
+        cs /= np.linalg.norm(cs, axis=1, keepdims=True)
+        tails = [(EXACT_UNITAL_QUBIT if ok else LAGRANGE_QUBIT, None, None) for ok in exact]
     else:
         vals, cs = _min_forms_sampled(q, samples, seed)
-        tails = [(None, SAMPLED, samples, seed)] * len(vals)
+        tails = [(SAMPLED, samples, seed)] * len(vals)
     vals = np.minimum(vals, 1.0)
     out, lo = [], 0
     for maps, code in blocks:
         part = slice(lo, lo + len(maps))
         lo = part.stop
-        psis = bloch_to_state_vector(code, blochs[part]) if d == 2 else cs[part] @ code.basis.T
         out.append([WorstCaseResult(float(v), 1.0 - float(v), psi, *tail)
-                    for v, psi, tail in zip(vals[part], psis, tails[part])])
+                    for v, psi, tail in zip(vals[part], cs[part] @ code.basis.T, tails[part])])
     return out
 
 
@@ -559,8 +555,8 @@ def transpose_fidelity_grid(
 
     kraus has shape (G, N, D, D): G channels of N Kraus operators each
     (zero operators are allowed), each normalised.  Each result equals
-    worst_case_fidelity(noise, transpose_channel(noise, code).recovery,
-    code) up to rounding, with the same method: all G code-space maps and
+    worst_case_fidelity(noise, transpose_channel(noise, code), code) up to
+    rounding, with the same method: all G code-space maps and
     their process matrices come from one batched call each, and all G
     worst cases from one _min_forms call.
     """

@@ -11,7 +11,7 @@ import numpy as np
 
 from .channels import QuantumChannel, _check_budget, complete_to_tp
 from .codes import CodeSpace, _su_generators
-from .conditions import build_r_perf, check_perfect_qec
+from .conditions import build_r_perf
 from .exceptions import ParamOutOfRange
 
 # I, X, Y, Z: the column of each row's one entry (X, Y flip the bit), its value
@@ -40,10 +40,7 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
 
         E0 = diag(1, sqrt(1 - gamma)),  E1 = sqrt(gamma) |0><1|.
     """
-    _check_gamma(gamma)
-    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
-    e1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return QuantumChannel([e0, e1])
+    return QuantumChannel(_damping_on([gamma], np.eye(2, dtype=complex))[0])
 
 
 def _product_on(cols: np.ndarray, vals: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -254,19 +251,16 @@ def five_qubit_recovery(gamma: float) -> QuantumChannel:
     set (two or more damping events) are discarded and replaced by the
     maximally mixed code state."""
     code, noise = five_qubit_code_only(), five_qubit_noise(gamma)
-    cert = check_perfect_qec(noise, code)
-    return complete_to_tp(build_r_perf(cert, noise, code), code.basis)
+    return complete_to_tp(build_r_perf(noise, code), code.basis)
 
 
-def example5_channel(
-    d: int, p: float, ambient_dim: int | None = None
-) -> tuple[QuantumChannel, CodeSpace]:
+def example5_channel(d: int, p: float) -> tuple[QuantumChannel, CodeSpace]:
     """Near-identity channel with a weak leak of every code state to |0>:
 
         {sqrt(1-p) P, sqrt(p) |0><0|, ..., sqrt(p) |0><d-1|}
 
-    on the code span{|0>, ..., |d-1>} inside a larger space, plus one
-    Kraus operator I - P on the complement so the total map is TP.  For
+    on the code span{|0>, ..., |d-1>} of C^(d+1), plus one Kraus operator
+    I - P = |d><d| on the complement so the total map is TP.  For
     d >= 3 the transpose-channel fidelity loss has the closed form
     example5_eta_formula, while doing nothing loses only p.
     """
@@ -274,22 +268,11 @@ def example5_channel(
         raise ParamOutOfRange(f"code dimension {d} must be at least 2")
     if not 0.0 <= p < 1.0:
         raise ParamOutOfRange(f"p = {p} outside [0, 1)")
-    if ambient_dim is None:
-        ambient_dim = d + 1
-    if ambient_dim < d + 1:
-        raise ParamOutOfRange(
-            f"ambient dimension {ambient_dim} must be at least d + 1 = {d + 1}"
-        )
-    basis = np.eye(ambient_dim, dtype=complex)[:, :d]
-    code = CodeSpace(basis)
+    code = CodeSpace(np.eye(d + 1, dtype=complex)[:, :d])
     p_proj = code.projector()
-    ops = [np.sqrt(1.0 - p) * p_proj]
-    for k in range(d):
-        op = np.zeros((ambient_dim, ambient_dim), dtype=complex)
-        op[0, k] = np.sqrt(p)
-        ops.append(op)
-    ops.append(np.eye(ambient_dim) - p_proj)
-    return QuantumChannel(ops), code
+    leaks = np.zeros((d, d + 1, d + 1), dtype=complex)
+    leaks[np.arange(d), 0, np.arange(d)] = np.sqrt(p)  # sqrt(p) |0><k|
+    return QuantumChannel([np.sqrt(1.0 - p) * p_proj, *leaks, np.eye(d + 1) - p_proj]), code
 
 
 def example5_eta_formula(d: int, p: float) -> float:

@@ -23,8 +23,6 @@ one factorisation of E(P) (_transpose_factor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import QuantumChannel, _prune
@@ -76,29 +74,19 @@ def _transpose_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return weight, vecs, c
 
 
-@dataclass(frozen=True)
-class TransposeRecovery:
-    """Recovery channel plus the projector onto its natural domain."""
-
-    recovery: QuantumChannel
-    support_projector: np.ndarray
-
-
-def transpose_channel(e: QuantumChannel, code: CodeSpace) -> TransposeRecovery:
-    """Build the transpose-channel recovery for noise e on the given code.
+def transpose_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
+    """The transpose-channel recovery for noise e on the given code.
 
     Kraus operators R_i = P E_i^dag B, B the on-support inverse square
     root of E(P), are W C_i^dag diag(w) V^dag (C_i the i-th d columns of
-    C) and the support projector is V diag(w > 0) V^dag, from one
-    _transpose_factor.  Raises NotPSD if E(P) is not PSD.
+    C), from one _transpose_factor.  Raises NotPSD if E(P) is not PSD.
     """
     m = _noise_on_code(e.kraus, code)
     n, dim, d = m.shape
     weight, v, c = _transpose_factor(m)
     c_blocks = c.reshape(dim, n, d).transpose(1, 2, 0).conj()
     ops = code.basis @ c_blocks @ (weight[:, None] * v.conj().T)
-    support = (v * (weight > 0)) @ v.conj().T
-    return TransposeRecovery(QuantumChannel(_prune(list(ops))), support)
+    return QuantumChannel(_prune(list(ops)))
 
 
 def code_kraus(m: np.ndarray) -> np.ndarray:

@@ -200,8 +200,8 @@ def check_transpose_gauge_invariance(seed: int, cases: int = 20) -> None:
         dim = int(rng.integers(3, 6))
         e = random_tp_channel(dim, int(rng.integers(2, 4)), rng)
         code = random_code(dim, 2, int(rng.integers(0, 2**31)))
-        r1 = transpose_channel(e, code).recovery
-        r2 = transpose_channel(remix_kraus(e, rng), code).recovery
+        r1 = transpose_channel(e, code)
+        r2 = transpose_channel(remix_kraus(e, rng), code)
         assert np.max(np.abs(choi(r1) - choi(r2))) < 1e-10
 
 
@@ -278,7 +278,7 @@ def check_eta_is_transpose_worst_case(seed: int, cases: int = 10) -> None:
     for e, code in pairs:
         diag = aqec_diagnostics(e, code, epsilon=0.1)
         scaled = QuantumChannel([k / np.sqrt(diag.restricted_factor) for k in e.kraus])
-        ref = worst_case_fidelity(scaled, transpose_channel(e, code).recovery, code)
+        ref = worst_case_fidelity(scaled, transpose_channel(e, code), code)
         assert diag.eta_method == ref.method, (diag.eta_method, ref.method)
         assert abs(diag.eta - ref.eta) <= 1e-9, (diag.eta, ref.eta)
 
@@ -297,7 +297,7 @@ def check_eta_scale_invariant(seed: int, cases: int = 8) -> None:
         c = float(rng.uniform(0.05, 0.95))
         etas = []
         for noise in (e, QuantumChannel([c * k for k in e.kraus])):
-            recovery = transpose_channel(noise, code).recovery
+            recovery = transpose_channel(noise, code)
             etas.append([
                 aqec_diagnostics(noise, code, 0.1, seed=seed).eta,
                 transpose_fidelity_grid(noise.kraus[None], code, seed=seed)[0].eta,
@@ -337,7 +337,7 @@ def check_verdict_soundness(seed: int, cases: int = 20) -> None:
         if diag2.verdict is not Verdict.NOT_CORRECTABLE:
             continue
         tested += 1
-        for recovery in (None, transpose_channel(e, code).recovery,
+        for recovery in (None, transpose_channel(e, code),
                          embed_qubit_channel(random_unital_qubit_channel(rng), code)):
             res = worst_case_fidelity(e, recovery, code)
             assert res.eta > eps

@@ -221,7 +221,7 @@ def test_transpose_of_bitflip_matches_projection_identity():
     # acts as the identity on code states
     code = bit_flip_code()
     e = bit_flip_channel(0.1)
-    r = transpose_channel(e, code).recovery
+    r = transpose_channel(e, code)
     rng = np.random.default_rng(6)
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     c /= np.linalg.norm(c)

@@ -268,7 +268,7 @@ def test_search_outperforms_five_qubit_code_at_high_gamma():
     best = -1.0
     for s in seeds:
         code = random_code(16, 2, s)
-        r = transpose_channel(e4, code).recovery
+        r = transpose_channel(e4, code)
         best = max(best, worst_case_fidelity(e4, r, code).f2_min)
     assert best > f_five
     assert best > 1 - g
@@ -298,6 +298,39 @@ def test_non_finite_or_zero_step_grid_rejected(tmp_path, capsys):
                 ["--gamma-stop", "1", "--gamma-step", "1e-8"]):  # 1e8 points
         assert main(["search", "--codes", "1", "--qubits", "2"] + bad + out) == 2
         _one_error_line(capsys)
+
+
+def test_gamma_grid_never_passes_stop(tmp_path):
+    from aqec.cli import gamma_grid
+
+    # a span that is not a whole number of steps ends below stop
+    for stop, step, want in (("0.5", "0.3", ["0", "0.29999999999999999"]),
+                             ("1", "0.6", ["0", "0.59999999999999998"])):
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--curve", "ad:identity", "--gamma-stop", stop,
+                     "--gamma-step", step, "--out", str(out)]) == 0
+        assert [row.split(",")[0] for row in _read_rows(out)[1][1:]] == want
+    # a whole number of steps keeps stop as the last point
+    for start, stop, step, count in ((0.0, 0.5, 0.01, 51), (0.0, 0.5, 0.1, 6),
+                                     (0.11, 0.21, 0.01, 11), (0.44, 0.5, 0.01, 7),
+                                     (0.9, 1.0, 0.05, 3), (0.1, 0.1, 0.01, 1)):
+        grid = gamma_grid(start, stop, step)
+        assert len(grid) == count and grid[-1] == stop
+
+
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import aqec.cli
+
+    for exc in (MemoryError("Unable to allocate 488. MiB for an array"), MemoryError()):
+        def exhausted(k, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(aqec.cli, "_code_process_matrices", exhausted)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--curve", "ad:identity", "--gamma-stop", "0.02",
+                     "--out", str(out)]) == 3
+        assert "out of memory" in _one_error_line(capsys)
+        assert not out.exists()
 
 
 def test_bad_samples_rejected(tmp_path, capsys):
@@ -417,7 +450,7 @@ def _reference_transpose(gamma, n, code, samples, seed):
     from aqec import transpose_channel, worst_case_fidelity
 
     noise = tensor_power(amplitude_damping(gamma), n)
-    rec = transpose_channel(noise, code).recovery
+    rec = transpose_channel(noise, code)
     return worst_case_fidelity(noise, rec, code, samples=samples, seed=seed)
 
 
@@ -946,7 +979,7 @@ def test_json_outputs_put_one_top_level_key_per_line(tmp_path, capsys):
     assert out.read_bytes() == text.encode()
     diag = aqec_diagnostics(channel, code, 0.05)
     expected = diag.to_json_dict()
-    expected["epsilon_f_epsilon_d"] = 0.05 * diag.f_epsilon_d
+    assert expected["epsilon_f_epsilon_d"] == 0.05 * diag.f_epsilon_d
     assert json.loads(text) == expected
     assert_layout(text, list(expected))
 

@@ -3,13 +3,12 @@ import pytest
 
 from aqec import (
     CodeSpace,
-    bloch_to_state_vector,
     code_from_json,
     code_to_json,
     random_code,
 )
 from aqec.exceptions import DimensionMismatch
-from aqec.fidelity import _code_operator_basis
+from aqec.fidelity import LAGRANGE_QUBIT, _code_operator_basis, _min_forms
 from aqec.models import leung_code
 
 from helpers import bloch_state, code_paulis
@@ -143,13 +142,22 @@ def test_bloch_state_poles_and_mixed():
     assert np.max(np.abs(plus - np.outer(vec, vec.conj()))) < 1e-12
 
 
-def test_bloch_to_state_vector_consistency():
+def test_qubit_worst_states_match_bloch_states():
+    # M = I with M_a0 = -s_a gives the form 1 - s.bloch / 2 on the Bloch
+    # sphere, smallest at the unit vector s, so the worst state _min_forms
+    # builds is the pure state with Bloch vector s; the poles included, the
+    # south pole being the state (0, 1).
     rng = np.random.default_rng(12)
     code = random_code(5, 2, 5)
-    for _ in range(20):
-        s = rng.standard_normal(3)
-        s /= np.linalg.norm(s)
-        [psi] = bloch_to_state_vector(code, s[None])
+    dirs = rng.standard_normal((20, 3))
+    dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                      [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    m = np.tile(np.eye(4), (len(dirs), 1, 1))
+    m[:, 1:, 0] = -dirs
+    [results] = _min_forms([(m, code)])
+    for res, s in zip(results, dirs):
+        assert res.method == LAGRANGE_QUBIT
+        psi = res.worst_state
         rho = bloch_state(code, s)
         assert np.max(np.abs(np.outer(psi, psi.conj()) - rho)) < 1e-10
 

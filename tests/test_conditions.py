@@ -92,8 +92,7 @@ def test_truncated_damping_residual_scales_quadratically():
 
 def test_build_r_perf_identity_channel():
     code = random_code(4, 2, 8)
-    cert = check_perfect_qec(QuantumChannel([np.eye(4)]), code)
-    r = build_r_perf(cert, QuantumChannel([np.eye(4)]), code)
+    r = build_r_perf(QuantumChannel([np.eye(4)]), code)
     assert np.max(np.abs(r.kraus[0] - code.projector())) < 1e-10
 
 
@@ -101,7 +100,7 @@ def test_build_r_perf_recovers_code_states():
     code = bit_flip_code()
     e = bit_flip_channel(0.15)
     cert = check_perfect_qec(e, code)
-    r = build_r_perf(cert, e, code)
+    r = build_r_perf(e, code)
     rng = np.random.default_rng(2)
     total = float(np.trace(cert.alpha).real)
     for _ in range(5):
@@ -124,9 +123,8 @@ _CERTIFIED_PAIRS = [
 
 @pytest.mark.parametrize("e, code", _CERTIFIED_PAIRS)
 def test_build_r_perf_equals_transpose_channel(e, code):
-    cert = check_perfect_qec(e, code)
     assert channels_equal(
-        build_r_perf(cert, e, code), transpose_channel(e, code).recovery, 1e-12
+        build_r_perf(e, code), transpose_channel(e, code), 1e-12
     )
 
 
@@ -134,16 +132,16 @@ def test_build_r_perf_equals_transpose_channel(e, code):
 def test_build_r_perf_matches_polar_construction(e, code):
     cert = check_perfect_qec(e, code)
     assert cert.satisfied
-    fast = choi(build_r_perf(cert, e, code))
+    fast = choi(build_r_perf(e, code))
     assert np.max(np.abs(fast - choi(polar_r_perf(cert, e, code)))) < 1e-12
 
 
 def test_build_r_perf_rejects_bad_certificate():
     code = leung_code()
     e = tensor_power(amplitude_damping(0.1), 4)
-    cert = check_perfect_qec(e, code)
+    assert not check_perfect_qec(e, code).satisfied
     with pytest.raises(CertificateInvalid):
-        build_r_perf(cert, e, code)
+        build_r_perf(e, code)
     # the batched core checks the conditions itself
     with pytest.raises(CertificateInvalid):
         _standard_recovery_on(_five_qubit_noise_on([0.1], random_code(32, 2, 3).basis))
@@ -238,12 +236,12 @@ def test_near_optimality_perfect_pair_saturates():
         ops.append(np.sqrt(pr) * pauli_string(s))
     e = QuantumChannel(ops)
     report = near_optimality_bound_check(
-        e, code, [transpose_channel(e, code).recovery]
+        e, code, [transpose_channel(e, code)]
     )
     assert report.eta_p < 1e-9
     assert report.eta_hat < 1e-9
     assert report.bound_satisfied
-    assert report.f_zero == 3.0
+    assert near_optimality_factor(0.0, report.code_dim) == 3.0
 
 
 def test_near_optimality_example5_identity_candidate():
@@ -287,7 +285,10 @@ def test_diagnostics_json_fields():
         "verdict",
         "epsilon",
         "f_epsilon_d",
+        "epsilon_f_epsilon_d",
     }
+    assert list(data)[-1] == "epsilon_f_epsilon_d"
+    assert data["epsilon_f_epsilon_d"] == 0.2 * diag.f_epsilon_d
     assert data["eta_method"] == "sampled"
     assert data["samples"] == 10_000
 
@@ -347,7 +348,7 @@ def test_near_optimality_eta_p_matches_ambient_transpose(d, gamma):
     code = random_code(8, d, 40 + d)
     e = tensor_power(amplitude_damping(gamma), 3)
     report = near_optimality_bound_check(e, code, [None], samples=3000, seed=6)
-    rp = transpose_channel(e, code).recovery
+    rp = transpose_channel(e, code)
     ref = worst_case_fidelity(e, rp, code, samples=3000, seed=6)
     assert abs(report.eta_p - ref.eta) <= 1e-12
 
@@ -364,7 +365,7 @@ def test_every_reported_method_is_a_fidelity_method():
         assert diag.eta_method in methods
         assert diag.to_json_dict()["eta_method"] == diag.eta_method
         assert diag.eta_method == (EXACT_UNITAL_QUBIT if code.code_dim == 2 else SAMPLED)
-        recovery = transpose_channel(e4, code).recovery
+        recovery = transpose_channel(e4, code)
         assert worst_case_fidelity(e4, recovery, code).method == diag.eta_method
         for rec in (None, recovery):
             assert worst_case_fidelity(e4, rec, code).method in methods
@@ -384,7 +385,7 @@ def test_tp_factor_is_read_on_the_code():
     assert tp_defect(lossy) > 0.1
     diag = aqec_diagnostics(lossy, code, 0.1)
     assert diag.restricted_factor == 1.0
-    ref = worst_case_fidelity(lossy, transpose_channel(lossy, code).recovery, code)
+    ref = worst_case_fidelity(lossy, transpose_channel(lossy, code), code)
     assert abs(diag.eta - ref.eta) <= 1e-12
     # the truncated bit flips: a = (1 - q)^3 + 3 q (1 - q)^2 = (1 - q)^2 (1 + 2 q)
     q = 0.1
@@ -407,7 +408,7 @@ def test_bit_flip_pair_corrected_in_every_eta():
     etas = [
         aqec_diagnostics(e, code, 0.1).eta,
         transpose_fidelity_grid(e.kraus[None], code)[0].eta,
-        worst_case_fidelity(e, transpose_channel(e, code).recovery, code).eta,
+        worst_case_fidelity(e, transpose_channel(e, code), code).eta,
         near_optimality_bound_check(e, code, [None]).eta_p,
     ]
     assert max(etas) <= 1e-12, etas

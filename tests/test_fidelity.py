@@ -22,7 +22,6 @@ from aqec.fidelity import (
     _min_forms_sampled,
     _min_quadratic_on_sphere,
     _pair_coefficients,
-    _qubit_methods,
     _real_generators,
     _refine_forms,
     _tp_unital,
@@ -51,6 +50,19 @@ from properties import (
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _qubit_labels(m):
+    """Method labels of qubit worst cases, from the flags of each process
+    matrix of a stack m."""
+    tp, unital = _tp_unital(m)
+    return [EXACT_UNITAL_QUBIT if ok else LAGRANGE_QUBIT for ok in tp & unital]
+
+
+def _bloch_of(code, psi):
+    """Bloch vector of the code state W^dag psi."""
+    c = code.basis.conj().T @ psi
+    return np.array([(c.conj() @ g @ c).real for g in _su_generators(2)])
 
 
 def test_process_matrix_identity():
@@ -142,7 +154,7 @@ def test_lagrange_bare_damping():
     res = worst_case_fidelity(amplitude_damping(0.2), None, qubit_space())
     assert res.method == LAGRANGE_QUBIT
     assert abs(res.f2_min - 0.8) < 1e-12
-    assert np.allclose(res.bloch, [0, 0, -1], atol=1e-8)
+    assert np.allclose(_bloch_of(qubit_space(), res.worst_state), [0, 0, -1], atol=1e-8)
     # worst state is the excited state
     assert abs(abs(res.worst_state[1]) - 1.0) < 1e-8
 
@@ -220,7 +232,7 @@ def test_worst_case_dispatcher_methods():
     e = tensor_power(amplitude_damping(0.1), 4)
     from aqec import transpose_channel
 
-    r = transpose_channel(e, code).recovery
+    r = transpose_channel(e, code)
     res = worst_case_fidelity(e, r, code)
     assert res.method == "exact_unital_qubit"
     res_id = worst_case_fidelity(e, None, code)
@@ -305,7 +317,7 @@ def _transpose_maps(n_qubits, d, seed, gammas):
     k = code_kraus(noise @ code.basis)
     g, n = k.shape[:2]
     m = _code_process_matrices(k.reshape(g, n * n, d, d))
-    return m, _qubit_methods(m), code
+    return m, _qubit_labels(m), code
 
 
 def _qubit_oracle(q, methods):
@@ -325,7 +337,7 @@ def _assert_qubit_parity(m, methods):
     for res, method, (val, bloch) in zip(results, methods, _qubit_oracle(m / 2.0, methods)):
         assert res.method == method
         assert abs(res.f2_min - val) <= 1e-12
-        assert np.max(np.abs(res.bloch - bloch)) <= 1e-12
+        assert np.max(np.abs(_bloch_of(qubit_space(), res.worst_state) - bloch)) <= 1e-12
 
 
 def test_batched_qubit_solver_matches_scalar_unital_and_lagrange():
@@ -333,7 +345,7 @@ def test_batched_qubit_solver_matches_scalar_unital_and_lagrange():
     unital = [random_unital_qubit_channel(rng) for _ in range(10)]
     general = [random_tp_channel(2, int(rng.integers(2, 5)), rng) for _ in range(10)]
     m = np.stack([code_process_matrix(c, qubit_space()) for c in unital + general])
-    methods = _qubit_methods(m)
+    methods = _qubit_labels(m)
     assert methods == ["exact_unital_qubit"] * 10 + ["lagrange_qubit"] * 10
     _assert_qubit_parity(m, methods)
 
@@ -346,6 +358,7 @@ def test_batched_qubit_solver_matches_scalar_unital_and_lagrange():
         ([1.0, 1.0, 3.0], [0.0, 0.0, 0.7]),  # two-fold bottom eigenspace
         ([1.0, 5.0, 9.0], [0.0, 3.0, 1.0]),  # hard case
         ([1.0, 5.0, 9.0], [0.2, 3.0, 1.0]),  # easy branch
+        ([1.0, 2.0, 3.0], [0.0, 1e-15, 0.0]),  # 0 < |b| <= 1e-14 scale
     ],
 )
 def test_batched_qubit_solver_matches_scalar_branches(n_diag, b):
