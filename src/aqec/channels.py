@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import BudgetExceeded, DimensionMismatch, NonFiniteInput, NotPSD
-from .linalg import max_abs
 
 # Cap on total complex entries (n_kraus * dims_out * dims_in) a single
 # channel construction may produce.  Keeps five-fold tensor powers and
@@ -125,13 +124,15 @@ def complete_to_tp(e: QuantumChannel, target: np.ndarray) -> QuantumChannel:
     receives the maximally mixed state W W^dag / k.  For each eigenpair
     (lam, phi) of the defect with lam above COMPLETION_TOL, the Kraus
     operators sqrt(lam / k) |w_j><phi| are appended, j over the k columns.
-    Raises NotPSD when the defect has an eigenvalue below -COMPLETION_TOL.
+    Raises DimensionMismatch unless target is such an isometry with k >= 1,
+    and NotPSD when the defect has an eigenvalue below -COMPLETION_TOL.
     """
     w = np.asarray(target, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != e.dims_out:
-        raise DimensionMismatch("target must be an isometry into the channel output")
+    if w.ndim != 2 or w.shape[0] != e.dims_out or w.shape[1] < 1:
+        raise DimensionMismatch("target must be an isometry of at least one column "
+                                "into the channel output")
     k = w.shape[1]
-    if max_abs(w.conj().T @ w - np.eye(k)) > TP_TOL:
+    if np.max(np.abs(w.conj().T @ w - np.eye(k))) > TP_TOL:
         raise DimensionMismatch("target columns must be orthonormal")
     vals, vecs = np.linalg.eigh(np.eye(e.dims_in) - e.kraus_sum())
     if vals.size and float(vals[0]) < -COMPLETION_TOL:

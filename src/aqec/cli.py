@@ -44,13 +44,13 @@ from .fidelity import (
     DEFAULT_SAMPLES,
     SAMPLED,
     WorstCaseResult,
+    _code_operator_basis,
     _code_process_matrices,
     _compose_on_code,
     _min_forms,
 )
 from .models import (
     _check_gamma,
-    _complete_to_mixed_on_code,
     _damping_on,
     _five_qubit_noise_on,
     five_qubit_code_only,
@@ -153,9 +153,9 @@ def _load_code_file(path: str) -> CodeSpace:
 
 def _n_qubits_for(code: CodeSpace) -> int:
     n = int(round(np.log2(code.ambient_dim)))
-    if 2**n != code.ambient_dim:
+    if n < 1 or 2**n != code.ambient_dim:
         raise UserConfigError(
-            f"code ambient dimension {code.ambient_dim} is not a power of 2"
+            f"code ambient dimension {code.ambient_dim} is not 2^n for n >= 1 qubits"
         )
     return n
 
@@ -163,28 +163,35 @@ def _n_qubits_for(code: CodeSpace) -> int:
 def _recovered_on_code(
     recovery_name: str, code: CodeSpace, m: np.ndarray, gammas: list[float]
 ) -> np.ndarray:
-    """The code-basis Kraus stack (G, X, d, d) of a recovery after the
-    noise on the code m (G, N, D, d), M_i = E_i W, over the grid: identity
-    is W^dag M; transpose is code_kraus(M); leung composes the gamma
-    independent map, built once, with M.  The rperf curve composes only
-    the six syndrome operators of the standard recovery
-    (conditions._standard_recovery_on of the single-error channel on the
-    code) with the noise and completes the map on the code
-    (_complete_to_mixed_on_code): 6 N + d^2 operators per gamma.  Defect
-    eigenvalues at or below 1e-8, which the ambient five_qubit_recovery
-    drops, are kept there; values move by about 1e-15.
+    """The process matrices (G, d^2, d^2) of a recovery after the noise on
+    the code m (G, N, D, d), M_i = E_i W, over the grid, from its code-basis
+    Kraus stack (_code_process_matrices): identity is W^dag M; transpose is
+    code_kraus(M); leung composes the gamma independent map, built once,
+    with M.  The rperf curve composes only the six syndrome operators of
+    the standard recovery (conditions._standard_recovery_on of the
+    single-error channel on the code) with the noise.  Its TP completion,
+    which re-prepares the maximally mixed code state, rho -> tr(F rho) I/d
+    with F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, adds tr(F g_b)/d to row
+    0 alone, so row 0 becomes the noise's trace row tr(g_b sum_i M_i^dag
+    M_i)/d and no completion operator is formed.
     """
-    w = code.basis
+    w, d = code.basis, code.code_dim
     if recovery_name == "transpose":
-        return code_kraus(m).reshape(len(m), -1, code.code_dim, code.code_dim)
-    if recovery_name == "identity":
-        return w.conj().T @ m
-    if recovery_name == "leung":
+        k = code_kraus(m).reshape(len(m), -1, d, d)
+    elif recovery_name == "identity":
+        k = w.conj().T @ m
+    elif recovery_name == "leung":
         for g in gammas:
             _check_gamma(g, closed=False)
-        return _compose_on_code(w.conj().T @ leung_recovery(gammas[0]).kraus, m)
-    syndromes = _standard_recovery_on(_five_qubit_noise_on(gammas, w))
-    return _complete_to_mixed_on_code(_compose_on_code(syndromes, m), m)
+        k = _compose_on_code(w.conj().T @ leung_recovery(gammas[0]).kraus, m)
+    else:
+        k = _compose_on_code(_standard_recovery_on(_five_qubit_noise_on(gammas, w)), m)
+    maps = _code_process_matrices(k)
+    if recovery_name == "rperf":
+        noise = m.reshape(len(m), -1, d)
+        kraus_sum = noise.conj().swapaxes(-1, -2) @ noise
+        maps[:, 0] = np.einsum("gij,bji->gb", kraus_sum, _code_operator_basis(d)).real / d
+    return maps
 
 
 def _score_curves(
@@ -196,10 +203,10 @@ def _score_curves(
     Each code's noise enters only as M_i = E_i W, built for the whole grid
     in one call with no ambient operator formed, once for every curve on
     that code object, and dropped after its last curve.  Each curve's
-    code-basis Kraus stack (_recovered_on_code) becomes its process
-    matrices as soon as it is built, so one stack is alive at a time, and
-    the maps of all curves of one code dimension are minimised in one
-    _min_forms call, each curve's worst states taken in its own code.
+    code-basis Kraus stack becomes its process matrices inside
+    _recovered_on_code, so one stack is alive at a time, and the maps of
+    all curves of one code dimension are minimised in one _min_forms call,
+    each curve's worst states taken in its own code.
     """
     last = {code: i for i, (code, _) in enumerate(curves)}
     noise: dict[CodeSpace, np.ndarray] = {}
@@ -208,8 +215,7 @@ def _score_curves(
         if code not in noise:
             _n_qubits_for(code)  # exit 2 unless the code lives on qubits
             noise[code] = _damping_on(gammas, code.basis)
-        k = _recovered_on_code(recovery, code, noise[code], gammas)
-        maps.append(_code_process_matrices(k))
+        maps.append(_recovered_on_code(recovery, code, noise[code], gammas))
         if last[code] == i:
             del noise[code]
     results: list = [None] * len(curves)

@@ -27,11 +27,11 @@ method:
   each form keeps its lowest value.  A single start from the best sample
   stops in a local minimum on about one form in ten at d = 4 whatever the
   sample count, so the samples need only land one start in the global
-  minimum's basin.  The sampler scores cache-sized blocks of
-  states in real arithmetic: each state's coefficients s come from the
-  pair products of the real and imaginary parts of its unnormalised
-  draw, divided by its squared norm, and only the pooled states are made
-  complex.
+  minimum's basin.  The sampler scores blocks of states in real
+  arithmetic through the generator table the refinement reads
+  (_real_generators): s_a = r^T Gamma_a r / |r|^2 for r = (x, y) the
+  real and imaginary parts of a state's unnormalised draw, and only the
+  pooled states are made complex.
 
 The public entry points are worst_case_fidelity, for one noise and
 recovery pair, and transpose_fidelity_grid, for transpose recovery over
@@ -251,15 +251,21 @@ def _real_generators(d: int) -> np.ndarray:
     return _read_only(np.block([[g.real, -g.imag], [g.imag, g.real]]))
 
 
+def _coefficients(gam: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s_a = r^T Gamma_a r (n, A) and J_a = Gamma_a r (n, A, 2d) for each
+    row of r (n, 2d), Gamma = gam the table of _real_generators."""
+    # all J_a at once: one (n, 2d) @ (2d, A 2d) product
+    jac = (r @ gam.reshape(-1, r.shape[1]).T).reshape(len(r), len(gam), -1)
+    return (jac @ r[..., None])[..., 0], jac
+
+
 def _form_values(
     q: np.ndarray, gam: np.ndarray, r: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f = s^T Q s for each form of a stack q (G, A, A) at its point r
-    (G, 2d), with s_a = r^T Gamma_a r; also J_a = Gamma_a r (G, A, 2d) and
-    Q s (G, A)."""
-    # all J_a at once: one (G, 2d) @ (2d, A 2d) product
-    jac = (r @ gam.reshape(-1, r.shape[1]).T).reshape(len(r), len(gam), -1)
-    s = (jac @ r[..., None])[..., 0]
+    (G, 2d), with s and J from _coefficients; also J (G, A, 2d) and Q s
+    (G, A)."""
+    s, jac = _coefficients(gam, r)
     qs = (q @ s[..., None])[..., 0]
     return (s[:, None, :] @ qs[..., None])[:, 0, 0], jac, qs
 
@@ -340,22 +346,6 @@ _POOL_PER_START = 4  # lowest samples kept per form, per refinement start
 _SAME_BASIN = 0.9  # |<c_i|c_j>| at or above which two starts share a basin
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_coefficients(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs j <= k of C^d and the real matrix coef (d^2, d^2) with
-    z^dag g_a z = sum_p coef[a, p] pairs_p for z = x + i y, g_a the code
-    operator basis, where the pairs are P_jk = x_j x_k + y_j y_k for every
-    j <= k, then Q_jk = x_j y_k - y_j x_k for every j < k: conj(z_j) z_k =
-    P_jk + i Q_jk and each g_a is Hermitian.  Returns j, k and coef,
-    built once per d, read-only."""
-    g = _code_operator_basis(d)
-    j, k = np.triu_indices(d)
-    off = j < k
-    coef = np.hstack([np.where(off, 2.0, 1.0) * g[:, j, k].real,
-                      -2.0 * g[:, j[off], k[off]].imag])
-    return _read_only(j), _read_only(k), _read_only(coef)
-
-
 def _start_count(d: int) -> int:
     """Refinement starts per form at code dimension d."""
     return 8 if d <= 3 else 16
@@ -399,18 +389,18 @@ def _min_forms_sampled(
     with x and y standard normal, drawn from seed _CHUNK states at a time
     (the real parts of a chunk, then its imaginary parts) into two buffers
     held for the call.  The draws are scored _ROW_BLOCK states at a time in
-    real arithmetic, s = coef @ pairs / |z|^2 from the pair products of x
-    and y (_pair_coefficients), with Q_g s held for _FORM_BLOCK forms at a
-    time, so that no complex state, outer product or chunk-sized temporary
-    is formed.  Each form keeps a pool of its _POOL_PER_START * k lowest
-    samples, k = _start_count(d); only these are made complex unit vectors.
-    From its pool each form takes up to k starts in distinct basins
-    (_distinct_starts), and all forms x starts are refined at once by
-    _refine_forms; each form keeps its lowest refined value.  The samples
-    serve only to seed the starts, so n trades sampling time against the
-    chance that a basin holds no pool sample.  Returns the values (G,) and
-    the code-coefficient vectors (G, d); each value is the best seen, an
-    upper bound on the true minimum.
+    real arithmetic, s_a = r^T Gamma_a r / |r|^2 for r = (x, y)
+    (_coefficients, Gamma the refinement's _real_generators), with Q_g s
+    held for _FORM_BLOCK forms at a time, so that no complex state, outer
+    product or chunk-sized temporary is formed.  Each form keeps a pool of
+    its _POOL_PER_START * k lowest samples, k = _start_count(d); only these
+    are made complex unit vectors.  From its pool each form takes up to k
+    starts in distinct basins (_distinct_starts), and all forms x starts
+    are refined at once by _refine_forms; each form keeps its lowest
+    refined value.  The samples serve only to seed the starts, so n trades
+    sampling time against the chance that a basin holds no pool sample.
+    Returns the values (G,) and the code-coefficient vectors (G, d); each
+    value is the best seen, an upper bound on the true minimum.
     """
     if n < 1:
         raise PreconditionViolated("need at least one sample")
@@ -419,8 +409,7 @@ def _min_forms_sampled(
     d = int(round(np.sqrt(dim)))
     n_starts = _start_count(d)
     pool = _POOL_PER_START * n_starts
-    j, k, coef = _pair_coefficients(d)
-    jo, ko = j[j < k], k[j < k]
+    gam = _real_generators(d)
     # row (g, a) of a group is Q_g[a]
     q_groups = [q[g : g + _FORM_BLOCK].reshape(-1, dim) for g in range(0, forms, _FORM_BLOCK)]
     rows = np.arange(forms)[:, None]
@@ -436,11 +425,8 @@ def _min_forms_sampled(
         rng.standard_normal(out=ys[:batch])
         for lo in range(0, batch, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, batch)
-            # one state per column
-            x, y = xs[lo:hi].T.copy(), ys[lo:hi].T.copy()
-            pairs = np.vstack([x[j] * x[k] + y[j] * y[k], x[jo] * y[ko] - y[jo] * x[ko]])
-            s = coef @ pairs
-            s /= s[0]  # s_0 = |z|^2 before this division
+            s = _coefficients(gam, np.hstack([xs[lo:hi], ys[lo:hi]]))[0]
+            s = (s / s[:, :1]).T  # one state per column; s_0 = |r|^2 before the division
             vals = np.concatenate([
                 np.einsum("gan,an->gn", (qg @ s).reshape(-1, dim, hi - lo), s)
                 for qg in q_groups

@@ -90,11 +90,3 @@ def polar_unitary_on_support(a) -> np.ndarray:
         raise DimensionMismatch("polar decomposition expects a square operator")
     u, _, vh = np.linalg.svd(a)
     return u @ vh
-
-
-def max_abs(a) -> float:
-    """Largest entrywise absolute value."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a)))

@@ -12,7 +12,7 @@ import numpy as np
 from .channels import QuantumChannel, _check_budget, complete_to_tp
 from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf
-from .exceptions import ParamOutOfRange
+from .exceptions import DimensionMismatch, ParamOutOfRange
 
 # I, X, Y, Z: the column of each row's one entry (X, Y flip the bit), its value
 _PAULI_COLS = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
@@ -105,7 +105,9 @@ def leung_code() -> CodeSpace:
 def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     """n-qubit amplitude damping truncated to at most one damping event:
     the no-damping operator E0^(x n) plus the n single-damping terms.
-    Trace decreasing for gamma > 0."""
+    Trace decreasing for gamma > 0.  Raises DimensionMismatch for n < 1."""
+    if n < 1:
+        raise DimensionMismatch(f"truncated damping needs n >= 1 qubits, got {n}")
     kraus = [0] + [1 << (n - 1 - k) for k in range(n)]
     return QuantumChannel(_damping_on([gamma], np.eye(2**n, dtype=complex), kraus)[0])
 
@@ -221,28 +223,6 @@ def five_qubit_noise(gamma: float) -> QuantumChannel:
     this CP (trace-decreasing) channel at every gamma.
     """
     return QuantumChannel(_five_qubit_noise_on([gamma], np.eye(32))[0])
-
-
-def _complete_to_mixed_on_code(k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """A recovered map completed by re-preparing the maximally mixed code
-    state, on the code: k (G, X, d, d) the code-basis Kraus stack of a
-    recovery after noise, m (G, N, D, d) the noise on the code, M_i = E_i W.
-    Returns k followed by d^2 operators per gamma, (G, X + d^2, d, d).
-
-    When every recovery operator maps into the code, the completion of
-    complete_to_tp(., code.basis) after the noise is rho -> tr(F rho) I / d
-    with F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, the defect seen through
-    the noise: its Kraus operators are sqrt(mu_c / d) e_a v_c^dag for the
-    eigenpairs (mu_c, v_c) of F, negative mu_c taken as 0.  Unlike the
-    ambient completion, no defect eigenvalue is dropped below 1e-8.
-    """
-    g, _, d, _ = k.shape
-    noise, kept = m.reshape(g, -1, d), k.reshape(g, -1, d)
-    f = noise.conj().swapaxes(-1, -2) @ noise - kept.conj().swapaxes(-1, -2) @ kept
-    mu, v = np.linalg.eigh(f)
-    rows = np.sqrt(np.maximum(mu, 0.0) / d)[..., None] * v.conj().swapaxes(-1, -2)
-    fill = np.eye(d)[:, None, :, None] * rows[:, None, :, None, :]
-    return np.concatenate([k, fill.reshape(g, d * d, d, d)], axis=1)
 
 
 def five_qubit_recovery(gamma: float) -> QuantumChannel:

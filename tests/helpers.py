@@ -2,9 +2,10 @@
 
 The channel algebra the tests check the library against (composition,
 Choi matrices and Choi equality, the TP defect, the recovered map on the
-code) lives here, with the bit-flip fixture, Bloch states of qubit codes
-and a Kronecker-product Pauli string oracle.  The package ships only what
-the transpose recovery, its conditions, its worst case and the CLI use.
+code and its completion by the maximally mixed code state) lives here,
+with the bit-flip fixture, Bloch states of qubit codes and a
+Kronecker-product Pauli string oracle.  The package ships only what the
+transpose recovery, its conditions, its worst case and the CLI use.
 
 The oracles here deliberately avoid the library code paths they are used
 to check: the polar oracle goes through scipy's SVD, the standard
@@ -79,6 +80,24 @@ def recovered_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
     w, d = code.basis, code.code_dim
     k = code_kraus(e.kraus @ w).reshape(-1, d, d)
     return QuantumChannel(list(w @ k @ w.conj().T))
+
+
+def completed_on_code(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Process matrices of a recovered map completed by re-preparing the
+    maximally mixed code state, at the Kraus level: k (G, X, d, d) the
+    code-basis Kraus stack of a recovery after noise, m (G, N, D, d) the
+    noise on the code.  The completion rho -> tr(F rho) I / d, with
+    F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, has the Kraus operators
+    sqrt(mu_c / d) e_a v_c^dag for the eigenpairs (mu_c, v_c) of F from
+    numpy's eigh, negative mu_c clipped to 0; the d^2 operators per gamma
+    are appended to k before _code_process_matrices."""
+    g, _, d, _ = k.shape
+    noise, kept = m.reshape(g, -1, d), k.reshape(g, -1, d)
+    f = noise.conj().swapaxes(-1, -2) @ noise - kept.conj().swapaxes(-1, -2) @ kept
+    mu, v = np.linalg.eigh(f)
+    rows = np.sqrt(np.clip(mu, 0.0, None) / d)[..., None] * v.conj().swapaxes(-1, -2)
+    fill = np.eye(d)[:, None, :, None] * rows[:, None, :, None, :]
+    return _code_process_matrices(np.concatenate([k, fill.reshape(g, d * d, d, d)], axis=1))
 
 
 def bloch_state(code: CodeSpace, s) -> np.ndarray:

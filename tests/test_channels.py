@@ -198,7 +198,7 @@ def test_complete_to_tp_on_an_isometry_target():
     one = complete_to_tp(e, t[:, None])
     want = [np.sqrt(lam) * np.outer(t, phi.conj()) for lam, phi in _defect_oracle(e)]
     assert np.max(np.abs(one.kraus[1:] - np.stack(want))) <= 1e-15
-    for bad in (2.0 * w, np.ones((4, 2)), np.zeros(4), w[:3]):
+    for bad in (2.0 * w, np.ones((4, 2)), np.zeros(4), w[:3], np.zeros((4, 0))):
         with pytest.raises(DimensionMismatch):
             complete_to_tp(e, bad)
 

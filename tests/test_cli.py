@@ -14,7 +14,7 @@ from aqec import (
 )
 from aqec.cli import main
 
-from helpers import bit_flip_channel, bit_flip_code, polar_r_perf
+from helpers import bit_flip_channel, bit_flip_code, completed_on_code, polar_r_perf
 
 
 def _read_rows(path):
@@ -86,10 +86,18 @@ def test_sweep_deterministic_apart_from_timestamp(tmp_path):
     assert lines1 == lines2
 
 
-def test_sweep_rejects_bad_curve(tmp_path):
+def test_sweep_rejects_bad_curve(tmp_path, capsys):
     assert main(["sweep", "--curve", "nosuch:transpose"]) == 2
     assert main(["sweep", "--curve", "ad:leung"]) == 2
     assert main(["sweep", "--curve", "ad:identity", "--gamma-step", "-0.1"]) == 2
+    # a code on a one-dimensional space lives on no qubits
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"ambient_dim": 1, "code_dim": 1, "basis": [[[1.0, 0.0]]]}))
+    for recovery in ("transpose", "identity"):
+        capsys.readouterr()
+        assert main(["sweep", "--curve", f"file={point}:{recovery}",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "ambient dimension 1" in _one_error_line(capsys)
 
 
 def test_sweep_with_code_file(tmp_path):
@@ -563,21 +571,38 @@ def test_rperf_sweep_matches_original_recovery_through_gamma_one(tmp_path):
 
 def test_completed_rperf_map_is_trace_preserving_on_the_code(tmp_path, monkeypatch):
     import aqec.cli
-    from aqec.fidelity import _code_process_matrices
+    from aqec.fidelity import _min_forms
 
-    stacks = []
+    blocks = []
 
-    def keep_stack(k):
-        stacks.append(k)
-        return _code_process_matrices(k)
+    def keep_blocks(b, *args):
+        blocks.extend(b)
+        return _min_forms(b, *args)
 
-    monkeypatch.setattr(aqec.cli, "_code_process_matrices", keep_stack)
+    monkeypatch.setattr(aqec.cli, "_min_forms", keep_blocks)
     assert main(["sweep", "--curve", "five513:rperf", *_RPERF_GRID,
                  "--out", str(tmp_path / "s.csv")]) == 0
-    [k] = stacks
-    m = _code_process_matrices(k)
+    [(m, _)] = blocks
     assert m.shape == (9, 4, 4)
     assert np.max(np.abs(m[:, 0, :] - np.eye(4)[0])) <= 1e-12
+
+
+def test_rperf_trace_row_equals_the_kraus_level_completion():
+    from aqec import five_qubit_code_only
+    from aqec.cli import _recovered_on_code
+    from aqec.conditions import _standard_recovery_on
+    from aqec.fidelity import _compose_on_code
+    from aqec.models import _damping_on, _five_qubit_noise_on
+
+    gammas = [round(0.005 * k, 12) for k in range(201)]
+    assert gammas[0] == 0.0 and gammas[-1] == 1.0
+    code = five_qubit_code_only()
+    m = _damping_on(gammas, code.basis)
+    syndromes = _standard_recovery_on(_five_qubit_noise_on(gammas, code.basis))
+    want = completed_on_code(_compose_on_code(syndromes, m), m)
+    got = _recovered_on_code("rperf", code, m, gammas)
+    assert got.shape == want.shape == (201, 4, 4)
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_default_sweep_equals_split_calls(tmp_path):

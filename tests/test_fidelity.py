@@ -21,7 +21,6 @@ from aqec.fidelity import (
     _min_forms,
     _min_forms_sampled,
     _min_quadratic_on_sphere,
-    _pair_coefficients,
     _real_generators,
     _refine_forms,
     _tp_unital,
@@ -540,21 +539,16 @@ def test_default_samples_reach_the_best_known_minimum_at_d5():
 def test_cached_code_tables_are_read_only_and_equal_a_fresh_build(d):
     basis = np.stack([np.eye(d)] + _su_generators(d))
     gam = np.block([[basis.real, -basis.imag], [basis.imag, basis.real]])
-    j, k, coef = _pair_coefficients(d)
-    tables = [_code_operator_basis(d), _real_generators(d), j, k, coef]
+    tables = [_code_operator_basis(d), _real_generators(d)]
     for table in tables:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1
     assert np.array_equal(tables[0], basis) and np.array_equal(tables[1], gam)
     assert _code_operator_basis(d) is tables[0]
-    ju, ku = np.triu_indices(d)
-    assert np.array_equal(j, ju) and np.array_equal(k, ku)
-    # coef maps the pair products of z = x + i y to z^dag g_a z
+    # the generator table maps r = (x, y) of z = x + i y to z^dag g_a z
     rng = np.random.default_rng(d)
     x, y = rng.standard_normal((2, 5, d))
-    off = ju < ku
-    pairs = np.hstack([x[:, ju] * x[:, ku] + y[:, ju] * y[:, ku],
-                       x[:, ju[off]] * y[:, ku[off]] - y[:, ju[off]] * x[:, ku[off]]])
+    r = np.hstack([x, y])
     z = x + 1j * y
     direct = np.einsum("ni,aij,nj->na", z.conj(), basis, z)
-    assert np.max(np.abs(pairs @ coef.T - direct)) <= 1e-12
+    assert np.max(np.abs(np.einsum("ni,aij,nj->na", r, tables[1], r) - direct)) <= 1e-12

@@ -19,7 +19,7 @@ from aqec import (
     truncated_damping_channel,
     worst_case_fidelity,
 )
-from aqec.exceptions import ParamOutOfRange
+from aqec.exceptions import DimensionMismatch, ParamOutOfRange
 from aqec.models import _damping_on, basis_state
 
 from helpers import (
@@ -321,6 +321,9 @@ def test_truncated_damping_equals_kron_loop():
         assert np.array_equal(np.stack(truncated_damping_channel(gamma, n).kraus), ops)
     with pytest.raises(ParamOutOfRange):
         truncated_damping_channel(1.2, 3)
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            truncated_damping_channel(0.1, n)
 
 
 def test_truncated_damping_copies_its_operators_once():

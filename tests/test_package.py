@@ -75,3 +75,44 @@ def test_readme_library_tour_runs_and_prints_what_its_comments_claim(capsys):
     cert, res = namespace["cert"], namespace["res"]
     assert cert.satisfied is False and abs(cert.residual - 0.05) <= 1e-3  # False, ~0.05
     assert res.method == "exact_unital_qubit" and abs(res.f2_min - 0.9833) <= 1e-4
+
+
+def test_every_module_level_name_and_import_in_src_is_used():
+    # A function, class or assigned name at module level is loaded
+    # somewhere in src/ (as a name or an attribute) or is public; an
+    # imported name is loaded by the module that imports it, or listed in
+    # that module's __all__.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(aqec.__file__).parent.glob("*.py")}
+
+    def names_loaded(tree):
+        return {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+    loaded = set().union(*map(names_loaded, trees.values())) | {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)}
+    unused, unread = [], []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}.{name}" for name in defined
+                       if name not in loaded and name not in aqec.__all__
+                       and not (name.startswith("__") and name.endswith("__"))]
+        here = names_loaded(tree)
+        exported = set(aqec.__all__) if module == "__init__" else set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            unread += [f"{module}: {name}" for name in names
+                       if name not in here and name not in exported]
+    assert unused == [] and unread == []
