@@ -104,9 +104,10 @@ def _check_budget(n_ops: int, dims_out: int, dims_in: int) -> None:
 
 def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
     """n independent copies of e; Kraus operators are all n-fold tensor
-    products in lexicographic index order (first factor most significant)."""
-    if n < 1:
-        raise DimensionMismatch(f"tensor power needs n >= 1, got {n}")
+    products in lexicographic index order (first factor most significant).
+    Raises DimensionMismatch unless n is an integer (not a bool) >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatch(f"tensor power needs an integer n >= 1, got {n!r}")
     _check_budget(e.n_kraus**n, e.dims_out**n, e.dims_in**n)
     ops = e.kraus
     for p in range(2, n + 1):

@@ -50,7 +50,6 @@ from .fidelity import (
     _min_forms,
 )
 from .models import (
-    _check_gamma,
     _damping_on,
     _five_qubit_noise_on,
     five_qubit_code_only,
@@ -166,10 +165,11 @@ def _recovered_on_code(
     """The process matrices (G, d^2, d^2) of a recovery after the noise on
     the code m (G, N, D, d), M_i = E_i W, over the grid, from its code-basis
     Kraus stack (_code_process_matrices): identity is W^dag M; transpose is
-    code_kraus(M); leung composes the gamma independent map, built once,
-    with M.  The rperf curve composes only the six syndrome operators of
-    the standard recovery (conditions._standard_recovery_on of the
-    single-error channel on the code) with the noise.  Its TP completion,
+    code_kraus(M); leung composes the gamma independent map, built once
+    at the largest gamma (which holds the grid to [0, 1)), with M.  The
+    rperf curve composes only the six syndrome operators of the standard
+    recovery (conditions._standard_recovery_on of the single-error
+    channel on the code) with the noise.  Its TP completion,
     which re-prepares the maximally mixed code state, rho -> tr(F rho) I/d
     with F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, adds tr(F g_b)/d to row
     0 alone, so row 0 becomes the noise's trace row tr(g_b sum_i M_i^dag
@@ -181,9 +181,7 @@ def _recovered_on_code(
     elif recovery_name == "identity":
         k = w.conj().T @ m
     elif recovery_name == "leung":
-        for g in gammas:
-            _check_gamma(g, closed=False)
-        k = _compose_on_code(w.conj().T @ leung_recovery(gammas[0]).kraus, m)
+        k = _compose_on_code(w.conj().T @ leung_recovery(max(gammas)).kraus, m)
     else:
         k = _compose_on_code(_standard_recovery_on(_five_qubit_noise_on(gammas, w)), m)
     maps = _code_process_matrices(k)
@@ -312,13 +310,14 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     _write_csv(args.out, config, header, rows)
 
 
-def _search_one(args: tuple) -> tuple[int, int, list[tuple[float, float]]]:
-    # One code scored as a file=...:transpose sweep curve; codes are never
-    # batched together, so a code's values do not depend on its worker.
-    index, code_seed, n_qubits, code_dim, gammas, samples = args
+def _search_one(args: tuple) -> list[float]:
+    # One code's worst-case F^2 per gamma, scored as a file=...:transpose
+    # sweep curve; codes are never batched together, so a code's values do
+    # not depend on its worker.
+    code_seed, n_qubits, code_dim, gammas, samples = args
     code = random_code(2**n_qubits, code_dim, code_seed)
     [results] = _score_curves([(code, "transpose")], gammas, samples, code_seed)
-    return index, code_seed, [(g, res.f2_min) for g, res in zip(gammas, results)]
+    return [res.f2_min for res in results]
 
 
 def _metric_target(metric: str, gammas: list[float]) -> int | None:
@@ -341,15 +340,10 @@ def _metric_target(metric: str, gammas: list[float]) -> int | None:
     return gammas.index(round(target, 12))
 
 
-def _metric_value(target: int | None, values: list[tuple[float, float]]) -> float:
-    if target is None:
-        return min(v for _, v in values)
-    return values[target][1]
-
-
 @contextlib.contextmanager
 def _worker_pool(workers: int):
-    """A process pool of workers started by spawn, each with one BLAS
+    """A process pool of at most workers processes, and never more than
+    the CPUs this process may run on, started by spawn, each with one BLAS
     thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS read
     "1" while the pool runs and are restored after it.  Forked workers
     would inherit the parent's BLAS threads and oversubscribe the cores.
@@ -358,11 +352,12 @@ def _worker_pool(workers: int):
     import concurrent.futures
     import multiprocessing
 
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
     try:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+            max_workers=min(workers, cpus or 1), mp_context=multiprocessing.get_context("spawn")
         ) as pool:
             yield pool
     finally:
@@ -389,30 +384,18 @@ def cmd_search(args: argparse.Namespace) -> None:
     _check_writable(args.best_out)
     rng = np.random.default_rng(args.seed)
     code_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=args.codes)]
-    jobs = [
-        (i, code_seeds[i], args.qubits, args.code_dim, gammas, args.samples)
-        for i in range(args.codes)
-    ]
+    jobs = [(seed, args.qubits, args.code_dim, gammas, args.samples) for seed in code_seeds]
     threads = os.environ.get("AQEC_THREADS", "1")
     try:
         workers = int(threads)
     except ValueError as exc:
         raise UserConfigError(f"AQEC_THREADS must be an integer, got {threads!r}") from exc
-    results: list = [None] * args.codes
-    if workers > 1:
-        with _worker_pool(workers) as pool:
-            for index, seed, values in pool.map(_search_one, jobs, chunksize=4):
-                results[index] = (seed, values)
-    else:
-        for job in jobs:
-            index, seed, values = _search_one(job)
-            results[index] = (seed, values)
+    with _worker_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        columns = list(pool.map(_search_one, jobs, chunksize=4) if pool else map(_search_one, jobs))
 
-    rows, metrics = [], []
-    for index, (seed, values) in enumerate(results):
-        metrics.append(_metric_value(target, values))
-        worst_gamma = min(values, key=lambda gv: gv[1])[0]
-        rows.append([str(index), str(seed), _csv_float(metrics[-1]), _csv_float(worst_gamma)])
+    metrics = [min(v) if target is None else v[target] for v in columns]
+    rows = [[str(index), str(seed), _csv_float(metric), _csv_float(gammas[int(np.argmin(v))])]
+            for index, (seed, metric, v) in enumerate(zip(code_seeds, metrics, columns))]
     header = ["code_index", "code_seed", "metric_value", "worst_gamma"]
     config = {"command": "search", "n_qubits": args.qubits, "code_dim": args.code_dim,
               "n_codes": args.codes, "gammas": gammas, "seed": args.seed,
@@ -420,14 +403,14 @@ def cmd_search(args: argparse.Namespace) -> None:
     _write_csv(args.out, config, header, rows)
 
     best_index = int(np.argmax(metrics))
-    best_seed, best_values = results[best_index]
+    best_seed = code_seeds[best_index]
     best_code = random_code(2**args.qubits, args.code_dim, best_seed)
     payload = {
         "config": config,
         "best_index": best_index,
         "code_seed": best_seed,
         "metric_value": metrics[best_index],
-        "per_gamma": [{"gamma": g, "f2_worst": v} for g, v in best_values],
+        "per_gamma": [{"gamma": g, "f2_worst": v} for g, v in zip(gammas, columns[best_index])],
         "code": code_to_json(best_code),
     }
     _write_file(args.best_out, _json_text(payload))

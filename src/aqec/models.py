@@ -105,9 +105,10 @@ def leung_code() -> CodeSpace:
 def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     """n-qubit amplitude damping truncated to at most one damping event:
     the no-damping operator E0^(x n) plus the n single-damping terms.
-    Trace decreasing for gamma > 0.  Raises DimensionMismatch for n < 1."""
-    if n < 1:
-        raise DimensionMismatch(f"truncated damping needs n >= 1 qubits, got {n}")
+    Trace decreasing for gamma > 0.  Raises DimensionMismatch unless n is
+    an integer (not a bool) >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatch(f"truncated damping needs an integer n >= 1 qubits, got {n!r}")
     kraus = [0] + [1 << (n - 1 - k) for k in range(n)]
     return QuantumChannel(_damping_on([gamma], np.eye(2**n, dtype=complex), kraus)[0])
 

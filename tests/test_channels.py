@@ -106,6 +106,10 @@ def test_tensor_power_basics():
     assert channels_equal(tensor_power(e, 1), e)
     e2 = tensor_power(e, 2)
     assert e2.n_kraus == 4 and e2.dims_in == 4
+    assert channels_equal(tensor_power(e, np.int64(2)), e2)
+    for n in (0, -1, 2.0, True):
+        with pytest.raises(DimensionMismatch):
+            tensor_power(e, n)
 
 
 def test_tensor_power_ground_state_fixed_point():

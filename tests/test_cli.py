@@ -239,7 +239,8 @@ def test_check_numerical_failure_exit_code(tmp_path):
 
 
 def test_search_parallel_matches_serial(tmp_path, monkeypatch):
-    args = ["search", "--codes", "4", "--qubits", "2",
+    # nine codes make three chunks of chunksize 4, so both workers score
+    args = ["search", "--codes", "9", "--qubits", "2",
             "--gamma-stop", "0.2", "--gamma-step", "0.1", "--seed", "3"]
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
@@ -250,6 +251,42 @@ def test_search_parallel_matches_serial(tmp_path, monkeypatch):
     rows1 = [l for l in serial.read_text().splitlines() if not l.startswith("# generated")]
     rows2 = [l for l in parallel.read_text().splitlines() if not l.startswith("# generated")]
     assert rows1 == rows2
+    assert (tmp_path / "b1.json").read_text() == (tmp_path / "b2.json").read_text()
+
+
+def test_worker_count_is_capped_at_the_usable_cpus(tmp_path, monkeypatch):
+    # A stand-in executor records max_workers and maps in this process, so
+    # AQEC_THREADS=4096 starts no process.
+    import concurrent.futures
+
+    made = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers, mp_context):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    args = ["search", "--codes", "9", "--qubits", "2",
+            "--gamma-stop", "0.2", "--gamma-step", "0.1", "--seed", "3"]
+    outputs = []
+    for threads in ("1", "4096"):
+        monkeypatch.setenv("AQEC_THREADS", threads)
+        out, best = tmp_path / f"s{threads}.csv", tmp_path / f"b{threads}.json"
+        assert main(args + ["--out", str(out), "--best-out", str(best)]) == 0
+        outputs.append(([l for l in out.read_text().splitlines()
+                         if not l.startswith("# generated")], best.read_text()))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert made == [min(4096, cpus)]
+    assert outputs[0] == outputs[1]
 
 
 def test_search_outperforms_five_qubit_code_at_high_gamma():
@@ -385,8 +422,8 @@ def test_search_values_independent_of_batch_and_workers(tmp_path, monkeypatch):
         bests.append(json.loads(best.read_text()))
     assert bests[0]["per_gamma"] == bests[1]["per_gamma"]
     gammas = [row["gamma"] for row in bests[0]["per_gamma"]]
-    _, _, alone = _search_one((0, bests[0]["code_seed"], 3, 2, gammas, 20_000))
-    assert [{"gamma": g, "f2_worst": v} for g, v in alone] == bests[0]["per_gamma"]
+    alone = _search_one((bests[0]["code_seed"], 3, 2, gammas, 20_000))
+    assert [{"gamma": g, "f2_worst": v} for g, v in zip(gammas, alone)] == bests[0]["per_gamma"]
 
 
 def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
@@ -802,7 +839,7 @@ def test_damping_built_on_the_code_keeps_memory_small():
     from aqec.cli import _score_curves, _search_one, gamma_grid
 
     gammas = gamma_grid(0.0, 0.5, 0.01)
-    assert _peak_bytes(_search_one, (0, 11, 5, 2, gammas, 10)) < 20 * 2**20
+    assert _peak_bytes(_search_one, (11, 5, 2, gammas, 10)) < 20 * 2**20
     code = five_qubit_code_only()
     assert _peak_bytes(_score_curves, [(code, "identity")], gammas, 10, 0) < 8 * 2**20
 

@@ -321,7 +321,7 @@ def test_truncated_damping_equals_kron_loop():
         assert np.array_equal(np.stack(truncated_damping_channel(gamma, n).kraus), ops)
     with pytest.raises(ParamOutOfRange):
         truncated_damping_channel(1.2, 3)
-    for n in (0, -1):
+    for n in (0, -1, 2.0, True):
         with pytest.raises(DimensionMismatch):
             truncated_damping_channel(0.1, n)
 

@@ -183,8 +183,8 @@ def test_fidelity_grid_matches_worst_case_fidelity(n):
         ref = worst_case_fidelity(noise, transpose_channel(noise, code), code)
         assert abs(res.f2_min - ref.f2_min) <= 1e-12
         assert res.method == ref.method
-    _, _, values = _search_one((0, 100 + n, n, 2, gammas, 10))
-    assert values == [(g, res.f2_min) for g, res in zip(gammas, results)]
+    values = _search_one((100 + n, n, 2, gammas, 10))
+    assert values == [res.f2_min for res in results]
 
 
 def test_fidelity_grid_qutrit_matches_worst_case_fidelity():
