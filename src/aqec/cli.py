@@ -340,15 +340,31 @@ def _metric_target(metric: str, gammas: list[float]) -> int | None:
     return gammas.index(round(target, 12))
 
 
+@functools.lru_cache(maxsize=None)
+def _keep_freed_memory() -> None:
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MiB, the 64-bit tops
+    of its dynamic rule, once per process: search then keeps its 0.2-0.8 MB
+    kernel stacks instead of faulting them back in for every code.  Trim
+    alone would freeze mmap at 128 KiB.  A no-op without mallopt."""
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 @contextlib.contextmanager
 def _worker_pool(workers: int):
     """A process pool of at most workers processes, and never more than
-    the CPUs this process may run on, started by spawn, each with one BLAS
-    thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS read
-    "1" while the pool runs and are restored after it.  Forked workers
-    would inherit the parent's BLAS threads and oversubscribe the cores.
-    concurrent.futures (and with it logging) and multiprocessing are
-    imported here, so a serial run never loads them."""
+    the CPUs this process may run on, started by spawn, each with main's
+    malloc thresholds and one BLAS thread: OPENBLAS_NUM_THREADS,
+    OMP_NUM_THREADS and MKL_NUM_THREADS read "1" while the pool runs and
+    are restored after it.  Forked workers would inherit the parent's BLAS
+    threads and oversubscribe the cores.  concurrent.futures (and logging)
+    and multiprocessing are imported here, so a serial run never loads them."""
     import concurrent.futures
     import multiprocessing
 
@@ -357,7 +373,8 @@ def _worker_pool(workers: int):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
     try:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, cpus or 1), mp_context=multiprocessing.get_context("spawn")
+            max_workers=min(workers, cpus or 1), mp_context=multiprocessing.get_context("spawn"),
+            initializer=_keep_freed_memory,
         ) as pool:
             yield pool
     finally:
@@ -388,8 +405,10 @@ def cmd_search(args: argparse.Namespace) -> None:
     threads = os.environ.get("AQEC_THREADS", "1")
     try:
         workers = int(threads)
-    except ValueError as exc:
-        raise UserConfigError(f"AQEC_THREADS must be an integer, got {threads!r}") from exc
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UserConfigError(f"AQEC_THREADS must be a positive integer, got {threads!r}")
     with _worker_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         columns = list(pool.map(_search_one, jobs, chunksize=4) if pool else map(_search_one, jobs))
 
@@ -528,6 +547,7 @@ def _check_config_type(key: str, value, current) -> None:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         _apply_config_file(args)

@@ -1,5 +1,9 @@
 import json
 import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from aqec import (
     random_code,
     tensor_power,
 )
-from aqec.cli import main
+from aqec.cli import _keep_freed_memory, main
 
 from helpers import bit_flip_channel, bit_flip_code, completed_on_code, polar_r_perf
 
@@ -259,11 +263,12 @@ def test_worker_count_is_capped_at_the_usable_cpus(tmp_path, monkeypatch):
     # AQEC_THREADS=4096 starts no process.
     import concurrent.futures
 
-    made = []
+    made, initializers = [], []
 
     class SerialExecutor:
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers, mp_context, initializer=None):
             made.append(max_workers)
+            initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -286,7 +291,34 @@ def test_worker_count_is_capped_at_the_usable_cpus(tmp_path, monkeypatch):
                          if not l.startswith("# generated")], best.read_text()))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert made == [min(4096, cpus)]
+    assert initializers == [_keep_freed_memory]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_a_repeated_search_does_not_fault_its_memory_back_in(tmp_path):
+    # The kernel stacks of a 4-qubit code (0.2-0.8 MB) straddle glibc's
+    # adapting mmap and trim thresholds; unless main fixes them, every code
+    # returns its temporaries to the kernel and faults them back in (some
+    # 3800 minor faults for the second of two 8-code searches).
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import resource, sys\n"
+        "from aqec.cli import main\n"
+        "args = ['search', '--qubits', '4', '--codes', '8', '--seed', '1',\n"
+        "        '--out', sys.argv[1], '--best-out', sys.argv[2]]\n"
+        "assert main(args) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert main(args) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "s.csv"), str(tmp_path / "b.json")],
+        env=dict(os.environ, PYTHONPATH=path, AQEC_THREADS="1"),
+        capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) <= 50
 
 
 def test_search_outperforms_five_qubit_code_at_high_gamma():
@@ -978,7 +1010,7 @@ def test_search_checks_its_outputs_before_scoring(tmp_path, capsys, monkeypatch)
 
 def test_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch):
     out = ["--out", str(tmp_path / "o.csv"), "--best-out", str(tmp_path / "b.json")]
-    for value in ("two", "1.5", ""):
+    for value in ("two", "1.5", "", "0", "-2"):
         monkeypatch.setenv("AQEC_THREADS", value)
         assert main(["search", "--codes", "1", "--qubits", "2", "--gamma-stop", "0.02"]
                     + out) == 2
