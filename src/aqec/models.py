@@ -28,11 +28,15 @@ def basis_state(bits: str) -> np.ndarray:
     return v
 
 
-def _check_gamma(gamma: float, closed: bool = True) -> None:
-    """Raise ParamOutOfRange unless gamma lies in [0, 1], or in [0, 1)
-    when not closed."""
-    if not (0.0 <= gamma <= 1.0 and (closed or gamma < 1.0)):
-        raise ParamOutOfRange(f"gamma = {gamma} outside [0, 1{']' if closed else ')'}")
+def _check_gamma(gammas, closed: bool = True) -> np.ndarray:
+    """gammas (one value or a grid) as a 1-D float array.  Raises
+    ParamOutOfRange for the first value outside [0, 1], or [0, 1) when
+    not closed (NaN included)."""
+    g = np.atleast_1d(np.asarray(gammas, dtype=float))
+    bad = np.flatnonzero(~((g >= 0.0) & (g <= 1.0) & (closed | (g < 1.0))))
+    if bad.size:
+        raise ParamOutOfRange(f"gamma = {g[bad[0]]} outside [0, 1{']' if closed else ')'}")
+    return g
 
 
 def amplitude_damping(gamma: float) -> QuantumChannel:
@@ -73,13 +77,11 @@ def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
     1).  Raises ParamOutOfRange for gamma outside [0, 1] and BudgetExceeded
     when one gamma's K ambient operators, or the stack, are over budget.
     """
-    for gamma in gammas:
-        _check_gamma(gamma)
+    g = _check_gamma(gammas)[:, None]
     dim, c = basis.shape
     a = np.arange(dim) if kraus is None else np.asarray(kraus)
     _check_budget(len(a), dim, dim)
-    _check_budget(len(gammas) * len(a), dim, c)
-    g = np.asarray(gammas, dtype=float)[:, None]
+    _check_budget(len(g) * len(a), dim, c)
     table = np.hstack([np.ones_like(g), np.sqrt(1.0 - g), np.sqrt(g), 0.0 * g])
     table = table.reshape(-1, 2, 2)  # (gamma, a bit, x bit)
     a_bits = (a[:, None] >> np.arange(dim.bit_length() - 2, -1, -1)) & 1  # (K, qubit)
@@ -190,11 +192,9 @@ def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
     """Kraus operators of five_qubit_noise for each gamma times basis
     (32, c), stacked (G, 6, 32, c).  The 15 Paulis of weight one act on
     basis in one _pauli_on gather per call."""
-    for gamma in gammas:
-        _check_gamma(gamma)
+    gammas = _check_gamma(gammas)
     weight_one = ["I" * k + p + "I" * (4 - k) for p in "ZXY" for k in range(5)]
     paulis = np.concatenate([basis[None], _pauli_on(weight_one, basis)])
-    gammas = np.asarray(gammas, dtype=float)
     a = (1.0 + np.sqrt(1.0 - gammas)) / 2.0
     b = (1.0 - np.sqrt(1.0 - gammas)) / 2.0
     damp = a**4 * np.sqrt(gammas) / 2.0

@@ -64,8 +64,7 @@ def _transpose_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """One batched linalg.psd_eigh E(P) = sum_i M_i M_i^dag = V diag(lam)
     V^dag of the noise on the code m (..., N, D, d), returned as (w, V, C):
     w = lam^(-1/4) on the support psd_eigh keeps, 0 off it, and
-    C = diag(w) V^dag [M_1 ... M_N] (..., D, N d).  Raises NotHermitian
-    and NotPSD as psd_eigh does."""
+    C = diag(w) V^dag [M_1 ... M_N] (..., D, N d)."""
     *lead, n, dim, d = m.shape
     wide = np.moveaxis(m, -3, -2).reshape(*lead, dim, n * d)
     vals, vecs, keep = psd_eigh(wide @ wide.conj().swapaxes(-1, -2))
@@ -79,7 +78,7 @@ def transpose_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
 
     Kraus operators R_i = P E_i^dag B, B the on-support inverse square
     root of E(P), are W C_i^dag diag(w) V^dag (C_i the i-th d columns of
-    C), from one _transpose_factor.  Raises NotPSD if E(P) is not PSD.
+    C), from one _transpose_factor.
     """
     m = _noise_on_code(e.kraus, code)
     n, dim, d = m.shape
@@ -101,7 +100,7 @@ def code_kraus(m: np.ndarray) -> np.ndarray:
 
     so that the recovered map sends W rho W^dag to
     W (sum_ij K_ij rho K_ij^dag) W^dag: K = C^dag C with C from
-    _transpose_factor, which raises NotHermitian and NotPSD.
+    _transpose_factor.
     """
     *lead, n, _, d = m.shape
     c = _transpose_factor(m)[2]

@@ -10,7 +10,8 @@ transpose recovery, its conditions, its worst case and the CLI use.
 The oracles here deliberately avoid the library code paths they are used
 to check: the polar oracle goes through scipy's SVD, the standard
 recovery oracle through numpy's eigh of alpha and one full polar unitary
-per syndrome, the fidelity oracle evaluates Kraus amplitudes on
+per syndrome, the code Kraus oracle through numpy's SVD of the noise on
+the code, the fidelity oracle evaluates Kraus amplitudes on
 explicitly sampled states, and the two scalar sphere minimisers (a
 brentq secular solve and projected gradient descent) solve one form at a
 time what aqec.fidelity solves in batches, and the reference sampler
@@ -33,6 +34,7 @@ from aqec import (
     polar_unitary_on_support,
 )
 from aqec.codes import _haar_columns, _su_generators
+from aqec.linalg import RANK_TOL
 from aqec.fidelity import (
     REFINE_ITERS,
     _CHUNK,
@@ -199,6 +201,19 @@ def svd_polar_oracle(a: np.ndarray) -> np.ndarray:
     """Unitary polar factor from scipy's SVD."""
     u, _, vh = scipy.linalg.svd(a)
     return u @ vh
+
+
+def svd_code_kraus_oracle(m: np.ndarray) -> np.ndarray:
+    """code_kraus of the noise on the code m (..., N, D, d) from numpy's
+    SVD wide = U diag(s) Y^dag of wide = [M_1 ... M_N], with no eigh of
+    E(P): K = Y diag(s [s^2 > RANK_TOL s_max^2]) Y^dag, the package's
+    support rule on E(P) = U diag(s^2) U^dag, by a backward-stable route."""
+    *lead, n, dim, d = m.shape
+    wide = np.moveaxis(m, -3, -2).reshape(*lead, dim, n * d)
+    _, s, yh = np.linalg.svd(wide, full_matrices=False)
+    s = np.where(s**2 > RANK_TOL * s[..., :1] ** 2, s, 0.0)
+    k = (yh.conj().swapaxes(-1, -2) * s[..., None, :]) @ yh
+    return k.reshape(*lead, n, d, n, d).swapaxes(-3, -2)
 
 
 def polar_r_perf(cert, e: QuantumChannel, code: CodeSpace) -> QuantumChannel:

@@ -29,10 +29,12 @@ def test_eig_reconstruction_random():
 
 
 def test_eig_rejects_non_hermitian():
+    # psd_eigh reads Gram matrices the package builds; inv_sqrt_on_support
+    # is the reader that checks a matrix from outside
     with pytest.raises(NotHermitian):
-        psd_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        inv_sqrt_on_support(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
-        psd_eigh(np.zeros((2, 3)))
+        inv_sqrt_on_support(np.zeros((2, 3)))
 
 
 def test_inv_sqrt_identity():
@@ -71,12 +73,15 @@ def test_psd_eigh_cut_is_per_matrix_of_a_stack():
     vals, vecs, keep = psd_eigh(stack)
     assert keep.tolist() == [[False, False, True], [False, True, True]]
     assert np.allclose((vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2), stack)
-    # rounding-level negatives pass, one beyond the cutoff in any matrix raises
+    # a rounding-level negative is cut; inv_sqrt_on_support, the reader of
+    # outside matrices, rejects one beyond the cutoff and a non-square one
     assert not psd_eigh(np.diag([1.0, -1e-11]))[2][0]
+    support = inv_sqrt_on_support(np.diag([1.0, -1e-11]))[1]
+    assert np.max(np.abs(support - np.diag([1.0, 0.0]))) <= 1e-15
     with pytest.raises(NotPSD):
-        psd_eigh(np.stack([np.eye(2), np.diag([1.0, -1e-9])]))
+        inv_sqrt_on_support(np.diag([1.0, -1e-9]))
     with pytest.raises(DimensionMismatch):
-        psd_eigh(np.zeros((2, 3)))
+        inv_sqrt_on_support(np.zeros((2, 3)))
     vals, vecs, keep = psd_eigh(np.zeros((3, 0, 0)))
     assert vals.shape == keep.shape == (3, 0) and vecs.shape == (3, 0, 0)
 

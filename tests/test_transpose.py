@@ -13,7 +13,7 @@ from aqec import (
     transpose_fidelity_grid,
     worst_case_fidelity,
 )
-from aqec.cli import _search_one
+from aqec.cli import _search_one, gamma_grid
 from aqec.linalg import psd_eigh
 from aqec.codes import _haar_columns
 from aqec.models import _damping_on, leung_code
@@ -26,6 +26,7 @@ from helpers import (
     pauli_string,
     random_tp_channel,
     recovered_channel,
+    svd_code_kraus_oracle,
 )
 from properties import (
     check_recovered_hermitian_closed,
@@ -226,6 +227,17 @@ def test_code_kraus_batch_matches_single_calls():
     batched = code_kraus(m)
     for i in range(len(gammas)):
         assert np.max(np.abs(batched[i] - code_kraus(m[i]))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_code_kraus_matches_svd_oracle_on_damping_grid(n, d):
+    # the eigh of E(P) = wide wide^dag against the SVD of wide, on search's
+    # 51-gamma grid: the same support cut, reached by two factorisations
+    stack = _damping_on(gamma_grid(0.0, 0.5, 0.01), np.eye(2**n, dtype=complex))
+    for seed in range(6):
+        m = stack @ random_code(2**n, d, seed).basis
+        assert np.max(np.abs(code_kraus(m) - svd_code_kraus_oracle(m))) <= 1e-13
 
 
 def test_recovered_channel_matches_ambient_construction():
