@@ -14,11 +14,11 @@ JSON wire format (fixed field names, used by the CLI)::
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import BudgetExceeded, DimensionMismatch, NonFiniteInput, NotPSD
+from .exceptions import BudgetExceeded, DimensionMismatch, NotPSD
+from .linalg import _as_array, _check_size
 
 # Cap on total complex entries (n_kraus * dims_out * dims_in) a single
 # channel construction may produce.  Keeps five-fold tensor powers and
@@ -33,43 +33,30 @@ COMPLETION_TOL = 1e-8  # defect eigenvalues at or below it need no completion
 class QuantumChannel:
     """Completely positive map stored as one stack of Kraus operators.
 
-    All Kraus operators must share one shape (dims_out, dims_in) and hold
-    finite entries (NonFiniteInput otherwise).  kraus is the read-only
-    complex array of shape (n_kraus, dims_out, dims_in), the one copy of
-    the operators; kraus[i] is E_i.  Channels are immutable after
-    construction.
+    The operators pass linalg._as_array as one stack of at least one
+    matrix.  kraus is the read-only complex array of shape (n_kraus,
+    dims_out, dims_in), the one copy of the operators; kraus[i] is E_i.
+    Channels are immutable after construction.
     """
 
     __slots__ = ("kraus", "dims_in", "dims_out")
 
-    def __init__(self, kraus: Sequence[np.ndarray]):
-        shapes = [np.shape(k) for k in kraus]
-        if not shapes:
+    def __init__(self, kraus: np.ndarray):
+        self.kraus = _as_array(kraus, 3, "Kraus stack")  # the one copy of the operators
+        if not len(self.kraus):
             raise DimensionMismatch("channel needs at least one Kraus operator")
-        shape = shapes[0]
-        if len(shape) != 2:
-            raise DimensionMismatch("Kraus operators must be matrices")
-        for other in shapes:
-            if other != shape:
-                raise DimensionMismatch(f"Kraus shapes differ: {other} vs {shape}")
-        stack = np.array(kraus, dtype=complex)  # the one copy of the operators
-        if not np.isfinite(stack).all():
-            raise NonFiniteInput("Kraus operators hold NaN or infinite entries")
-        stack.flags.writeable = False
-        self.kraus = stack
-        self.dims_out, self.dims_in = shape
+        self.kraus.flags.writeable = False
+        self.dims_out, self.dims_in = self.kraus.shape[1:]
 
     @property
     def n_kraus(self) -> int:
         return len(self.kraus)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Return sum_i E_i rho E_i^dag."""
-        rho = np.asarray(rho, dtype=complex)
+        """Return sum_i E_i rho E_i^dag; rho passes linalg._as_array."""
+        rho = _as_array(rho, 2, "state")
         if rho.shape != (self.dims_in, self.dims_in):
-            raise DimensionMismatch(
-                f"state is {rho.shape}, channel input dimension is {self.dims_in}"
-            )
+            raise DimensionMismatch(f"state is {rho.shape}, channel input dim is {self.dims_in}")
         return np.einsum(
             "kij,jl,kml->im", self.kraus, rho, self.kraus.conj(), optimize=True
         )
@@ -85,12 +72,9 @@ class QuantumChannel:
         )
 
 
-def _prune(ops: Iterable[np.ndarray]) -> list[np.ndarray]:
-    kept = [k for k in ops if np.linalg.norm(k) >= PRUNE_TOL]
-    if not kept:
-        first = next(iter(ops))
-        kept = [np.zeros_like(first)]
-    return kept
+def _prune(ops: np.ndarray) -> np.ndarray:
+    kept = ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE_TOL]
+    return kept if len(kept) else np.zeros_like(ops[:1])
 
 
 def _check_budget(n_ops: int, dims_out: int, dims_in: int) -> None:
@@ -106,15 +90,14 @@ def tensor_power(e: QuantumChannel, n: int) -> QuantumChannel:
     """n independent copies of e; Kraus operators are all n-fold tensor
     products in lexicographic index order (first factor most significant).
     Raises DimensionMismatch unless n is an integer (not a bool) >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DimensionMismatch(f"tensor power needs an integer n >= 1, got {n!r}")
+    _check_size(n, "tensor power needs an integer n >= 1")
     _check_budget(e.n_kraus**n, e.dims_out**n, e.dims_in**n)
     ops = e.kraus
     for p in range(2, n + 1):
         ops = np.einsum("aij,bkl->abikjl", ops, e.kraus).reshape(
             e.n_kraus**p, e.dims_out**p, e.dims_in**p
         )
-    return QuantumChannel(_prune(list(ops)))
+    return QuantumChannel(_prune(ops))
 
 
 def complete_to_tp(e: QuantumChannel, target: np.ndarray) -> QuantumChannel:
@@ -125,16 +108,15 @@ def complete_to_tp(e: QuantumChannel, target: np.ndarray) -> QuantumChannel:
     receives the maximally mixed state W W^dag / k.  For each eigenpair
     (lam, phi) of the defect with lam above COMPLETION_TOL, the Kraus
     operators sqrt(lam / k) |w_j><phi| are appended, j over the k columns.
-    Raises DimensionMismatch unless target is such an isometry with k >= 1,
-    and NotPSD when the defect has an eigenvalue below -COMPLETION_TOL.
+    target passes linalg._as_array; DimensionMismatch unless it is such an
+    isometry with k >= 1, NotPSD when the defect has an eigenvalue below
+    -COMPLETION_TOL.
     """
-    w = np.asarray(target, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != e.dims_out or w.shape[1] < 1:
+    w = _as_array(target, 2, "target")
+    rows, k = w.shape
+    if rows != e.dims_out or k < 1 or np.max(np.abs(w.conj().T @ w - np.eye(k))) > TP_TOL:
         raise DimensionMismatch("target must be an isometry of at least one column "
                                 "into the channel output")
-    k = w.shape[1]
-    if np.max(np.abs(w.conj().T @ w - np.eye(k))) > TP_TOL:
-        raise DimensionMismatch("target columns must be orthonormal")
     vals, vecs = np.linalg.eigh(np.eye(e.dims_in) - e.kraus_sum())
     if vals.size and float(vals[0]) < -COMPLETION_TOL:
         raise NotPSD(

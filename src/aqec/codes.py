@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _json_fields, _matrix_to_pairs, _pairs_to_matrix
-from .exceptions import DimensionMismatch, NonFiniteInput
+from .exceptions import DimensionMismatch
+from .linalg import _as_array, _check_size
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -23,23 +24,19 @@ ORTHONORMALITY_TOL = 1e-12
 class CodeSpace:
     """Orthonormal basis of a code subspace, columns of `basis`.
 
-    Raises NonFiniteInput for a NaN or infinite entry and DimensionMismatch
-    for a basis that is not orthonormal.
+    The basis passes linalg._as_array; DimensionMismatch unless it has
+    1 <= d <= D columns, orthonormal ones.
     """
 
     __slots__ = ("basis", "ambient_dim", "code_dim")
 
     def __init__(self, basis: np.ndarray):
-        basis = np.array(basis, dtype=complex)
-        if basis.ndim != 2:
-            raise DimensionMismatch("basis must be a D x d matrix of column vectors")
+        basis = _as_array(basis, 2, "code basis")
         d_amb, d_code = basis.shape
         if d_code > d_amb or d_code < 1:
             raise DimensionMismatch(
                 f"code dimension {d_code} invalid for ambient dimension {d_amb}"
             )
-        if not np.isfinite(basis).all():
-            raise NonFiniteInput("code basis holds NaN or infinite entries")
         gram = basis.conj().T @ basis
         dev = float(np.max(np.abs(gram - np.eye(d_code))))
         if dev > ORTHONORMALITY_TOL:
@@ -50,10 +47,6 @@ class CodeSpace:
         self.basis = basis
         self.ambient_dim = d_amb
         self.code_dim = d_code
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "CodeSpace":
-        return cls(np.column_stack([np.asarray(v, dtype=complex) for v in vectors]))
 
     def projector(self) -> np.ndarray:
         """P = sum_k |v_k><v_k|, the rank-d projector onto the code."""
@@ -79,8 +72,11 @@ def _haar_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def random_code(ambient_dim: int, code_dim: int, seed: int) -> CodeSpace:
     """Haar-random code: first code_dim columns of a Haar-random unitary.
 
-    Deterministic for a given seed (PCG64 generator).
+    Deterministic for a given seed (PCG64 generator).  DimensionMismatch
+    unless both are integers and 1 <= code_dim <= ambient_dim.
     """
+    _check_size(ambient_dim, "random code needs an integer ambient_dim >= 1")
+    _check_size(code_dim, "random code needs an integer code_dim >= 1")
     if code_dim > ambient_dim:
         raise DimensionMismatch(
             f"code dimension {code_dim} exceeds ambient dimension {ambient_dim}"
@@ -127,4 +123,4 @@ def code_from_json(data: dict) -> CodeSpace:
         raise DimensionMismatch(
             f"code JSON declares code_dim {d_code} but has {len(cols)} basis vectors"
         )
-    return CodeSpace.from_vectors(cols)
+    return CodeSpace(np.column_stack(cols))

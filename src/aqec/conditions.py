@@ -39,7 +39,7 @@ import numpy as np
 
 from .channels import QuantumChannel, _prune
 from .codes import CodeSpace
-from .exceptions import CertificateInvalid, NotTP
+from .exceptions import CertificateInvalid, NotTP, ParamOutOfRange
 from .fidelity import (
     DEFAULT_SAMPLES,
     _code_process_matrices,
@@ -178,7 +178,7 @@ def build_r_perf(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
     transpose channel of the pair.
     """
     ops = _standard_recovery_on(_noise_on_code(e.kraus, code)[None])[0]
-    return QuantumChannel(_prune(list(code.basis @ ops)))
+    return QuantumChannel(_prune(code.basis @ ops))
 
 
 def _beta_and_deltas(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +206,10 @@ def aqec_diagnostics(
     beta_ij I + Delta_ij, and eta = 1 - F^2_min of the transpose-recovered
     map comes from the same worst-case call that search and sweep make:
     exact for qubit codes, a sampled lower bound on the loss for d > 2.
+    ParamOutOfRange unless epsilon is finite and at least 0.
     """
+    if not 0.0 <= epsilon < np.inf:
+        raise ParamOutOfRange(f"epsilon must be a finite number >= 0, got {epsilon}")
     d = code.code_dim
     m, factor = _normalised_noise_on_code(e.kraus, code)
     if np.isnan(factor):

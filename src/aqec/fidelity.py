@@ -49,6 +49,7 @@ import numpy as np
 from .channels import QuantumChannel
 from .codes import CodeSpace, _su_generators
 from .exceptions import DimensionMismatch, PreconditionViolated
+from .linalg import _as_array
 from .transpose import _normalised_noise_on_code, code_kraus
 
 EXACT_UNITAL_QUBIT = "exact_unital_qubit"
@@ -363,7 +364,7 @@ def _distinct_starts(
     each form's walk runs over Python lists and stops at its k-th start."""
     forms, _, d = cs.shape
     near = (np.abs(cs.conj() @ cs.swapaxes(-1, -2)) >= _SAME_BASIN).tolist()  # (G, P, P)
-    finite = np.isfinite(vals).tolist()
+    finite = (vals < np.inf).tolist()
     starts = np.zeros((forms, k, d), dtype=complex)
     filled = np.zeros((forms, k), dtype=bool)
     for g in range(forms):
@@ -539,16 +540,17 @@ def transpose_fidelity_grid(
     """Worst-case fidelity of transpose recovery after each of a stack of
     noise channels, one result per channel.
 
-    kraus has shape (G, N, D, D): G channels of N Kraus operators each
-    (zero operators are allowed), each normalised.  Each result equals
+    kraus, passed through linalg._as_array, has shape (G, N, D, D): G >= 1
+    channels of N >= 1 Kraus operators each (zero operators are allowed),
+    each normalised.  Each result equals
     worst_case_fidelity(noise, transpose_channel(noise, code), code) up to
     rounding, with the same method: all G code-space maps and
     their process matrices come from one batched call each, and all G
     worst cases from one _min_forms call.
     """
-    kraus = np.asarray(kraus, dtype=complex)
-    if kraus.ndim != 4:
-        raise DimensionMismatch(f"expected a (G, N, D, D) Kraus stack, got shape {kraus.shape}")
+    kraus = _as_array(kraus, 4, "(G, N, D, D) Kraus stack")
+    if 0 in kraus.shape[:2]:
+        raise DimensionMismatch(f"expected G, N >= 1, got shape {kraus.shape}")
     k = code_kraus(_normalised_noise_on_code(kraus, code)[0])
     d = code.code_dim
     [results] = _min_forms([(_code_process_matrices(k.reshape(len(k), -1, d, d)), code)],

@@ -1,7 +1,7 @@
 """Dense complex linear algebra primitives.
 
-All operators are plain numpy arrays of complex128.  psd_eigh holds the
-package's one rule for the support of a PSD matrix, which
+All operators are numpy complex128 arrays, read from callers by _as_array.
+psd_eigh holds the package's one rule for the support of a PSD matrix, which
 inv_sqrt_on_support inverts on; polar_unitary_on_support takes one SVD.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotHermitian, NotPSD
+from .exceptions import DimensionMismatch, NonFiniteInput, NotHermitian, NotPSD
 
 # Relative eigenvalue cutoff: eigenvalues at or below RANK_TOL *
 # max(|eigenvalue|) are treated as exactly zero.  Relative thresholding
@@ -21,11 +21,24 @@ RANK_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 
 
-def _as_complex_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    return a
+def _as_array(a, ndim: int, what: str) -> np.ndarray:
+    """a as a new complex128 array of ndim axes: DimensionMismatch, naming what, for
+    ragged or non-numeric input or other axes, NonFiniteInput for NaN or inf."""
+    try:
+        arr = np.array(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past float64
+        raise DimensionMismatch(f"{what} is not a numeric array: {exc}") from exc
+    if arr.ndim != ndim:
+        raise DimensionMismatch(f"{what} needs {ndim} axes, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{what} holds NaN or infinite entries")
+    return arr
+
+
+def _check_size(n, rule: str) -> None:
+    """DimensionMismatch (rule, then n) unless n is an integer >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatch(f"{rule}, got {n!r}")
 
 
 def psd_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -43,12 +56,12 @@ def inv_sqrt_on_support(a) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (B, support) where B = sum over the eigenvalues psd_eigh keeps
     of lam^(-1/2) |v><v| and support is the projector onto those
-    eigenvectors, so B A B = support.  Raises DimensionMismatch unless A
-    is a square matrix, NotHermitian when max|A - A^dag| exceeds
+    eigenvectors, so B A B = support.  A passes _as_array; DimensionMismatch
+    unless it is square, NotHermitian when max|A - A^dag| exceeds
     HERMITICITY_TOL * max(1, max|A|), and NotPSD when an eigenvalue of its
     Hermitian part lies below -RANK_TOL * max|lam|.
     """
-    a = _as_complex_matrix(a)
+    a = _as_array(a, 2, "matrix")
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     dev = np.max(np.abs(a - a.conj().T), initial=0.0)
@@ -70,8 +83,9 @@ def polar_unitary_on_support(a) -> np.ndarray:
     it maps the support of A^dag A onto the range of A as
     A (A^dag A)^(-1/2) does.  Off that support W follows the singular
     vectors the SVD picks, so only its action on the support is canonical.
+    A passes _as_array; DimensionMismatch unless it is square.
     """
-    a = _as_complex_matrix(a)
+    a = _as_array(a, 2, "matrix")
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("polar decomposition expects a square operator")
     u, _, vh = np.linalg.svd(a)

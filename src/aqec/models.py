@@ -12,7 +12,8 @@ import numpy as np
 from .channels import QuantumChannel, _check_budget, complete_to_tp
 from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf
-from .exceptions import DimensionMismatch, ParamOutOfRange
+from .exceptions import ParamOutOfRange
+from .linalg import _check_size
 
 # I, X, Y, Z: the column of each row's one entry (X, Y flip the bit), its value
 _PAULI_COLS = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
@@ -101,7 +102,7 @@ def leung_code() -> CodeSpace:
     """
     v0 = (basis_state("0000") + basis_state("1111")) / np.sqrt(2.0)
     v1 = (basis_state("0011") + basis_state("1100")) / np.sqrt(2.0)
-    return CodeSpace.from_vectors([v0, v1])
+    return CodeSpace(np.column_stack([v0, v1]))
 
 
 def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
@@ -109,8 +110,7 @@ def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     the no-damping operator E0^(x n) plus the n single-damping terms.
     Trace decreasing for gamma > 0.  Raises DimensionMismatch unless n is
     an integer (not a bool) >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DimensionMismatch(f"truncated damping needs an integer n >= 1 qubits, got {n!r}")
+    _check_size(n, "truncated damping needs an integer n >= 1 qubits")
     kraus = [0] + [1 << (n - 1 - k) for k in range(n)]
     return QuantumChannel(_damping_on([gamma], np.eye(2**n, dtype=complex), kraus)[0])
 
@@ -185,7 +185,7 @@ def five_qubit_code_only() -> CodeSpace:
     for s in _FIVE_QUBIT_STABILIZERS:
         v0 = (v0 + _pauli_on(s, v0)) / 2.0
     v0 /= np.linalg.norm(v0)
-    return CodeSpace.from_vectors([v0, _pauli_on("XXXXX", v0)])
+    return CodeSpace(np.column_stack([v0, _pauli_on("XXXXX", v0)]))
 
 
 def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ def transpose_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
     weight, v, c = _transpose_factor(m)
     c_blocks = c.reshape(dim, n, d).transpose(1, 2, 0).conj()
     ops = code.basis @ c_blocks @ (weight[:, None] * v.conj().T)
-    return QuantumChannel(_prune(list(ops)))
+    return QuantumChannel(_prune(ops))
 
 
 def code_kraus(m: np.ndarray) -> np.ndarray:
@@ -100,7 +100,8 @@ def code_kraus(m: np.ndarray) -> np.ndarray:
 
     so that the recovered map sends W rho W^dag to
     W (sum_ij K_ij rho K_ij^dag) W^dag: K = C^dag C with C from
-    _transpose_factor.
+    _transpose_factor.  It checks nothing: search calls it once per code
+    on stacks the package builds.
     """
     *lead, n, _, d = m.shape
     c = _transpose_factor(m)[2]

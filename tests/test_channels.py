@@ -13,7 +13,7 @@ from aqec import (
 )
 from aqec.channels import complete_to_tp
 from aqec.codes import _haar_columns
-from aqec.exceptions import BudgetExceeded, DimensionMismatch
+from aqec.exceptions import BudgetExceeded, DimensionMismatch, NotPSD
 from aqec.models import basis_state
 from aqec.transpose import _normalised_noise_on_code
 
@@ -112,6 +112,18 @@ def test_tensor_power_basics():
             tensor_power(e, n)
 
 
+def test_tensor_power_of_a_zero_channel_keeps_one_zero_operator():
+    z = tensor_power(QuantumChannel([np.zeros((2, 2)), np.zeros((2, 2))]), 2)
+    assert z.n_kraus == 1 and z.dims_in == z.dims_out == 4
+    assert not z.kraus.any()
+
+
+def test_channel_rejects_empty_ragged_or_non_matrix_operators():
+    for bad in ([], np.zeros((0, 2, 2)), [np.eye(2), np.eye(3)], [np.ones(2)]):
+        with pytest.raises(DimensionMismatch):
+            QuantumChannel(bad)
+
+
 def test_tensor_power_ground_state_fixed_point():
     e4 = tensor_power(amplitude_damping(0.1), 4)
     rho = np.outer(basis_state("0000"), basis_state("0000").conj())
@@ -205,6 +217,9 @@ def test_complete_to_tp_on_an_isometry_target():
     for bad in (2.0 * w, np.ones((4, 2)), np.zeros(4), w[:3], np.zeros((4, 0))):
         with pytest.raises(DimensionMismatch):
             complete_to_tp(e, bad)
+    # a Kraus sum above I leaves no weight to route
+    with pytest.raises(NotPSD):
+        complete_to_tp(QuantumChannel([1.1 * np.eye(4)]), w)
 
 
 def test_channel_json_roundtrip():

@@ -956,6 +956,7 @@ _GOOD_CODE = code_to_json(bit_flip_code())
     (_bad_entry(True), _GOOD_CODE, "pairs of numbers"),
     (_bad_entry(None), _GOOD_CODE, "pairs of numbers"),
     (_bad_entry(10**400), _GOOD_CODE, "pairs of finite numbers"),
+    (_GOOD_CHANNEL, _malformed(_GOOD_CODE, "code_dim", 1), "code_dim 1 but has 2 basis vectors"),
 ])
 def test_malformed_json_fields_exit_3_with_one_line(tmp_path, capsys, chan, code, message):
     chan_file, code_file = tmp_path / "chan.json", tmp_path / "code.json"
@@ -1126,6 +1127,20 @@ def test_provenance_lines_pin_every_setting(tmp_path):
     assert _config_line(out) == expected
     config = json.loads(best.read_text())["config"]
     assert config == expected and list(config) == list(expected)
+
+
+def test_malformed_curve_out_or_config_exits_2_with_one_line(tmp_path, capsys):
+    sweep = ["sweep", "--gamma-stop", "0.02"]
+    for curve, message in [("leung41", "not MODEL:RECOVERY"), ("ad:nosuch", "unknown recovery"),
+                           ("nosuch:identity", "unknown model")]:
+        assert main(sweep + ["--curve", curve, "--out", str(tmp_path / "o.csv")]) == 2
+        assert message in _one_error_line(capsys)
+    assert main(sweep + ["--curve", "ad:identity", "--out", str(tmp_path)]) == 2
+    assert "it is a directory" in _one_error_line(capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(sweep + ["--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "is not a JSON object" in _one_error_line(capsys)
 
 
 def test_worker_pool_pins_blas_and_restores_the_environment(monkeypatch):

@@ -75,6 +75,9 @@ def test_random_code_bit_identical_to_reference(ambient_dim, code_dim):
 def test_random_code_rejects_overfull():
     with pytest.raises(DimensionMismatch):
         random_code(2, 3, 0)
+    for dims in ((4.5, 2), (4, 2.0), (True, 1), (4, 0)):
+        with pytest.raises(DimensionMismatch):
+            random_code(*dims, 0)
 
 
 def test_random_code_haar_moment():
@@ -179,6 +182,12 @@ def test_property_orthonormal():
 
 def test_property_pauli_support():
     check_pauli_support(303)
+
+
+def test_code_rejects_more_columns_than_rows_or_a_non_orthonormal_basis():
+    for bad in (np.ones((1, 2)) / np.sqrt(2.0), np.ones((2, 2)) / np.sqrt(2.0)):
+        with pytest.raises(DimensionMismatch):
+            CodeSpace(bad)
 
 
 def test_code_rejects_non_finite_basis():

@@ -17,7 +17,7 @@ from aqec import (
     worst_case_fidelity,
 )
 from aqec.conditions import Verdict, _beta_and_deltas, _standard_recovery_on
-from aqec.exceptions import CertificateInvalid, NotTP
+from aqec.exceptions import CertificateInvalid, NotTP, ParamOutOfRange
 from aqec.fidelity import DEFAULT_SAMPLES, EXACT_UNITAL_QUBIT, LAGRANGE_QUBIT, SAMPLED
 from aqec.models import (
     _five_qubit_noise_on,
@@ -26,6 +26,7 @@ from aqec.models import (
     five_qubit_code_only,
     five_qubit_noise,
     leung_code,
+    qubit_space,
     truncated_damping_channel,
 )
 from aqec.transpose import code_kraus
@@ -192,6 +193,12 @@ def test_aqec_diagnostics_rejects_non_tp():
     for e, code in pairs:
         with pytest.raises(NotTP):
             aqec_diagnostics(e, code, epsilon=0.1)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, np.nan, np.inf])
+def test_aqec_diagnostics_rejects_a_bad_epsilon(epsilon):
+    with pytest.raises(ParamOutOfRange):
+        aqec_diagnostics(amplitude_damping(0.1), qubit_space(), epsilon)
 
 
 def test_alternate_residual_iff_perfect():

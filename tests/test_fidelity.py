@@ -11,6 +11,7 @@ from aqec import (
 )
 from aqec.codes import _su_generators
 from aqec.conditions import _beta_and_deltas
+from aqec.exceptions import DimensionMismatch, PreconditionViolated
 from aqec.fidelity import (
     DEFAULT_SAMPLES,
     EXACT_UNITAL_QUBIT,
@@ -240,6 +241,10 @@ def test_worst_case_dispatcher_methods():
     e3 = tensor_power(amplitude_damping(0.1), 3)
     res3 = worst_case_fidelity(e3, None, big_code, samples=2000, seed=0)
     assert res3.method == "sampled"
+    with pytest.raises(PreconditionViolated):
+        worst_case_fidelity(e3, None, big_code, samples=0)
+    with pytest.raises(DimensionMismatch):  # a recovery on two qubits for a four-qubit code
+        worst_case_fidelity(e, tensor_power(amplitude_damping(0.1), 2), code)
 
 
 def test_property_f2_process_matrix():
@@ -256,13 +261,15 @@ def test_property_rotation_invariance():
 
 def test_fidelity_grid_rejects_wrong_stack_shape():
     from aqec import transpose_fidelity_grid
-    from aqec.exceptions import DimensionMismatch
 
     code = random_code(4, 2, 1)
     with pytest.raises(DimensionMismatch):
         transpose_fidelity_grid(np.zeros((2, 3, 8, 8)), code)
     with pytest.raises(DimensionMismatch):
         transpose_fidelity_grid(np.zeros((3, 4, 4)), code)
+    for empty in (np.zeros((0, 1, 4, 4)), np.zeros((1, 0, 4, 4))):  # no channel, no operator
+        with pytest.raises(DimensionMismatch):
+            transpose_fidelity_grid(empty, code)
 
 
 def _form_test_cases(d, rng):

@@ -3,7 +3,7 @@ import pytest
 
 from aqec import inv_sqrt_on_support, polar_unitary_on_support
 from aqec.linalg import psd_eigh
-from aqec.exceptions import DimensionMismatch, NotHermitian, NotPSD
+from aqec.exceptions import DimensionMismatch, NonFiniteInput, NotHermitian, NotPSD
 
 from helpers import bit_flip_code, pauli_string, random_psd, sqrtm_oracle, svd_polar_oracle
 from properties import (
@@ -35,6 +35,8 @@ def test_eig_rejects_non_hermitian():
         inv_sqrt_on_support(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
         inv_sqrt_on_support(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        polar_unitary_on_support(np.zeros((2, 3)))
 
 
 def test_inv_sqrt_identity():
@@ -122,3 +124,53 @@ def test_property_polar_unitary():
 
 def test_property_eigenvalue_sum():
     check_eigenvalue_sum(103)
+
+
+def _readers():
+    # each public reader of an outside array, with a valid input for it
+    from aqec import (CodeSpace, QuantumChannel, amplitude_damping, complete_to_tp,
+                      qubit_space, transpose_fidelity_grid)
+
+    e = amplitude_damping(0.1)
+    return {
+        "QuantumChannel": (QuantumChannel, np.stack([np.eye(2), np.zeros((2, 2))])),
+        "QuantumChannel.apply": (e.apply, np.diag([1.0, 0.0])),
+        "complete_to_tp": (lambda t: complete_to_tp(e, t), np.array([[1.0], [0.0]])),
+        "CodeSpace": (CodeSpace, np.array([[1.0], [0.0]])),
+        "inv_sqrt_on_support": (inv_sqrt_on_support, np.eye(2)),
+        "polar_unitary_on_support": (polar_unitary_on_support, np.eye(2)),
+        "transpose_fidelity_grid": (lambda k: transpose_fidelity_grid(k, qubit_space()),
+                                    np.eye(2)[None, None]),
+    }
+
+
+def _with_last_entry(a, value):
+    # a as nested lists, its last entry replaced by value (None: dropped)
+    rows = a.tolist()
+    last = rows
+    while isinstance(last[-1], list):
+        last = last[-1]
+    if value is None:
+        last.pop()
+    else:
+        last[-1] = value
+    return rows
+
+
+@pytest.mark.parametrize("reader", sorted(_readers()))
+@pytest.mark.parametrize("bad, error", [
+    ("nan", NonFiniteInput),
+    ("inf", NonFiniteInput),
+    ("string", DimensionMismatch),
+    ("huge int", DimensionMismatch),
+    ("ragged", DimensionMismatch),
+    ("extra axis", DimensionMismatch),
+])
+def test_every_array_reader_rejects_bad_input(reader, bad, error):
+    call, good = _readers()[reader]
+    call(good)  # the valid input passes
+    value = {"nan": np.nan, "inf": np.inf, "string": "abc", "huge int": 10**400,
+             "ragged": None}.get(bad)
+    arg = good[None] if bad == "extra axis" else _with_last_entry(good, value)
+    with pytest.raises(error):
+        call(arg)
