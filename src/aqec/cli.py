@@ -36,10 +36,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .channels import channel_from_json
+from .channels import KRAUS_ENTRY_BUDGET, channel_from_json
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
 from .conditions import _standard_recovery_on, aqec_diagnostics
-from .exceptions import AqecError
+from .exceptions import AqecError, BudgetExceeded
 from .fidelity import (
     DEFAULT_SAMPLES,
     SAMPLED,
@@ -192,6 +192,28 @@ def _recovered_on_code(
     return maps
 
 
+# Kraus operators of each recovery: transpose has one per noise operator (None),
+# leung_recovery nine, and rperf the five-qubit code's six syndrome operators
+_RECOVERY_OPS = {"transpose": None, "identity": 1, "leung": 9, "rperf": 6}
+
+
+def _check_pass_budget(code: CodeSpace, recovery: str, g: int) -> None:
+    """BudgetExceeded when one curve of a scoring pass over g gammas would
+    hold more than KRAUS_ENTRY_BUDGET complex entries at once: the noise on
+    the code (G N D d, with N = D operators of n-qubit damping), its
+    code-basis Kraus stack and that stack's flat copy (G X d^2 each, X = R N
+    for R recovery operators), and the Gram, superoperator and process
+    stacks (G d^4 each)."""
+    dim, d = code.ambient_dim, code.code_dim
+    x = (_RECOVERY_OPS[recovery] or dim) * dim
+    entries = g * (dim * dim * d + 2 * x * d * d + 3 * d**4)
+    if entries > KRAUS_ENTRY_BUDGET:
+        raise BudgetExceeded(
+            f"the {recovery} curve on a {d}-dimensional code in dimension {dim} over {g} gammas "
+            f"needs {entries} complex entries; budget is {KRAUS_ENTRY_BUDGET}"
+        )
+
+
 def _score_curves(
     curves: list[tuple[CodeSpace, str]], gammas: list[float], samples: int, seed: int
 ) -> list[list[WorstCaseResult]]:
@@ -206,12 +228,14 @@ def _score_curves(
     all curves of one code dimension are minimised in one _min_forms call,
     each curve's worst states taken in its own code.
     """
+    for code, recovery in curves:
+        _n_qubits_for(code)  # exit 2 unless the code lives on qubits
+        _check_pass_budget(code, recovery, len(gammas))
     last = {code: i for i, (code, _) in enumerate(curves)}
     noise: dict[CodeSpace, np.ndarray] = {}
     maps = []
     for i, (code, recovery) in enumerate(curves):
         if code not in noise:
-            _n_qubits_for(code)  # exit 2 unless the code lives on qubits
             noise[code] = _damping_on(gammas, code.basis)
         maps.append(_recovered_on_code(recovery, code, noise[code], gammas))
         if last[code] == i:

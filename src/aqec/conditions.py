@@ -33,7 +33,7 @@ the normalised noise.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ def near_optimality_factor(eta: float, d: int) -> float:
     return ((d + 1) - eta) / (1.0 + (d - 1) * eta)
 
 
-@dataclass(frozen=True)
-class PerfectQecCertificate:
+class PerfectQecCertificate(NamedTuple):
     """Result of testing P E_i^dag E_j P = alpha_ij P.
 
     residual is the largest entrywise deviation (in the code basis) from
@@ -78,8 +77,7 @@ class PerfectQecCertificate:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class AqecDiagnostics:
+class AqecDiagnostics(NamedTuple):
     """Deviation operators and fidelity-loss estimate for one pair.
 
     eta = 1 - min F^2 of the transpose-recovered map on the code, with
@@ -260,8 +258,7 @@ def alternate_condition_residual(e: QuantumChannel, code: CodeSpace) -> float:
     return float(np.max(np.linalg.norm(deltas, 2, axis=(-2, -1))))
 
 
-@dataclass(frozen=True)
-class NearOptimalityReport:
+class NearOptimalityReport(NamedTuple):
     """Comparison of the transpose-channel loss against candidate recoveries.
 
     eta_hat is the best candidate loss; since the optimal loss cannot

@@ -42,7 +42,7 @@ transpose module sets out.  The module needs only numpy.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ DEFAULT_SAMPLES = 1024
 REFINE_ITERS = 300
 
 
-@dataclass(frozen=True)
-class WorstCaseResult:
+class WorstCaseResult(NamedTuple):
     """Worst-case squared fidelity over pure code states.
 
     For the exact qubit methods f2_min is a certified global minimum; for

@@ -23,11 +23,18 @@ HERMITICITY_TOL = 1e-10
 
 def _as_array(a, ndim: int, what: str) -> np.ndarray:
     """a as a new complex128 array of ndim axes: DimensionMismatch, naming what, for
-    ragged or non-numeric input or other axes, NonFiniteInput for NaN or inf."""
+    ragged or non-numeric input or other axes, NonFiniteInput for NaN or inf.
+    Numbers only: strings, booleans and objects (an int past 64 bits among
+    them) are refused, not converted; numpy reads a list that mixes numbers
+    and booleans as float64, so such a list passes."""
     try:
-        arr = np.array(a, dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past float64
+        arr = np.asarray(a)
+    except (TypeError, ValueError) as exc:  # ragged
         raise DimensionMismatch(f"{what} is not a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iufc":
+        raise DimensionMismatch(f"{what} is not a numeric array: dtype {arr.dtype}")
+    # numpy reads a list or tuple into a new array; an array from the caller is copied
+    arr = arr.astype(complex, copy=not isinstance(a, (list, tuple)))
     if arr.ndim != ndim:
         raise DimensionMismatch(f"{what} needs {ndim} axes, got shape {arr.shape}")
     if not np.isfinite(arr).all():

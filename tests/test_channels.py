@@ -119,7 +119,9 @@ def test_tensor_power_of_a_zero_channel_keeps_one_zero_operator():
 
 
 def test_channel_rejects_empty_ragged_or_non_matrix_operators():
-    for bad in ([], np.zeros((0, 2, 2)), [np.eye(2), np.eye(3)], [np.ones(2)]):
+    # numbers only: a numeric string or a boolean is refused, not converted
+    for bad in ([], np.zeros((0, 2, 2)), [np.eye(2), np.eye(3)], [np.ones(2)],
+                [[['1', 0], [0, True]]], np.eye(2, dtype=bool)[None]):
         with pytest.raises(DimensionMismatch):
             QuantumChannel(bad)
 

@@ -566,6 +566,30 @@ def test_sweep_over_kraus_budget_exits_3(tmp_path, capsys):
         assert "budget" in _one_error_line(capsys)
 
 
+def test_sweep_over_pass_budget_exits_3_before_the_noise_is_built(monkeypatch, capsys):
+    # 2 * 10^6 + 1 gammas pass MAX_COUNT and the noise stack's own budget,
+    # but their process-matrix stacks would hold over 2 GB
+    def refuse(*args, **kwargs):
+        raise AssertionError("_damping_on ran")
+
+    monkeypatch.setattr("aqec.cli._damping_on", refuse)
+    rc = main(["sweep", "--curve", "ad:identity", "--gamma-stop", "1",
+               "--gamma-step", "5e-7", "--out", "-"])
+    assert rc == 3
+    assert "budget" in _one_error_line(capsys)
+
+
+def test_pass_budget_counts_the_operators_each_recovery_builds():
+    from aqec import five_qubit_code_only, leung_recovery
+    from aqec.cli import _RECOVERY_OPS
+    from aqec.conditions import _standard_recovery_on
+    from aqec.models import _five_qubit_noise_on
+
+    m = _five_qubit_noise_on(np.array([0.1]), five_qubit_code_only().basis)
+    assert _RECOVERY_OPS["leung"] == len(leung_recovery(0.1).kraus)
+    assert _RECOVERY_OPS["rperf"] == _standard_recovery_on(m).shape[1]
+
+
 def _original_five_qubit_recovery(gamma):
     from aqec import (
         check_perfect_qec,

@@ -185,7 +185,7 @@ def test_property_pauli_support():
 
 
 def test_code_rejects_more_columns_than_rows_or_a_non_orthonormal_basis():
-    for bad in (np.ones((1, 2)) / np.sqrt(2.0), np.ones((2, 2)) / np.sqrt(2.0)):
+    for bad in (np.ones((1, 2)) / np.sqrt(2.0), np.ones((2, 2)) / np.sqrt(2.0), [['1'], [0]]):
         with pytest.raises(DimensionMismatch):
             CodeSpace(bad)
 

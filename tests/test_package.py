@@ -48,13 +48,14 @@ def test_import_pulls_in_no_scipy():
 
 def test_cli_import_loads_no_process_pool_modules():
     # concurrent.futures (which loads logging) and multiprocessing are
-    # imported only when AQEC_THREADS asks for worker processes.
+    # imported only when AQEC_THREADS asks for worker processes; the result
+    # records are NamedTuples, so dataclasses is never imported.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = (
         "import sys, aqec.cli; "
-        "print([m for m in ('concurrent.futures', 'logging', 'multiprocessing') "
+        "print([m for m in ('concurrent.futures', 'logging', 'multiprocessing', 'dataclasses') "
         "if m in sys.modules])"
     )
     out = subprocess.run(
