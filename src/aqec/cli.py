@@ -59,14 +59,16 @@ from .models import (
 )
 from .transpose import code_kraus
 
-# What sweep takes: each model's code and description, each recovery's one model or None
+# What sweep takes: each model's code and description, and each recovery's one model
+# (None: any) and Kraus operators per noise operator (None: one per noise operator)
 MODELS = {
     "ad": (qubit_space, "single-qubit amplitude damping channel (parameter gamma)"),
     "leung41": (leung_code, "four-qubit amplitude-damping code [4,1]"),
     "five513": (five_qubit_code_only,
                 "five-qubit distance-3 code [[5,1,3]] with its single-error channel"),
 }
-RECOVERIES = {"transpose": None, "rperf": "five513", "identity": None, "leung": "leung41"}
+RECOVERIES = {"transpose": (None, None), "rperf": ("five513", 6), "identity": (None, 1),
+              "leung": ("leung41", 9)}
 DEFAULT_CURVES = ["ad:identity", "leung41:transpose", "leung41:leung", "five513:rperf"]
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MAX_COUNT = 2**21  # most gamma points, and most codes, one run takes
@@ -83,9 +85,15 @@ def gamma_grid(start: float, stop: float, step: float) -> list[float]:
     UserConfigError for a non-numeric or non-finite bound, a non-positive
     step, a step too small for a finite point count, an empty grid or one
     of more than MAX_COUNT points."""
+    start, step, count = _grid_size(start, stop, step)
+    return [round(start + k * step, 12) for k in range(count)]
+
+
+def _grid_size(start, stop, step) -> tuple[float, float, int]:
+    """gamma_grid's checks; its start and step as floats and its point count."""
     try:
         start, stop, step = float(start), float(stop), float(step)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UserConfigError(f"gamma grid values must be numbers: {exc}") from exc
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise UserConfigError(
@@ -104,7 +112,7 @@ def gamma_grid(start: float, stop: float, step: float) -> list[float]:
         raise UserConfigError(f"empty gamma grid: start {start} lies above stop {stop}")
     if count > MAX_COUNT:
         raise UserConfigError(f"gamma grid of {count} points is over the limit of {MAX_COUNT}")
-    return [round(start + k * step, 12) for k in range(count)]
+    return start, step, count
 
 
 def _check_sampling(samples, seed) -> None:
@@ -127,8 +135,8 @@ def _parse_curve(spec: str) -> tuple[str, str]:
         raise UserConfigError(
             f"unknown model '{model}'; use {', '.join(MODELS)} or file=CODE.json"
         )
-    if RECOVERIES[recovery] not in (None, model):
-        raise UserConfigError(f"the {recovery} recovery applies to {RECOVERIES[recovery]} only")
+    if RECOVERIES[recovery][0] not in (None, model):
+        raise UserConfigError(f"the {recovery} recovery applies to {RECOVERIES[recovery][0]} only")
     return model, recovery
 
 
@@ -192,20 +200,14 @@ def _recovered_on_code(
     return maps
 
 
-# Kraus operators of each recovery: transpose has one per noise operator (None),
-# leung_recovery nine, and rperf the five-qubit code's six syndrome operators
-_RECOVERY_OPS = {"transpose": None, "identity": 1, "leung": 9, "rperf": 6}
-
-
-def _check_pass_budget(code: CodeSpace, recovery: str, g: int) -> None:
-    """BudgetExceeded when one curve of a scoring pass over g gammas would
-    hold more than KRAUS_ENTRY_BUDGET complex entries at once: the noise on
-    the code (G N D d, with N = D operators of n-qubit damping), its
-    code-basis Kraus stack and that stack's flat copy (G X d^2 each, X = R N
-    for R recovery operators), and the Gram, superoperator and process
-    stacks (G d^4 each)."""
-    dim, d = code.ambient_dim, code.code_dim
-    x = (_RECOVERY_OPS[recovery] or dim) * dim
+def _check_pass_budget(dim: int, d: int, recovery: str, g: int) -> None:
+    """BudgetExceeded when one curve of a scoring pass over g gammas on a
+    d-dimensional code in dimension dim would hold more than KRAUS_ENTRY_BUDGET
+    complex entries at once: the noise on the code (G N D d, N = D damping
+    operators), its code-basis Kraus stack and that stack's flat copy (G X d^2
+    each, X = R N, R = RECOVERIES[recovery][1] or N), and the Gram,
+    superoperator and process stacks (G d^4 each)."""
+    x = (RECOVERIES[recovery][1] or dim) * dim
     entries = g * (dim * dim * d + 2 * x * d * d + 3 * d**4)
     if entries > KRAUS_ENTRY_BUDGET:
         raise BudgetExceeded(
@@ -226,11 +228,9 @@ def _score_curves(
     code-basis Kraus stack becomes its process matrices inside
     _recovered_on_code, so one stack is alive at a time, and the maps of
     all curves of one code dimension are minimised in one _min_forms call,
-    each curve's worst states taken in its own code.
+    each curve's worst states taken in its own code.  Sizes are not checked
+    here: sweep and search hold each curve to _check_pass_budget up front.
     """
-    for code, recovery in curves:
-        _n_qubits_for(code)  # exit 2 unless the code lives on qubits
-        _check_pass_budget(code, recovery, len(gammas))
     last = {code: i for i, (code, _) in enumerate(curves)}
     noise: dict[CodeSpace, np.ndarray] = {}
     maps = []
@@ -309,15 +309,19 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     curves = [_parse_curve(c) for c in specs]
     _check_sampling(args.samples, args.seed)
     _check_writable(args.out)
-    gammas = gamma_grid(args.gamma_start, args.gamma_stop, args.gamma_step)
+    count = _grid_size(args.gamma_start, args.gamma_stop, args.gamma_step)[2]
     ordered = sorted(zip(specs, curves))
     codes: dict[str, CodeSpace] = {}
     for _, (model, _) in ordered:
         if model not in codes:
             codes[model] = (MODELS[model][0]() if model in MODELS
                             else _load_code_file(model[len("file=") :]))
-    scored = _score_curves([(codes[model], recovery) for _, (model, recovery) in ordered],
-                           gammas, args.samples, args.seed)
+    pass_curves = [(codes[model], recovery) for _, (model, recovery) in ordered]
+    for code, recovery in pass_curves:
+        _n_qubits_for(code)  # exit 2 unless the code lives on qubits
+        _check_pass_budget(code.ambient_dim, code.code_dim, recovery, count)
+    gammas = gamma_grid(args.gamma_start, args.gamma_stop, args.gamma_step)
+    scored = _score_curves(pass_curves, gammas, args.samples, args.seed)
     rows = []
     for (spec, _), results in zip(ordered, scored):
         for gamma, res in zip(gammas, results):
@@ -417,6 +421,8 @@ def cmd_search(args: argparse.Namespace) -> None:
     if not 1 <= args.code_dim <= 2**args.qubits:
         raise UserConfigError(f"code_dim must be between 1 and 2^n_qubits, got {args.code_dim}")
     _check_sampling(args.samples, args.seed)
+    count = _grid_size(args.gamma_start, args.gamma_stop, args.gamma_step)[2]
+    _check_pass_budget(2**args.qubits, args.code_dim, "transpose", count)
     gammas = gamma_grid(args.gamma_start, args.gamma_stop, args.gamma_step)
     target = _metric_target(args.metric, gammas)
     if args.out == args.best_out == "-":

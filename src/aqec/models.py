@@ -76,13 +76,13 @@ def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
     E_a is the product over a's bits of E0 (bit 0: row r holds 1 or
     sqrt(1 - gamma) in column r) and E1 (bit 1: sqrt(gamma) or 0 in column
     1).  Raises ParamOutOfRange for gamma outside [0, 1] and BudgetExceeded
-    when one gamma's K ambient operators, or the stack, are over budget.
+    when one gamma's K ambient operators are over budget; the CLI holds the
+    (G, K, 2^n, c) stack to its pass budget before calling this.
     """
     g = _check_gamma(gammas)[:, None]
     dim, c = basis.shape
     a = np.arange(dim) if kraus is None else np.asarray(kraus)
     _check_budget(len(a), dim, dim)
-    _check_budget(len(g) * len(a), dim, c)
     table = np.hstack([np.ones_like(g), np.sqrt(1.0 - g), np.sqrt(g), 0.0 * g])
     table = table.reshape(-1, 2, 2)  # (gamma, a bit, x bit)
     a_bits = (a[:, None] >> np.arange(dim.bit_length() - 2, -1, -1)) & 1  # (K, qubit)

@@ -258,9 +258,10 @@ def test_search_parallel_matches_serial(tmp_path, monkeypatch):
     assert (tmp_path / "b1.json").read_text() == (tmp_path / "b2.json").read_text()
 
 
-def test_worker_count_is_capped_at_the_usable_cpus(tmp_path, monkeypatch):
-    # A stand-in executor records max_workers and maps in this process, so
-    # AQEC_THREADS=4096 starts no process.
+@pytest.fixture
+def serial_pool(monkeypatch):
+    # A stand-in executor records max_workers and its initializer and maps
+    # in this process, so no worker process starts.
     import concurrent.futures
 
     made, initializers = [], []
@@ -280,6 +281,12 @@ def test_worker_count_is_capped_at_the_usable_cpus(tmp_path, monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    return made, initializers
+
+
+def test_worker_count_is_capped_at_the_usable_cpus(tmp_path, monkeypatch, serial_pool):
+    # AQEC_THREADS=4096 starts no process under the stand-in executor.
+    made, initializers = serial_pool
     args = ["search", "--codes", "9", "--qubits", "2",
             "--gamma-stop", "0.2", "--gamma-step", "0.1", "--seed", "3"]
     outputs = []
@@ -293,6 +300,18 @@ def test_worker_count_is_capped_at_the_usable_cpus(tmp_path, monkeypatch):
     assert made == [min(4096, cpus)]
     assert initializers == [_keep_freed_memory]
     assert outputs[0] == outputs[1]
+
+
+def test_over_budget_search_starts_no_workers(tmp_path, monkeypatch, capsys, serial_pool):
+    # The pass budget refuses 32-dimensional codes on 5 qubits over 51
+    # gammas before the pool is made, not in its first worker.
+    made, _ = serial_pool
+    monkeypatch.setenv("AQEC_THREADS", "2")
+    out = tmp_path / "s.csv"
+    assert main(["search", "--qubits", "5", "--code-dim", "32", "--codes", "3",
+                 "--out", str(out), "--best-out", str(tmp_path / "b.json")]) == 3
+    assert "budget" in _one_error_line(capsys)
+    assert made == [] and not out.exists()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
@@ -466,16 +485,18 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys):
         ({"seed": True}, "seed"),
         ({"gamma_stop": "0.1"}, "gamma_stop"),
         ({"metric": 3}, "metric"),
-    ]
+    ] + [({key: 10**400}, "gamma grid") for key in ("gamma_start", "gamma_stop", "gamma_step")]
     for overrides, key in cases:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(overrides))
         assert main(["search", "--codes", "1", "--qubits", "2", "--config", str(cfg)] + out) == 2
         assert key in _one_error_line(capsys)
-    for curves in ("ad:identity", []):  # an empty list does not mean the defaults
-        cfg.write_text(json.dumps({"curves": curves}))
+    for overrides, key in [({"curves": "ad:identity"}, "curves"),
+                           ({"curves": []}, "curves"),  # an empty list does not mean the defaults
+                           ({"gamma_stop": 10**400}, "gamma grid")]:  # too large for a float
+        cfg.write_text(json.dumps(overrides))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
-        assert "curves" in _one_error_line(capsys)
+        assert key in _one_error_line(capsys)
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -566,28 +587,62 @@ def test_sweep_over_kraus_budget_exits_3(tmp_path, capsys):
         assert "budget" in _one_error_line(capsys)
 
 
-def test_sweep_over_pass_budget_exits_3_before_the_noise_is_built(monkeypatch, capsys):
+def test_sweep_over_pass_budget_exits_3_before_the_noise_is_built(tmp_path, monkeypatch, capsys):
     # 2 * 10^6 + 1 gammas pass MAX_COUNT and the noise stack's own budget,
-    # but their process-matrix stacks would hold over 2 GB
+    # but their process-matrix stacks would hold over 2 GB; 10^6 + 1 gammas
+    # of 32-dimensional codes on 5 qubits are over the budget too.  Both are
+    # refused before the gamma list (~64 MB for 2 * 10^6 floats) is built.
     def refuse(*args, **kwargs):
         raise AssertionError("_damping_on ran")
 
     monkeypatch.setattr("aqec.cli._damping_on", refuse)
-    rc = main(["sweep", "--curve", "ad:identity", "--gamma-stop", "1",
-               "--gamma-step", "5e-7", "--out", "-"])
-    assert rc == 3
-    assert "budget" in _one_error_line(capsys)
+    cases = [["sweep", "--curve", "ad:identity", "--gamma-stop", "1", "--gamma-step", "5e-7",
+              "--out", "-"],
+             ["search", "--qubits", "5", "--code-dim", "32", "--gamma-stop", "1",
+              "--gamma-step", "1e-6", "--out", str(tmp_path / "s.csv"),
+              "--best-out", str(tmp_path / "b.json")]]
+    for args in cases:
+        exits = []
+        assert _peak_bytes(lambda: exits.append(main(args))) < 16 * 2**20
+        assert exits == [3]
+        assert "budget" in _one_error_line(capsys)
 
 
 def test_pass_budget_counts_the_operators_each_recovery_builds():
     from aqec import five_qubit_code_only, leung_recovery
-    from aqec.cli import _RECOVERY_OPS
+    from aqec.cli import RECOVERIES
     from aqec.conditions import _standard_recovery_on
     from aqec.models import _five_qubit_noise_on
 
     m = _five_qubit_noise_on(np.array([0.1]), five_qubit_code_only().basis)
-    assert _RECOVERY_OPS["leung"] == len(leung_recovery(0.1).kraus)
-    assert _RECOVERY_OPS["rperf"] == _standard_recovery_on(m).shape[1]
+    assert RECOVERIES["leung"][1] == len(leung_recovery(0.1).kraus)
+    assert RECOVERIES["rperf"][1] == _standard_recovery_on(m).shape[1]
+
+
+@pytest.mark.parametrize("recovery, model, n_qubits, code_dim", [
+    ("transpose", None, 3, 2), ("transpose", None, 4, 2), ("transpose", None, 5, 2),
+    ("transpose", None, 6, 2), ("transpose", None, 4, 3), ("transpose", None, 5, 4),
+    ("identity", "ad", None, None), ("identity", None, 6, 2),
+    ("leung", "leung41", None, None), ("rperf", "five513", None, None),
+])
+def test_pass_budget_matches_the_memory_a_pass_uses(monkeypatch, recovery, model, n_qubits,
+                                                   code_dim):
+    # The budget's entry count, at 16 bytes each, is within a factor of two
+    # of the traced peak of the scoring pass it admits, over 51 gammas.
+    import re
+
+    import aqec.cli
+    from aqec.cli import MODELS, _check_pass_budget, _score_curves, gamma_grid
+    from aqec.exceptions import BudgetExceeded
+
+    gammas = gamma_grid(0.0, 0.5, 0.01)
+    code = MODELS[model][0]() if model else random_code(2**n_qubits, code_dim, 5)
+    monkeypatch.setattr(aqec.cli, "KRAUS_ENTRY_BUDGET", 0)
+    with pytest.raises(BudgetExceeded) as refused:
+        _check_pass_budget(code.ambient_dim, code.code_dim, recovery, len(gammas))
+    entries = int(re.search(r"needs (\d+) complex entries", str(refused.value))[1])
+    peak = _peak_bytes(_score_curves, [(code, recovery)], gammas, 10, 0)
+    assert 0.5 <= peak / (16 * entries) <= 2.0
 
 
 def _original_five_qubit_recovery(gamma):
@@ -1016,6 +1071,16 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
     assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.1",
                  "--out", missing]) == 2
     assert "cannot write" in _one_error_line(capsys)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_exits_2_with_one_line(tmp_path, capsys):
+    grid = ["--gamma-stop", "0.02"]
+    assert main(["sweep", "--curve", "ad:identity", *grid, "--out", "/dev/full"]) == 2
+    assert _one_error_line(capsys).startswith("error: cannot write /dev/full: [Errno 28] ")
+    assert main(["search", "--qubits", "2", "--codes", "1", *grid,
+                 "--out", str(tmp_path / "s.csv"), "--best-out", "/dev/full"]) == 2
+    assert _one_error_line(capsys).startswith("error: cannot write /dev/full: [Errno 28] ")
 
 
 def test_search_checks_its_outputs_before_scoring(tmp_path, capsys, monkeypatch):
