@@ -52,6 +52,7 @@ from .fidelity import (
 from .models import (
     _damping_on,
     _five_qubit_noise_on,
+    _leung_on_code,
     five_qubit_code_only,
     leung_code,
     leung_recovery,
@@ -71,7 +72,7 @@ RECOVERIES = {"transpose": (None, None), "rperf": ("five513", 6), "identity": (N
               "leung": ("leung41", 9)}
 DEFAULT_CURVES = ["ad:identity", "leung41:transpose", "leung41:leung", "five513:rperf"]
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-MAX_COUNT = 2**21  # most gamma points, and most codes, one run takes
+MAX_COUNT = 2**21  # most gamma points, most codes and most samples one run takes
 
 
 class UserConfigError(Exception):
@@ -116,8 +117,8 @@ def _grid_size(start, stop, step) -> tuple[float, float, int]:
 
 
 def _check_sampling(samples, seed) -> None:
-    if not isinstance(samples, int) or samples < 1:
-        raise UserConfigError(f"samples must be a positive integer, got {samples!r}")
+    if not isinstance(samples, int) or not 1 <= samples <= MAX_COUNT:
+        raise UserConfigError(f"samples must be an integer from 1 to {MAX_COUNT}, got {samples!r}")
     if not isinstance(seed, int) or seed < 0:
         raise UserConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
@@ -173,11 +174,13 @@ def _recovered_on_code(
     """The process matrices (G, d^2, d^2) of a recovery after the noise on
     the code m (G, N, D, d), M_i = E_i W, over the grid, from its code-basis
     Kraus stack (_code_process_matrices): identity is W^dag M; transpose is
-    code_kraus(M); leung composes the gamma independent map, built once
-    at the largest gamma (which holds the grid to [0, 1)), with M.  The
-    rperf curve composes only the six syndrome operators of the standard
-    recovery (conditions._standard_recovery_on of the single-error
-    channel on the code) with the noise.  Its TP completion,
+    code_kraus(M); leung composes the gamma independent map in code
+    coordinates, built once per process (models._leung_on_code), with M,
+    after leung_recovery's check of the largest gamma holds the grid to
+    [0, 1).  The rperf curve composes only the six syndrome operators of
+    the standard recovery (conditions._standard_recovery_on of the
+    single-error channel on the code, whose Pauli images are built once
+    per process) with the noise.  Its TP completion,
     which re-prepares the maximally mixed code state, rho -> tr(F rho) I/d
     with F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, adds tr(F g_b)/d to row
     0 alone, so row 0 becomes the noise's trace row tr(g_b sum_i M_i^dag
@@ -189,9 +192,10 @@ def _recovered_on_code(
     elif recovery_name == "identity":
         k = w.conj().T @ m
     elif recovery_name == "leung":
-        k = _compose_on_code(w.conj().T @ leung_recovery(max(gammas)).kraus, m)
+        leung_recovery(max(gammas))  # ParamOutOfRange unless the grid lies in [0, 1)
+        k = _compose_on_code(_leung_on_code(), m)
     else:
-        k = _compose_on_code(_standard_recovery_on(_five_qubit_noise_on(gammas, w)), m)
+        k = _compose_on_code(_standard_recovery_on(_five_qubit_noise_on(gammas)), m)
     maps = _code_process_matrices(k)
     if recovery_name == "rperf":
         noise = m.reshape(len(m), -1, d)

@@ -49,7 +49,7 @@ import numpy as np
 from .channels import QuantumChannel
 from .codes import CodeSpace, _su_generators
 from .exceptions import DimensionMismatch, PreconditionViolated
-from .linalg import _as_array
+from .linalg import _as_array, _read_only
 from .transpose import _normalised_noise_on_code, code_kraus
 
 EXACT_UNITAL_QUBIT = "exact_unital_qubit"
@@ -90,11 +90,6 @@ def _compose_on_code(wr: np.ndarray, m: np.ndarray) -> np.ndarray:
     )
     lead = k.shape[:-2]
     return k.reshape(*lead, r, d, n, d).swapaxes(-3, -2).reshape(*lead, r * n, d, d)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -284,7 +279,9 @@ def _refine_forms(
     replaced by their absolute values, floored, so every step descends;
     steps are capped at _MAX_STEP and backtracked on the normalised
     retraction.  A form stops at a small gradient, when a full step could
-    lower its value by no more than rounding, or when backtracking fails;
+    lower its value by no more than rounding, or when backtracking fails
+    (_HALVINGS halvings, or fewer once the step's decrease is at that
+    floor); an accepted trial's value, J and Q s serve its next iteration.
     iters caps the iterations (0: no refinement).  A d = 1 code has one
     state up to phase, at which every form takes its value Q[0, 0].
     Returns the values (G,) and the code vectors (G, d).
@@ -296,17 +293,16 @@ def _refine_forms(
     eye = np.eye(2 * d)
     r = np.concatenate([c.real, c.imag], axis=1)
     r /= np.linalg.norm(r, axis=1, keepdims=True)
-    f = _form_values(q, gam, r)[0]
+    f, jac, qs = _form_values(q, gam, r)
     active = np.arange(forms)
     for _ in range(iters):
         if not active.size:
             break
-        qa, ra = q[active], r[active]
-        fa, jac, qs = _form_values(qa, gam, ra)
-        grad = 4.0 * (jac.swapaxes(-1, -2) @ qs[..., None])[..., 0]
+        qa, ra, fa, ja, qsa = q[active], r[active], f[active], jac[active], qs[active]
+        grad = 4.0 * (ja.swapaxes(-1, -2) @ qsa[..., None])[..., 0]
         # sum_a (Q s)_a Gamma_a as one (G, A) @ (A, 4 d^2) product
-        hess = 4.0 * (qs @ gam.reshape(len(gam), -1)).reshape(-1, 2 * d, 2 * d)
-        hess += 8.0 * (jac.swapaxes(-1, -2) @ qa @ jac)
+        hess = 4.0 * (qsa @ gam.reshape(len(gam), -1)).reshape(-1, 2 * d, 2 * d)
+        hess += 8.0 * (ja.swapaxes(-1, -2) @ qa @ ja)
         phase = np.concatenate([-ra[:, d:], ra[:, :d]], axis=1)
         proj = eye - ra[:, :, None] * ra[:, None, :] - phase[:, :, None] * phase[:, None, :]
         rgrad = (proj @ grad[..., None])[..., 0]
@@ -328,12 +324,16 @@ def _refine_forms(
                 break
             trial = ra[pending] + t[pending, None] * step[pending]
             trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            ft = _form_values(qa[pending], gam, trial)[0]
+            ft, jt, qst = _form_values(qa[pending], gam, trial)
             ok = (ft < fa[pending]) & (ft <= fa[pending] + 1e-4 * t[pending] * slope[pending])
-            r[active[pending[ok]]] = trial[ok]
-            f[active[pending[ok]]] = ft[ok]
+            moved = active[pending[ok]]
+            r[moved], f[moved], jac[moved], qs[moved] = trial[ok], ft[ok], jt[ok], qst[ok]
             pending = pending[~ok]
             t[pending] *= 0.5
+            # a step whose decrease has shrunk to rounding level ends the search
+            floor = t[pending] * -slope[pending] <= 1e-2 * tol[pending]
+            done[pending[floor]] = True
+            pending = pending[~floor]
         done[pending] = True
         active = active[~done]
     return f, r[:, :d] + 1j * r[:, d:]

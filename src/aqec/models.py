@@ -7,13 +7,15 @@ tensor products of single-qubit operators follow the same order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channels import QuantumChannel, _check_budget, complete_to_tp
 from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf
 from .exceptions import ParamOutOfRange
-from .linalg import _check_size
+from .linalg import _check_size, _read_only
 
 # I, X, Y, Z: the column of each row's one entry (X, Y flip the bit), its value
 _PAULI_COLS = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
@@ -89,16 +91,21 @@ def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
     return _product_on(a_bits[..., None] | np.arange(2), np.take(table, a_bits, axis=1), basis)
 
 
+@functools.lru_cache(maxsize=None)
 def qubit_space() -> CodeSpace:
-    """The full single-qubit space as a trivial code (no encoding)."""
+    """The full single-qubit space as a trivial code (no encoding).
+    Built once per process: every call returns one shared code."""
     return CodeSpace(np.eye(2, dtype=complex))
 
 
+@functools.lru_cache(maxsize=None)
 def leung_code() -> CodeSpace:
     """Four-qubit code tailored to amplitude damping:
 
         |0_L> = (|0000> + |1111>) / sqrt(2)
         |1_L> = (|0011> + |1100>) / sqrt(2)
+
+    Built once per process: every call returns one shared code.
     """
     v0 = (basis_state("0000") + basis_state("1111")) / np.sqrt(2.0)
     v1 = (basis_state("0011") + basis_state("1100")) / np.sqrt(2.0)
@@ -141,9 +148,16 @@ def leung_recovery(gamma: float) -> QuantumChannel:
     appends for the one-column target |0_L> in the order its eigh returns
     the degenerate e_x.  The gamma argument is accepted for interface
     symmetry with the other recoveries; the map itself is gamma
-    independent apart from validation.
+    independent apart from validation, so every call returns one shared
+    channel, built once per process.
     """
     _check_gamma(gamma, closed=False)
+    return _leung_map()
+
+
+@functools.lru_cache(maxsize=None)
+def _leung_map() -> QuantumChannel:
+    """The gamma independent map of leung_recovery, built once per process."""
     code = leung_code()
     v0, v1 = code.basis[:, 0], code.basis[:, 1]
     sector = [basis_state(b) for b in _LEUNG_SECTOR]
@@ -159,6 +173,13 @@ def leung_recovery(gamma: float) -> QuantumChannel:
     return QuantumChannel(ops)
 
 
+@functools.lru_cache(maxsize=None)
+def _leung_on_code() -> np.ndarray:
+    """The Leung recovery's code-basis form W^dag R_k, (9, 2, 16), built
+    once per process, shared and read-only."""
+    return _read_only(leung_code().basis.conj().T @ _leung_map().kraus)
+
+
 _FIVE_QUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
 
@@ -172,6 +193,7 @@ def _pauli_on(spec, vecs: np.ndarray) -> np.ndarray:
     return _product_on(_PAULI_COLS[idx], _PAULI_VALS[idx], vecs)
 
 
+@functools.lru_cache(maxsize=None)
 def five_qubit_code_only() -> CodeSpace:
     """Distance-3 five-qubit code: the +1 eigenspace of the cyclic
     stabilizers XZZXI, IXZZX, XIXZZ, ZXIXZ with logical states fixed by
@@ -180,7 +202,8 @@ def five_qubit_code_only() -> CodeSpace:
     |0_L> is the normalised image of |00000> under the commuting
     projectors (I + S)/2, each S applied by one _pauli_on gather; every
     entry is a dyadic rational, so the basis equals the Kronecker-product
-    construction to the bit."""
+    construction to the bit.  Built once per process: every call returns
+    one shared code."""
     v0 = basis_state("00000")
     for s in _FIVE_QUBIT_STABILIZERS:
         v0 = (v0 + _pauli_on(s, v0)) / 2.0
@@ -188,13 +211,29 @@ def five_qubit_code_only() -> CodeSpace:
     return CodeSpace(np.column_stack([v0, _pauli_on("XXXXX", v0)]))
 
 
-def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
-    """Kraus operators of five_qubit_noise for each gamma times basis
-    (32, c), stacked (G, 6, 32, c).  The 15 Paulis of weight one act on
-    basis in one _pauli_on gather per call."""
-    gammas = _check_gamma(gammas)
+def _weight_one_paulis(basis: np.ndarray) -> np.ndarray:
+    """The 16 five-qubit Paulis of weight at most one, I, Z_1..Z_5,
+    X_1..X_5, Y_1..Y_5, applied to basis (32, c), stacked (16, 32, c): the
+    15 of weight one in one _pauli_on gather."""
     weight_one = ["I" * k + p + "I" * (4 - k) for p in "ZXY" for k in range(5)]
-    paulis = np.concatenate([basis[None], _pauli_on(weight_one, basis)])
+    return np.concatenate([basis[None], _pauli_on(weight_one, basis)])
+
+
+@functools.lru_cache(maxsize=None)
+def _five_qubit_code_paulis() -> np.ndarray:
+    """_weight_one_paulis of the five_qubit_code_only basis, (16, 32, 2),
+    built once per process, shared and read-only."""
+    return _read_only(_weight_one_paulis(five_qubit_code_only().basis))
+
+
+def _five_qubit_noise_on(gammas, basis: np.ndarray | None = None) -> np.ndarray:
+    """Kraus operators of five_qubit_noise for each gamma times basis
+    (32, c), stacked (G, 6, 32, c): the per-gamma coefficients contracted
+    with _weight_one_paulis(basis), or, for basis None, with the images of
+    the five-qubit code's basis (_five_qubit_code_paulis), so that a call
+    on the code gathers nothing."""
+    gammas = _check_gamma(gammas)
+    paulis = _five_qubit_code_paulis() if basis is None else _weight_one_paulis(basis)
     a = (1.0 + np.sqrt(1.0 - gammas)) / 2.0
     b = (1.0 - np.sqrt(1.0 - gammas)) / 2.0
     damp = a**4 * np.sqrt(gammas) / 2.0

@@ -47,17 +47,27 @@ def _noise_on_code(kraus: np.ndarray, code: CodeSpace) -> np.ndarray:
 def _normalised_noise_on_code(kraus: np.ndarray, code: CodeSpace) -> tuple[np.ndarray, np.ndarray]:
     """The noise on the code as every worst case scores it, and the factors
     a (...,): M = E W of a stack kraus (..., N, D, D), divided by sqrt(a)
-    where sum_i M_i^dag M_i = a I_d, a > 0, to PROPORTIONAL_TOL entrywise;
-    a is exactly 1.0 within TP_CHECK_TOL of 1, NaN where none fits."""
+    where sum_i M_i^dag M_i = a I_d, a > 0, to PROPORTIONAL_TOL * a
+    entrywise; a is exactly 1.0 within TP_CHECK_TOL of 1, NaN where none
+    fits.  The test and the division run on M scaled by the power of two
+    that puts its largest entry in [1/2, 1), which changes no bit, so E
+    and c E get one verdict and one normalised noise to rounding."""
     m = _noise_on_code(kraus, code)
     d = m.shape[-1]
-    wide = m.reshape(*m.shape[:-3], -1, d)
+    exp = np.frexp(np.max(np.abs(m), axis=(-3, -2, -1), initial=0.0))[1]
+    scaled = np.ldexp(m.view(float), -exp[..., None, None, None]).view(complex)
+    wide = scaled.reshape(*m.shape[:-3], -1, d)
     gram = wide.conj().swapaxes(-1, -2) @ wide
     a = np.trace(gram, axis1=-2, axis2=-1).real / d
     dev = np.max(np.abs(gram - a[..., None, None] * np.eye(d)), axis=(-2, -1))
-    fits = (a > 0) & (dev <= PROPORTIONAL_TOL)
-    a = np.where(np.abs(a - 1.0) <= TP_CHECK_TOL, 1.0, a)
-    return m / np.sqrt(np.where(fits, a, 1.0))[..., None, None, None], np.where(fits, a, np.nan)
+    fits = (a > 0) & (dev <= PROPORTIONAL_TOL * a)
+    with np.errstate(over="ignore"):  # the a of M itself, inf past the float range
+        factor = np.ldexp(a, 2 * exp)
+    tp = np.abs(factor - 1.0) <= TP_CHECK_TOL
+    rescale = fits & ~tp  # TP noise stays as given, and so does noise that fits no a
+    m = np.where(rescale[..., None, None, None], scaled, m)
+    return (m / np.sqrt(np.where(rescale, a, 1.0))[..., None, None, None],
+            np.where(fits, np.where(tp, 1.0, factor), np.nan))
 
 
 def _transpose_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1245,3 +1245,61 @@ def test_worker_pool_pins_blas_and_restores_the_environment(monkeypatch):
         values = list(pool.map(os.getenv, BLAS_THREAD_VARIABLES, timeout=60))
     assert values == ["1", "1", "1"]
     assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("command", ["sweep", "search"])
+def test_samples_over_the_limit_exit_2_before_scoring(tmp_path, capsys, monkeypatch, command):
+    # --samples once bounded no work: 2^31 samples ran for ten minutes
+    import time
+
+    import aqec.cli as cli
+
+    def no_scoring(*args):
+        raise AssertionError("a refused run scored")
+
+    monkeypatch.setattr(cli, "_score_curves", no_scoring)
+    out = ["--out", str(tmp_path / "o.csv")]
+    if command == "search":
+        out += ["--qubits", "2", "--code-dim", "3", "--codes", "1", "--gamma-stop", "0",
+                "--best-out", str(tmp_path / "b.json")]
+    cfg = tmp_path / "cfg.json"
+    for samples in (cli.MAX_COUNT + 1, 2**31):
+        cfg.write_text(json.dumps({"samples": samples}))
+        for route in (["--samples", str(samples)], ["--config", str(cfg)]):
+            start = time.perf_counter()
+            assert main([command, *route, *out]) == 2
+            assert time.perf_counter() - start < 0.5
+            err = _one_error_line(capsys)
+            assert str(samples) in err and str(cli.MAX_COUNT) in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_samples_at_the_limit_are_accepted(tmp_path):
+    # an exact qubit curve draws no samples, so the largest count costs nothing
+    from aqec.cli import MAX_COUNT
+
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--curve", "ad:identity", "--gamma-stop", "0", "--samples",
+                 str(MAX_COUNT), "--out", str(out)]) == 0
+    assert f'"samples": {MAX_COUNT}' in out.read_text()
+
+
+def test_repeated_in_process_sweeps_write_one_table(tmp_path, capsys):
+    # the models' codes and recoveries are built once per process and shared
+    # by every call: a later call, after a file= curve and a refused run,
+    # writes the first call's rows, which are the pinned default sweep's
+    from test_golden import DATA, _same_csv
+
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["sweep", "--out", str(first)]) == 0
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(code_to_json(random_code(16, 2, 1))))
+    assert main(["sweep", "--curve", f"file={code_file}:transpose", "--curve",
+                 "leung41:leung", "--gamma-stop", "0.02", "--out", str(tmp_path / "f.csv")]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_stop": 1.0}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 3
+    assert "outside [0, 1)" in _one_error_line(capsys)
+    assert main(["sweep", "--out", str(second)]) == 0
+    assert first.read_text().splitlines()[1:] == second.read_text().splitlines()[1:]
+    _same_csv(second, DATA / "sweep_default.csv")

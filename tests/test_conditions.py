@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -419,3 +421,63 @@ def test_bit_flip_pair_corrected_in_every_eta():
         near_optimality_bound_check(e, code, [None]).eta_p,
     ]
     assert max(etas) <= 1e-12, etas
+
+
+# scales drawn log-uniformly from 1e-150 to 1e150, and the two ends
+_SCALES = [1e-150, *10.0 ** np.random.default_rng(31).uniform(-150, 150, 6), 1e150]
+_SCALE_PAIRS = {
+    "damping3": lambda: (tensor_power(amplitude_damping(0.1), 3), random_code(8, 2, 0)),
+    "bitflip": lambda: (bit_flip_channel(0.1), bit_flip_code()),
+    "five513": lambda: (five_qubit_noise(0.2), five_qubit_code_only()),
+    "random_d3": lambda: (random_tp_channel(5, 3, np.random.default_rng(8)), random_code(5, 3, 7)),
+}
+
+
+def _etas_and_methods(noise, code, recovery):
+    """(eta, method) of every call that scores a transpose worst case, and
+    of the do-nothing and transpose recoveries worst_case_fidelity scores."""
+    diag = aqec_diagnostics(noise, code, 0.1)
+    [grid] = transpose_fidelity_grid(noise.kraus[None], code)
+    bound = near_optimality_bound_check(noise, code, [None, recovery])
+    scored = [(diag.eta, diag.eta_method), (grid.eta, grid.method),
+              (bound.eta_p, None), *((eta, None) for eta in bound.candidate_etas)]
+    for rec in (recovery, None):
+        res = worst_case_fidelity(noise, rec, code)
+        scored.append((res.eta, res.method))
+    return scored
+
+
+@pytest.mark.parametrize("name", list(_SCALE_PAIRS))
+def test_eta_and_method_do_not_depend_on_the_noise_scale(name):
+    # E and c E are one map once normalised: one eta and one method label
+    # for c far from 1, where an absolute proportionality tolerance refused
+    # large c and misread tiny c
+    noise, code = _SCALE_PAIRS[name]()
+    recovery = transpose_channel(noise, code)
+    want = _etas_and_methods(noise, code, recovery)
+    for c in _SCALES:
+        got = _etas_and_methods(QuantumChannel(c * noise.kraus), code, recovery)
+        assert [m for _, m in got] == [m for _, m in want], (c, got, want)
+        assert max(abs(g - w) for (g, _), (w, _) in zip(got, want)) <= 1e-12, (c, got, want)
+
+
+def test_a_map_far_from_proportional_is_refused_at_every_scale(tmp_path, capsys):
+    # sum_i M_i^dag M_i is 54% (relative) away from a I, so no eta exists;
+    # an absolute tolerance let it through below scale ~1e-4 with eta 0.5455
+    from aqec import channel_to_json, code_to_json
+    from aqec.cli import main
+
+    code = random_code(4, 2, 3)
+    k1 = np.zeros((4, 4))
+    k1[1, 0] = 0.3
+    kraus = np.stack([np.diag([1.0, 0.2, 1.0, 0.5]), k1])
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(code_to_json(code)))
+    for c in (1.0, 1e-3, 1e-4, 1e-6, 1e-100, 1e-150, 1e150):
+        with pytest.raises(NotTP):
+            aqec_diagnostics(QuantumChannel(c * kraus), code, 0.05)
+        chan_file = tmp_path / "chan.json"
+        chan_file.write_text(json.dumps(channel_to_json(QuantumChannel(c * kraus))))
+        assert main(["check", str(chan_file), str(code_file), "--epsilon", "0.05"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "trace preserving" in err[0], (c, err)

@@ -559,3 +559,28 @@ def test_cached_code_tables_are_read_only_and_equal_a_fresh_build(d):
     z = x + 1j * y
     direct = np.einsum("ni,aij,nj->na", z.conj(), basis, z)
     assert np.max(np.abs(np.einsum("ni,aij,nj->na", r, tables[1], r) - direct)) <= 1e-12
+
+
+def test_refinement_backtracking_ends_at_the_rounding_floor(monkeypatch):
+    # One form of this stack reaches a full step whose decrease is at
+    # rounding level but above the stop test: it backtracked through all
+    # _HALVINGS halvings, 43 _form_values calls in all, 30 of them on that
+    # one row.  Its search now ends once t * -slope is at the stop test's
+    # floor, and an accepted trial's values serve the next iteration.
+    import aqec.fidelity as fidelity
+
+    gammas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    code = random_code(16, 3, 0)
+    k = code_kraus(_damping_on(gammas, code.basis))
+    q = _code_process_matrices(k.reshape(len(gammas), -1, 3, 3)) / 3
+    rows = []
+    evaluate = fidelity._form_values
+
+    def counted(q_, gam, r):
+        rows.append(len(r))
+        return evaluate(q_, gam, r)
+
+    monkeypatch.setattr(fidelity, "_form_values", counted)
+    _min_forms_sampled(q, 1024, 0)
+    assert len(rows) <= 12, rows
+    assert rows.count(1) <= 3, rows

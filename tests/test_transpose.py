@@ -248,3 +248,25 @@ def test_recovered_channel_matches_ambient_construction():
     b, _ = inv_sqrt_on_support(e.apply(p))
     ops = [p @ ki.conj().T @ b @ kj @ p for ki in e.kraus for kj in e.kraus]
     assert channels_equal(recovered_channel(e, code), QuantumChannel(ops), 1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3, 3.0])
+def test_normalised_noise_at_unit_scale_is_the_plain_division_to_the_bit(scale):
+    # the proportionality test runs on M scaled by a power of two, which
+    # must leave the noise every worst case scores exactly as M / sqrt(a)
+    from aqec.transpose import _noise_on_code, _normalised_noise_on_code
+
+    from helpers import bit_flip_channel
+
+    rng = np.random.default_rng(4)
+    pairs = [(bit_flip_channel(0.1), bit_flip_code()),
+             (random_tp_channel(6, 3, rng), random_code(6, 3, 2))]
+    for noise, code in pairs:
+        kraus = scale * noise.kraus
+        m = _noise_on_code(kraus, code)
+        wide = m.reshape(-1, code.code_dim)
+        a = np.trace(wide.conj().T @ wide).real / code.code_dim
+        a = 1.0 if abs(a - 1.0) <= 1e-9 else a
+        got, factor = _normalised_noise_on_code(kraus, code)
+        assert factor == a
+        assert got.tobytes() == (m / np.sqrt(a)).tobytes()
