@@ -52,7 +52,6 @@ from .fidelity import (
 from .models import (
     _damping_on,
     _five_qubit_noise_on,
-    _leung_on_code,
     five_qubit_code_only,
     leung_code,
     leung_recovery,
@@ -174,13 +173,11 @@ def _recovered_on_code(
     """The process matrices (G, d^2, d^2) of a recovery after the noise on
     the code m (G, N, D, d), M_i = E_i W, over the grid, from its code-basis
     Kraus stack (_code_process_matrices): identity is W^dag M; transpose is
-    code_kraus(M); leung composes the gamma independent map in code
-    coordinates, built once per process (models._leung_on_code), with M,
-    after leung_recovery's check of the largest gamma holds the grid to
-    [0, 1).  The rperf curve composes only the six syndrome operators of
-    the standard recovery (conditions._standard_recovery_on of the
-    single-error channel on the code, whose Pauli images are built once
-    per process) with the noise.  Its TP completion,
+    code_kraus(M); leung composes the gamma independent map, built once
+    at the largest gamma (which holds the grid to [0, 1)), with M.  The
+    rperf curve composes only the six syndrome operators of the standard
+    recovery (conditions._standard_recovery_on of the single-error
+    channel on the code) with the noise.  Its TP completion,
     which re-prepares the maximally mixed code state, rho -> tr(F rho) I/d
     with F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, adds tr(F g_b)/d to row
     0 alone, so row 0 becomes the noise's trace row tr(g_b sum_i M_i^dag
@@ -192,10 +189,9 @@ def _recovered_on_code(
     elif recovery_name == "identity":
         k = w.conj().T @ m
     elif recovery_name == "leung":
-        leung_recovery(max(gammas))  # ParamOutOfRange unless the grid lies in [0, 1)
-        k = _compose_on_code(_leung_on_code(), m)
+        k = _compose_on_code(w.conj().T @ leung_recovery(max(gammas)).kraus, m)
     else:
-        k = _compose_on_code(_standard_recovery_on(_five_qubit_noise_on(gammas)), m)
+        k = _compose_on_code(_standard_recovery_on(_five_qubit_noise_on(gammas, w)), m)
     maps = _code_process_matrices(k)
     if recovery_name == "rperf":
         noise = m.reshape(len(m), -1, d)

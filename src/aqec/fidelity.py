@@ -49,7 +49,7 @@ import numpy as np
 from .channels import QuantumChannel
 from .codes import CodeSpace, _su_generators
 from .exceptions import DimensionMismatch, PreconditionViolated
-from .linalg import _as_array, _read_only
+from .linalg import _as_array
 from .transpose import _normalised_noise_on_code, code_kraus
 
 EXACT_UNITAL_QUBIT = "exact_unital_qubit"
@@ -90,6 +90,11 @@ def _compose_on_code(wr: np.ndarray, m: np.ndarray) -> np.ndarray:
     )
     lead = k.shape[:-2]
     return k.reshape(*lead, r, d, n, d).swapaxes(-3, -2).reshape(*lead, r * n, d, d)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @functools.lru_cache(maxsize=None)

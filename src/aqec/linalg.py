@@ -42,12 +42,6 @@ def _as_array(a, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, marked read-only: for arrays built once and shared."""
-    a.flags.writeable = False
-    return a
-
-
 def _check_size(n, rule: str) -> None:
     """DimensionMismatch (rule, then n) unless n is an integer >= 1, not a bool."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:

@@ -7,15 +7,13 @@ tensor products of single-qubit operators follow the same order.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .channels import QuantumChannel, _check_budget, complete_to_tp
 from .codes import CodeSpace, _su_generators
 from .conditions import build_r_perf
 from .exceptions import ParamOutOfRange
-from .linalg import _check_size, _read_only
+from .linalg import _check_size
 
 # I, X, Y, Z: the column of each row's one entry (X, Y flip the bit), its value
 _PAULI_COLS = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
@@ -91,21 +89,16 @@ def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
     return _product_on(a_bits[..., None] | np.arange(2), np.take(table, a_bits, axis=1), basis)
 
 
-@functools.lru_cache(maxsize=None)
 def qubit_space() -> CodeSpace:
-    """The full single-qubit space as a trivial code (no encoding).
-    Built once per process: every call returns one shared code."""
+    """The full single-qubit space as a trivial code (no encoding)."""
     return CodeSpace(np.eye(2, dtype=complex))
 
 
-@functools.lru_cache(maxsize=None)
 def leung_code() -> CodeSpace:
     """Four-qubit code tailored to amplitude damping:
 
         |0_L> = (|0000> + |1111>) / sqrt(2)
         |1_L> = (|0011> + |1100>) / sqrt(2)
-
-    Built once per process: every call returns one shared code.
     """
     v0 = (basis_state("0000") + basis_state("1111")) / np.sqrt(2.0)
     v1 = (basis_state("0011") + basis_state("1100")) / np.sqrt(2.0)
@@ -148,39 +141,25 @@ def leung_recovery(gamma: float) -> QuantumChannel:
     appends for the one-column target |0_L> in the order its eigh returns
     the degenerate e_x.  The gamma argument is accepted for interface
     symmetry with the other recoveries; the map itself is gamma
-    independent apart from validation, so every call returns one shared
-    channel, built once per process.
+    independent apart from validation.
     """
     _check_gamma(gamma, closed=False)
-    return _leung_map()
-
-
-@functools.lru_cache(maxsize=None)
-def _leung_map() -> QuantumChannel:
-    """The gamma independent map of leung_recovery, built once per process."""
-    code = leung_code()
-    v0, v1 = code.basis[:, 0], code.basis[:, 1]
-    sector = [basis_state(b) for b in _LEUNG_SECTOR]
-    ops = [sum(np.outer(v, v.conj()) for v in sector)]
-    for d0, d1 in _LEUNG_DAMPED_IMAGES.values():
-        ops.append(
-            np.outer(v0, basis_state(d0).conj())
-            + np.outer(v1, basis_state(d1).conj())
-        )
+    v0, v1 = leung_code().basis.T
+    ops = np.zeros((9, 16, 16), dtype=complex)
+    sector = [int(b, 2) for b in _LEUNG_SECTOR]
+    ops[0, sector, sector] = 1.0
+    for k, (d0, d1) in _LEUNG_DAMPED_IMAGES.items():
+        ops[k, :, int(d0, 2)], ops[k, :, int(d1, 2)] = v0, v1
     covered = {int(b, 2) for b in _LEUNG_SECTOR + sum(_LEUNG_DAMPED_IMAGES.values(), ())}
-    target = v0 / np.linalg.norm(v0)
-    ops += [np.outer(target, e) for x, e in enumerate(np.eye(16)) if x not in covered]
+    defect = [x for x in range(16) if x not in covered]
+    ops[range(5, 9), :, defect] = v0 / np.linalg.norm(v0)
     return QuantumChannel(ops)
 
 
-@functools.lru_cache(maxsize=None)
-def _leung_on_code() -> np.ndarray:
-    """The Leung recovery's code-basis form W^dag R_k, (9, 2, 16), built
-    once per process, shared and read-only."""
-    return _read_only(leung_code().basis.conj().T @ _leung_map().kraus)
-
-
-_FIVE_QUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+# |0_L> of the five-qubit code: the basis states with amplitude +1/4, then -1/4
+_FIVE_QUBIT_ZERO = (("00000", "00101", "01001", "01010", "10010", "10100"),
+                    ("00011", "00110", "01100", "01111", "10001", "10111",
+                     "11000", "11011", "11101", "11110"))
 
 
 def _pauli_on(spec, vecs: np.ndarray) -> np.ndarray:
@@ -193,47 +172,29 @@ def _pauli_on(spec, vecs: np.ndarray) -> np.ndarray:
     return _product_on(_PAULI_COLS[idx], _PAULI_VALS[idx], vecs)
 
 
-@functools.lru_cache(maxsize=None)
 def five_qubit_code_only() -> CodeSpace:
     """Distance-3 five-qubit code: the +1 eigenspace of the cyclic
     stabilizers XZZXI, IXZZX, XIXZZ, ZXIXZ with logical states fixed by
     Z_L = ZZZZZ, X_L = XXXXX.  It corrects five_qubit_noise exactly.
 
     |0_L> is the normalised image of |00000> under the commuting
-    projectors (I + S)/2, each S applied by one _pauli_on gather; every
-    entry is a dyadic rational, so the basis equals the Kronecker-product
-    construction to the bit.  Built once per process: every call returns
-    one shared code."""
-    v0 = basis_state("00000")
-    for s in _FIVE_QUBIT_STABILIZERS:
-        v0 = (v0 + _pauli_on(s, v0)) / 2.0
-    v0 /= np.linalg.norm(v0)
-    return CodeSpace(np.column_stack([v0, _pauli_on("XXXXX", v0)]))
+    projectors (I + S)/2: +-1/4 on the sixteen basis states of
+    _FIVE_QUBIT_ZERO, written out, and |1_L> = XXXXX |0_L> reverses its
+    entries.  Every entry is a dyadic rational, so the basis equals the
+    Kronecker-product construction to the bit."""
+    plus, minus = ([int(b, 2) for b in bits] for bits in _FIVE_QUBIT_ZERO)
+    v0 = np.zeros(32, dtype=complex)
+    v0[plus], v0[minus] = 0.25, -0.25
+    return CodeSpace(np.column_stack([v0, v0[::-1]]))
 
 
-def _weight_one_paulis(basis: np.ndarray) -> np.ndarray:
-    """The 16 five-qubit Paulis of weight at most one, I, Z_1..Z_5,
-    X_1..X_5, Y_1..Y_5, applied to basis (32, c), stacked (16, 32, c): the
-    15 of weight one in one _pauli_on gather."""
-    weight_one = ["I" * k + p + "I" * (4 - k) for p in "ZXY" for k in range(5)]
-    return np.concatenate([basis[None], _pauli_on(weight_one, basis)])
-
-
-@functools.lru_cache(maxsize=None)
-def _five_qubit_code_paulis() -> np.ndarray:
-    """_weight_one_paulis of the five_qubit_code_only basis, (16, 32, 2),
-    built once per process, shared and read-only."""
-    return _read_only(_weight_one_paulis(five_qubit_code_only().basis))
-
-
-def _five_qubit_noise_on(gammas, basis: np.ndarray | None = None) -> np.ndarray:
+def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
     """Kraus operators of five_qubit_noise for each gamma times basis
-    (32, c), stacked (G, 6, 32, c): the per-gamma coefficients contracted
-    with _weight_one_paulis(basis), or, for basis None, with the images of
-    the five-qubit code's basis (_five_qubit_code_paulis), so that a call
-    on the code gathers nothing."""
+    (32, c), stacked (G, 6, 32, c).  The 15 Paulis of weight one act on
+    basis in one _pauli_on gather per call."""
     gammas = _check_gamma(gammas)
-    paulis = _five_qubit_code_paulis() if basis is None else _weight_one_paulis(basis)
+    weight_one = ["I" * k + p + "I" * (4 - k) for p in "ZXY" for k in range(5)]
+    paulis = np.concatenate([basis[None], _pauli_on(weight_one, basis)])
     a = (1.0 + np.sqrt(1.0 - gammas)) / 2.0
     b = (1.0 - np.sqrt(1.0 - gammas)) / 2.0
     damp = a**4 * np.sqrt(gammas) / 2.0

@@ -1283,23 +1283,3 @@ def test_samples_at_the_limit_are_accepted(tmp_path):
                  str(MAX_COUNT), "--out", str(out)]) == 0
     assert f'"samples": {MAX_COUNT}' in out.read_text()
 
-
-def test_repeated_in_process_sweeps_write_one_table(tmp_path, capsys):
-    # the models' codes and recoveries are built once per process and shared
-    # by every call: a later call, after a file= curve and a refused run,
-    # writes the first call's rows, which are the pinned default sweep's
-    from test_golden import DATA, _same_csv
-
-    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    assert main(["sweep", "--out", str(first)]) == 0
-    code_file = tmp_path / "code.json"
-    code_file.write_text(json.dumps(code_to_json(random_code(16, 2, 1))))
-    assert main(["sweep", "--curve", f"file={code_file}:transpose", "--curve",
-                 "leung41:leung", "--gamma-stop", "0.02", "--out", str(tmp_path / "f.csv")]) == 0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gamma_stop": 1.0}))
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 3
-    assert "outside [0, 1)" in _one_error_line(capsys)
-    assert main(["sweep", "--out", str(second)]) == 0
-    assert first.read_text().splitlines()[1:] == second.read_text().splitlines()[1:]
-    _same_csv(second, DATA / "sweep_default.csv")

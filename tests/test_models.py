@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from aqec import (
-    CodeSpace,
     QuantumChannel,
     amplitude_damping,
     aqec_diagnostics,
@@ -14,7 +13,6 @@ from aqec import (
     five_qubit_recovery,
     leung_code,
     leung_recovery,
-    qubit_space,
     random_code,
     tensor_power,
     transpose_channel,
@@ -22,14 +20,7 @@ from aqec import (
     worst_case_fidelity,
 )
 from aqec.exceptions import DimensionMismatch, ParamOutOfRange
-from aqec.models import (
-    _damping_on,
-    _five_qubit_code_paulis,
-    _five_qubit_noise_on,
-    _leung_map,
-    _leung_on_code,
-    basis_state,
-)
+from aqec.models import _damping_on, basis_state
 
 from helpers import (
     channels_equal,
@@ -360,42 +351,3 @@ def test_truncated_damping_builds_only_its_operators():
     assert np.allclose(np.diagonal(ops[0]), np.sqrt(1.0 - gamma) ** weight, rtol=0, atol=1e-15)
     # damping at the last qubit maps |x1> to sqrt(gamma) |x0>
     assert abs(ops[n][0, 1] - np.sqrt(gamma)) <= 1e-15
-
-
-def _shared_array(obj) -> np.ndarray:
-    return obj.basis if isinstance(obj, CodeSpace) else getattr(obj, "kraus", obj)
-
-
-@pytest.mark.parametrize("build", [qubit_space, leung_code, five_qubit_code_only, _leung_map,
-                                   _leung_on_code, _five_qubit_code_paulis],
-                         ids=lambda build: build.__name__)
-def test_cached_model_is_one_read_only_object_equal_to_a_fresh_build(build):
-    shared = build()
-    assert build() is shared
-    fresh = build.__wrapped__()
-    assert fresh is not shared
-    got, want = _shared_array(shared), _shared_array(fresh)
-    assert not got.flags.writeable
-    with pytest.raises(ValueError):
-        got[(0,) * got.ndim] = 1
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-def test_leung_recovery_checks_every_gamma_and_shares_one_map():
-    assert leung_recovery(0.0) is leung_recovery(0.3) is _leung_map()
-    for gamma in (-0.01, 1.0, float("nan")):
-        with pytest.raises(ParamOutOfRange):
-            leung_recovery(gamma)
-    # the code-basis form is W^dag R of the shared map
-    assert np.array_equal(_leung_on_code(), leung_code().basis.conj().T @ leung_recovery(0.1).kraus)
-
-
-def test_five_qubit_noise_on_the_code_matches_a_fresh_gather():
-    gammas = [0.0, 0.05, 0.3, 1.0]
-    cached = _five_qubit_noise_on(gammas)
-    fresh = _five_qubit_noise_on(gammas, five_qubit_code_only.__wrapped__().basis)
-    assert cached.shape == (4, 6, 32, 2)
-    assert cached.tobytes() == fresh.tobytes()
-    with pytest.raises(ParamOutOfRange):
-        _five_qubit_noise_on([1.5])
