@@ -65,8 +65,17 @@ def _product_on(cols: np.ndarray, vals: np.ndarray, basis: np.ndarray) -> np.nda
     for col, val in zip(col_t, val_t):  # row x gains qubit q's bit as its last
         src = (src[:, None] << 1 | col).reshape(-1, col.shape[-1])
         coef = (coef[:, None] * val).reshape(-1, val.shape[-1])
+    src = src.T.reshape(ops + (-1,))
+    if basis.ndim == 2 and basis.shape[1] < len(basis):
+        # a code basis: one product per column, each along whole columns,
+        # not one product whose inner loop spans a row's few entries
+        out = np.empty(stack + basis.shape, dtype=np.result_type(coef, basis))
+        coef = np.ascontiguousarray(coef.T).reshape(stack + (-1,))
+        for j, column in enumerate(basis.T):
+            np.multiply(coef, column[src], out=out[..., j])
+        return out
     coef = coef.T.reshape(stack + (-1,) + (1,) * (basis.ndim - 1))
-    return coef * basis[src.T.reshape(ops + (-1,))]
+    return coef * basis[src]
 
 
 def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
