@@ -187,10 +187,10 @@ def five_qubit_code_only() -> CodeSpace:
     Z_L = ZZZZZ, X_L = XXXXX.  It corrects five_qubit_noise exactly.
 
     |0_L> is the normalised image of |00000> under the commuting
-    projectors (I + S)/2: +-1/4 on the sixteen basis states of
-    _FIVE_QUBIT_ZERO, written out, and |1_L> = XXXXX |0_L> reverses its
-    entries.  Every entry is a dyadic rational, so the basis equals the
-    Kronecker-product construction to the bit."""
+    projectors (I + S)/2, written out: +-1/4 on the sixteen basis states
+    of _FIVE_QUBIT_ZERO.  |1_L> = XXXXX |0_L> flips every bit, so it is
+    |0_L> reversed.  Every entry is a dyadic rational, so the basis equals
+    the Kronecker-product construction to the bit."""
     plus, minus = ([int(b, 2) for b in bits] for bits in _FIVE_QUBIT_ZERO)
     v0 = np.zeros(32, dtype=complex)
     v0[plus], v0[minus] = 0.25, -0.25
