@@ -83,8 +83,9 @@ def gamma_grid(start: float, stop: float, step: float) -> list[float]:
     up to the last point that, so rounded, does not exceed stop; stop itself
     is a point when the span is a whole number of steps.  Raises
     UserConfigError for a non-numeric or non-finite bound, a non-positive
-    step, a step too small for a finite point count, an empty grid or one
-    of more than MAX_COUNT points."""
+    step, a step too small for a finite point count, an empty grid, a grid
+    of two or more points whose step is below the 1e-12 rounding (its
+    points would repeat) or one of more than MAX_COUNT points."""
     start, step, count = _grid_size(start, stop, step)
     return [round(start + k * step, 12) for k in range(count)]
 
@@ -110,6 +111,9 @@ def _grid_size(start, stop, step) -> tuple[float, float, int]:
         count -= 1  # the span rounded up to whole steps
     if count < 1:
         raise UserConfigError(f"empty gamma grid: start {start} lies above stop {stop}")
+    if count > 1 and step < 1e-12:
+        raise UserConfigError(f"gamma step {step} is below 1e-12, the grid's rounding, "
+                              "so its points would repeat")
     if count > MAX_COUNT:
         raise UserConfigError(f"gamma grid of {count} points is over the limit of {MAX_COUNT}")
     return start, step, count
@@ -191,11 +195,12 @@ def _recovered_on_code(
     elif recovery_name == "leung":
         k = _compose_on_code(w.conj().T @ leung_recovery(max(gammas)).kraus, m)
     else:
+        # the trace row first: its conjugate of the noise is freed before k exists
+        noise = m.reshape(len(m), -1, d)
+        kraus_sum = noise.conj().swapaxes(-1, -2) @ noise
         k = _compose_on_code(_standard_recovery_on(_five_qubit_noise_on(gammas, w)), m)
     maps = _code_process_matrices(k)
     if recovery_name == "rperf":
-        noise = m.reshape(len(m), -1, d)
-        kraus_sum = noise.conj().swapaxes(-1, -2) @ noise
         maps[:, 0] = np.einsum("gij,bji->gb", kraus_sum, _code_operator_basis(d)).real / d
     return maps
 
@@ -204,11 +209,12 @@ def _check_pass_budget(dim: int, d: int, recovery: str, g: int) -> None:
     """BudgetExceeded when one curve of a scoring pass over g gammas on a
     d-dimensional code in dimension dim would hold more than KRAUS_ENTRY_BUDGET
     complex entries at once: the noise on the code (G N D d, N = D damping
-    operators), its code-basis Kraus stack and that stack's flat copy (G X d^2
-    each, X = R N, R = RECOVERIES[recovery][1] or N), and the Gram,
-    superoperator and process stacks (G d^4 each)."""
+    operators), with either the damping coefficients it is built from (G N D)
+    or its code-basis Kraus stack and that stack's flat copy (G X d^2 each,
+    X = R N, R = RECOVERIES[recovery][1] or N), whichever is larger, and the
+    Gram, superoperator and process stacks (G d^4 each)."""
     x = (RECOVERIES[recovery][1] or dim) * dim
-    entries = g * (dim * dim * d + 2 * x * d * d + 3 * d**4)
+    entries = g * (dim * dim * d + max(dim * dim, 2 * x * d * d) + 3 * d**4)
     if entries > KRAUS_ENTRY_BUDGET:
         raise BudgetExceeded(
             f"the {recovery} curve on a {d}-dimensional code in dimension {dim} over {g} gammas "

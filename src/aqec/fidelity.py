@@ -84,12 +84,11 @@ def _compose_on_code(wr: np.ndarray, m: np.ndarray) -> np.ndarray:
     m (..., N, D, d) -> (..., R N, d, d)."""
     r, d, dim = wr.shape[-3:]
     n = m.shape[-3]
-    # All pairs as one (R d, D) x (D, N d) product per leading index
-    k = wr.reshape(*wr.shape[:-3], r * d, dim) @ np.moveaxis(m, -3, -2).reshape(
-        *m.shape[:-3], dim, n * d
-    )
-    lead = k.shape[:-2]
-    return k.reshape(*lead, r, d, n, d).swapaxes(-3, -2).reshape(*lead, r * n, d, d)
+    # All recoveries as one (R d, D) x (D, d) product per noise operator,
+    # so the noise is read where it lies, not copied to one (D, N d) block
+    k = wr.reshape(*wr.shape[:-3], 1, r * d, dim) @ m
+    lead = k.shape[:-3]
+    return k.reshape(*lead, n, r, d, d).swapaxes(-4, -3).reshape(*lead, r * n, d, d)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -10,23 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import QuantumChannel, _check_budget, complete_to_tp
-from .codes import CodeSpace, _su_generators
+from .codes import CodeSpace
 from .conditions import build_r_perf
 from .exceptions import ParamOutOfRange
 from .linalg import _check_size
-
-# I, X, Y, Z: the column of each row's one entry (X, Y flip the bit), its value
-_PAULI_COLS = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
-_PAULI_VALS = np.array([m[[0, 1], c] for m, c in
-                        zip([np.eye(2, dtype=complex)] + _su_generators(2), _PAULI_COLS)])
-
-
-def basis_state(bits: str) -> np.ndarray:
-    """Computational basis vector for a bitstring like '0011'."""
-    n = len(bits)
-    v = np.zeros(2**n, dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
 
 
 def _check_gamma(gammas, closed: bool = True) -> np.ndarray:
@@ -48,54 +35,44 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
     return QuantumChannel(_damping_on([gamma], np.eye(2, dtype=complex))[0])
 
 
-def _product_on(cols: np.ndarray, vals: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """A product of n single-qubit factors, each with at most one nonzero
-    entry per row, times basis (2^n, ...), no 2^n x 2^n operator formed.
-    cols[..., q, r] is the column of row r's entry in qubit q's factor and
-    vals[..., q, r] its value (vals may stack more leading axes).  Row x is
-    the product of x's entries, first qubit first, times row src(x) of
-    basis, src(x) the bitstring of their columns: each entry equals its
-    Kronecker product entry to the bit.  Returns (..., 2^n, ...).
-    """
-    n, ops, stack = cols.shape[-2], cols.shape[:-2], vals.shape[:-2]
-    # factors as (n, 2, flat stack): each step spans whole stacks as rows grow
-    col_t = cols.reshape(-1, n, 2).transpose(1, 2, 0)
-    val_t = np.ascontiguousarray(vals.reshape(-1, n, 2).transpose(1, 2, 0))
-    src, coef = np.zeros((1, 1), dtype=int), np.ones((1, 1), dtype=vals.dtype)
-    for col, val in zip(col_t, val_t):  # row x gains qubit q's bit as its last
-        src = (src[:, None] << 1 | col).reshape(-1, col.shape[-1])
-        coef = (coef[:, None] * val).reshape(-1, val.shape[-1])
-    src = src.T.reshape(ops + (-1,))
-    if basis.ndim == 2 and basis.shape[1] < len(basis):
-        # a code basis: one product per column, each along whole columns,
-        # not one product whose inner loop spans a row's few entries
-        out = np.empty(stack + basis.shape, dtype=np.result_type(coef, basis))
-        coef = np.ascontiguousarray(coef.T).reshape(stack + (-1,))
-        for j, column in enumerate(basis.T):
-            np.multiply(coef, column[src], out=out[..., j])
-        return out
-    coef = coef.T.reshape(stack + (-1,) + (1,) * (basis.ndim - 1))
-    return coef * basis[src]
-
-
 def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
     """Kraus operators E_a of n-qubit amplitude damping for each gamma
-    times basis (2^n, c), stacked (G, K, 2^n, c) by _product_on, for the
-    Kraus indices a in kraus, or all K = 2^n of them when kraus is None.
-    E_a is the product over a's bits of E0 (bit 0: row r holds 1 or
-    sqrt(1 - gamma) in column r) and E1 (bit 1: sqrt(gamma) or 0 in column
-    1).  Raises ParamOutOfRange for gamma outside [0, 1] and BudgetExceeded
-    when one gamma's K ambient operators are over budget; the CLI holds the
-    (G, K, 2^n, c) stack to its pass budget before calling this.
+    times basis (2^n, c), stacked (G, K, 2^n, c), for the Kraus indices a
+    in kraus, or all K = 2^n of them when kraus is None, no 2^n x 2^n
+    operator formed.  E_a is the product over a's bits of E0 (bit 0: row r
+    holds 1 or sqrt(1 - gamma) in column r) and E1 (bit 1: sqrt(gamma) or
+    0 in column 1), so row x of E_a W is the product of x's entries, first
+    qubit first, times row x | a of W: each entry equals its Kronecker
+    product entry to the bit.  Raises ParamOutOfRange for gamma outside
+    [0, 1] and BudgetExceeded when one gamma's K ambient operators are over
+    budget; the CLI holds the (G, K, 2^n, c) stack to its pass budget
+    before calling this.
     """
-    g = _check_gamma(gammas)[:, None]
+    g = _check_gamma(gammas)
     dim, c = basis.shape
     a = np.arange(dim) if kraus is None else np.asarray(kraus)
     _check_budget(len(a), dim, dim)
-    table = np.hstack([np.ones_like(g), np.sqrt(1.0 - g), np.sqrt(g), 0.0 * g])
-    table = table.reshape(-1, 2, 2)  # (gamma, a bit, x bit)
-    a_bits = (a[:, None] >> np.arange(dim.bit_length() - 2, -1, -1)) & 1  # (K, qubit)
-    return _product_on(a_bits[..., None] | np.arange(2), np.take(table, a_bits, axis=1), basis)
+    table = np.array([[np.ones_like(g), np.sqrt(1.0 - g)], [np.sqrt(g), 0.0 * g]])
+    a_bits = (a >> np.arange(dim.bit_length() - 2, -1, -1)[:, None]) & 1  # (qubit, K)
+    stack = len(g) * len(a)
+    coef = np.ones((1, stack))
+    for bits in a_bits:  # row x gains qubit q's bit as its last
+        # qubit q's factor entries as (x bit, gamma * K): each step spans whole stacks
+        coef = (coef[:, None] * table[bits].transpose(1, 2, 0).reshape(2, stack)).reshape(-1, stack)
+    # complex once, so no product casts them again; the float stack is
+    # freed before the result exists
+    coef = np.ascontiguousarray(coef.T, dtype=complex).reshape(len(g), len(a), dim)
+    src = a[:, None] | np.arange(dim)
+    if c < dim:
+        # a code basis: one product per column, each along whole columns,
+        # not one product whose inner loop spans a row's few entries; the
+        # rows are copied in first, as a broadcast product would buffer them
+        out = np.empty((len(g), len(a), dim, c), dtype=complex)
+        for j, column in enumerate(basis.T):
+            out[..., j] = column[src]
+            out[..., j] *= coef
+        return out
+    return coef[..., None] * basis[src]
 
 
 def qubit_space() -> CodeSpace:
@@ -103,15 +80,20 @@ def qubit_space() -> CodeSpace:
     return CodeSpace(np.eye(2, dtype=complex))
 
 
+# the Leung codewords' basis states: |0_L> on the first two, |1_L> on the last two
+_LEUNG_SECTOR = ("0000", "1111", "0011", "1100")
+
+
 def leung_code() -> CodeSpace:
     """Four-qubit code tailored to amplitude damping:
 
         |0_L> = (|0000> + |1111>) / sqrt(2)
         |1_L> = (|0011> + |1100>) / sqrt(2)
-    """
-    v0 = (basis_state("0000") + basis_state("1111")) / np.sqrt(2.0)
-    v1 = (basis_state("0011") + basis_state("1100")) / np.sqrt(2.0)
-    return CodeSpace(np.column_stack([v0, v1]))
+
+    written out: 1/sqrt(2) on the four basis states of _LEUNG_SECTOR."""
+    w = np.zeros((16, 2), dtype=complex)
+    w[[int(b, 2) for b in _LEUNG_SECTOR], [0, 0, 1, 1]] = 1.0 / np.sqrt(2.0)
+    return CodeSpace(w)
 
 
 def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
@@ -124,7 +106,6 @@ def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     return QuantumChannel(_damping_on([gamma], np.eye(2**n, dtype=complex), kraus)[0])
 
 
-_LEUNG_SECTOR = ("0000", "1111", "0011", "1100")
 _LEUNG_DAMPED_IMAGES = {
     1: ("0111", "0100"),
     2: ("1011", "1000"),
@@ -171,16 +152,6 @@ _FIVE_QUBIT_ZERO = (("00000", "00101", "01001", "01010", "10010", "10100"),
                      "11000", "11011", "11101", "11110"))
 
 
-def _pauli_on(spec, vecs: np.ndarray) -> np.ndarray:
-    """The Pauli string spec (e.g. 'XZZXI') applied to vecs (2^n, ...), or
-    each string of a list spec, stacked (S, 2^n, ...), by _product_on.  The
-    entries are +-1 and +-i, so the gather equals the Kronecker product to
-    the bit."""
-    idx = np.array(["IXYZ".index(p) for p in spec] if isinstance(spec, str)
-                   else [["IXYZ".index(p) for p in s] for s in spec])
-    return _product_on(_PAULI_COLS[idx], _PAULI_VALS[idx], vecs)
-
-
 def five_qubit_code_only() -> CodeSpace:
     """Distance-3 five-qubit code: the +1 eigenspace of the cyclic
     stabilizers XZZXI, IXZZX, XIXZZ, ZXIXZ with logical states fixed by
@@ -199,22 +170,22 @@ def five_qubit_code_only() -> CodeSpace:
 
 def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
     """Kraus operators of five_qubit_noise for each gamma times basis
-    (32, c), stacked (G, 6, 32, c).  The 15 Paulis of weight one act on
-    basis in one _pauli_on gather per call."""
-    gammas = _check_gamma(gammas)
-    weight_one = ["I" * k + p + "I" * (4 - k) for p in "ZXY" for k in range(5)]
-    paulis = np.concatenate([basis[None], _pauli_on(weight_one, basis)])
-    a = (1.0 + np.sqrt(1.0 - gammas)) / 2.0
-    b = (1.0 - np.sqrt(1.0 - gammas)) / 2.0
-    damp = a**4 * np.sqrt(gammas) / 2.0
-    k = np.arange(5)
-    # coefficients over I, Z_1..Z_5, X_1..X_5, Y_1..Y_5
-    c = np.zeros((len(gammas), 6, 16), dtype=complex)
-    c[:, 0, 0] = a**5
-    c[:, 0, 1:6] = (a**4 * b)[:, None]
-    c[:, 1 + k, 6 + k] = damp[:, None]
-    c[:, 1 + k, 11 + k] = 1j * damp[:, None]
-    return np.tensordot(c, paulis, axes=1)
+    (32, c), stacked (G, 6, 32, c), from their closed forms.  K0 is
+    diagonal: a^5 W plus a^4 b W with Z_k's sign on each row, added in k
+    order.  K_k = a^4 sqrt(gamma) |0><1|_k takes row x | 2^(4-k) of W to
+    each row x whose bit k is 0 and leaves the others zero."""
+    g = _check_gamma(gammas)[:, None, None]
+    a = (1.0 + np.sqrt(1.0 - g)) / 2.0
+    b = (1.0 - np.sqrt(1.0 - g)) / 2.0
+    x, bits = np.arange(32), 16 >> np.arange(5)[:, None]  # qubit k's bit, (5, 1)
+    clear = (x & bits == 0)[..., None]  # (5, 32, 1): the rows whose bit k is 0
+    k0, z_term = a**5 * basis, (a**4 * b) * basis
+    for sign in np.where(clear, 1.0, -1.0):
+        k0 += sign * z_term
+    lowered = clear * basis[x | bits]  # |0><1|_k W
+    out = np.empty((len(g), 6) + basis.shape, dtype=complex)
+    out[:, 0], out[:, 1:] = k0, (a**4 * np.sqrt(g))[:, None] * lowered
+    return out
 
 
 def five_qubit_noise(gamma: float) -> QuantumChannel:

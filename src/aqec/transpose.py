@@ -44,18 +44,28 @@ def _noise_on_code(kraus: np.ndarray, code: CodeSpace) -> np.ndarray:
     return kraus @ code.basis
 
 
+def _scaled_to_unit(m: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """m (complex) divided by 2^e and the even exponents e, one for each
+    index of m's other axes, that put the largest real or imaginary part
+    over axes in [1/4, 1) (e = 0 for zeros).  Dividing by a power of two
+    changes no bit, and an even one makes 2^(e/2) exact too, so E and c E
+    reach the same scaled arrays to rounding."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    e = np.frexp(np.max(np.abs(m.view(float)), axis=axes, initial=0.0))[1]
+    e += e & 1
+    return np.ldexp(m.view(float), -np.expand_dims(e, axes)).view(complex), e
+
+
 def _normalised_noise_on_code(kraus: np.ndarray, code: CodeSpace) -> tuple[np.ndarray, np.ndarray]:
     """The noise on the code as every worst case scores it, and the factors
     a (...,): M = E W of a stack kraus (..., N, D, D), divided by sqrt(a)
     where sum_i M_i^dag M_i = a I_d, a > 0, to PROPORTIONAL_TOL * a
     entrywise; a is exactly 1.0 within TP_CHECK_TOL of 1, NaN where none
-    fits.  The test and the division run on M scaled by the power of two
-    that puts its largest entry in [1/2, 1), which changes no bit, so E
-    and c E get one verdict and one normalised noise to rounding."""
+    fits.  The test and the division run on M scaled by _scaled_to_unit,
+    so E and c E get one verdict and one normalised noise to rounding."""
     m = _noise_on_code(kraus, code)
     d = m.shape[-1]
-    exp = np.frexp(np.max(np.abs(m), axis=(-3, -2, -1), initial=0.0))[1]
-    scaled = np.ldexp(m.view(float), -exp[..., None, None, None]).view(complex)
+    scaled, exp = _scaled_to_unit(m, (-3, -2, -1))
     wide = scaled.reshape(*m.shape[:-3], -1, d)
     gram = wide.conj().swapaxes(-1, -2) @ wide
     a = np.trace(gram, axis1=-2, axis2=-1).real / d
@@ -74,13 +84,17 @@ def _transpose_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """One batched linalg.psd_eigh E(P) = sum_i M_i M_i^dag = V diag(lam)
     V^dag of the noise on the code m (..., N, D, d), returned as (w, V, C):
     w = lam^(-1/4) on the support psd_eigh keeps, 0 off it, and
-    C = diag(w) V^dag [M_1 ... M_N] (..., D, N d)."""
+    C = diag(w) V^dag [M_1 ... M_N] (..., D, N d).  Both are formed from
+    [M_1 ... M_N] / 2^e (_scaled_to_unit), so E(P) neither overflows nor
+    underflows at any scale of the noise: its lam^(-1/4) is 2^(e/2) w, and
+    C is diag(2^e w) V^dag [M_1 ... M_N] / 2^e, each power exact."""
     *lead, n, dim, d = m.shape
-    wide = np.moveaxis(m, -3, -2).reshape(*lead, dim, n * d)
+    wide, exp = _scaled_to_unit(np.moveaxis(m, -3, -2).reshape(*lead, dim, n * d), (-2, -1))
     vals, vecs, keep = psd_eigh(wide @ wide.conj().swapaxes(-1, -2))
-    weight = np.where(keep, vals, np.inf) ** -0.25
-    c = (weight[..., :, None] * vecs.conj().swapaxes(-1, -2)) @ wide
-    return weight, vecs, c
+    weight = np.where(keep, vals, np.inf) ** -0.25  # 2^(e/2) w
+    half = (exp // 2)[..., None]
+    c = (np.ldexp(weight, half)[..., :, None] * vecs.conj().swapaxes(-1, -2)) @ wide
+    return np.ldexp(weight, -half), vecs, c
 
 
 def transpose_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:

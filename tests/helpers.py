@@ -3,9 +3,10 @@
 The channel algebra the tests check the library against (composition,
 Choi matrices and Choi equality, the TP defect, the recovered map on the
 code and its completion by the maximally mixed code state) lives here,
-with the bit-flip fixture, Bloch states of qubit codes and a
-Kronecker-product Pauli string oracle.  The package ships only what the
-transpose recovery, its conditions, its worst case and the CLI use.
+with the bit-flip fixture, Bloch states of qubit codes, computational
+basis vectors and a Kronecker-product Pauli string oracle.  The package
+ships only what the transpose recovery, its conditions, its worst case
+and the CLI use.
 
 The oracles here deliberately avoid the library code paths they are used
 to check: the polar oracle goes through scipy's SVD, the standard
@@ -122,6 +123,13 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]]),
     "Z": np.diag([1, -1]).astype(complex),
 }
+
+
+def basis_state(bits: str) -> np.ndarray:
+    """Computational basis vector for a bitstring like '0011'."""
+    v = np.zeros(2 ** len(bits), dtype=complex)
+    v[int(bits, 2)] = 1.0
+    return v
 
 
 def pauli_string(spec: str) -> np.ndarray:

@@ -14,10 +14,10 @@ from aqec import (
 from aqec.channels import complete_to_tp
 from aqec.codes import _haar_columns
 from aqec.exceptions import BudgetExceeded, DimensionMismatch, NotPSD
-from aqec.models import basis_state
 from aqec.transpose import _normalised_noise_on_code
 
 from helpers import (
+    basis_state,
     bit_flip_channel,
     bit_flip_code,
     channels_equal,

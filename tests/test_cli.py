@@ -396,6 +396,35 @@ def test_non_finite_or_zero_step_grid_rejected(tmp_path, capsys):
         _one_error_line(capsys)
 
 
+def test_gamma_grid_whose_points_would_repeat_rejected(tmp_path, capsys, monkeypatch):
+    # every point is rounded to 12 decimals, so a step below 1e-12 repeats
+    # points (101 rows over 12 gammas, six of them 0, for this grid): both
+    # commands refuse it, by flag or by config, before any list is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma_grid ran")
+
+    out, best = tmp_path / "o.csv", tmp_path / "b.json"
+    sweep = ["sweep", "--curve", "ad:identity", "--out", str(out)]
+    search = ["search", "--codes", "1", "--qubits", "2", "--out", str(out),
+              "--best-out", str(best)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma_stop": 1e-11, "gamma_step": 1e-13}))
+    with monkeypatch.context() as patch:
+        patch.setattr("aqec.cli.gamma_grid", refuse)
+        for run in (sweep, search):
+            for grid in (["--gamma-stop", "1e-11", "--gamma-step", "1e-13"],
+                         ["--config", str(cfg)]):
+                assert main(run + grid) == 2
+                assert "would repeat" in _one_error_line(capsys)
+                assert not out.exists() and not best.exists()
+    # a one-point grid has no repeats, whatever its step
+    one = ["--gamma-start", "0.1", "--gamma-stop", "0.1", "--gamma-step", "1e-13"]
+    assert main(sweep + one) == 0
+    assert [row[0] for row in _sweep_table(out)] == ["0.10000000000000001"]
+    assert main(search + one) == 0
+    assert [p["gamma"] for p in json.loads(best.read_text())["per_gamma"]] == [0.1]
+
+
 def test_gamma_grid_never_passes_stop(tmp_path):
     from aqec.cli import gamma_grid
 
@@ -623,12 +652,13 @@ def test_pass_budget_counts_the_operators_each_recovery_builds():
     ("transpose", None, 3, 2), ("transpose", None, 4, 2), ("transpose", None, 5, 2),
     ("transpose", None, 6, 2), ("transpose", None, 4, 3), ("transpose", None, 5, 4),
     ("identity", "ad", None, None), ("identity", None, 6, 2),
+    ("identity", "leung41", None, None), ("identity", "five513", None, None),
     ("leung", "leung41", None, None), ("rperf", "five513", None, None),
 ])
 def test_pass_budget_matches_the_memory_a_pass_uses(monkeypatch, recovery, model, n_qubits,
                                                    code_dim):
-    # The budget's entry count, at 16 bytes each, is within a factor of two
-    # of the traced peak of the scoring pass it admits, over 51 gammas.
+    # The budget's entry count, at 16 bytes each, is within 20% of the
+    # traced peak of the scoring pass it admits, over 51 gammas.
     import re
 
     import aqec.cli
@@ -642,7 +672,7 @@ def test_pass_budget_matches_the_memory_a_pass_uses(monkeypatch, recovery, model
         _check_pass_budget(code.ambient_dim, code.code_dim, recovery, len(gammas))
     entries = int(re.search(r"needs (\d+) complex entries", str(refused.value))[1])
     peak = _peak_bytes(_score_curves, [(code, recovery)], gammas, 10, 0)
-    assert 0.5 <= peak / (16 * entries) <= 2.0
+    assert 0.8 <= peak / (16 * entries) <= 1.2
 
 
 def _original_five_qubit_recovery(gamma):

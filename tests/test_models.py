@@ -20,9 +20,10 @@ from aqec import (
     worst_case_fidelity,
 )
 from aqec.exceptions import DimensionMismatch, ParamOutOfRange
-from aqec.models import _damping_on, basis_state
+from aqec.models import _damping_on, _five_qubit_noise_on
 
 from helpers import (
+    basis_state,
     channels_equal,
     complete_to_tp_leung_recovery,
     pauli_string,
@@ -187,6 +188,26 @@ def test_five_qubit_noise_matches_pauli_expansion():
         assert np.max(np.abs(np.stack(ops) - five_qubit_noise(g).kraus)) < 1e-15
 
 
+def test_five_qubit_noise_on_equals_closed_form_to_the_bit():
+    # K0 W = a^5 W + sum_k (a^4 b)(Z_k W), the terms added in k order, and
+    # K_k W = a^4 sqrt(gamma) |0><1|_k W, each Pauli and lowering operator
+    # a Kronecker product
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    bases = [five_qubit_code_only().basis, np.eye(32, dtype=complex),
+             random_code(32, 2, 61).basis]
+    for g in (0.0, 0.01, 0.37, 1.0):
+        a, b = (1 + np.sqrt(1 - g)) / 2, (1 - np.sqrt(1 - g)) / 2
+        for w in bases:
+            k0 = a**5 * w
+            for k in range(5):
+                k0 = k0 + (a**4 * b) * (pauli_string("I" * k + "Z" + "I" * (4 - k)) @ w)
+            ops = [k0]
+            for k in range(5):
+                lower_k = np.kron(np.kron(np.eye(2**k), lower), np.eye(2 ** (4 - k)))
+                ops.append((a**4 * np.sqrt(g)) * (lower_k @ w))
+            assert np.array_equal(_five_qubit_noise_on([g], w)[0], np.stack(ops))
+
+
 def test_five_qubit_recovery_matches_original_construction():
     code = five_qubit_code_only()
     for g in (0.0, 0.01, 0.3, 1.0):
@@ -306,6 +327,10 @@ def test_damping_on_code_equals_kron_construction(n):
         m = _damping_on(gammas, basis)
         assert m.shape == (4, 2**n, 2**n, basis.shape[1])
         assert np.array_equal(m, ref @ basis)
+    # a subset of Kraus indices, out of order, on each basis
+    kraus = [2**n - 1, 0, 1] if n > 1 else [1]
+    for basis in bases:
+        assert np.array_equal(_damping_on(gammas, basis, kraus), ref[:, kraus] @ basis)
 
 
 def test_truncated_damping_equals_kron_loop():

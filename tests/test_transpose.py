@@ -270,3 +270,23 @@ def test_normalised_noise_at_unit_scale_is_the_plain_division_to_the_bit(scale):
         got, factor = _normalised_noise_on_code(kraus, code)
         assert factor == a
         assert got.tobytes() == (m / np.sqrt(a)).tobytes()
+
+
+def test_transpose_recovery_and_residual_are_scale_free():
+    # E(P) is formed from the noise scaled by a power of two, so c E gets
+    # the recovery of E at any scale; from the unscaled noise E(P) underflows
+    # below c ~ 1e-160 and overflows above c ~ 1e154.  The scales are drawn
+    # log-uniformly from 1e-300 to 1e300, with both ends.
+    from aqec.conditions import alternate_condition_residual
+
+    e = tensor_power(amplitude_damping(0.1), 3)
+    code = random_code(8, 2, 0)
+    ref = worst_case_fidelity(e, transpose_channel(e, code), code)
+    residual = alternate_condition_residual(e, code)
+    scales = [1e-300, 1e300, *10.0 ** np.random.default_rng(9).uniform(-300, 300, 6)]
+    for c in scales:
+        scaled = QuantumChannel(c * e.kraus)
+        got = worst_case_fidelity(scaled, transpose_channel(scaled, code), code)
+        assert got.method == ref.method
+        assert abs(got.f2_min - ref.f2_min) <= 1e-12
+        assert abs(alternate_condition_residual(scaled, code) / (c * residual) - 1.0) <= 1e-12
