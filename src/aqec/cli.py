@@ -40,15 +40,7 @@ from .channels import KRAUS_ENTRY_BUDGET, channel_from_json
 from .codes import CodeSpace, code_from_json, code_to_json, random_code
 from .conditions import _standard_recovery_on, aqec_diagnostics
 from .exceptions import AqecError, BudgetExceeded
-from .fidelity import (
-    DEFAULT_SAMPLES,
-    SAMPLED,
-    WorstCaseResult,
-    _code_operator_basis,
-    _code_process_matrices,
-    _compose_on_code,
-    _min_forms,
-)
+from .fidelity import DEFAULT_SAMPLES, SAMPLED, WorstCaseResult, _min_forms, _recovered_maps
 from .models import (
     _damping_on,
     _five_qubit_noise_on,
@@ -57,7 +49,6 @@ from .models import (
     leung_recovery,
     qubit_space,
 )
-from .transpose import code_kraus
 
 # What sweep takes: each model's code and description, and each recovery's one model
 # (None: any) and Kraus operators per noise operator (None: one per noise operator)
@@ -171,37 +162,27 @@ def _n_qubits_for(code: CodeSpace) -> int:
     return n
 
 
-def _recovered_on_code(
-    recovery_name: str, code: CodeSpace, m: np.ndarray, gammas: list[float]
-) -> np.ndarray:
+def _recovered_on_code(name: str, code: CodeSpace, m: np.ndarray, gammas: list) -> np.ndarray:
     """The process matrices (G, d^2, d^2) of a recovery after the noise on
-    the code m (G, N, D, d), M_i = E_i W, over the grid, from its code-basis
-    Kraus stack (_code_process_matrices): identity is W^dag M; transpose is
-    code_kraus(M); leung composes the gamma independent map, built once
-    at the largest gamma (which holds the grid to [0, 1)), with M.  The
-    rperf curve composes only the six syndrome operators of the standard
-    recovery (conditions._standard_recovery_on of the single-error
-    channel on the code) with the noise.  Its TP completion,
-    which re-prepares the maximally mixed code state, rho -> tr(F rho) I/d
-    with F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, adds tr(F g_b)/d to row
-    0 alone, so row 0 becomes the noise's trace row tr(g_b sum_i M_i^dag
-    M_i)/d and no completion operator is formed.
-    """
-    w, d = code.basis, code.code_dim
-    if recovery_name == "transpose":
-        k = code_kraus(m).reshape(len(m), -1, d, d)
-    elif recovery_name == "identity":
-        k = w.conj().T @ m
-    elif recovery_name == "leung":
-        k = _compose_on_code(w.conj().T @ leung_recovery(max(gammas)).kraus, m)
+    the code m (G, N, D, d) over the grid, from fidelity._recovered_maps:
+    identity is no recovery, transpose the transpose channel, leung the
+    gamma independent map built once at the largest gamma (which holds the
+    grid to [0, 1)), and rperf the six syndrome operators of
+    conditions._standard_recovery_on of the single-error channel.  rperf's
+    TP completion, rho -> tr(F rho) I/d with F = sum_i M_i^dag M_i -
+    sum_x K_x^dag K_x, adds tr(F g_b)/d to row 0 alone, making it the
+    noise's trace row tr(g_b sum_i M_i^dag M_i)/d: e0, as damping is trace
+    preserving, so no completion operator is formed."""
+    w = code.basis
+    if name == "leung":
+        recovery = w.conj().T @ leung_recovery(max(gammas)).kraus
+    elif name == "rperf":
+        recovery = _standard_recovery_on(_five_qubit_noise_on(gammas, w))
     else:
-        # the trace row first: its conjugate of the noise is freed before k exists
-        noise = m.reshape(len(m), -1, d)
-        kraus_sum = noise.conj().swapaxes(-1, -2) @ noise
-        k = _compose_on_code(_standard_recovery_on(_five_qubit_noise_on(gammas, w)), m)
-    maps = _code_process_matrices(k)
-    if recovery_name == "rperf":
-        maps[:, 0] = np.einsum("gij,bji->gb", kraus_sum, _code_operator_basis(d)).real / d
+        recovery = None if name == "identity" else "transpose"
+    maps = _recovered_maps(m, w, recovery)
+    if name == "rperf":
+        maps[:, 0] = np.eye(maps.shape[-1])[0]
     return maps
 
 

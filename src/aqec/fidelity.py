@@ -36,7 +36,9 @@ method:
 The public entry points are worst_case_fidelity, for one noise and
 recovery pair, and transpose_fidelity_grid, for transpose recovery over
 a stack of noise channels.  Both score the normalised noise, as the
-transpose module sets out.  The module needs only numpy.
+transpose module sets out, and build their process matrices in
+_recovered_maps, as every sweep and search curve does.  The module needs
+only numpy.
 """
 
 from __future__ import annotations
@@ -134,6 +136,21 @@ def _code_process_matrices(k: np.ndarray) -> np.ndarray:
             "map is not completely positive on Hermitian inputs"
         )
     return m.real
+
+
+def _recovered_maps(m: np.ndarray, w: np.ndarray, recovery) -> np.ndarray:
+    """Process matrices (G, d^2, d^2) of a recovery after the noise on the
+    code m (G, N, D, d), M_i = E_i W, W = w: recovery None is the noise
+    alone (W^dag M), "transpose" the transpose channel (code_kraus(M)),
+    and code-basis Kraus operators W^dag R_j (..., R, d, D) are composed
+    with M (_compose_on_code)."""
+    if recovery is None:
+        k = w.conj().T @ m
+    elif isinstance(recovery, str):
+        k = code_kraus(m).reshape(len(m), -1, m.shape[-1], m.shape[-1])
+    else:
+        k = _compose_on_code(recovery, m)
+    return _code_process_matrices(k)
 
 
 _SECULAR_ITERS = 100
@@ -522,14 +539,11 @@ def worst_case_fidelity(
     ignored, as fidelities never see it.
     """
     m = _normalised_noise_on_code(noise.kraus, code)[0]
-    if recovery is None:
-        k = code.basis.conj().T @ m
-    elif (recovery.dims_in, recovery.dims_out) != (code.ambient_dim,) * 2:
+    if recovery is not None and (recovery.dims_in, recovery.dims_out) != (code.ambient_dim,) * 2:
         raise DimensionMismatch(f"recovery acts on dim {recovery.dims_in}->"
                                 f"{recovery.dims_out}, code lives in dim {code.ambient_dim}")
-    else:
-        k = _compose_on_code(code.basis.conj().T @ recovery.kraus, m)
-    [[result]] = _min_forms([(_code_process_matrices(k[None]), code)], samples, seed)
+    wr = None if recovery is None else code.basis.conj().T @ recovery.kraus
+    [[result]] = _min_forms([(_recovered_maps(m[None], code.basis, wr), code)], samples, seed)
     return result
 
 
@@ -547,15 +561,12 @@ def transpose_fidelity_grid(
     channels of N >= 1 Kraus operators each (zero operators are allowed),
     each normalised.  Each result equals
     worst_case_fidelity(noise, transpose_channel(noise, code), code) up to
-    rounding, with the same method: all G code-space maps and
-    their process matrices come from one batched call each, and all G
-    worst cases from one _min_forms call.
+    rounding, with the same method: all G maps come from one
+    _recovered_maps call and all G worst cases from one _min_forms call.
     """
     kraus = _as_array(kraus, 4, "(G, N, D, D) Kraus stack")
     if 0 in kraus.shape[:2]:
         raise DimensionMismatch(f"expected G, N >= 1, got shape {kraus.shape}")
-    k = code_kraus(_normalised_noise_on_code(kraus, code)[0])
-    d = code.code_dim
-    [results] = _min_forms([(_code_process_matrices(k.reshape(len(k), -1, d, d)), code)],
-                           samples, seed)
+    m = _normalised_noise_on_code(kraus, code)[0]
+    [results] = _min_forms([(_recovered_maps(m, code.basis, "transpose"), code)], samples, seed)
     return results

@@ -447,10 +447,10 @@ def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     import aqec.cli
 
     for exc in (MemoryError("Unable to allocate 488. MiB for an array"), MemoryError()):
-        def exhausted(k, exc=exc):
+        def exhausted(*args, exc=exc):
             raise exc
 
-        monkeypatch.setattr(aqec.cli, "_code_process_matrices", exhausted)
+        monkeypatch.setattr(aqec.cli, "_recovered_maps", exhausted)
         out = tmp_path / "o.csv"
         assert main(["sweep", "--curve", "ad:identity", "--gamma-stop", "0.02",
                      "--out", str(out)]) == 3
@@ -781,6 +781,48 @@ def test_rperf_trace_row_equals_the_kraus_level_completion():
     got = _recovered_on_code("rperf", code, m, gammas)
     assert got.shape == want.shape == (201, 4, 4)
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_sweep_curves_equal_the_library_bit_for_bit(tmp_path):
+    # Each curve's f2 is the worst_case_fidelity (or, for transpose, the
+    # transpose_fidelity_grid) value of the tensor-power noise, exactly.
+    from aqec import (
+        leung_code,
+        leung_recovery,
+        qubit_space,
+        transpose_fidelity_grid,
+        worst_case_fidelity,
+    )
+
+    gammas = [round(0.01 * k, 12) for k in range(1, 51)]
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--curve", "ad:identity", "--curve", "leung41:leung",
+                 "--curve", "leung41:transpose", "--gamma-start", "0.01",
+                 "--out", str(out)]) == 0
+    got = {(spec, float(gamma)): float(f2) for gamma, spec, f2, *_ in _sweep_table(out)}
+    assert len(got) == 3 * len(gammas)
+    leung = leung_code()
+    stack = np.stack([tensor_power(amplitude_damping(g), 4).kraus for g in gammas])
+    grid = transpose_fidelity_grid(stack, leung)
+    for g, transposed in zip(gammas, grid):
+        assert got["ad:identity", g] == worst_case_fidelity(
+            tensor_power(amplitude_damping(g), 1), None, qubit_space()).f2_min
+        assert got["leung41:leung", g] == worst_case_fidelity(
+            tensor_power(amplitude_damping(g), 4), leung_recovery(g), leung).f2_min
+        assert got["leung41:transpose", g] == transposed.f2_min
+
+
+def test_repeated_curve_rows_interleave_by_gamma(tmp_path):
+    # The row sort puts both copies of a repeated curve next to each other
+    # at each gamma, rather than one copy's whole grid after the other's.
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--curve", "ad:identity", "--curve", "leung41:leung",
+                 "--curve", "ad:identity", "--gamma-stop", "0.05", "--out", str(out)]) == 0
+    table = _sweep_table(out)
+    keys = [(spec, float(gamma)) for gamma, spec, *_ in table]
+    assert keys == sorted(keys) and len(keys) == 3 * 6
+    ad = [row for row in table if row[1] == "ad:identity"]
+    assert ad[::2] == ad[1::2]
 
 
 def test_default_sweep_equals_split_calls(tmp_path):
