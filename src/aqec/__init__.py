@@ -47,7 +47,7 @@ from .models import (
     qubit_space,
     truncated_damping_channel,
 )
-from .transpose import code_kraus, transpose_channel
+from .transpose import transpose_channel
 
 __all__ = [
     "QuantumChannel", "channel_from_json", "channel_to_json", "complete_to_tp",
@@ -61,5 +61,5 @@ __all__ = [
     "amplitude_damping", "example5_channel", "example5_eta_formula",
     "five_qubit_code_only", "five_qubit_noise", "five_qubit_recovery",
     "leung_code", "leung_recovery", "qubit_space", "truncated_damping_channel",
-    "code_kraus", "transpose_channel",
+    "transpose_channel",
 ]

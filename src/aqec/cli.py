@@ -63,6 +63,7 @@ RECOVERIES = {"transpose": (None, None), "rperf": ("five513", 6), "identity": (N
 DEFAULT_CURVES = ["ad:identity", "leung41:transpose", "leung41:leung", "five513:rperf"]
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MAX_COUNT = 2**21  # most gamma points, most codes and most samples one run takes
+MAX_WORK = DEFAULT_SAMPLES * MAX_COUNT  # most samples x gamma points of one d > 2 curve
 
 
 class UserConfigError(Exception):
@@ -110,11 +111,14 @@ def _grid_size(start, stop, step) -> tuple[float, float, int]:
     return start, step, count
 
 
-def _check_sampling(samples, seed) -> None:
+def _check_sampling(samples, seed, count: int, d: int) -> None:
     if not isinstance(samples, int) or not 1 <= samples <= MAX_COUNT:
         raise UserConfigError(f"samples must be an integer from 1 to {MAX_COUNT}, got {samples!r}")
     if not isinstance(seed, int) or seed < 0:
         raise UserConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    if d > 2 and samples * count > MAX_WORK:
+        raise UserConfigError(f"{samples} samples at each of {count} gamma points of a d = {d} "
+                              f"curve are over the limit of {MAX_WORK} sampled states")
 
 
 def _parse_curve(spec: str) -> tuple[str, str]:
@@ -153,18 +157,15 @@ def _load_code_file(path: str) -> CodeSpace:
     return code_from_json(data)
 
 
-def _n_qubits_for(code: CodeSpace) -> int:
-    n = int(round(np.log2(code.ambient_dim)))
-    if n < 1 or 2**n != code.ambient_dim:
-        raise UserConfigError(
-            f"code ambient dimension {code.ambient_dim} is not 2^n for n >= 1 qubits"
-        )
-    return n
+def _check_qubits(code: CodeSpace) -> None:
+    dim = code.ambient_dim
+    if dim < 2 or dim & (dim - 1):
+        raise UserConfigError(f"code ambient dimension {dim} is not 2^n for n >= 1 qubits")
 
 
 def _recovered_on_code(name: str, code: CodeSpace, m: np.ndarray, gammas: list) -> np.ndarray:
     """The process matrices (G, d^2, d^2) of a recovery after the noise on
-    the code m (G, N, D, d) over the grid, from fidelity._recovered_maps:
+    the code m (G, D, N, d) over the grid, from fidelity._recovered_maps:
     identity is no recovery, transpose the transpose channel, leung the
     gamma independent map built once at the largest gamma (which holds the
     grid to [0, 1)), and rperf the six syndrome operators of
@@ -294,7 +295,6 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         raise UserConfigError("curves is empty; name at least one MODEL:RECOVERY")
     specs = args.curves or list(DEFAULT_CURVES)
     curves = [_parse_curve(c) for c in specs]
-    _check_sampling(args.samples, args.seed)
     _check_writable(args.out)
     count = _grid_size(args.gamma_start, args.gamma_stop, args.gamma_step)[2]
     ordered = sorted(zip(specs, curves))
@@ -304,8 +304,9 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             codes[model] = (MODELS[model][0]() if model in MODELS
                             else _load_code_file(model[len("file=") :]))
     pass_curves = [(codes[model], recovery) for _, (model, recovery) in ordered]
+    _check_sampling(args.samples, args.seed, count, max(code.code_dim for code in codes.values()))
     for code, recovery in pass_curves:
-        _n_qubits_for(code)  # exit 2 unless the code lives on qubits
+        _check_qubits(code)  # exit 2 unless the code lives on qubits
         _check_pass_budget(code.ambient_dim, code.code_dim, recovery, count)
     gammas = gamma_grid(args.gamma_start, args.gamma_stop, args.gamma_step)
     scored = _score_curves(pass_curves, gammas, args.samples, args.seed)
@@ -407,8 +408,8 @@ def cmd_search(args: argparse.Namespace) -> None:
         raise UserConfigError("n_qubits must be between 2 and 5")
     if not 1 <= args.code_dim <= 2**args.qubits:
         raise UserConfigError(f"code_dim must be between 1 and 2^n_qubits, got {args.code_dim}")
-    _check_sampling(args.samples, args.seed)
     count = _grid_size(args.gamma_start, args.gamma_stop, args.gamma_step)[2]
+    _check_sampling(args.samples, args.seed, count, args.code_dim)
     _check_pass_budget(2**args.qubits, args.code_dim, "transpose", count)
     gammas = gamma_grid(args.gamma_start, args.gamma_stop, args.gamma_step)
     target = _metric_target(args.metric, gammas)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import _json_fields, _matrix_to_pairs, _pairs_to_matrix
-from .exceptions import DimensionMismatch
+from .exceptions import DimensionMismatch, ParamOutOfRange
 from .linalg import _as_array, _check_size
 
 ORTHONORMALITY_TOL = 1e-12
@@ -73,10 +73,12 @@ def random_code(ambient_dim: int, code_dim: int, seed: int) -> CodeSpace:
     """Haar-random code: first code_dim columns of a Haar-random unitary.
 
     Deterministic for a given seed (PCG64 generator).  DimensionMismatch
-    unless both are integers and 1 <= code_dim <= ambient_dim.
+    unless both dimensions are integers and 1 <= code_dim <= ambient_dim,
+    ParamOutOfRange unless the seed is an integer >= 0.
     """
     _check_size(ambient_dim, "random code needs an integer ambient_dim >= 1")
     _check_size(code_dim, "random code needs an integer code_dim >= 1")
+    _check_size(seed, "random code needs an integer seed >= 0", 0, ParamOutOfRange)
     if code_dim > ambient_dim:
         raise DimensionMismatch(
             f"code dimension {code_dim} exceeds ambient dimension {ambient_dim}"
@@ -89,16 +91,10 @@ def _su_generators(d: int) -> list[np.ndarray]:
     then antisymmetric pairs, then diagonal, scaled to tr(O^2) = d."""
     gens: list[np.ndarray] = []
     scale = np.sqrt(d / 2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
+    for entry in (1.0, -1j):  # (j, k) and (k, j) hold entry and its conjugate
+        for j, k in [(j, k) for j in range(d) for k in range(j + 1, d)]:
             g = np.zeros((d, d), dtype=complex)
-            g[j, k] = g[k, j] = 1.0
-            gens.append(scale * g)
-    for j in range(d):
-        for k in range(j + 1, d):
-            g = np.zeros((d, d), dtype=complex)
-            g[j, k] = -1j
-            g[k, j] = 1j
+            g[j, k], g[k, j] = entry, np.conj(entry)
             gens.append(scale * g)
     for l in range(1, d):
         g = np.zeros((d, d), dtype=complex)

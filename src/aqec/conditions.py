@@ -48,7 +48,7 @@ from .fidelity import (
     worst_case_fidelity,
 )
 from .linalg import psd_eigh
-from .transpose import _noise_on_code, _normalised_noise_on_code, code_kraus
+from .transpose import _code_kraus, _noise_on_code, _normalised_noise_on_code
 
 PERFECT_TOL = 1e-9
 BOUND_TOL = 1e-9  # slack of the near-optimality bound check
@@ -117,11 +117,11 @@ class AqecDiagnostics(NamedTuple):
 
 def _condition_products(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """alpha (G, N, N) and the residual (G,) of the conditions for the
-    noise on the code m, M_i = E_i W, stacked (G, N, D, d): from the
+    noise on the code m, M_i = E_i W, stacked (G, D, N, d): from the
     products M_i^dag M_j, alpha_ij = tr(M_i^dag M_j) / d (its Hermitian
     part) and the residual max |M_i^dag M_j - alpha_ij I| per pair."""
-    g, n, dim, d = m.shape
-    wide = np.moveaxis(m, 1, 2).reshape(g, dim, n * d)
+    g, dim, n, d = m.shape
+    wide = m.reshape(g, dim, n * d)
     prods = (wide.conj().swapaxes(-1, -2) @ wide).reshape(g, n, d, n, d).swapaxes(2, 3)
     alpha = np.trace(prods, axis1=-2, axis2=-1) / d
     dev = np.abs(prods - alpha[..., None, None] * np.eye(d))
@@ -130,7 +130,7 @@ def _condition_products(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _standard_recovery_on(m: np.ndarray) -> np.ndarray:
     """The standard recovery R_k = P F_k^dag / sqrt(d_k) of each pair in a
-    stack, in code coordinates: for the noise on the code m (G, N, D, d),
+    stack, in code coordinates: for the noise on the code m (G, D, N, d),
     M_i = E_i W, and alpha = u diag(d) u^dag from one linalg.psd_eigh, the
     (G, N, d, D) stack of W^dag R_k = (F_k W)^dag / sqrt(d_k), F_k W =
     sum_i u_ik M_i, zero where psd_eigh's support of alpha drops d_k.
@@ -143,8 +143,8 @@ def _standard_recovery_on(m: np.ndarray) -> np.ndarray:
         )
     vals, u, keep = psd_eigh(alpha)
     weight = np.where(keep, vals, np.inf) ** -0.5
-    fw = (u.swapaxes(-1, -2) @ m.reshape(m.shape[0], m.shape[1], -1)).reshape(m.shape)
-    return weight[..., None, None] * fw.conj().swapaxes(-1, -2)
+    fw = u.swapaxes(-1, -2)[:, None] @ m.transpose(0, 3, 2, 1)  # F_k W by column, (G, d, N, D)
+    return (weight[:, None, :, None] * fw.conj()).swapaxes(1, 2)
 
 
 def check_perfect_qec(e: QuantumChannel, code: CodeSpace) -> PerfectQecCertificate:
@@ -181,7 +181,7 @@ def build_r_perf(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
 
 def _beta_and_deltas(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """beta_ij = tr(K_ij) / d and the traceless Delta_ij = K_ij - beta_ij I
-    of a code-basis Kraus set k (N, N, d, d) from code_kraus."""
+    of a code-basis Kraus set k (N, N, d, d) from _code_kraus."""
     d = k.shape[-1]
     beta = np.trace(k, axis1=2, axis2=3) / d
     return beta, k - beta[:, :, None, None] * np.eye(d)
@@ -200,7 +200,7 @@ def aqec_diagnostics(
     Works on the normalised noise on the code, M_i = E_i W scaled by
     1/sqrt(a) for sum_i M_i^dag M_i = a I_d (a recorded as
     restricted_factor, 1.0 for noise trace preserving on the code), and
-    raises NotTP when no a fits.  One code_kraus call gives K_ij =
+    raises NotTP when no a fits.  One _code_kraus call gives K_ij =
     beta_ij I + Delta_ij, and eta = 1 - F^2_min of the transpose-recovered
     map comes from the same worst-case call that search and sweep make:
     exact for qubit codes, a sampled lower bound on the loss for d > 2.
@@ -215,7 +215,7 @@ def aqec_diagnostics(
             "channel is neither trace preserving nor proportionally "
             "trace preserving on the code"
         )
-    k = code_kraus(m)
+    k = _code_kraus(m)
     beta, deltas_code = _beta_and_deltas(k)
     flat = deltas_code.reshape(-1, d, d)
     s_mat = np.einsum("kab,kac->bc", flat.conj(), flat, optimize=True)
@@ -254,7 +254,7 @@ def alternate_condition_residual(e: QuantumChannel, code: CodeSpace) -> float:
     beta matrix then equals the principal square root of alpha in the same
     Kraus representation.
     """
-    _, deltas = _beta_and_deltas(code_kraus(_noise_on_code(e.kraus, code)))
+    _, deltas = _beta_and_deltas(_code_kraus(_noise_on_code(e.kraus, code)))
     return float(np.max(np.linalg.norm(deltas, 2, axis=(-2, -1))))
 
 

@@ -51,8 +51,8 @@ import numpy as np
 from .channels import QuantumChannel
 from .codes import CodeSpace, _su_generators
 from .exceptions import DimensionMismatch, PreconditionViolated
-from .linalg import _as_array
-from .transpose import _normalised_noise_on_code, code_kraus
+from .linalg import _as_array, _check_size
+from .transpose import _code_kraus, _normalised_noise_on_code
 
 EXACT_UNITAL_QUBIT = "exact_unital_qubit"
 LAGRANGE_QUBIT = "lagrange_qubit"
@@ -83,14 +83,13 @@ class WorstCaseResult(NamedTuple):
 def _compose_on_code(wr: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Code-basis Kraus stack {(W^dag R_j)(E_i W)}, j-major, of a recovery
     after noise, batched over broadcast leading axes: wr (..., R, d, D),
-    m (..., N, D, d) -> (..., R N, d, d)."""
+    m (..., D, N, d) -> (..., R N, d, d), from one (R d, D) x (D, N d)
+    product with the block [M_1 ... M_N]."""
     r, d, dim = wr.shape[-3:]
-    n = m.shape[-3]
-    # All recoveries as one (R d, D) x (D, d) product per noise operator,
-    # so the noise is read where it lies, not copied to one (D, N d) block
-    k = wr.reshape(*wr.shape[:-3], 1, r * d, dim) @ m
-    lead = k.shape[:-3]
-    return k.reshape(*lead, n, r, d, d).swapaxes(-4, -3).reshape(*lead, r * n, d, d)
+    n = m.shape[-2]
+    k = wr.reshape(*wr.shape[:-3], r * d, dim) @ m.reshape(*m.shape[:-3], dim, n * d)
+    lead = k.shape[:-2]
+    return k.reshape(*lead, r, d, n, d).swapaxes(-3, -2).reshape(*lead, r * n, d, d)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -140,14 +139,14 @@ def _code_process_matrices(k: np.ndarray) -> np.ndarray:
 
 def _recovered_maps(m: np.ndarray, w: np.ndarray, recovery) -> np.ndarray:
     """Process matrices (G, d^2, d^2) of a recovery after the noise on the
-    code m (G, N, D, d), M_i = E_i W, W = w: recovery None is the noise
-    alone (W^dag M), "transpose" the transpose channel (code_kraus(M)),
+    code m (G, D, N, d), M_i = E_i W, W = w: recovery None is the noise
+    alone (W^dag M_i), "transpose" the transpose channel (_code_kraus(M)),
     and code-basis Kraus operators W^dag R_j (..., R, d, D) are composed
     with M (_compose_on_code)."""
     if recovery is None:
-        k = w.conj().T @ m
+        k = w.conj().T @ m.swapaxes(-3, -2)  # (G, N, d, d), m read in place
     elif isinstance(recovery, str):
-        k = code_kraus(m).reshape(len(m), -1, m.shape[-1], m.shape[-1])
+        k = _code_kraus(m).reshape(len(m), -1, m.shape[-1], m.shape[-1])
     else:
         k = _compose_on_code(recovery, m)
     return _code_process_matrices(k)
@@ -423,8 +422,6 @@ def _min_forms_sampled(
     Returns the values (G,) and the code-coefficient vectors (G, d); each
     value is the best seen, an upper bound on the true minimum.
     """
-    if n < 1:
-        raise PreconditionViolated("need at least one sample")
     q = (q + q.swapaxes(-1, -2)) / 2.0
     forms, dim, _ = q.shape
     d = int(round(np.sqrt(dim)))
@@ -491,8 +488,11 @@ def _min_forms(
     becomes the code coefficients (1 + s_z, s_x + i s_y), normalised, or
     (0, 1) at the south pole.  Larger codes share one _min_forms_sampled
     run: upper bounds on the minima, labelled SAMPLED.  Every worst state
-    is c W^T for its code coefficients c.
+    is c W^T for its code coefficients c.  PreconditionViolated unless
+    samples is an integer >= 1 and seed one >= 0, at every d.
     """
+    _check_size(samples, "need an integer count of samples >= 1", 1, PreconditionViolated)
+    _check_size(seed, "need an integer seed >= 0", 0, PreconditionViolated)
     d = blocks[0][1].code_dim
     m = np.concatenate([maps for maps, _ in blocks])
     q = m / d
@@ -536,12 +536,14 @@ def worst_case_fidelity(
     recovery = None means no recovery (identity map); the noise is
     normalised first.  Qubit codes are solved exactly; larger codes fall
     back to the sampled estimator.  Output that leaves the code is
-    ignored, as fidelities never see it.
+    ignored, as fidelities never see it.  DimensionMismatch unless
+    recovery is None or a QuantumChannel on the code's ambient space.
     """
     m = _normalised_noise_on_code(noise.kraus, code)[0]
-    if recovery is not None and (recovery.dims_in, recovery.dims_out) != (code.ambient_dim,) * 2:
-        raise DimensionMismatch(f"recovery acts on dim {recovery.dims_in}->"
-                                f"{recovery.dims_out}, code lives in dim {code.ambient_dim}")
+    if recovery is not None and (not isinstance(recovery, QuantumChannel)
+                                 or recovery.kraus.shape[1:] != (code.ambient_dim,) * 2):
+        raise DimensionMismatch(f"recovery must be None or a QuantumChannel on the code's "
+                                f"dim {code.ambient_dim}, got {recovery!r}")
     wr = None if recovery is None else code.basis.conj().T @ recovery.kraus
     [[result]] = _min_forms([(_recovered_maps(m[None], code.basis, wr), code)], samples, seed)
     return result

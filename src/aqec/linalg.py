@@ -33,8 +33,8 @@ def _as_array(a, ndim: int, what: str) -> np.ndarray:
         raise DimensionMismatch(f"{what} is not a numeric array: {exc}") from exc
     if arr.dtype.kind not in "iufc":
         raise DimensionMismatch(f"{what} is not a numeric array: dtype {arr.dtype}")
-    # numpy reads a list or tuple into a new array; an array from the caller is copied
-    arr = arr.astype(complex, copy=not isinstance(a, (list, tuple)))
+    # numpy reads a list or tuple into a new array; a caller's array is copied, in C order
+    arr = arr.astype(complex, order="C", copy=not isinstance(a, (list, tuple)))
     if arr.ndim != ndim:
         raise DimensionMismatch(f"{what} needs {ndim} axes, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -42,10 +42,10 @@ def _as_array(a, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _check_size(n, rule: str) -> None:
-    """DimensionMismatch (rule, then n) unless n is an integer >= 1, not a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DimensionMismatch(f"{rule}, got {n!r}")
+def _check_size(n, rule: str, least: int = 1, error: type = DimensionMismatch) -> None:
+    """error (rule, then n) unless n is an integer >= least, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise error(f"{rule}, got {n!r}")
 
 
 def psd_eigh(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,14 +16,17 @@ from .exceptions import ParamOutOfRange
 from .linalg import _check_size
 
 
-def _check_gamma(gammas, closed: bool = True) -> np.ndarray:
+def _check_gamma(gammas, closed: bool = True, name: str = "gamma") -> np.ndarray:
     """gammas (one value or a grid) as a 1-D float array.  Raises
-    ParamOutOfRange for the first value outside [0, 1], or [0, 1) when
-    not closed (NaN included)."""
-    g = np.atleast_1d(np.asarray(gammas, dtype=float))
+    ParamOutOfRange, naming name, for anything but numbers (booleans too)
+    and for the first value outside [0, 1], or [0, 1) when not closed (NaN too)."""
+    g = np.atleast_1d(np.asarray(gammas))
+    if g.dtype.kind not in "iuf":
+        raise ParamOutOfRange(f"{name} must be a number, got {gammas!r}")
+    g = g.astype(float)
     bad = np.flatnonzero(~((g >= 0.0) & (g <= 1.0) & (closed | (g < 1.0))))
     if bad.size:
-        raise ParamOutOfRange(f"gamma = {g[bad[0]]} outside [0, 1{']' if closed else ')'}")
+        raise ParamOutOfRange(f"{name} = {g[bad[0]]} outside [0, 1{']' if closed else ')'}")
     return g
 
 
@@ -32,21 +35,21 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
 
         E0 = diag(1, sqrt(1 - gamma)),  E1 = sqrt(gamma) |0><1|.
     """
-    return QuantumChannel(_damping_on([gamma], np.eye(2, dtype=complex))[0])
+    return QuantumChannel(_damping_on([gamma], np.eye(2, dtype=complex))[0].swapaxes(0, 1))
 
 
 def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
     """Kraus operators E_a of n-qubit amplitude damping for each gamma
-    times basis (2^n, c), stacked (G, K, 2^n, c), for the Kraus indices a
-    in kraus, or all K = 2^n of them when kraus is None, no 2^n x 2^n
-    operator formed.  E_a is the product over a's bits of E0 (bit 0: row r
-    holds 1 or sqrt(1 - gamma) in column r) and E1 (bit 1: sqrt(gamma) or
-    0 in column 1), so row x of E_a W is the product of x's entries, first
-    qubit first, times row x | a of W: each entry equals its Kronecker
-    product entry to the bit.  Raises ParamOutOfRange for gamma outside
-    [0, 1] and BudgetExceeded when one gamma's K ambient operators are over
-    budget; the CLI holds the (G, K, 2^n, c) stack to its pass budget
-    before calling this.
+    times basis (2^n, c), in the layout of the noise on the code
+    (G, 2^n, K, c), for the Kraus indices a in kraus, or all K = 2^n of
+    them when kraus is None, no 2^n x 2^n operator formed.  E_a is the
+    product over a's bits of E0 (bit 0: row r holds 1 or sqrt(1 - gamma)
+    in column r) and E1 (bit 1: sqrt(gamma) or 0 in column 1), so row x of
+    E_a W is the product of x's entries, first qubit first, times row
+    x | a of W: each entry equals its Kronecker product entry to the bit.
+    Raises ParamOutOfRange for gamma outside [0, 1] and BudgetExceeded
+    when one gamma's K ambient operators are over budget; the CLI holds
+    the (G, 2^n, K, c) stack to its pass budget before calling this.
     """
     g = _check_gamma(gammas)
     dim, c = basis.shape
@@ -61,13 +64,13 @@ def _damping_on(gammas, basis: np.ndarray, kraus=None) -> np.ndarray:
         coef = (coef[:, None] * table[bits].transpose(1, 2, 0).reshape(2, stack)).reshape(-1, stack)
     # complex once, so no product casts them again; the float stack is
     # freed before the result exists
-    coef = np.ascontiguousarray(coef.T, dtype=complex).reshape(len(g), len(a), dim)
-    src = a[:, None] | np.arange(dim)
+    coef = np.ascontiguousarray(coef.reshape(dim, len(g), len(a)).swapaxes(0, 1), dtype=complex)
+    src = np.arange(dim)[:, None] | a
     if c < dim:
         # a code basis: one product per column, each along whole columns,
         # not one product whose inner loop spans a row's few entries; the
         # rows are copied in first, as a broadcast product would buffer them
-        out = np.empty((len(g), len(a), dim, c), dtype=complex)
+        out = np.empty((len(g), dim, len(a), c), dtype=complex)
         for j, column in enumerate(basis.T):
             out[..., j] = column[src]
             out[..., j] *= coef
@@ -103,7 +106,7 @@ def truncated_damping_channel(gamma: float, n: int) -> QuantumChannel:
     an integer (not a bool) >= 1."""
     _check_size(n, "truncated damping needs an integer n >= 1 qubits")
     kraus = [0] + [1 << (n - 1 - k) for k in range(n)]
-    return QuantumChannel(_damping_on([gamma], np.eye(2**n, dtype=complex), kraus)[0])
+    return QuantumChannel(_damping_on([gamma], np.eye(2**n), kraus)[0].swapaxes(0, 1))
 
 
 _LEUNG_DAMPED_IMAGES = {
@@ -170,10 +173,11 @@ def five_qubit_code_only() -> CodeSpace:
 
 def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
     """Kraus operators of five_qubit_noise for each gamma times basis
-    (32, c), stacked (G, 6, 32, c), from their closed forms.  K0 is
-    diagonal: a^5 W plus a^4 b W with Z_k's sign on each row, added in k
-    order.  K_k = a^4 sqrt(gamma) |0><1|_k takes row x | 2^(4-k) of W to
-    each row x whose bit k is 0 and leaves the others zero."""
+    (32, c), in the layout of the noise on the code (G, 32, 6, c), from
+    their closed forms.  K0 is diagonal: a^5 W plus a^4 b W with Z_k's
+    sign on each row, added in k order.  K_k = a^4 sqrt(gamma) |0><1|_k
+    takes row x | 2^(4-k) of W to each row x whose bit k is 0 and leaves
+    the others zero."""
     g = _check_gamma(gammas)[:, None, None]
     a = (1.0 + np.sqrt(1.0 - g)) / 2.0
     b = (1.0 - np.sqrt(1.0 - g)) / 2.0
@@ -182,9 +186,9 @@ def _five_qubit_noise_on(gammas, basis: np.ndarray) -> np.ndarray:
     k0, z_term = a**5 * basis, (a**4 * b) * basis
     for sign in np.where(clear, 1.0, -1.0):
         k0 += sign * z_term
-    lowered = clear * basis[x | bits]  # |0><1|_k W
-    out = np.empty((len(g), 6) + basis.shape, dtype=complex)
-    out[:, 0], out[:, 1:] = k0, (a**4 * np.sqrt(g))[:, None] * lowered
+    lowered = (clear * basis[x | bits]).swapaxes(0, 1)  # |0><1|_k W, (32, 5, c)
+    out = np.empty((len(g), 32, 6, basis.shape[1]), dtype=complex)
+    out[:, :, 0], out[:, :, 1:] = k0, (a**4 * np.sqrt(g))[:, None] * lowered
     return out
 
 
@@ -203,7 +207,7 @@ def five_qubit_noise(gamma: float) -> QuantumChannel:
     from five_qubit_code_only satisfies the perfect correction conditions for
     this CP (trace-decreasing) channel at every gamma.
     """
-    return QuantumChannel(_five_qubit_noise_on([gamma], np.eye(32))[0])
+    return QuantumChannel(_five_qubit_noise_on([gamma], np.eye(32))[0].swapaxes(0, 1))
 
 
 def five_qubit_recovery(gamma: float) -> QuantumChannel:
@@ -225,10 +229,8 @@ def example5_channel(d: int, p: float) -> tuple[QuantumChannel, CodeSpace]:
     d >= 3 the transpose-channel fidelity loss has the closed form
     example5_eta_formula, while doing nothing loses only p.
     """
-    if d < 2:
-        raise ParamOutOfRange(f"code dimension {d} must be at least 2")
-    if not 0.0 <= p < 1.0:
-        raise ParamOutOfRange(f"p = {p} outside [0, 1)")
+    _check_size(d, "example 5 needs an integer code dimension d >= 2", 2, ParamOutOfRange)
+    _check_gamma(p, closed=False, name="p")
     code = CodeSpace(np.eye(d + 1, dtype=complex)[:, :d])
     p_proj = code.projector()
     leaks = np.zeros((d, d + 1, d + 1), dtype=complex)
@@ -243,7 +245,6 @@ def example5_eta_formula(d: int, p: float) -> float:
     At d = 2 the exact loss is larger (0.09296 against 0.09091 at p = 0.1),
     so d < 3 raises ParamOutOfRange.
     """
-    if d < 3:
-        raise ParamOutOfRange(f"the closed form holds for d >= 3, got d = {d}")
+    _check_size(d, "the closed form holds for an integer d >= 3", 3, ParamOutOfRange)
     return (d - 1) * p / (1.0 + (d - 1) * p)
 

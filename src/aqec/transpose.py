@@ -17,8 +17,10 @@ Noise given as Kraus operators enters the code only here, as M_i = E_i W:
 as given for the correction conditions (_noise_on_code), normalised for
 every worst case (_normalised_noise_on_code: M / sqrt(a) for noise
 proportionally trace preserving on the code, sum_i M_i^dag M_i = a I_d),
-so that E and c E have one eta.  code_kraus and transpose_channel share
-one factorisation of E(P) (_transpose_factor).
+so that E and c E have one eta.  M has one layout, (..., D, N, d), whose
+(D, N d) reshape is the block [M_1 ... M_N] every product reads, with no
+copy.  _code_kraus and transpose_channel share one factorisation of E(P)
+(_transpose_factor).
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ PROPORTIONAL_TOL = 1e-8
 
 
 def _noise_on_code(kraus: np.ndarray, code: CodeSpace) -> np.ndarray:
-    """M_i = E_i W, shape (..., N, D, d), for a stack of noise Kraus sets
-    kraus (..., N, D, D) on the code, as given.  Raises DimensionMismatch
-    unless each E_i maps the code's ambient space to itself."""
+    """M_i = E_i W (..., D, N, d) for a stack of noise Kraus sets kraus
+    (..., N, D, D) on the code, as given.  Raises DimensionMismatch unless
+    each E_i maps the code's ambient space to itself."""
     if kraus.shape[-2:] != (code.ambient_dim,) * 2:
         raise DimensionMismatch(f"channel acts on dim {kraus.shape[-1]}->{kraus.shape[-2]}, "
                                 f"code lives in dim {code.ambient_dim}")
-    return kraus @ code.basis
+    return np.swapaxes(kraus, -3, -2) @ code.basis
 
 
 def _scaled_to_unit(m: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -58,11 +60,12 @@ def _scaled_to_unit(m: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]
 
 def _normalised_noise_on_code(kraus: np.ndarray, code: CodeSpace) -> tuple[np.ndarray, np.ndarray]:
     """The noise on the code as every worst case scores it, and the factors
-    a (...,): M = E W of a stack kraus (..., N, D, D), divided by sqrt(a)
-    where sum_i M_i^dag M_i = a I_d, a > 0, to PROPORTIONAL_TOL * a
-    entrywise; a is exactly 1.0 within TP_CHECK_TOL of 1, NaN where none
-    fits.  The test and the division run on M scaled by _scaled_to_unit,
-    so E and c E get one verdict and one normalised noise to rounding."""
+    a (...,): M = E W (..., D, N, d) of a stack kraus (..., N, D, D),
+    divided by sqrt(a) where sum_i M_i^dag M_i = a I_d, a > 0, to
+    PROPORTIONAL_TOL * a entrywise; a is exactly 1.0 within TP_CHECK_TOL of
+    1, NaN where none fits.  The test and the division run on M scaled by
+    _scaled_to_unit, so E and c E get one verdict and one normalised noise
+    to rounding."""
     m = _noise_on_code(kraus, code)
     d = m.shape[-1]
     scaled, exp = _scaled_to_unit(m, (-3, -2, -1))
@@ -82,14 +85,14 @@ def _normalised_noise_on_code(kraus: np.ndarray, code: CodeSpace) -> tuple[np.nd
 
 def _transpose_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One batched linalg.psd_eigh E(P) = sum_i M_i M_i^dag = V diag(lam)
-    V^dag of the noise on the code m (..., N, D, d), returned as (w, V, C):
+    V^dag of the noise on the code m (..., D, N, d), returned as (w, V, C):
     w = lam^(-1/4) on the support psd_eigh keeps, 0 off it, and
     C = diag(w) V^dag [M_1 ... M_N] (..., D, N d).  Both are formed from
     [M_1 ... M_N] / 2^e (_scaled_to_unit), so E(P) neither overflows nor
     underflows at any scale of the noise: its lam^(-1/4) is 2^(e/2) w, and
     C is diag(2^e w) V^dag [M_1 ... M_N] / 2^e, each power exact."""
-    *lead, n, dim, d = m.shape
-    wide, exp = _scaled_to_unit(np.moveaxis(m, -3, -2).reshape(*lead, dim, n * d), (-2, -1))
+    *lead, dim, n, d = m.shape
+    wide, exp = _scaled_to_unit(m.reshape(*lead, dim, n * d), (-2, -1))
     vals, vecs, keep = psd_eigh(wide @ wide.conj().swapaxes(-1, -2))
     weight = np.where(keep, vals, np.inf) ** -0.25  # 2^(e/2) w
     half = (exp // 2)[..., None]
@@ -104,18 +107,15 @@ def transpose_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
     root of E(P), are W C_i^dag diag(w) V^dag (C_i the i-th d columns of
     C), from one _transpose_factor.
     """
-    m = _noise_on_code(e.kraus, code)
-    n, dim, d = m.shape
-    weight, v, c = _transpose_factor(m)
-    c_blocks = c.reshape(dim, n, d).transpose(1, 2, 0).conj()
-    ops = code.basis @ c_blocks @ (weight[:, None] * v.conj().T)
-    return QuantumChannel(_prune(ops))
+    weight, v, c = _transpose_factor(_noise_on_code(e.kraus, code))
+    c_blocks = c.reshape(len(c), e.n_kraus, -1).transpose(1, 2, 0).conj()
+    return QuantumChannel(_prune(code.basis @ c_blocks @ (weight[:, None] * v.conj().T)))
 
 
-def code_kraus(m: np.ndarray) -> np.ndarray:
+def _code_kraus(m: np.ndarray) -> np.ndarray:
     """Code-space Kraus set of transpose recovery after noise, batched.
 
-    m stacks M_i = E_i W with shape (..., N, D, d): the noise Kraus
+    m holds M_i = E_i W in the layout (..., D, N, d): the noise Kraus
     operators times the code isometry, for any number of leading (batch)
     axes.  Returns K of shape (..., N, N, d, d) with
 
@@ -127,8 +127,7 @@ def code_kraus(m: np.ndarray) -> np.ndarray:
     _transpose_factor.  It checks nothing: search calls it once per code
     on stacks the package builds.
     """
-    *lead, n, _, d = m.shape
+    *lead, _, n, d = m.shape
     c = _transpose_factor(m)[2]
-    k = c.conj().swapaxes(-1, -2) @ c
-    return k.reshape(*lead, n, d, n, d).swapaxes(-3, -2)
+    return (c.conj().swapaxes(-1, -2) @ c).reshape(*lead, n, d, n, d).swapaxes(-3, -2)
 

@@ -30,7 +30,6 @@ from scipy.optimize import brentq
 from aqec import (
     CodeSpace,
     QuantumChannel,
-    code_kraus,
     complete_to_tp,
     polar_unitary_on_support,
 )
@@ -46,6 +45,7 @@ from aqec.fidelity import (
     _refine_forms,
     _start_count,
 )
+from aqec.transpose import _code_kraus, _noise_on_code
 
 
 # ------------------------------------------- channel algebra and fixtures
@@ -79,16 +79,26 @@ def channels_equal(e1: QuantumChannel, e2: QuantumChannel, tol: float = 1e-9) ->
 
 def recovered_channel(e: QuantumChannel, code: CodeSpace) -> QuantumChannel:
     """Transpose recovery after e, restricted to the code: the lift
-    {W K_ij W^dag}, i-major, of K = code_kraus(M), M_i = E_i W."""
+    {W K_ij W^dag}, i-major, of K = _code_kraus(M), M_i = E_i W."""
     w, d = code.basis, code.code_dim
-    k = code_kraus(e.kraus @ w).reshape(-1, d, d)
+    k = _code_kraus(_noise_on_code(e.kraus, code)).reshape(-1, d, d)
     return QuantumChannel(list(w @ k @ w.conj().T))
+
+
+def compose_on_code_reference(wr: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The code-basis Kraus stack of a recovery after noise, one operator
+    at a time: (W^dag R_j)(E_i W) for j over the recovery wr (G, R, d, D)
+    or (R, d, D), then i over the noise on the code m (G, D, N, d), stacked
+    j-major as (G, R N, d, d)."""
+    wr = np.broadcast_to(wr, (len(m),) + wr.shape[-3:])
+    return np.stack([np.stack([rj @ m[g, :, i] for rj in wr[g] for i in range(m.shape[2])])
+                     for g in range(len(m))])
 
 
 def completed_on_code(k: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Process matrices of a recovered map completed by re-preparing the
     maximally mixed code state, at the Kraus level: k (G, X, d, d) the
-    code-basis Kraus stack of a recovery after noise, m (G, N, D, d) the
+    code-basis Kraus stack of a recovery after noise, m (G, D, N, d) the
     noise on the code.  The completion rho -> tr(F rho) I / d, with
     F = sum_i M_i^dag M_i - sum_x K_x^dag K_x, has the Kraus operators
     sqrt(mu_c / d) e_a v_c^dag for the eigenpairs (mu_c, v_c) of F from
@@ -212,12 +222,12 @@ def svd_polar_oracle(a: np.ndarray) -> np.ndarray:
 
 
 def svd_code_kraus_oracle(m: np.ndarray) -> np.ndarray:
-    """code_kraus of the noise on the code m (..., N, D, d) from numpy's
+    """_code_kraus of the noise on the code m (..., D, N, d) from numpy's
     SVD wide = U diag(s) Y^dag of wide = [M_1 ... M_N], with no eigh of
     E(P): K = Y diag(s [s^2 > RANK_TOL s_max^2]) Y^dag, the package's
     support rule on E(P) = U diag(s^2) U^dag, by a backward-stable route."""
-    *lead, n, dim, d = m.shape
-    wide = np.moveaxis(m, -3, -2).reshape(*lead, dim, n * d)
+    *lead, dim, n, d = m.shape
+    wide = m.reshape(*lead, dim, n * d)
     _, s, yh = np.linalg.svd(wide, full_matrices=False)
     s = np.where(s**2 > RANK_TOL * s[..., :1] ** 2, s, 0.0)
     k = (yh.conj().swapaxes(-1, -2) * s[..., None, :]) @ yh

@@ -33,7 +33,7 @@ from aqec import (
 from aqec.cli import main
 from aqec.conditions import _beta_and_deltas
 from aqec.models import example5_channel, example5_eta_formula
-from aqec.transpose import code_kraus
+from aqec.transpose import _code_kraus, _noise_on_code
 
 from helpers import (
     bit_flip_channel,
@@ -166,7 +166,7 @@ def test_criterion_4_condition_equivalence():
             alt = alternate_condition_residual(e, code)
             assert cert.residual <= 1e-10
             assert alt <= 1e-10
-            beta, _ = _beta_and_deltas(code_kraus(e.kraus @ code.basis))
+            beta, _ = _beta_and_deltas(_code_kraus(_noise_on_code(e.kraus, code)))
             assert np.max(np.abs(beta - sqrtm_oracle(cert.alpha))) <= 1e-9
         for _ in range(50):
             e, code = _perturbed_bitflip_instance(rng)

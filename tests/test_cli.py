@@ -467,6 +467,45 @@ def test_bad_samples_rejected(tmp_path, capsys):
     assert "samples" in _one_error_line(capsys)
 
 
+def test_sampled_work_over_the_limit_is_refused_before_the_grid(tmp_path, capsys, monkeypatch):
+    # 2^21 samples at each of 1251 gamma points of a d = 3 curve are over
+    # MAX_WORK = 2^31 sampled states: search and sweep exit 2 with one line
+    # before the gamma list exists, by flag and by --config
+    import aqec.cli
+
+    def refuse(*args):
+        raise AssertionError("gamma_grid ran")
+
+    monkeypatch.setattr(aqec.cli, "gamma_grid", refuse)
+    code_file = tmp_path / "code3.json"
+    code_file.write_text(json.dumps(code_to_json(random_code(4, 3, 0))))
+    over = {"samples": 2**21, "gamma_stop": 0.5, "gamma_step": 0.0004}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(over))
+    out = tmp_path / "o.csv"
+    commands = [["search", "--qubits", "2", "--code-dim", "3", "--codes", "1",
+                 "--best-out", str(tmp_path / "b.json")],
+                ["sweep", "--curve", f"file={code_file}:transpose"]]
+    for command in commands:
+        for given in ([f"--{key.replace('_', '-')}={value}" for key, value in over.items()],
+                      ["--config", str(cfg)]):
+            assert main(command + given + ["--out", str(out)]) == 2
+            assert "limit of 2147483648 sampled states" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_sampled_work_limit_admits_every_run_at_default_samples():
+    from aqec.cli import MAX_COUNT, MAX_WORK, UserConfigError, _check_sampling
+    from aqec.fidelity import DEFAULT_SAMPLES
+
+    assert MAX_WORK == DEFAULT_SAMPLES * MAX_COUNT
+    _check_sampling(DEFAULT_SAMPLES, 0, MAX_COUNT, 3)
+    _check_sampling(MAX_COUNT, 0, MAX_COUNT, 2)  # qubit codes are solved exactly
+    _check_sampling(MAX_COUNT, 0, MAX_WORK // MAX_COUNT, 3)
+    with pytest.raises(UserConfigError):
+        _check_sampling(MAX_COUNT, 0, MAX_WORK // MAX_COUNT + 1, 3)
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gama_stop": 0.1}))
@@ -858,7 +897,7 @@ def test_seven_qubit_transpose_sweep_beyond_32_gammas(tmp_path):
     table = _sweep_table(out)
     assert len(table) == 33
     for row in (table[0], table[17], table[-1]):
-        noise = _damping_on([float(row[0])], np.eye(128, dtype=complex))
+        noise = _damping_on([float(row[0])], np.eye(128, dtype=complex)).swapaxes(1, 2)
         [ref] = transpose_fidelity_grid(noise, code)
         assert abs(float(row[2]) - ref.f2_min) <= 1e-12
         assert row[5] == ref.method

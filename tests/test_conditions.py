@@ -31,7 +31,7 @@ from aqec.models import (
     qubit_space,
     truncated_damping_channel,
 )
-from aqec.transpose import code_kraus
+from aqec.transpose import _code_kraus, _noise_on_code
 
 from helpers import (
     bit_flip_channel,
@@ -209,7 +209,7 @@ def test_alternate_residual_iff_perfect():
     assert alternate_condition_residual(e, code) < 1e-12
     # beta equals the principal square root of alpha in the same gauge
     cert = check_perfect_qec(e, code)
-    beta, _ = _beta_and_deltas(code_kraus(e.kraus @ code.basis))
+    beta, _ = _beta_and_deltas(_code_kraus(_noise_on_code(e.kraus, code)))
     assert np.max(np.abs(beta - sqrtm_oracle(cert.alpha))) < 1e-9
     # diagonal gauge entries are sqrt(d_kk)
     assert np.allclose(
@@ -221,7 +221,7 @@ def test_alternate_residual_identity_channel():
     code = random_code(3, 2, 4)
     e = QuantumChannel([np.eye(3)])
     assert alternate_condition_residual(e, code) < 1e-12
-    beta, _ = _beta_and_deltas(code_kraus(e.kraus @ code.basis))
+    beta, _ = _beta_and_deltas(_code_kraus(_noise_on_code(e.kraus, code)))
     assert np.allclose(beta, [[1.0]])
 
 

@@ -19,6 +19,7 @@ from aqec.fidelity import (
     REFINE_ITERS,
     _code_operator_basis,
     _code_process_matrices,
+    _compose_on_code,
     _min_forms,
     _min_forms_sampled,
     _min_quadratic_on_sphere,
@@ -27,12 +28,13 @@ from aqec.fidelity import (
     _tp_unital,
 )
 from aqec.models import _damping_on, leung_code
-from aqec.transpose import code_kraus
+from aqec.transpose import _code_kraus, _noise_on_code
 
 from helpers import (
     _eta_form,
     bloch_samples,
     code_process_matrix,
+    compose_on_code_reference,
     random_tp_channel,
     recovered_channel,
     reference_min_forms_sampled,
@@ -320,7 +322,7 @@ def _transpose_maps(n_qubits, d, seed, gammas):
     fidelity forms are M / d."""
     code = random_code(2**n_qubits, d, seed)
     noise = _damping_on(gammas, np.eye(2**n_qubits, dtype=complex))
-    k = code_kraus(noise @ code.basis)
+    k = _code_kraus(noise @ code.basis)
     g, n = k.shape[:2]
     m = _code_process_matrices(k.reshape(g, n * n, d, d))
     return m, _qubit_labels(m), code
@@ -391,7 +393,7 @@ def _refinement_cases(d, seed):
     forms = list(m / d)
     for gamma in (0.05, 0.3):
         e = tensor_power(amplitude_damping(gamma), 3)
-        _, deltas = _beta_and_deltas(code_kraus(e.kraus @ code.basis))
+        _, deltas = _beta_and_deltas(_code_kraus(_noise_on_code(e.kraus, code)))
         flat = deltas.reshape(-1, d, d)
         forms.append(_eta_form(flat, np.einsum("kab,kac->bc", flat.conj(), flat)))
     q = np.stack(forms)
@@ -571,7 +573,7 @@ def test_refinement_backtracking_ends_at_the_rounding_floor(monkeypatch):
 
     gammas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     code = random_code(16, 3, 0)
-    k = code_kraus(_damping_on(gammas, code.basis))
+    k = _code_kraus(_damping_on(gammas, code.basis))
     q = _code_process_matrices(k.reshape(len(gammas), -1, 3, 3)) / 3
     rows = []
     evaluate = fidelity._form_values
@@ -584,3 +586,23 @@ def test_refinement_backtracking_ends_at_the_rounding_floor(monkeypatch):
     _min_forms_sampled(q, 1024, 0)
     assert len(rows) <= 12, rows
     assert rows.count(1) <= 3, rows
+
+
+def test_compose_on_code_matches_the_per_operator_composition():
+    # one (R d, D) x (D, N d) product per pass against each recovery
+    # operator times each noise operator, j-major, on the sweep's Leung and
+    # five-qubit syndrome recoveries over the 51-gamma grid, so that a
+    # layout change cannot reorder the Kraus set
+    from aqec import five_qubit_code_only, leung_recovery
+    from aqec.cli import gamma_grid
+    from aqec.conditions import _standard_recovery_on
+    from aqec.models import _five_qubit_noise_on
+
+    gammas = gamma_grid(0.0, 0.5, 0.01)
+    leung, five = leung_code().basis, five_qubit_code_only().basis
+    cases = [(leung.conj().T @ leung_recovery(max(gammas)).kraus, _damping_on(gammas, leung)),
+             (_standard_recovery_on(_five_qubit_noise_on(gammas, five)), _damping_on(gammas, five))]
+    for wr, m in cases:
+        got = _compose_on_code(wr, m)
+        assert got.shape == (51, wr.shape[-3] * m.shape[2], 2, 2)
+        assert np.max(np.abs(got - compose_on_code_reference(wr, m))) <= 1e-15

@@ -205,7 +205,7 @@ def test_five_qubit_noise_on_equals_closed_form_to_the_bit():
             for k in range(5):
                 lower_k = np.kron(np.kron(np.eye(2**k), lower), np.eye(2 ** (4 - k)))
                 ops.append((a**4 * np.sqrt(g)) * (lower_k @ w))
-            assert np.array_equal(_five_qubit_noise_on([g], w)[0], np.stack(ops))
+            assert np.array_equal(_five_qubit_noise_on([g], w)[0], np.stack(ops, axis=1))
 
 
 def test_five_qubit_recovery_matches_original_construction():
@@ -321,7 +321,8 @@ def test_damping_on_code_equals_kron_construction(n):
     bases = [np.eye(2**n, dtype=complex), random_code(2**n, 2, 40 + n).basis]
     if n > 1:
         bases.append(random_code(2**n, 3, 50 + n).basis)
-    ref = np.stack([_kron_damping(g, n) for g in gammas])
+    # the ambient operators in the layout of the noise on the code, (G, 2^n, K, 2^n)
+    ref = np.stack([_kron_damping(g, n) for g in gammas]).swapaxes(1, 2)
     assert np.array_equal(_damping_on(gammas, np.eye(2**n, dtype=complex)), ref)
     for basis in bases:
         m = _damping_on(gammas, basis)
@@ -330,7 +331,7 @@ def test_damping_on_code_equals_kron_construction(n):
     # a subset of Kraus indices, out of order, on each basis
     kraus = [2**n - 1, 0, 1] if n > 1 else [1]
     for basis in bases:
-        assert np.array_equal(_damping_on(gammas, basis, kraus), ref[:, kraus] @ basis)
+        assert np.array_equal(_damping_on(gammas, basis, kraus), ref[:, :, kraus] @ basis)
 
 
 def test_truncated_damping_equals_kron_loop():

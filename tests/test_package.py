@@ -6,6 +6,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import aqec
 
 
@@ -117,3 +119,25 @@ def test_every_module_level_name_and_import_in_src_is_used():
             unread += [f"{module}: {name}" for name in names
                        if name not in here and name not in exported]
     assert unused == [] and unread == []
+
+
+
+@pytest.mark.parametrize("d, call", [
+    (2, lambda e, code: aqec.random_code(16, 2, -1)),
+    (2, lambda e, code: aqec.random_code(16, 2, 1.5)),
+    (3, lambda e, code: aqec.worst_case_fidelity(e, None, code, seed=-1)),
+    (3, lambda e, code: aqec.transpose_fidelity_grid(e.kraus[None], code, samples=1.5)),
+    (2, lambda e, code: aqec.example5_channel(2.5, 0.1)),
+    (2, lambda e, code: aqec.near_optimality_bound_check(e, code, ["x"])),
+    (2, lambda e, code: aqec.amplitude_damping("0.1")),
+], ids=["negative seed", "fractional seed", "d = 3 negative seed", "fractional samples",
+        "fractional d", "recovery not a channel", "gamma as a string"])
+def test_library_scalars_pass_the_input_gate(d, call):
+    # "Every library failure raises a subclass of AqecError": each call
+    # once raised numpy's ValueError, a TypeError or an AttributeError, or
+    # read a string as a number
+    from aqec.exceptions import AqecError
+
+    e = aqec.tensor_power(aqec.amplitude_damping(0.1), 3)
+    with pytest.raises(AqecError):
+        call(e, aqec.random_code(8, d, 0))
